@@ -1,9 +1,9 @@
 """O(1) bitwise formulas: nim-sum, binary OR, 2-adic valuation, and the
 closed-form Grundy values of Delete Nim and VDN.
 
-Everything here is a pure stateless function; the vectorized ``*_grid``
-variants exist so the verification sweeps can evaluate the formulas on
-millions of positions without a Python-level loop.
+Everything here is a pure stateless function; the vectorized ``*_array``
+and ``*_grid`` variants exist so the verification sweeps and tables can
+evaluate the formulas on millions of positions without a Python-level loop.
 """
 
 from __future__ import annotations
@@ -25,6 +25,8 @@ __all__ = [
     "bit_or",
     "delete_nim_grundy",
     "vdn_grundy",
+    "delete_nim_grundy_array",
+    "vdn_grundy_array",
     "delete_nim_grundy_grid",
     "vdn_grundy_grid",
 ]
@@ -94,9 +96,20 @@ def vdn_grundy(x: int, y: int) -> int:
 
 
 def _v2_of_positive(m: np.ndarray) -> np.ndarray:
-    # m & -m isolates the lowest set bit; log2 of an exact power of two is exact.
-    low = m & -m
-    return np.log2(low.astype(np.float64)).astype(np.int16)
+    # m & -m isolates the lowest set bit; the bits below it number exactly v2(m).
+    return np.bitwise_count((m & -m) - 1)
+
+
+def delete_nim_grundy_array(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Elementwise delete_nim_grundy over broadcastable integer arrays of heap
+    sizes, which must all be >= 0 (not checked)."""
+    return _v2_of_positive((xs | ys) + 1)
+
+
+def vdn_grundy_array(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Elementwise vdn_grundy over broadcastable integer arrays of heap sizes,
+    which must all be >= 1 (not checked)."""
+    return _v2_of_positive(((xs - 1) | (ys - 1)) + 1)
 
 
 def delete_nim_grundy_grid(bound: int) -> np.ndarray:
@@ -105,7 +118,7 @@ def delete_nim_grundy_grid(bound: int) -> np.ndarray:
     if bound < 0:
         raise DomainError(f"bound must be >= 0, got {bound}")
     xs = np.arange(bound + 1, dtype=np.int64)
-    return _v2_of_positive((xs[:, None] | xs[None, :]) + 1)
+    return delete_nim_grundy_array(xs[:, None], xs[None, :]).astype(np.int16)
 
 
 def vdn_grundy_grid(bound: int) -> np.ndarray:
@@ -113,7 +126,7 @@ def vdn_grundy_grid(bound: int) -> np.ndarray:
     (a VDN heap is never empty)."""
     if bound < 1:
         raise DomainError(f"bound must be >= 1, got {bound}")
-    xs = np.arange(bound, dtype=np.int64)  # the shifted values x - 1
+    xs = np.arange(1, bound + 1, dtype=np.int64)
     grid = np.full((bound + 1, bound + 1), -1, dtype=np.int16)
-    grid[1:, 1:] = _v2_of_positive((xs[:, None] | xs[None, :]) + 1)
+    grid[1:, 1:] = vdn_grundy_array(xs[:, None], xs[None, :])
     return grid

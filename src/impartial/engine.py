@@ -1,6 +1,6 @@
 """Generic Sprague-Grundy machinery: mex, memoized Grundy values over any
-ruleset, P/N classification, optimal moves, and a dense bottom-up backend for
-the two-heap games used by the large verification sweeps.
+ruleset, P/N classification, optimal moves, and a streaming bottom-up
+backend for the two-heap games used by the large verification sweeps.
 
 The generic path needs nothing from a ruleset beyond ``canonical`` and
 ``options``.  Grundy values are memoized in a plain dict keyed by
@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
 from .errors import BudgetExceededError, DomainError
-from .rulesets import Ruleset, make_sum
+from .rulesets import DELETE_NIM, VDN, Ruleset, make_sum
 
 MemoTable = dict
 
@@ -31,6 +31,7 @@ __all__ = [
     "best_move",
     "SumCheck",
     "sum_grundy_check",
+    "diagonals",
     "delete_nim_grid",
     "vdn_grid",
     "grundy_grid",
@@ -178,31 +179,29 @@ def sum_grundy_check(
 # --- dense backend -----------------------------------------------------------
 #
 # The sweeps over two-heap grids dominate runtime, and the option set of a
-# two-heap position is the union of one or two complete anti-diagonals:
+# two-heap position is a union of whole anti-diagonals: choosing a heap of s
+# stones reaches exactly the canonical pairs (a, b) with a + b == s - removed
+# and both heaps at least lo, where
 #
-#   Delete Nim (x, y): canonical pairs summing to x - 1 and to y - 1
-#   VDN        (x, y): canonical nonempty pairs summing to x and to y
+#   Delete Nim: (lo, removed) = (0, 1)   one stone goes, either part may be empty
+#   VDN:        (lo, removed) = (1, 0)   no stone goes, both parts nonempty
 #
-# so a bottom-up pass over anti-diagonals can keep, per diagonal, the *set*
-# of Grundy values on it as a bitmask, and evaluate each position as the mex
-# of the union of its two diagonals' masks.  This is the same mex recursion
-# as the generic path (tests pin the two against each other), with no closed
-# form involved.
+# so a bottom-up pass over anti-diagonals needs only opened[s], the set of
+# Grundy values reachable by choosing a heap of s stones, as a bitmask per
+# heap size.  Position (x, y) is the mex of opened[x] | opened[y].  This is
+# the same mex recursion as the generic path (tests pin the two against each
+# other), with no closed form involved.
+
+_MOVES = {"delete-nim": (0, 1), "vdn": (1, 0)}
 
 _MASK_WIDTH = 62  # values must fit a uint64 bitmask with headroom for the +1
 
 
 def _mex_of_masks(masks: np.ndarray) -> np.ndarray:
     # mex of a value set stored as a bitmask = index of the lowest zero bit;
-    # (~m) & (m + 1) isolates it, and log2 of an exact power of two is exact.
+    # (~m) & (m + 1) isolates it, and the bits below it number exactly the mex.
     low_zero = (~masks) & (masks + np.uint64(1))
-    return np.log2(low_zero.astype(np.float64)).astype(np.int16)
-
-
-def _value_mask(gv: np.ndarray) -> np.uint64:
-    if int(gv.max(initial=0)) >= _MASK_WIDTH:
-        raise RuntimeError("grundy values exceed the dense backend's bitmask width")
-    return np.bitwise_or.reduce(np.left_shift(np.uint64(1), gv.astype(np.uint64)))
+    return np.bitwise_count(low_zero - np.uint64(1))
 
 
 def _check_cells(bound: int, budget: int | None) -> None:
@@ -213,53 +212,62 @@ def _check_cells(bound: int, budget: int | None) -> None:
         )
 
 
+def diagonals(rules: Ruleset, bound: int, budget: int | None = None) -> Iterator:
+    """Grundy values of every canonical two-heap position lo <= y <= x <= bound
+    (lo is 0 for Delete Nim, 1 for VDN), by mex recursion, one anti-diagonal
+    x + y == t at a time in increasing t.
+
+    Yields ``(xs, ys, values)`` per diagonal, ``ys`` ascending; ``xs`` and
+    ``ys`` are read-only views.  Memory is O(bound): one bitmask per heap
+    size.  The bound and the budget are checked before anything runs; the
+    budget is charged the (bound + 1)**2 cells of the full grid.
+    """
+    if rules.name not in _MOVES:
+        raise ValueError(f"no dense backend for ruleset {rules.name!r}")
+    lo, removed = _MOVES[rules.name]
+    if bound < lo:
+        raise DomainError(f"bound must be >= {lo}, got {bound}")
+    _check_cells(bound, budget)
+    return _diagonals(lo, removed, bound)
+
+
+def _diagonals(lo: int, removed: int, bound: int) -> Iterator:
+    heaps = np.arange(bound + 1)
+    heaps.flags.writeable = False
+    opened = np.zeros(bound + 1, dtype=np.uint64)
+    for t in range(2 * lo, 2 * bound + 1):
+        y0, y1 = max(lo, t - bound), t // 2
+        y_range = slice(y0, y1 + 1)
+        x_range = slice(t - y1, t - y0 + 1)  # reversed below: x = t - y falls as y rises
+        values = _mex_of_masks(opened[x_range][::-1] | opened[y_range])
+        s = t + removed
+        if s <= bound:  # diagonal t is complete, and it is what a heap of s opens
+            mask = int(np.bitwise_or.reduce(np.left_shift(np.uint64(1), values)))
+            if mask >> _MASK_WIDTH:
+                raise RuntimeError("grundy values exceed the dense backend's bitmask width")
+            opened[s] = mask
+        yield heaps[x_range][::-1], heaps[y_range], values
+
+
+def _scatter(rules: Ruleset, bound: int, budget: int | None, fill: int) -> np.ndarray:
+    diags = diagonals(rules, bound, budget)
+    grid = np.full((bound + 1, bound + 1), fill, dtype=np.int16)
+    for xs, ys, values in diags:
+        grid[xs, ys] = values
+    # mirror the canonical half; fill is below every Grundy value
+    return np.maximum(grid, grid.T, out=grid)
+
+
 def delete_nim_grid(bound: int, budget: int | None = None) -> np.ndarray:
     """Grundy values of every Delete Nim position with 0 <= x, y <= bound,
-    computed bottom-up by mex recursion.
-
-    ``diag_mask[s]`` holds the Grundy values on the anti-diagonal a + b == s
-    as a bitmask; position (x, y) is the mex of the union of the masks for
-    s = x - 1 and s = y - 1 (an empty heap contributes nothing).
-    """
-    if bound < 0:
-        raise DomainError(f"bound must be >= 0, got {bound}")
-    _check_cells(bound, budget)
-    n = bound
-    grid = np.zeros((n + 1, n + 1), dtype=np.int16)
-    diag_mask = np.zeros(max(n, 1), dtype=np.uint64)
-    for t in range(2 * n + 1):
-        xs = np.arange(max(0, t - n), min(n, t) + 1)
-        ys = t - xs
-        mx = np.where(xs >= 1, diag_mask[np.maximum(xs, 1) - 1], np.uint64(0))
-        my = np.where(ys >= 1, diag_mask[np.maximum(ys, 1) - 1], np.uint64(0))
-        gv = _mex_of_masks(mx | my)
-        grid[xs, ys] = gv
-        if t < n:  # the full anti-diagonal t lies in the grid and gets looked up later
-            diag_mask[t] = _value_mask(gv)
-    return grid
+    computed bottom-up by mex recursion (see ``diagonals``)."""
+    return _scatter(DELETE_NIM, bound, budget, 0)
 
 
 def vdn_grid(bound: int, budget: int | None = None) -> np.ndarray:
     """Grundy values of every VDN position with 1 <= x, y <= bound, computed
-    bottom-up by mex recursion; row and column 0 hold -1 (not VDN positions).
-
-    ``split_mask[s]`` holds the Grundy values of the splits of a heap of s
-    stones, i.e. of the anti-diagonal a + b == s with a, b >= 1.
-    """
-    if bound < 1:
-        raise DomainError(f"bound must be >= 1, got {bound}")
-    _check_cells(bound, budget)
-    n = bound
-    grid = np.full((n + 1, n + 1), -1, dtype=np.int16)
-    split_mask = np.zeros(n + 1, dtype=np.uint64)
-    for t in range(2, 2 * n + 1):
-        xs = np.arange(max(1, t - n), min(n, t - 1) + 1)
-        ys = t - xs
-        gv = _mex_of_masks(split_mask[xs] | split_mask[ys])
-        grid[xs, ys] = gv
-        if t <= n:  # splits of a heap of t stones are exactly this anti-diagonal
-            split_mask[t] = _value_mask(gv)
-    return grid
+    bottom-up by mex recursion; row and column 0 hold -1 (not VDN positions)."""
+    return _scatter(VDN, bound, budget, -1)
 
 
 def grundy_grid(rules: Ruleset, bound: int, budget: int | None = None) -> np.ndarray:

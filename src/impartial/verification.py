@@ -4,9 +4,11 @@ identities on bounded position grids.
 Every check runs two independent routes against each other (bottom-up mex
 recursion versus a closed formula, or an explicit certificate versus direct
 enumeration) and emits a VerificationReport.  Sweeps are exhaustive within
-their bounds, never sampled.  Grids may be partitioned across worker
-threads; reports are identical for any worker count (chunks merge in
-canonical position order), apart from the elapsed time.
+their bounds, never sampled.  The two-heap formula sweeps stream the
+engine's anti-diagonals and hold O(bound) memory; the others may be
+partitioned across worker threads.  Reports are identical for any worker
+count (mismatches are listed in canonical position order), apart from the
+elapsed time.
 
 Mismatch convention: ``expected`` is the brute-force / oracle side,
 ``actual`` is the closed-form / theorem side.
@@ -109,31 +111,44 @@ def _map_chunks(fn: Callable, chunks: list[range], workers: int) -> list:
         return list(pool.map(fn, chunks))
 
 
+def _differing_cells(found: list, xs, ys, expected, actual) -> None:
+    """Append (x, y, expected, actual) for every cell where the two differ."""
+    differ = expected != actual
+    if differ.any():
+        found.extend(
+            (int(xs[i]), int(ys[i]), int(expected[i]), int(actual[i]))
+            for i in np.flatnonzero(differ)
+        )
+
+
+def _as_mismatches(found: list) -> list[Mismatch]:
+    # row-major (x, y) order, whatever order the cells were streamed in
+    return [(f"{x},{y}", e, a) for x, y, e, a in sorted(found)]
+
+
+def _verify_two_heap(
+    name: str, rules: rulesets.Ruleset, formula: Callable, bound: int, budget: int | None
+) -> VerificationReport:
+    """Stream the engine's diagonals and compare each on the spot with the
+    vectorized closed form evaluated on the same cells."""
+    t0 = time.perf_counter()
+    checked = 0
+    found: list = []
+    for xs, ys, values in engine.diagonals(rules, bound, budget):
+        checked += values.size
+        _differing_cells(found, xs, ys, values, formula(xs, ys))
+    return VerificationReport(
+        name, bound, checked, _as_mismatches(found), time.perf_counter() - t0
+    )
+
+
 def verify_delete_nim_formula(
     bound: int, workers: int = 1, budget: int | None = None
 ) -> VerificationReport:
-    """Engine Grundy values versus v2((x | y) + 1) for all 0 <= y <= x <= bound."""
-    t0 = time.perf_counter()
-    eng = engine.delete_nim_grid(bound, budget=budget)
-    formula = closed_forms.delete_nim_grundy_grid(bound)
-
-    def compare(rows: range) -> tuple[int, list[Mismatch]]:
-        checked = 0
-        found: list[Mismatch] = []
-        for x in rows:
-            row_e = eng[x, : x + 1]
-            row_f = formula[x, : x + 1]
-            checked += x + 1
-            if not np.array_equal(row_e, row_f):
-                for y in np.flatnonzero(row_e != row_f):
-                    found.append((f"{x},{y}", int(row_e[y]), int(row_f[y])))
-        return checked, found
-
-    results = _map_chunks(compare, _chunks(bound + 1, workers), workers)
-    checked = sum(c for c, _ in results)
-    mismatches = [m for _, ms in results for m in ms]
-    return VerificationReport(
-        "delete-nim", bound, checked, mismatches, time.perf_counter() - t0
+    """Engine Grundy values versus v2((x | y) + 1) for all 0 <= y <= x <= bound.
+    ``workers`` has no effect."""
+    return _verify_two_heap(
+        "delete-nim", rulesets.DELETE_NIM, closed_forms.delete_nim_grundy_array, bound, budget
     )
 
 
@@ -141,29 +156,9 @@ def verify_vdn_formula(
     bound: int, workers: int = 1, budget: int | None = None
 ) -> VerificationReport:
     """Engine Grundy values on VDN rules versus v2(((x-1) | (y-1)) + 1) for
-    all 1 <= y <= x <= bound."""
-    t0 = time.perf_counter()
-    eng = engine.vdn_grid(bound, budget=budget)
-    formula = closed_forms.vdn_grundy_grid(bound)
-
-    def compare(rows: range) -> tuple[int, list[Mismatch]]:
-        checked = 0
-        found: list[Mismatch] = []
-        for i in rows:
-            x = i + 1
-            row_e = eng[x, 1 : x + 1]
-            row_f = formula[x, 1 : x + 1]
-            checked += x
-            if not np.array_equal(row_e, row_f):
-                for j in np.flatnonzero(row_e != row_f):
-                    found.append((f"{x},{j + 1}", int(row_e[j]), int(row_f[j])))
-        return checked, found
-
-    results = _map_chunks(compare, _chunks(bound, workers), workers)
-    checked = sum(c for c, _ in results)
-    mismatches = [m for _, ms in results for m in ms]
-    return VerificationReport(
-        "vdn", bound, checked, mismatches, time.perf_counter() - t0
+    all 1 <= y <= x <= bound.  ``workers`` has no effect."""
+    return _verify_two_heap(
+        "vdn", rulesets.VDN, closed_forms.vdn_grundy_array, bound, budget
     )
 
 
@@ -316,20 +311,21 @@ def verify_isomorphism(
 ) -> VerificationReport:
     """Option-set commutation under the VDN -> Delete Nim map for all
     1 <= y <= x <= bound, plus Grundy commutation on the same domain
-    (each side computed by its own game's engine)."""
+    (each side computed by its own game's engine).  ``workers`` has no
+    effect."""
     t0 = time.perf_counter()
+    vdn_diags = engine.diagonals(rulesets.VDN, bound, budget)
+    dn_diags = engine.diagonals(rulesets.DELETE_NIM, bound - 1, budget)
     iso = isomorphism.check_isomorphism(bound)
     mismatches: list[Mismatch] = [
         (f"{p[0]},{p[1]}", "equal option sets", reason) for p, reason in iso.failures
     ]
-    vdn_values = engine.vdn_grid(bound, budget=budget)
-    dn_values = engine.delete_nim_grid(bound - 1, budget=budget)
-    for x in range(1, bound + 1):
-        for y in range(1, x + 1):
-            if vdn_values[x, y] != dn_values[x - 1, y - 1]:
-                mismatches.append(
-                    (f"{x},{y}", int(dn_values[x - 1, y - 1]), int(vdn_values[x, y]))
-                )
+    # VDN diagonal t holds (x, y) exactly where Delete Nim diagonal t - 2
+    # holds (x - 1, y - 1), in the same order
+    found: list = []
+    for (xs, ys, vdn_values), (_, _, dn_values) in zip(vdn_diags, dn_diags, strict=True):
+        _differing_cells(found, xs, ys, dn_values, vdn_values)
+    mismatches += _as_mismatches(found)
     checked = bound * (bound + 1) // 2
     return VerificationReport(
         "iso", bound, checked, mismatches, time.perf_counter() - t0

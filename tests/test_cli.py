@@ -185,6 +185,30 @@ class TestVerifyCommand:
             rec.pop("elapsed-milliseconds")
         assert a == b
 
+    def test_stretch_sweep_memory_is_linear_in_bound(self):
+        # A full (bound+1)^2 grid pair at this bound peaks above 2 GB.  The
+        # sweep runs in an intermediate interpreter so that RUSAGE_CHILDREN
+        # sees only it, not children earlier tests started.
+        probe = (
+            "import resource, subprocess, sys\n"
+            "r = subprocess.run([sys.executable, '-m', 'impartial', 'verify', '--check',"
+            " 'delete-nim', '--bound-delete-nim', '8191', '--format', 'json'],"
+            " capture_output=True, text=True)\n"
+            "rss = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss\n"
+            "print(r.returncode, rss // 1024 if sys.platform == 'darwin' else rss)\n"
+            "sys.stdout.write(r.stdout)\n"
+        )
+        r = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, timeout=300
+        )
+        head, _, report = r.stdout.partition("\n")
+        code, rss_kib = (int(v) for v in head.split())
+        assert code == 0
+        assert rss_kib < 150 * 1024
+        [record] = json.loads(report)
+        assert record["passed"]
+        assert record["checked"] == 8192 * 8193 // 2
+
     def test_mismatch_exits_1(self, monkeypatch, capsys):
         failing = verification.VerificationReport("vdn", 4, 10, [("2,1", 1, 9)], 0.0)
         monkeypatch.setattr(

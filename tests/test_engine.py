@@ -1,5 +1,6 @@
 import dataclasses
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -183,6 +184,17 @@ class TestDenseGrids:
             for y in range(lo, x + 1):
                 assert grid[x, y] == engine.grundy((x, y), rules, memo)
                 assert grid[y, x] == grid[x, y]
+        for small in sorted({lo, 1, 2, 3, 17}):
+            seen = Counter()
+            diagonals = engine.diagonals(rules, small)
+            for t, (xs, ys, values) in enumerate(diagonals, start=2 * lo):
+                assert all(x + y == t for x, y in zip(xs, ys))
+                for x, y, v in zip(xs.tolist(), ys.tolist(), values.tolist()):
+                    seen[x, y] += 1
+                    assert v == engine.grundy((x, y), rules, memo)
+            canonical = {(x, y) for x in range(lo, small + 1) for y in range(lo, x + 1)}
+            assert set(seen) == canonical
+            assert set(seen.values()) == {1}
 
     def test_vdn_grid_padding(self):
         grid = engine.grundy_grid(rs.VDN, 5)
@@ -192,10 +204,15 @@ class TestDenseGrids:
     def test_unsupported_ruleset(self):
         with pytest.raises(ValueError):
             engine.grundy_grid(rs.NIM, 4)
+        with pytest.raises(ValueError):
+            engine.diagonals(rs.NIM, 4)
 
     def test_budget(self):
         with pytest.raises(BudgetExceededError):
             engine.grundy_grid(rs.DELETE_NIM, 1000, budget=100)
+        # charged before the first diagonal is asked for
+        with pytest.raises(BudgetExceededError):
+            engine.diagonals(rs.VDN, 1000, budget=100)
 
     def test_matches_closed_form_grid(self):
         assert np.array_equal(

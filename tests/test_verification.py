@@ -1,10 +1,13 @@
 import json
 from math import comb
 
+import numpy as np
 import pytest
 
+from impartial import closed_forms as cf
 from impartial import verification as vf
 from impartial.errors import BudgetExceededError
+from reference import ref_delete_grundy, ref_vdn_grundy
 
 
 def triangle(bound):
@@ -66,6 +69,36 @@ class TestSweeps:
     def test_budget_propagates(self):
         with pytest.raises(BudgetExceededError):
             vf.verify_delete_nim_formula(2048, budget=100)
+
+
+class TestFaultInjection:
+    # Each pair of cells is listed in the order the sweep streams them (by
+    # anti-diagonal), which is not row-major order, so the report's sort
+    # is pinned too.
+    @pytest.mark.parametrize(
+        "verify, formula, reference, cells",
+        [
+            (vf.verify_delete_nim_formula, "delete_nim_grundy_array", ref_delete_grundy,
+             [(40, 7), (30, 29)]),
+            (vf.verify_vdn_formula, "vdn_grundy_array", ref_vdn_grundy,
+             [(45, 3), (33, 30)]),
+        ],
+    )
+    def test_wrong_formula_is_reported(self, monkeypatch, verify, formula, reference, cells):
+        right = getattr(cf, formula)
+
+        def wrong(xs, ys):
+            values = right(xs, ys).astype(np.int64)
+            for x, y in cells:
+                values[(xs == x) & (ys == y)] += 5
+            return values
+
+        monkeypatch.setattr(cf, formula, wrong)
+        rep = verify(48)
+        assert not rep.passed
+        assert rep.mismatches == [
+            (f"{x},{y}", reference(x, y), reference(x, y) + 5) for x, y in sorted(cells)
+        ]
 
 
 class TestReportShape:
