@@ -277,7 +277,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bound-iso", type=int)
     p.add_argument("--heaps", type=int, help="max heap count for the bouton check")
     p.add_argument("--size", type=int, help="max heap size for the bouton check")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument(
+        "--workers", type=int, default=1, help="accepted for compatibility; has no effect"
+    )
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.add_argument("--config", help="JSON file with default bounds")

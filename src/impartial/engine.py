@@ -4,9 +4,8 @@ backend for the two-heap games used by the large verification sweeps.
 
 The generic path needs nothing from a ruleset beyond ``canonical`` and
 ``options``.  Grundy values are memoized in a plain dict keyed by
-(ruleset name, canonical position); each entry is written exactly once, and
-because every writer would compute the identical value the table may be
-shared between concurrent workers.
+(ruleset name, canonical position); each entry is written exactly once, so
+one table may be shared by every call of a sweep.
 """
 
 from __future__ import annotations

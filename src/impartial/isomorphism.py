@@ -46,14 +46,27 @@ class IsoCheckResult:
 def check_isomorphism(bound: int) -> IsoCheckResult:
     """For every VDN position with 1 <= y <= x <= bound, check that mapping
     each VDN option componentwise gives exactly the Delete Nim options of the
-    mapped position.  Counterexamples are recorded, not raised."""
+    mapped position.  Counterexamples are recorded, not raised.
+
+    Every option of such a position is a canonical pair 1 <= b <= a with
+    a + b <= bound, so the map is evaluated once per such pair up front and
+    each option set is mapped through that table.  An option outside it
+    (only a faulty ruleset returns one) is mapped one call at a time."""
     if bound < 1:
         raise DomainError(f"bound must be >= 1, got {bound}")
+    table = {
+        (a, b): vdn_to_delete((a, b))
+        for b in range(1, bound // 2 + 1)
+        for a in range(b, bound - b + 1)
+    }
     result = IsoCheckResult(bound)
     for x in range(1, bound + 1):
         for y in range(1, x + 1):
             p = (x, y)
-            mapped = {vdn_to_delete(q) for q in vdn_options(p)}
+            opts = vdn_options(p)
+            mapped = set(map(table.get, opts))
+            if None in mapped:
+                mapped = {vdn_to_delete(q) for q in opts}
             direct = delete_nim_options(vdn_to_delete(p))
             if mapped != direct:
                 extra = sorted(mapped - direct)

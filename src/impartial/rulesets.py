@@ -76,8 +76,8 @@ def delete_nim_options(p: Pair) -> set[Pair]:
         if s >= 1:
             _check_enumerable(s)
             # (s - 1 - a, a) for a <= (s - 1) / 2 enumerates exactly the
-            # canonical pairs summing to s - 1.
-            opts.update((s - 1 - a, a) for a in range((s - 1) // 2 + 1))
+            # canonical pairs summing to s - 1; zip stops at the shorter range.
+            opts.update(zip(range(s - 1, -1, -1), range((s - 1) // 2 + 1)))
     return opts
 
 
@@ -90,7 +90,8 @@ def vdn_options(p: Pair) -> set[Pair]:
     for s in (x, y):
         if s >= 2:
             _check_enumerable(s)
-            opts.update((s - a, a) for a in range(1, s // 2 + 1))
+            # (s - a, a) for 1 <= a <= s / 2
+            opts.update(zip(range(s - 1, 0, -1), range(1, s // 2 + 1)))
     return opts
 
 

@@ -5,10 +5,12 @@ Every check runs two independent routes against each other (bottom-up mex
 recursion versus a closed formula, or an explicit certificate versus direct
 enumeration) and emits a VerificationReport.  Sweeps are exhaustive within
 their bounds, never sampled.  The two-heap formula sweeps stream the
-engine's anti-diagonals and hold O(bound) memory; the others may be
-partitioned across worker threads.  Reports are identical for any worker
-count (mismatches are listed in canonical position order), apart from the
-elapsed time.
+engine's anti-diagonals and hold O(bound) memory.  The certificate sweeps
+(proof-steps, iso) evaluate their scalar function once per pair an option
+can be, then compare each position's whole option set against those
+values.  Every check runs in the calling thread; the ``workers``
+parameters are accepted for compatibility and have no effect.  Mismatches
+are listed in canonical position order.
 
 Mismatch convention: ``expected`` is the brute-force / oracle side,
 ``actual`` is the closed-form / theorem side.
@@ -18,7 +20,6 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from typing import Callable
@@ -26,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from . import closed_forms, engine, isomorphism, rulesets
-from .errors import DomainError
+from .errors import BudgetExceededError, DomainError
 
 __all__ = [
     "VerificationReport",
@@ -95,22 +96,6 @@ def reports_to_json(reports: list[VerificationReport]) -> str:
     return json.dumps([r.to_record() for r in reports], indent=2)
 
 
-def _chunks(n_items: int, workers: int) -> list[range]:
-    """Split range(n_items) into at most ``workers`` contiguous chunks."""
-    if n_items <= 0:
-        return []
-    workers = max(1, min(workers, n_items))
-    step = -(-n_items // workers)
-    return [range(i, min(i + step, n_items)) for i in range(0, n_items, step)]
-
-
-def _map_chunks(fn: Callable, chunks: list[range], workers: int) -> list:
-    if workers <= 1 or len(chunks) <= 1:
-        return [fn(c) for c in chunks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, chunks))
-
-
 def _differing_cells(found: list, xs, ys, expected, actual) -> None:
     """Append (x, y, expected, actual) for every cell where the two differ."""
     differ = expected != actual
@@ -167,7 +152,7 @@ def verify_bouton(
 ) -> VerificationReport:
     """Engine P/N classification versus the nim-sum criterion for every Nim
     position with at most ``max_heaps`` heaps, each of at most ``max_size``
-    stones."""
+    stones.  ``workers`` has no effect."""
     if max_heaps < 1 or max_size < 0:
         raise DomainError(f"need max_heaps >= 1 and max_size >= 0, got ({max_heaps}, {max_size})")
     t0 = time.perf_counter()
@@ -178,25 +163,18 @@ def verify_bouton(
             for c in combinations_with_replacement(range(1, max_size + 1), k)
         )
     memo: engine.MemoTable = {}
-
-    def check(chunk: range) -> list[Mismatch]:
-        found: list[Mismatch] = []
-        for i in chunk:
-            p = positions[i]
-            eng_p = engine.classify(p, rulesets.NIM, memo=memo, budget=budget)
-            formula_p = closed_forms.bouton_is_p(p)
-            if (eng_p is engine.Outcome.P) != formula_p:
-                found.append(
-                    (
-                        rulesets.format_position(rulesets.NIM, p),
-                        eng_p.value,
-                        "P" if formula_p else "N",
-                    )
+    mismatches: list[Mismatch] = []
+    for p in positions:
+        eng_p = engine.classify(p, rulesets.NIM, memo=memo, budget=budget)
+        formula_p = closed_forms.bouton_is_p(p)
+        if (eng_p is engine.Outcome.P) != formula_p:
+            mismatches.append(
+                (
+                    rulesets.format_position(rulesets.NIM, p),
+                    eng_p.value,
+                    "P" if formula_p else "N",
                 )
-        return found
-
-    results = _map_chunks(check, _chunks(len(positions), workers), workers)
-    mismatches = [m for ms in results for m in ms]
+            )
     return VerificationReport(
         "bouton",
         (max_heaps, max_size),
@@ -215,19 +193,41 @@ def proof_step_failures(x: int, y: int) -> list[Mismatch]:
     with closed-form value v.  Together with termination this certifies that
     the closed form satisfies the defining mex recursion at (x, y).
     """
+    return _proof_step_failures(x, y, {}, set())
+
+
+def _value_levels(bound: int) -> dict[int, set[rulesets.Pair]]:
+    """Every canonical pair a + b <= bound - 1, which is every pair an option
+    of a position within ``bound`` can be, grouped by scalar closed-form
+    value: ``levels[h]`` is the set of those pairs with value h."""
+    levels: dict[int, set[rulesets.Pair]] = {}
+    for b in range((bound + 1) // 2):
+        for a in range(b, bound - b):
+            levels.setdefault(closed_forms.delete_nim_grundy(a, b), set()).add((a, b))
+    return levels
+
+
+def _proof_step_failures(
+    x: int, y: int, levels: dict[int, set[rulesets.Pair]], tabled: set[rulesets.Pair]
+) -> list[Mismatch]:
+    """proof_step_failures with condition (a) decided by set operations on
+    ``levels`` (see _value_levels; ``tabled`` is the union of its sets).
+    Options outside ``tabled``, and positions where (a) fails, fall back to
+    one scalar call per option, so the report does not depend on the table."""
     pos_text = f"{x},{y}"
     h = closed_forms.delete_nim_grundy(x, y)
     opts = rulesets.delete_nim_options((x, y))
     found: list[Mismatch] = []
-    hits = sorted(q for q in opts if closed_forms.delete_nim_grundy(*q) == h)
-    if hits:
-        found.append(
-            (
-                pos_text,
-                f"no option with value {h}",
-                f"option {hits[0][0]},{hits[0][1]} has value {h}",
+    if not (opts <= tabled and opts.isdisjoint(levels.get(h, ()))):
+        hits = sorted(q for q in opts if closed_forms.delete_nim_grundy(*q) == h)
+        if hits:
+            found.append(
+                (
+                    pos_text,
+                    f"no option with value {h}",
+                    f"option {hits[0][0]},{hits[0][1]} has value {h}",
+                )
             )
-        )
     for v in range(h):
         bit = 1 << v
         if x & bit:
@@ -253,23 +253,31 @@ def proof_step_failures(x: int, y: int) -> list[Mismatch]:
     return found
 
 
-def verify_proof_steps(bound: int, workers: int = 1) -> VerificationReport:
-    """Run the per-position certificate checks for all 0 <= y <= x <= bound."""
+def verify_proof_steps(
+    bound: int, workers: int = 1, budget: int | None = None
+) -> VerificationReport:
+    """Run the per-position certificate checks for all 0 <= y <= x <= bound.
+
+    The value table holds O(bound**2) pairs, so the sweep is charged
+    (bound+1)**2 cells against ``budget`` before any work, like the
+    streaming sweeps.  ``workers`` has no effect."""
     if bound < 0:
         raise DomainError(f"bound must be >= 0, got {bound}")
+    cells = (bound + 1) * (bound + 1)
+    if budget is not None and cells > budget:
+        raise BudgetExceededError(
+            f"proof-steps to bound {bound} needs {cells} cells, budget is {budget}"
+        )
     t0 = time.perf_counter()
-    canon = [(x, y) for x in range(bound + 1) for y in range(x + 1)]
-
-    def check(chunk: range) -> list[Mismatch]:
-        found: list[Mismatch] = []
-        for i in chunk:
-            found.extend(proof_step_failures(*canon[i]))
-        return found
-
-    results = _map_chunks(check, _chunks(len(canon), workers), workers)
-    mismatches = [m for ms in results for m in ms]
+    levels = _value_levels(bound)
+    tabled = set().union(*levels.values())
+    mismatches: list[Mismatch] = []
+    for x in range(bound + 1):
+        for y in range(x + 1):
+            mismatches.extend(_proof_step_failures(x, y, levels, tabled))
+    checked = (bound + 1) * (bound + 2) // 2
     return VerificationReport(
-        "proof-steps", bound, len(canon), mismatches, time.perf_counter() - t0
+        "proof-steps", bound, checked, mismatches, time.perf_counter() - t0
     )
 
 
@@ -278,31 +286,24 @@ def verify_sum_theorem(
 ) -> VerificationReport:
     """Direct mex recursion on Delete Nim sum graphs versus the XOR of the
     component values, for every ordered pair of canonical positions with
-    coordinates <= bound."""
+    coordinates <= bound.  ``workers`` has no effect."""
     if bound < 0:
         raise DomainError(f"bound must be >= 0, got {bound}")
     t0 = time.perf_counter()
     comps = [(x, y) for x in range(bound + 1) for y in range(x + 1)]
-    pairs = [(g, h) for g in comps for h in comps]
     memo: engine.MemoTable = {}
-
-    def check(chunk: range) -> list[Mismatch]:
-        found: list[Mismatch] = []
-        for i in chunk:
-            g, h = pairs[i]
+    mismatches: list[Mismatch] = []
+    for g in comps:
+        for h in comps:
             res = engine.sum_grundy_check(
                 g, h, rulesets.DELETE_NIM, rulesets.DELETE_NIM, memo=memo, budget=budget
             )
             if not res.equal:
-                found.append(
+                mismatches.append(
                     (f"{g[0]},{g[1]}+{h[0]},{h[1]}", res.sum_value, res.xor_value)
                 )
-        return found
-
-    results = _map_chunks(check, _chunks(len(pairs), workers), workers)
-    mismatches = [m for ms in results for m in ms]
     return VerificationReport(
-        "sum", bound, len(pairs), mismatches, time.perf_counter() - t0
+        "sum", bound, len(comps) ** 2, mismatches, time.perf_counter() - t0
     )
 
 
@@ -367,7 +368,7 @@ def run_check(
     if name == "sum":
         return verify_sum_theorem(bound, workers=workers, budget=budget)
     if name == "proof-steps":
-        return verify_proof_steps(bound, workers=workers)
+        return verify_proof_steps(bound, workers=workers, budget=budget)
     return verify_isomorphism(bound, workers=workers, budget=budget)
 
 

@@ -172,6 +172,10 @@ class TestVerifyCommand:
     def test_budget_exhaustion_exits_4(self):
         r = run_cli("verify", "--check", "delete-nim", "--budget", "100")
         assert r.returncode == 4
+        r = run_cli(
+            "verify", "--check", "proof-steps", "--bound-proof-steps", "60", "--budget", "100"
+        )
+        assert r.returncode == 4
 
     def test_unknown_check_rejected(self):
         r = run_cli("verify", "--check", "bogus")

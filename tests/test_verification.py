@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from impartial import closed_forms as cf
+from impartial import isomorphism, rulesets
 from impartial import verification as vf
 from impartial.errors import BudgetExceededError
 from reference import ref_delete_grundy, ref_vdn_grundy
@@ -69,6 +70,9 @@ class TestSweeps:
     def test_budget_propagates(self):
         with pytest.raises(BudgetExceededError):
             vf.verify_delete_nim_formula(2048, budget=100)
+        with pytest.raises(BudgetExceededError):
+            vf.verify_proof_steps(60, budget=100)
+        assert vf.verify_proof_steps(60, budget=61 * 61).passed
 
 
 class TestFaultInjection:
@@ -99,6 +103,119 @@ class TestFaultInjection:
         assert rep.mismatches == [
             (f"{x},{y}", reference(x, y), reference(x, y) + 5) for x, y in sorted(cells)
         ]
+
+
+def _patched(right, cells):
+    """``right`` except at the argument tuples ``cells`` maps to a result."""
+
+    def wrong(*args):
+        return cells[args] if args in cells else right(*args)
+
+    return wrong
+
+
+def _dropping(right, heap, option):
+    """``right`` with ``option`` missing whenever a heap has ``heap`` stones."""
+
+    def wrong(p):
+        opts = right(p)
+        if heap in p:
+            opts.discard(option)
+        return opts
+
+    return wrong
+
+
+def _adding(right, position, extra):
+    """``right`` with the ``extra`` options added at ``position`` only."""
+
+    def wrong(p):
+        opts = right(p)
+        if tuple(p) == position:
+            opts |= extra
+        return opts
+
+    return wrong
+
+
+class TestCertificateFaultInjection:
+    # Each list is pinned literally: it is the report a faulty scalar or
+    # ruleset gives with every option checked by its own call, so the
+    # certificate sweeps must report exactly the same whatever shortcuts
+    # they take.
+
+    def test_proof_steps_wrong_scalar(self, monkeypatch):
+        monkeypatch.setattr(
+            cf, "delete_nim_grundy",
+            _patched(cf.delete_nim_grundy, {(9, 4): 3, (6, 5): 0}),  # right: 1 and 3
+        )
+        rep = vf.verify_proof_steps(14)
+        assert rep.positions_checked == triangle(14)
+        assert rep.mismatches == [
+            ("6,5", "no option with value 0", "option 2,2 has value 0"),
+            ("9,4", "no option with value 3", "option 5,3 has value 3"),
+            ("9,4", "a heap with bit 1 set", "neither heap has it"),
+        ] + [
+            (f"{x},{y}", "no option with value 0", "option 6,5 has value 0")
+            for x, y in [(12, 0), (12, 2), (12, 4), (12, 6), (12, 8), (12, 10), (12, 12), (14, 12)]
+        ]
+
+    def test_proof_steps_dropped_option(self, monkeypatch):
+        monkeypatch.setattr(
+            rulesets, "delete_nim_options", _dropping(rulesets.delete_nim_options, 8, (7, 0))
+        )
+        rep = vf.verify_proof_steps(20)
+        assert rep.mismatches == [
+            ("8,7", "constructed option 7,0 to be legal", "not an option")
+        ]
+
+    def test_proof_steps_option_outside_the_table(self, monkeypatch):
+        # (10, 3) and (14, 0) sum past bound - 1, so no option of a legal
+        # position can be either: they are checked one call at a time.
+        monkeypatch.setattr(
+            rulesets, "delete_nim_options",
+            _adding(rulesets.delete_nim_options, (10, 3), {(10, 3), (14, 0)}),
+        )
+        rep = vf.verify_proof_steps(12)
+        assert rep.mismatches == [
+            ("10,3", "no option with value 2", "option 10,3 has value 2")
+        ]
+
+    def test_iso_wrong_map(self, monkeypatch):
+        monkeypatch.setattr(
+            isomorphism, "vdn_to_delete",
+            _patched(isomorphism.vdn_to_delete, {((6, 2),): (4, 2), ((5, 5),): (5, 3)}),
+        )
+        rep = vf.verify_isomorphism(8)
+        assert rep.positions_checked == 8 * 9 // 2
+        assert rep.mismatches == [
+            ("5,5", "equal option sets",
+             "extra=[(2, 1), (3, 0)] missing=[(1, 1), (2, 0), (2, 2), (3, 1), (4, 0)]"),
+            ("6,2", "equal option sets",
+             "extra=[(0, 0), (2, 2), (3, 1), (4, 0)] missing=[(1, 0), (2, 1), (3, 0)]"),
+        ] + [
+            (f"8,{y}", "equal option sets", "extra=[] missing=[(5, 1)]") for y in range(1, 9)
+        ]
+
+    def test_iso_dropped_option(self, monkeypatch):
+        monkeypatch.setattr(
+            isomorphism, "vdn_options", _dropping(isomorphism.vdn_options, 9, (6, 3))
+        )
+        rep = vf.verify_isomorphism(10)
+        assert rep.mismatches == [
+            (f"{x},{y}", "equal option sets", "extra=[] missing=[(5, 2)]")
+            for x, y in [(9, 1), (9, 2), (9, 3), (9, 4), (9, 5), (9, 6), (9, 7), (9, 8),
+                         (9, 9), (10, 9)]
+        ]
+
+    def test_iso_option_outside_the_table(self, monkeypatch):
+        # (9, 5) sums past the bound, so no legal option maps through the
+        # table to it
+        monkeypatch.setattr(
+            isomorphism, "vdn_options", _adding(isomorphism.vdn_options, (7, 4), {(9, 5)})
+        )
+        rep = vf.verify_isomorphism(10)
+        assert rep.mismatches == [("7,4", "equal option sets", "extra=[(8, 4)] missing=[]")]
 
 
 class TestReportShape:
