@@ -6,6 +6,8 @@ identities, so the interesting output is the checked counts: these are
 not samples.
 """
 
+import sys
+
 from impartial import run_all, run_check
 from impartial.verification import reports_to_json
 
@@ -35,3 +37,6 @@ print()
 
 print("=== machine-readable form (what --format json emits) ===")
 print(reports_to_json(reports[:1]))
+
+# exit nonzero so that callers such as CI see a failed check
+sys.exit(1 if failed else 0)

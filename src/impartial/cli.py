@@ -46,16 +46,10 @@ def _closed_form_value(game: str, pos) -> int:
     return closed_forms.nim_sum(pos)
 
 
-def _engine_value(game: str, pos, budget: int) -> int:
-    rules = RULESETS[game]
-    if game == "nim":
-        return engine.grundy(pos, rules, budget=budget)
-    grid = engine.grundy_grid(rules, max(pos), budget=budget)
-    return int(grid[pos[0], pos[1]])
-
-
 def _grid_value_fn(game: str, pos, budget: int):
-    """Option evaluator for two-heap games backed by one dense grid; None for Nim."""
+    """Evaluator for every position of a two-heap game from ``pos`` down,
+    backed by one dense grid; None for Nim.  ``play`` needs values across
+    the whole game; a single query needs only ``engine.option_values``."""
     if game == "nim":
         return None
     grid = engine.grundy_grid(RULESETS[game], max(pos), budget=budget)
@@ -63,9 +57,13 @@ def _grid_value_fn(game: str, pos, budget: int):
 
 
 def cmd_grundy(args) -> int:
-    pos = parse_position(RULESETS[args.game], args.position)
+    rules = RULESETS[args.game]
+    pos = parse_position(rules, args.position)
     formula = _closed_form_value(args.game, pos)
-    eng = _engine_value(args.game, pos, args.budget)
+    if args.game == "nim":
+        eng = engine.grundy(pos, rules, budget=args.budget)
+    else:
+        eng = engine.mex(engine.option_values(rules, pos, args.budget).values())
     print(f"closed-form: {formula}")
     print(f"engine: {eng}")
     print(f"outcome: {'P' if eng == 0 else 'N'}")
@@ -128,9 +126,10 @@ def cmd_best_move(args) -> int:
     if not rules.options(pos):
         print("P-position (terminal)")
         return EXIT_OK
-    move = engine.best_move(
-        pos, rules, budget=args.budget, value_fn=_grid_value_fn(args.game, pos, args.budget)
-    )
+    value_fn = None
+    if args.game != "nim":
+        value_fn = engine.option_values(rules, pos, args.budget).__getitem__
+    move = engine.best_move(pos, rules, budget=args.budget, value_fn=value_fn)
     print("P-position" if move is None else format_position(rules, move))
     return EXIT_OK
 
@@ -199,7 +198,7 @@ def cmd_verify(args) -> int:
 def cmd_play(args) -> int:
     rules = RULESETS[args.game]
     pos = parse_position(rules, args.position)
-    value_fn = _grid_value_fn(args.game, pos, args.budget) if pos else None
+    value_fn = _grid_value_fn(args.game, pos, args.budget)
     memo: engine.MemoTable = {}
     mover = args.first
     while True:

@@ -1,11 +1,17 @@
 """Generic Sprague-Grundy machinery: mex, memoized Grundy values over any
 ruleset, P/N classification, optimal moves, and a streaming bottom-up
-backend for the two-heap games used by the large verification sweeps.
+backend for the two-heap games.
 
 The generic path needs nothing from a ruleset beyond ``canonical`` and
 ``options``.  Grundy values are memoized in a plain dict keyed by
 (ruleset name, canonical position); each entry is written exactly once, so
 one table may be shared by every call of a sweep.
+
+The two-heap backend is one anti-diagonal kernel.  The verification sweeps
+stream every diagonal up to their bound (``diagonals``); a single-position
+query runs it only as far as its options lie and reads back just the two
+option diagonals (``option_values``); ``grundy_grid`` scatters it into a
+dense table for callers that need values across a whole game.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ __all__ = [
     "SumCheck",
     "sum_grundy_check",
     "diagonals",
+    "option_values",
     "delete_nim_grid",
     "vdn_grid",
     "grundy_grid",
@@ -72,29 +79,26 @@ def grundy(
     root = (name, rules.canonical(pos))
     if root in memo:
         return memo[root]
-    opts_cache: dict = {}
-    stack = [root[1]]
+    # Each entry is (key, option keys): None on the first visit, which
+    # enumerates the options once; the list on the second visit, once every
+    # pending option above it on the stack has been memoized.
+    stack = [(root, None)]
     while stack:
-        p = stack[-1]
-        key = (name, p)
-        if key in memo:
-            stack.pop()
-            continue
-        opts = opts_cache.get(p)
-        if opts is None:
-            opts = list(rules.options(p))
-            opts_cache[p] = opts
-        pending = [q for q in opts if (name, q) not in memo]
-        if pending:
-            stack.extend(pending)
-        else:
-            memo[key] = mex(memo[(name, q)] for q in opts)
-            opts_cache.pop(p, None)
-            if budget is not None and len(memo) > budget:
-                raise BudgetExceededError(
-                    f"grundy computation exceeded the budget of {budget} positions"
-                )
-            stack.pop()
+        key, keys = stack.pop()
+        if keys is None:
+            if key in memo:
+                continue
+            keys = [(name, q) for q in rules.options(key[1])]
+            pending = [(k, None) for k in keys if k not in memo]
+            if pending:
+                stack.append((key, keys))
+                stack.extend(pending)
+                continue
+        memo[key] = mex(memo[k] for k in keys)
+        if budget is not None and len(memo) > budget:
+            raise BudgetExceededError(
+                f"grundy computation exceeded the budget of {budget} positions"
+            )
     return memo[root]
 
 
@@ -128,7 +132,8 @@ def best_move(
     A position is an N-position exactly when some option has value 0, so no
     separate classification pass is needed.  Ties break to the smallest
     canonical option in lexicographic order.  ``value_fn`` may supply option
-    values from a precomputed dense grid instead of the generic engine.
+    values from the two-heap kernel (a lookup into ``option_values`` or into
+    a ``grundy_grid``) instead of the generic engine.
     """
     p = rules.canonical(pos)
     if value_fn is None:
@@ -228,6 +233,26 @@ def diagonals(rules: Ruleset, bound: int, budget: int | None = None) -> Iterator
         raise DomainError(f"bound must be >= {lo}, got {bound}")
     _check_cells(bound, budget)
     return _diagonals(lo, removed, bound)
+
+
+def option_values(rules: Ruleset, pos, budget: int | None = None) -> dict:
+    """Grundy value of every option of the two-heap position ``pos``, by mex
+    recursion: ``{option: value}`` with canonical options.
+
+    The options of (x, y), x >= y, fill anti-diagonals x - removed and
+    y - removed, so the kernel runs only up to diagonal x - removed and
+    stops there.  The budget is charged the (x + 1)**2 cells of the full
+    grid before any work, as ``diagonals`` charges it.
+    """
+    x, y = rules.canonical(rules.validate(pos))
+    diags = diagonals(rules, x, budget)
+    lo, removed = _MOVES[rules.name]
+    wanted = {x - removed, y - removed}
+    values: dict = {}
+    for t, (xs, ys, vals) in zip(range(2 * lo, x - removed + 1), diags):
+        if t in wanted:
+            values.update(zip(zip(xs.tolist(), ys.tolist()), vals.tolist()))
+    return values
 
 
 def _diagonals(lo: int, removed: int, bound: int) -> Iterator:

@@ -101,9 +101,20 @@ def nim_options(p: Iterable[int]) -> set[tuple[int, ...]]:
     heaps = canonical_nim(validate_nim(p))
     opts: set[tuple[int, ...]] = set()
     for i, h in enumerate(heaps):
+        if i and h == heaps[i - 1]:
+            continue  # an equal heap reaches the same positions
         _check_enumerable(h)
         rest = heaps[:i] + heaps[i + 1 :]
-        opts.update(canonical_nim(rest + (v,)) for v in range(h))
+        opts.add(rest)  # shrunk to zero
+        # rest is descending and every heap in rest[:i] exceeds v < h, so v goes
+        # in at the first index j >= i with rest[j] <= v: index j takes the v in
+        # range(rest[j], rest[j - 1]), capped above by h and below by 1.
+        top = h
+        for j in range(i, len(rest) + 1):
+            below = rest[j] if j < len(rest) else 1
+            head, tail = rest[:j], rest[j:]
+            opts.update(head + (v,) + tail for v in range(below, top))
+            top = below
     return opts
 
 

@@ -8,6 +8,7 @@ import pytest
 
 from impartial import cli, verification
 from impartial.closed_forms import delete_nim_grundy
+from reference import ref_delete_grundy, ref_delete_options, ref_vdn_grundy, ref_vdn_options
 
 
 def run_cli(*args, stdin=""):
@@ -123,6 +124,41 @@ class TestBestMoveCommand:
         move = tuple(int(t) for t in r.stdout.strip().split(","))
         assert len(move) == 3
         assert move[0] ^ move[1] ^ move[2] == 0
+
+
+@pytest.mark.parametrize(
+    "game,lo,ref_grundy,ref_options",
+    [
+        ("delete-nim", 0, ref_delete_grundy, ref_delete_options),
+        ("vdn", 1, ref_vdn_grundy, ref_vdn_options),
+    ],
+)
+def test_two_heap_queries_match_reference(game, lo, ref_grundy, ref_options, capsys):
+    # every position with both heaps <= 40 (the parser puts the larger heap
+    # first); the range holds the terminals (0,0) and (1,1) and (1,0)
+    for x in range(lo, 41):
+        for y in range(lo, x + 1):
+            value = ref_grundy(x, y)
+            assert cli.main(["grundy", "--game", game, "--position", f"{x},{y}"]) == 0
+            assert capsys.readouterr().out.splitlines()[1] == f"engine: {value}"
+            assert cli.main(["best-move", "--game", game, "--position", f"{x},{y}"]) == 0
+            answer = capsys.readouterr().out.strip()
+            if value == 0:
+                assert answer.startswith("P-position"), (x, y, answer)
+                continue
+            move = tuple(int(v) for v in answer.split(","))
+            assert move in ref_options(x, y), (x, y, answer)
+            assert ref_grundy(*move) == 0, (x, y, answer)
+
+
+@pytest.mark.parametrize("game", ["delete-nim", "vdn"])
+@pytest.mark.parametrize("command", ["grundy", "best-move"])
+def test_two_heap_query_budget_is_the_full_grid(command, game, capsys):
+    # a two-heap query is charged (max + 1)**2 cells before any work: 51**2 here
+    argv = [command, "--game", game, "--position", "50,3", "--budget"]
+    assert cli.main(argv + ["2600"]) == 4
+    assert "2601 cells" in capsys.readouterr().err
+    assert cli.main(argv + ["2601"]) == 0
 
 
 class TestVerifyCommand:

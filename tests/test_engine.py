@@ -45,7 +45,7 @@ class TestGrundy:
 
     def test_nim_matches_reference(self):
         memo = {}
-        for a in range(7):
+        for a in range(11):
             for b in range(a + 1):
                 for c in range(b + 1):
                     p = rs.canonical_nim((a, b, c))
@@ -195,6 +195,10 @@ class TestDenseGrids:
             canonical = {(x, y) for x in range(lo, small + 1) for y in range(lo, x + 1)}
             assert set(seen) == canonical
             assert set(seen.values()) == {1}
+        for x in range(lo, 25):
+            for y in range(lo, x + 1):
+                expected = {q: engine.grundy(q, rules, memo) for q in rules.options((x, y))}
+                assert engine.option_values(rules, (y, x)) == expected
 
     def test_vdn_grid_padding(self):
         grid = engine.grundy_grid(rs.VDN, 5)
@@ -206,6 +210,8 @@ class TestDenseGrids:
             engine.grundy_grid(rs.NIM, 4)
         with pytest.raises(ValueError):
             engine.diagonals(rs.NIM, 4)
+        with pytest.raises(ValueError):
+            engine.option_values(rs.NIM, (4, 2))
 
     def test_budget(self):
         with pytest.raises(BudgetExceededError):
@@ -213,6 +219,10 @@ class TestDenseGrids:
         # charged before the first diagonal is asked for
         with pytest.raises(BudgetExceededError):
             engine.diagonals(rs.VDN, 1000, budget=100)
+        # a query is charged the full grid up to its larger heap
+        with pytest.raises(BudgetExceededError):
+            engine.option_values(rs.DELETE_NIM, (3, 9), budget=99)
+        assert engine.option_values(rs.DELETE_NIM, (3, 9), budget=100)
 
     def test_matches_closed_form_grid(self):
         assert np.array_equal(

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -45,6 +47,10 @@ class TestOptionSets:
         ]
         for p in positions:
             assert rs.nim_options(p) == ref_nim_options(p)
+        # non-canonical input: any order, zero heaps and repeated heaps
+        for k in range(5):
+            for p in itertools.product(range(7), repeat=k):
+                assert rs.nim_options(p) == ref_nim_options(p), p
 
     def test_pinned_examples(self):
         assert rs.delete_nim_options((3, 2)) == {(2, 0), (1, 1), (1, 0)}
