@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 
@@ -29,12 +30,12 @@ EXIT_ABORTED = 130
 # stay comfortably inside.
 DEFAULT_BUDGET = 1 << 26
 
+# The single-bound checks, in CHECK_NAMES order, and their config file keys;
+# each also has a --bound-<name> flag.  bouton takes --heaps/--size instead.
 CONFIG_KEYS = {
-    "delete-nim": "delete_nim_bound",
-    "vdn": "vdn_bound",
-    "sum": "sum_bound",
-    "proof-steps": "proof_steps_bound",
-    "iso": "iso_bound",
+    name: name.replace("-", "_") + "_bound"
+    for name in verification.CHECK_NAMES
+    if name != "bouton"
 }
 
 
@@ -77,6 +78,11 @@ def _table_rows(game: str, bound: int) -> list[tuple[int, int, int]]:
     lo = 0 if game == "delete-nim" else 1
     if bound < lo:
         raise ParseError(f"bound must be >= {lo} for {game}")
+    cells = (bound + 1) * (bound + 1)
+    if cells > DEFAULT_BUDGET:
+        raise BudgetExceededError(
+            f"table to bound {bound} needs {cells} cells, budget is {DEFAULT_BUDGET}"
+        )
     if game == "delete-nim":
         grid = closed_forms.delete_nim_grundy_grid(bound)
     else:
@@ -143,25 +149,26 @@ def _verify_bounds(args) -> dict:
                 cfg = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ParseError(f"cannot read config {args.config!r}: {exc}") from exc
+        if not isinstance(cfg, dict):
+            raise ParseError(f"config {args.config!r} must be a JSON object")
+
+        def setting(key: str, default: int) -> int:
+            value = cfg.get(key, default)
+            if type(value) is not int:  # JSON true/false are bools, not bounds
+                raise ParseError(
+                    f"config {args.config!r}: {key} must be an integer, got {json.dumps(value)}"
+                )
+            return value
+
         for name, key in CONFIG_KEYS.items():
-            if key in cfg:
-                bounds[name] = int(cfg[key])
-        if "bouton_heaps" in cfg or "bouton_size" in cfg:
-            heaps, size = bounds["bouton"]
-            bounds["bouton"] = (
-                int(cfg.get("bouton_heaps", heaps)),
-                int(cfg.get("bouton_size", size)),
-            )
+            bounds[name] = setting(key, bounds[name])
+        heaps, size = bounds["bouton"]
+        bounds["bouton"] = (setting("bouton_heaps", heaps), setting("bouton_size", size))
     if args.bound is not None:
         for name in CONFIG_KEYS:
             bounds[name] = args.bound
-    for name, value in [
-        ("delete-nim", args.bound_delete_nim),
-        ("vdn", args.bound_vdn),
-        ("sum", args.bound_sum),
-        ("proof-steps", args.bound_proof_steps),
-        ("iso", args.bound_iso),
-    ]:
+    for name in CONFIG_KEYS:
+        value = getattr(args, "bound_" + name.replace("-", "_"))
         if value is not None:
             bounds[name] = value
     if args.heaps is not None or args.size is not None:
@@ -181,9 +188,7 @@ def cmd_verify(args) -> int:
         names = list(verification.CHECK_NAMES)
     reports = []
     for name in names:
-        report = verification.run_check(
-            name, bounds[name], workers=args.workers, budget=args.budget
-        )
+        report = verification.run_check(name, bounds[name], budget=args.budget)
         reports.append(report)
         if args.format == "text":
             print(report.text_line())
@@ -237,7 +242,9 @@ def cmd_play(args) -> int:
             mover = "engine"
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every call."""
     parser = argparse.ArgumentParser(
         prog="impartial",
         description="Grundy values, optimal moves and exhaustive verification "
@@ -252,54 +259,44 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("grundy", help="closed-form and engine Grundy value of a position")
     add_common(p, sorted(RULESETS))
-    p.set_defaults(func=cmd_grundy)
 
     p = sub.add_parser("table", help="Grundy grid for a two-heap game")
     p.add_argument("--game", required=True, choices=["delete-nim", "vdn"])
     p.add_argument("--bound", type=int, required=True)
     p.add_argument("--format", choices=["text", "csv", "json"], default="text")
     p.add_argument("--output", help="write to a file instead of stdout")
-    p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("best-move", help="a winning move, or P-position")
     add_common(p, sorted(RULESETS))
-    p.set_defaults(func=cmd_best_move)
 
     p = sub.add_parser("verify", help="exhaustive verification sweeps")
     p.add_argument("--all", action="store_true", help="run every check (the default)")
     p.add_argument("--check", action="append", choices=verification.CHECK_NAMES)
     p.add_argument("--bound", type=int, help="bound for every selected single-bound check")
-    p.add_argument("--bound-delete-nim", type=int)
-    p.add_argument("--bound-vdn", type=int)
-    p.add_argument("--bound-sum", type=int)
-    p.add_argument("--bound-proof-steps", type=int)
-    p.add_argument("--bound-iso", type=int)
+    for name in CONFIG_KEYS:
+        p.add_argument(f"--bound-{name}", type=int)
     p.add_argument("--heaps", type=int, help="max heap count for the bouton check")
     p.add_argument("--size", type=int, help="max heap size for the bouton check")
-    p.add_argument(
-        "--workers", type=int, default=1, help="accepted for compatibility; has no effect"
-    )
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.add_argument("--config", help="JSON file with default bounds")
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("play", help="interactive game against the engine")
     add_common(p, sorted(RULESETS))
     p.add_argument("--first", choices=["human", "engine"], default="human")
-    p.set_defaults(func=cmd_play)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits on --help (0) and usage errors (2)
         return 0 if exc.code in (0, None) else EXIT_USAGE
+    # looked up per call, so a cmd_* replaced on the module takes effect
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return command(args)
     except (ParseError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -1,10 +1,10 @@
 """The componentwise-decrement map from VDN positions to Delete Nim
 positions, and an exhaustive check that it commutes with option enumeration
-(i.e. that it is a game isomorphism)."""
+(i.e. that it is a game isomorphism).  The check returns its counterexamples
+as a list of (position, reason) pairs, empty when the map commutes
+everywhere inside the bound."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 from .errors import DomainError
 from .rulesets import (
@@ -16,7 +16,7 @@ from .rulesets import (
     vdn_options,
 )
 
-__all__ = ["vdn_to_delete", "delete_to_vdn", "IsoCheckResult", "check_isomorphism"]
+__all__ = ["vdn_to_delete", "delete_to_vdn", "check_isomorphism"]
 
 
 def vdn_to_delete(p: Pair) -> Pair:
@@ -31,22 +31,11 @@ def delete_to_vdn(p: Pair) -> Pair:
     return canonical_pair(x + 1, y + 1)
 
 
-@dataclass
-class IsoCheckResult:
-    """Outcome of the exhaustive option-set commutation sweep."""
-
-    bound: int
-    failures: list[tuple[Pair, str]] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return not self.failures
-
-
-def check_isomorphism(bound: int) -> IsoCheckResult:
+def check_isomorphism(bound: int) -> list[tuple[Pair, str]]:
     """For every VDN position with 1 <= y <= x <= bound, check that mapping
     each VDN option componentwise gives exactly the Delete Nim options of the
-    mapped position.  Counterexamples are recorded, not raised.
+    mapped position.  Returns the counterexamples, in (x, y) order, as
+    (position, "extra=[...] missing=[...]") pairs; none are raised.
 
     Every option of such a position is a canonical pair 1 <= b <= a with
     a + b <= bound, so the map is evaluated once per such pair up front and
@@ -59,7 +48,7 @@ def check_isomorphism(bound: int) -> IsoCheckResult:
         for b in range(1, bound // 2 + 1)
         for a in range(b, bound - b + 1)
     }
-    result = IsoCheckResult(bound)
+    failures: list[tuple[Pair, str]] = []
     for x in range(1, bound + 1):
         for y in range(1, x + 1):
             p = (x, y)
@@ -71,5 +60,5 @@ def check_isomorphism(bound: int) -> IsoCheckResult:
             if mapped != direct:
                 extra = sorted(mapped - direct)
                 missing = sorted(direct - mapped)
-                result.failures.append((p, f"extra={extra} missing={missing}"))
-    return result
+                failures.append((p, f"extra={extra} missing={missing}"))
+    return failures

@@ -8,9 +8,8 @@ their bounds, never sampled.  The two-heap formula sweeps stream the
 engine's anti-diagonals and hold O(bound) memory.  The certificate sweeps
 (proof-steps, iso) evaluate their scalar function once per pair an option
 can be, then compare each position's whole option set against those
-values.  Every check runs in the calling thread; the ``workers``
-parameters are accepted for compatibility and have no effect.  Mismatches
-are listed in canonical position order.
+values.  Every check runs in the calling thread.  Mismatches are listed
+in canonical position order.
 
 Mismatch convention: ``expected`` is the brute-force / oracle side,
 ``actual`` is the closed-form / theorem side.
@@ -128,31 +127,30 @@ def _verify_two_heap(
 
 
 def verify_delete_nim_formula(
-    bound: int, workers: int = 1, budget: int | None = None
+    bound: int, budget: int | None = None
 ) -> VerificationReport:
-    """Engine Grundy values versus v2((x | y) + 1) for all 0 <= y <= x <= bound.
-    ``workers`` has no effect."""
+    """Engine Grundy values versus v2((x | y) + 1) for all 0 <= y <= x <= bound."""
     return _verify_two_heap(
         "delete-nim", rulesets.DELETE_NIM, closed_forms.delete_nim_grundy_array, bound, budget
     )
 
 
 def verify_vdn_formula(
-    bound: int, workers: int = 1, budget: int | None = None
+    bound: int, budget: int | None = None
 ) -> VerificationReport:
     """Engine Grundy values on VDN rules versus v2(((x-1) | (y-1)) + 1) for
-    all 1 <= y <= x <= bound.  ``workers`` has no effect."""
+    all 1 <= y <= x <= bound."""
     return _verify_two_heap(
         "vdn", rulesets.VDN, closed_forms.vdn_grundy_array, bound, budget
     )
 
 
 def verify_bouton(
-    max_heaps: int, max_size: int, workers: int = 1, budget: int | None = None
+    max_heaps: int, max_size: int, budget: int | None = None
 ) -> VerificationReport:
     """Engine P/N classification versus the nim-sum criterion for every Nim
     position with at most ``max_heaps`` heaps, each of at most ``max_size``
-    stones.  ``workers`` has no effect."""
+    stones."""
     if max_heaps < 1 or max_size < 0:
         raise DomainError(f"need max_heaps >= 1 and max_size >= 0, got ({max_heaps}, {max_size})")
     t0 = time.perf_counter()
@@ -254,13 +252,13 @@ def _proof_step_failures(
 
 
 def verify_proof_steps(
-    bound: int, workers: int = 1, budget: int | None = None
+    bound: int, budget: int | None = None
 ) -> VerificationReport:
     """Run the per-position certificate checks for all 0 <= y <= x <= bound.
 
     The value table holds O(bound**2) pairs, so the sweep is charged
     (bound+1)**2 cells against ``budget`` before any work, like the
-    streaming sweeps.  ``workers`` has no effect."""
+    streaming sweeps."""
     if bound < 0:
         raise DomainError(f"bound must be >= 0, got {bound}")
     cells = (bound + 1) * (bound + 1)
@@ -282,11 +280,11 @@ def verify_proof_steps(
 
 
 def verify_sum_theorem(
-    bound: int, workers: int = 1, budget: int | None = None
+    bound: int, budget: int | None = None
 ) -> VerificationReport:
     """Direct mex recursion on Delete Nim sum graphs versus the XOR of the
     component values, for every ordered pair of canonical positions with
-    coordinates <= bound.  ``workers`` has no effect."""
+    coordinates <= bound."""
     if bound < 0:
         raise DomainError(f"bound must be >= 0, got {bound}")
     t0 = time.perf_counter()
@@ -308,18 +306,17 @@ def verify_sum_theorem(
 
 
 def verify_isomorphism(
-    bound: int, workers: int = 1, budget: int | None = None
+    bound: int, budget: int | None = None
 ) -> VerificationReport:
     """Option-set commutation under the VDN -> Delete Nim map for all
     1 <= y <= x <= bound, plus Grundy commutation on the same domain
-    (each side computed by its own game's engine).  ``workers`` has no
-    effect."""
+    (each side computed by its own game's engine)."""
     t0 = time.perf_counter()
     vdn_diags = engine.diagonals(rulesets.VDN, bound, budget)
     dn_diags = engine.diagonals(rulesets.DELETE_NIM, bound - 1, budget)
-    iso = isomorphism.check_isomorphism(bound)
     mismatches: list[Mismatch] = [
-        (f"{p[0]},{p[1]}", "equal option sets", reason) for p, reason in iso.failures
+        (f"{p[0]},{p[1]}", "equal option sets", reason)
+        for p, reason in isomorphism.check_isomorphism(bound)
     ]
     # VDN diagonal t holds (x, y) exactly where Delete Nim diagonal t - 2
     # holds (x - 1, y - 1), in the same order
@@ -347,39 +344,29 @@ DEFAULT_BOUNDS: dict = {
 }
 
 
-def run_check(
-    name: str,
-    bound=None,
-    workers: int = 1,
-    budget: int | None = None,
-) -> VerificationReport:
+def run_check(name: str, bound=None, budget: int | None = None) -> VerificationReport:
     """Run one named check at ``bound`` (defaults per DEFAULT_BOUNDS)."""
     if name not in CHECK_NAMES:
         raise ValueError(f"unknown check {name!r}; expected one of {CHECK_NAMES}")
     if bound is None:
         bound = DEFAULT_BOUNDS[name]
     if name == "delete-nim":
-        return verify_delete_nim_formula(bound, workers=workers, budget=budget)
+        return verify_delete_nim_formula(bound, budget=budget)
     if name == "vdn":
-        return verify_vdn_formula(bound, workers=workers, budget=budget)
+        return verify_vdn_formula(bound, budget=budget)
     if name == "bouton":
         heaps, size = bound
-        return verify_bouton(heaps, size, workers=workers, budget=budget)
+        return verify_bouton(heaps, size, budget=budget)
     if name == "sum":
-        return verify_sum_theorem(bound, workers=workers, budget=budget)
+        return verify_sum_theorem(bound, budget=budget)
     if name == "proof-steps":
-        return verify_proof_steps(bound, workers=workers, budget=budget)
-    return verify_isomorphism(bound, workers=workers, budget=budget)
+        return verify_proof_steps(bound, budget=budget)
+    return verify_isomorphism(bound, budget=budget)
 
 
-def run_all(
-    bounds: dict | None = None, workers: int = 1, budget: int | None = None
-) -> list[VerificationReport]:
+def run_all(bounds: dict | None = None, budget: int | None = None) -> list[VerificationReport]:
     """Run every check, in the fixed CHECK_NAMES order."""
     merged = dict(DEFAULT_BOUNDS)
     if bounds:
         merged.update(bounds)
-    return [
-        run_check(name, merged[name], workers=workers, budget=budget)
-        for name in CHECK_NAMES
-    ]
+    return [run_check(name, merged[name], budget=budget) for name in CHECK_NAMES]

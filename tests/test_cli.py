@@ -3,6 +3,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -102,6 +103,20 @@ class TestTableCommand:
     def test_nim_rejected(self):
         r = run_cli("table", "--game", "nim", "--bound", "4")
         assert r.returncode == 2
+
+    def test_budget_caps_cells(self, monkeypatch, capsys):
+        # the table is charged (bound+1)**2 cells before anything is built
+        monkeypatch.setattr(cli, "DEFAULT_BUDGET", 4)
+        argv = ["table", "--game", "delete-nim", "--format", "csv", "--bound"]
+        assert cli.main(argv + ["1"]) == 0
+        assert cli.main(argv + ["2"]) == 4
+        assert capsys.readouterr().err == "error: table to bound 2 needs 9 cells, budget is 4\n"
+
+    def test_huge_bound_exits_4(self, capsys):
+        start = time.perf_counter()
+        assert cli.main(["table", "--game", "vdn", "--bound", "200000"]) == 4
+        assert time.perf_counter() - start < 5.0  # refused before any grid is built
+        assert "needs 40000400001 cells" in capsys.readouterr().err
 
     def test_byte_identical_across_runs(self):
         a = run_cli("table", "--game", "vdn", "--bound", "12", "--format", "json")
@@ -217,13 +232,20 @@ class TestVerifyCommand:
         r = run_cli("verify", "--check", "bogus")
         assert r.returncode == 2
 
-    def test_workers_do_not_change_output(self):
-        args = ["verify", "--check", "vdn", "--bound", "48", "--format", "json"]
-        a = json.loads(run_cli(*args, "--workers", "1").stdout)
-        b = json.loads(run_cli(*args, "--workers", "4").stdout)
-        for rec in a + b:
-            rec.pop("elapsed-milliseconds")
-        assert a == b
+    def test_workers_flag_rejected(self, capsys):
+        assert cli.main(["verify", "--check", "vdn", "--workers", "2"]) == 2
+        assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "document", ['{"vdn_bound": "abc"}', '{"bouton_heaps": null}', "[1, 2]"]
+    )
+    def test_bad_config_is_usage_error(self, document, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(document)
+        assert cli.main(["verify", "--check", "vdn", "--config", str(cfg)]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error: config ")
 
     def test_stretch_sweep_memory_is_linear_in_bound(self):
         # A full (bound+1)^2 grid pair at this bound peaks above 2 GB.  The
@@ -252,7 +274,7 @@ class TestVerifyCommand:
     def test_mismatch_exits_1(self, monkeypatch, capsys):
         failing = verification.VerificationReport("vdn", 4, 10, [("2,1", 1, 9)], 0.0)
         monkeypatch.setattr(
-            verification, "run_check", lambda name, bound, workers, budget: failing
+            verification, "run_check", lambda name, bound, budget: failing
         )
         code = cli.main(["verify", "--check", "vdn"])
         assert code == 1
@@ -319,3 +341,17 @@ class TestUsage:
         assert cli.main([]) == 2
         assert cli.main(["--help"]) == 0
         capsys.readouterr()
+
+    def test_dispatch_finds_a_replaced_command(self, monkeypatch, capsys):
+        # the parser is built once, but each call looks its cmd_* up afresh
+        argv = ["best-move", "--game", "delete-nim", "--position", "3,2"]
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == "2,0\n"
+
+        def patched(args):
+            print("patched")
+            return 7
+
+        monkeypatch.setattr(cli, "cmd_best_move", patched)
+        assert cli.main(argv) == 7
+        assert capsys.readouterr().out == "patched\n"

@@ -56,17 +56,6 @@ class TestSweeps:
             for y in range(x + 1):
                 assert vf.proof_step_failures(x, y) == []
 
-    @pytest.mark.parametrize("workers", [2, 3, 5])
-    def test_worker_count_does_not_change_reports(self, workers):
-        base = vf.verify_delete_nim_formula(64, workers=1)
-        other = vf.verify_delete_nim_formula(64, workers=workers)
-        assert (base.name, base.bound, base.positions_checked, base.mismatches) == (
-            other.name,
-            other.bound,
-            other.positions_checked,
-            other.mismatches,
-        )
-
     def test_budget_propagates(self):
         with pytest.raises(BudgetExceededError):
             vf.verify_delete_nim_formula(2048, budget=100)
