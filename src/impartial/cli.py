@@ -5,15 +5,20 @@ Exit codes: 0 ok, 1 verification mismatch, 2 usage/parse error, 3 closed
 form and engine disagree, 4 resource budget exceeded, 130 interactive
 session aborted.  Output is deterministic: identical invocations produce
 byte-identical output, except for the elapsed times in verify's reports.
+
+``table`` streams: it evaluates the closed-form ``*_array`` functions on one
+x-row at a time and writes each row as it goes, so it holds O(bound) memory
+and builds no grid.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import sys
+
+import numpy as np
 
 from . import closed_forms, engine, verification
 from .errors import BudgetExceededError, DomainError, ParseError
@@ -74,7 +79,57 @@ def cmd_grundy(args) -> int:
     return EXIT_OK
 
 
-def _table_rows(game: str, bound: int) -> list[tuple[int, int, int]]:
+def _grundy_rows(game: str, lo: int, bound: int):
+    """Yield ``(x, values)`` for each x-row of the table: the closed form on
+    ``(x, y)`` for every ``y`` in ``lo..bound``, as one array per row."""
+    if game == "delete-nim":
+        grundy_array = closed_forms.delete_nim_grundy_array
+    else:
+        grundy_array = closed_forms.vdn_grundy_array
+    ys = np.arange(lo, bound + 1, dtype=np.int64)
+    for x in range(lo, bound + 1):
+        yield x, grundy_array(x, ys)
+
+
+# Every closed-form value is the 2-adic valuation of a positive int64, so below 64.
+_DIGITS = [str(g) for g in range(64)]
+
+
+def _write_table(out, game: str, lo: int, bound: int, fmt: str) -> None:
+    """Render the table one x-row, and one ``write``, at a time.  The csv and
+    json bytes are those of ``csv.writer`` and of ``json.dumps`` on the list
+    of ``{"x", "y", "grundy"}`` records.  A csv or json row is its cells
+    joined by the row's x part; a cell is its y part, built once per table,
+    plus its value's digits."""
+    ys = range(lo, bound + 1)
+    if fmt == "csv":
+        out.write("x,y,grundy\n")
+        tails = [f"{y}," for y in ys]
+        for x, values in _grundy_rows(game, lo, bound):
+            lead = f"{x},"
+            cells = map(str.__add__, tails, map(_DIGITS.__getitem__, values.tolist()))
+            out.write(lead + ("\n" + lead).join(cells) + "\n")
+    elif fmt == "json":
+        tails = [f', "y": {y}, "grundy": ' for y in ys]
+        sep = "["
+        for x, values in _grundy_rows(game, lo, bound):
+            lead = f'{{"x": {x}'
+            cells = map(str.__add__, tails, map(_DIGITS.__getitem__, values.tolist()))
+            out.write(sep + lead + ("}, " + lead).join(cells) + "}")
+            sep = ", "
+        out.write("]\n")
+    else:
+        top = max(int(values.max()) for _, values in _grundy_rows(game, lo, bound))
+        width = max(len(str(top)), len(str(bound)))
+        label = max(3, len(str(bound)))
+        padded = [f" {g:>{width}}" for g in range(top + 1)]
+        out.write(" " * label + "".join(f" {y:>{width}}" for y in ys) + "\n")
+        for x, values in _grundy_rows(game, lo, bound):
+            out.write(f"{x:>{label}}" + "".join(map(padded.__getitem__, values.tolist())) + "\n")
+
+
+def cmd_table(args) -> int:
+    game, bound = args.game, args.bound
     lo = 0 if game == "delete-nim" else 1
     if bound < lo:
         raise ParseError(f"bound must be >= {lo} for {game}")
@@ -83,46 +138,15 @@ def _table_rows(game: str, bound: int) -> list[tuple[int, int, int]]:
         raise BudgetExceededError(
             f"table to bound {bound} needs {cells} cells, budget is {DEFAULT_BUDGET}"
         )
-    if game == "delete-nim":
-        grid = closed_forms.delete_nim_grundy_grid(bound)
-    else:
-        grid = closed_forms.vdn_grundy_grid(bound)
-    return [
-        (x, y, int(grid[x, y]))
-        for x in range(lo, bound + 1)
-        for y in range(lo, bound + 1)
-    ]
-
-
-def _render_table(rows, fmt: str, out) -> None:
-    if fmt == "csv":
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["x", "y", "grundy"])
-        writer.writerows(rows)
-    elif fmt == "json":
-        records = [{"x": x, "y": y, "grundy": g} for x, y, g in rows]
-        out.write(json.dumps(records) + "\n")
-    else:
-        xs = sorted({x for x, _, _ in rows})
-        ys = sorted({y for _, y, _ in rows})
-        values = {(x, y): g for x, y, g in rows}
-        width = max(len(str(g)) for _, _, g in rows)
-        width = max(width, len(str(ys[-1])))
-        label = max(3, len(str(xs[-1])))
-        out.write(" " * label + "".join(f" {y:>{width}}" for y in ys) + "\n")
-        for x in xs:
-            out.write(
-                f"{x:>{label}}" + "".join(f" {values[x, y]:>{width}}" for y in ys) + "\n"
-            )
-
-
-def cmd_table(args) -> int:
-    rows = _table_rows(args.game, args.bound)
-    if args.output:
-        with open(args.output, "w") as fh:
-            _render_table(rows, args.format, fh)
-    else:
-        _render_table(rows, args.format, sys.stdout)
+    if not args.output:
+        _write_table(sys.stdout, game, lo, bound, args.format)
+        return EXIT_OK
+    try:
+        fh = open(args.output, "w")
+    except OSError as exc:
+        raise ParseError(f"cannot write {args.output}: {exc.strerror}") from exc
+    with fh:
+        _write_table(fh, game, lo, bound, args.format)
     return EXIT_OK
 
 
@@ -187,8 +211,13 @@ def cmd_verify(args) -> int:
     else:
         names = list(verification.CHECK_NAMES)
     reports = []
+    error = None
     for name in names:
-        report = verification.run_check(name, bounds[name], budget=args.budget)
+        try:
+            report = verification.run_check(name, bounds[name], budget=args.budget)
+        except (DomainError, BudgetExceededError) as exc:
+            error = exc  # report the checks that finished, then fail with it
+            break
         reports.append(report)
         if args.format == "text":
             print(report.text_line())
@@ -197,6 +226,8 @@ def cmd_verify(args) -> int:
     else:
         passed = sum(1 for r in reports if r.passed)
         print(f"{passed}/{len(reports)} checks passed")
+    if error is not None:
+        raise error
     return EXIT_OK if all(r.passed for r in reports) else EXIT_MISMATCH
 
 

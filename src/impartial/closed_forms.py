@@ -1,9 +1,11 @@
 """O(1) bitwise formulas: nim-sum, binary OR, 2-adic valuation, and the
 closed-form Grundy values of Delete Nim and VDN.
 
-Everything here is a pure stateless function; the vectorized ``*_array``
-and ``*_grid`` variants exist so the verification sweeps and tables can
-evaluate the formulas on millions of positions without a Python-level loop.
+Everything here is a pure stateless function.  The vectorized ``*_array``
+variants let the verification sweeps (one anti-diagonal at a time) and the
+``table`` command (one x-row at a time) evaluate the formulas on millions of
+positions without a Python-level loop.  The ``*_grid`` variants build the
+full (bound+1)^2 table; they are library API for the demos and tests.
 """
 
 from __future__ import annotations

@@ -53,6 +53,31 @@ class TestGrundyCommand:
         assert "disagree" in out.err
 
 
+def _reference_table(game: str, bound: int, fmt: str) -> str:
+    """The table as first specified: reference values, rendered with the
+    stdlib csv writer, json.dumps of a list of dicts, or a padded grid."""
+    lo = 0 if game == "delete-nim" else 1
+    ref = ref_delete_grundy if game == "delete-nim" else ref_vdn_grundy
+    heaps = range(lo, bound + 1)
+    rows = [(x, y, ref(x, y)) for x in heaps for y in heaps]
+    out = io.StringIO()
+    if fmt == "csv":
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(["x", "y", "grundy"])
+        writer.writerows(rows)
+    elif fmt == "json":
+        out.write(json.dumps([{"x": x, "y": y, "grundy": g} for x, y, g in rows]) + "\n")
+    else:
+        width = max([len(str(bound))] + [len(str(g)) for _, _, g in rows])
+        label = max(3, len(str(bound)))
+        out.write(" " * label + "".join(f" {y:>{width}}" for y in heaps) + "\n")
+        cells = iter(rows)
+        for x in heaps:
+            line = "".join(f" {next(cells)[2]:>{width}}" for _ in heaps)
+            out.write(f"{x:>{label}}{line}\n")
+    return out.getvalue()
+
+
 class TestTableCommand:
     def test_csv_bound_1(self):
         r = run_cli("table", "--game", "delete-nim", "--bound", "1", "--format", "csv")
@@ -117,6 +142,59 @@ class TestTableCommand:
         assert cli.main(["table", "--game", "vdn", "--bound", "200000"]) == 4
         assert time.perf_counter() - start < 5.0  # refused before any grid is built
         assert "needs 40000400001 cells" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("game", ["delete-nim", "vdn"])
+    @pytest.mark.parametrize("fmt", ["csv", "json", "text"])
+    def test_bytes_match_independent_renderer(self, game, fmt, capsys, tmp_path):
+        lo = 0 if game == "delete-nim" else 1
+        bounds = list(range(lo, 21)) + ([150] if fmt != "text" else [])
+        for bound in bounds:
+            want = _reference_table(game, bound, fmt)
+            argv = ["table", "--game", game, "--bound", str(bound), "--format", fmt]
+            assert cli.main(argv) == 0
+            assert capsys.readouterr().out == want, (game, fmt, bound)
+            path = tmp_path / f"{game}-{bound}.{fmt}"
+            assert cli.main(argv + ["--output", str(path)]) == 0
+            assert capsys.readouterr().out == ""
+            assert path.read_text() == want, (game, fmt, bound)
+
+    def test_unwritable_output_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "x.csv"
+        assert cli.main(["table", "--game", "vdn", "--bound", "3", "--output", str(path)]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"error: cannot write {path}: No such file or directory\n"
+
+    def test_refused_table_writes_no_file(self, monkeypatch, tmp_path, capsys):
+        # both checks run before the output file is opened
+        monkeypatch.setattr(cli, "DEFAULT_BUDGET", 4)
+        path = tmp_path / "x.csv"
+        argv = ["table", "--format", "csv", "--output", str(path), "--game"]
+        assert cli.main(argv + ["delete-nim", "--bound", "2"]) == 4
+        assert cli.main(argv + ["vdn", "--bound", "0"]) == 2
+        assert capsys.readouterr().err == (
+            "error: table to bound 2 needs 9 cells, budget is 4\n"
+            "error: bound must be >= 1 for vdn\n"
+        )
+        assert not path.exists()
+
+    def test_table_memory_is_linear_in_bound(self):
+        # 1.4 million records: a grid, a row list and a record list of them
+        # peak above 500 MB.  The table is written from an intermediate
+        # interpreter so that RUSAGE_CHILDREN sees only it.
+        probe = (
+            "import os, resource, subprocess, sys\n"
+            "r = subprocess.run([sys.executable, '-m', 'impartial', 'table', '--game',"
+            " 'delete-nim', '--bound', '1200', '--format', 'json', '--output', os.devnull])\n"
+            "rss = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss\n"
+            "print(r.returncode, rss // 1024 if sys.platform == 'darwin' else rss)\n"
+        )
+        r = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, timeout=300
+        )
+        code, rss_kib = (int(v) for v in r.stdout.split())
+        assert code == 0
+        assert rss_kib < 100 * 1024
 
     def test_byte_identical_across_runs(self):
         a = run_cli("table", "--game", "vdn", "--bound", "12", "--format", "json")
@@ -246,6 +324,41 @@ class TestVerifyCommand:
         out = capsys.readouterr()
         assert out.out == ""
         assert out.err.startswith("error: config ")
+
+    def test_domain_error_keeps_finished_reports(self, capsys):
+        # vdn refuses bound 0 after delete-nim at 0 has run and passed
+        argv = ["verify", "--all", "--bound", "0"]
+        assert cli.main(argv + ["--format", "json"]) == 2
+        out = capsys.readouterr()
+        [record] = json.loads(out.out)
+        assert (record["name"], record["checked"], record["passed"]) == ("delete-nim", 1, True)
+        assert out.err == "error: bound must be >= 1, got 0\n"
+        assert cli.main(argv) == 2
+        out = capsys.readouterr()
+        lines = out.out.splitlines()
+        assert lines[0].startswith("[PASS] delete-nim: bound=0 checked=1 mismatches=0 ")
+        assert lines[1:] == ["1/1 checks passed"]
+        assert out.err == "error: bound must be >= 1, got 0\n"
+
+    def test_budget_error_keeps_finished_reports(self, capsys):
+        # sum exceeds the budget after three checks have passed
+        argv = ["verify", "--all", "--bound", "17", "--heaps", "2", "--size", "5",
+                "--budget", "324"]
+        error = "error: grundy computation exceeded the budget of 324 positions\n"
+        assert cli.main(argv + ["--format", "json"]) == 4
+        out = capsys.readouterr()
+        records = json.loads(out.out)
+        assert [rec["name"] for rec in records] == ["delete-nim", "vdn", "bouton"]
+        assert all(rec["passed"] for rec in records)
+        assert out.err == error
+        assert cli.main(argv) == 4
+        out = capsys.readouterr()
+        lines = out.out.splitlines()
+        assert [line.split(":")[0] for line in lines[:3]] == [
+            "[PASS] delete-nim", "[PASS] vdn", "[PASS] bouton"
+        ]
+        assert lines[3:] == ["3/3 checks passed"]
+        assert out.err == error
 
     def test_stretch_sweep_memory_is_linear_in_bound(self):
         # A full (bound+1)^2 grid pair at this bound peaks above 2 GB.  The
