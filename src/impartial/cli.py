@@ -3,7 +3,8 @@ verification sweeps, and a line-oriented interactive play mode.
 
 Exit codes: 0 ok, 1 verification mismatch, 2 usage/parse error, 3 closed
 form and engine disagree, 4 resource budget exceeded, 130 interactive
-session aborted.  Output is deterministic: identical invocations produce
+session aborted, 141 (128 + SIGPIPE) stdout closed by its reader before the
+output was written.  Output is deterministic: identical invocations produce
 byte-identical output, except for the elapsed times in verify's reports.
 
 ``table`` streams: it evaluates the closed-form ``*_array`` functions on one
@@ -16,6 +17,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 import numpy as np
@@ -30,6 +32,7 @@ EXIT_USAGE = 2
 EXIT_DISAGREE = 3
 EXIT_BUDGET = 4
 EXIT_ABORTED = 130
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a writer killed by it
 
 # Cap on dense-grid cells / memoized positions; bounds a few thousand wide
 # stay comfortably inside.
@@ -336,3 +339,21 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_BUDGET
     except KeyboardInterrupt:
         return EXIT_ABORTED
+    except BrokenPipeError:
+        _silence_stdout()
+        return EXIT_BROKEN_PIPE
+
+
+def _silence_stdout() -> None:
+    """Point the stdout file descriptor at os.devnull, so that flushing what
+    is still buffered for a reader that is gone, at exit, cannot raise again.
+    An in-memory stdout has no descriptor and is left as it is."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    try:
+        os.dup2(devnull, fd)
+    finally:
+        os.close(devnull)

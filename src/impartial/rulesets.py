@@ -62,36 +62,55 @@ def _check_enumerable(s: int) -> None:
         )
 
 
-def delete_nim_options(p: Pair) -> set[Pair]:
-    """All positions reachable from Delete Nim position p.
+def delete_nim_heap_options(s: int) -> set[Pair]:
+    """The positions a Delete Nim move reaches by choosing a heap of s stones,
+    whatever the other heap holds.
 
-    Choosing the heap of s >= 1 stones deletes the other heap, removes one
-    stone, and optionally splits the remainder: every canonical (a, b) with
+    Choosing the heap deletes the other heap, removes one stone, and
+    optionally splits the remainder: every canonical (a, b) with
     a + b == s - 1 is reachable, with "no split" being the pair (s - 1, 0).
-    An empty heap cannot be chosen; (0, 0) is terminal.
+    An empty heap cannot be chosen, so s == 0 reaches nothing.
     """
+    if s < 0:
+        raise DomainError(f"Delete Nim heaps must be >= 0, got {s}")
+    if s == 0:
+        return set()
+    _check_enumerable(s)
+    # (s - 1 - a, a) for a <= (s - 1) / 2 enumerates exactly the canonical
+    # pairs summing to s - 1; zip stops at the shorter range.
+    return set(zip(range(s - 1, -1, -1), range((s - 1) // 2 + 1)))
+
+
+def vdn_heap_options(s: int) -> set[Pair]:
+    """The positions a VDN move reaches by choosing a heap of s stones: the
+    other heap is deleted and this one split into two nonempty heaps.  A
+    heap of one stone cannot be split, so s == 1 reaches nothing."""
+    if s < 1:
+        raise DomainError(f"VDN heaps must be >= 1, got {s}")
+    if s == 1:
+        return set()
+    _check_enumerable(s)
+    # (s - a, a) for 1 <= a <= s / 2
+    return set(zip(range(s - 1, 0, -1), range(1, s // 2 + 1)))
+
+
+def delete_nim_options(p: Pair) -> set[Pair]:
+    """All positions reachable from Delete Nim position p: the union of
+    delete_nim_heap_options over its two heaps (the certificate sweeps rely
+    on this identity).  (0, 0) is terminal."""
     x, y = validate_delete_nim(p)
-    opts: set[Pair] = set()
-    for s in (x, y):
-        if s >= 1:
-            _check_enumerable(s)
-            # (s - 1 - a, a) for a <= (s - 1) / 2 enumerates exactly the
-            # canonical pairs summing to s - 1; zip stops at the shorter range.
-            opts.update(zip(range(s - 1, -1, -1), range((s - 1) // 2 + 1)))
+    opts = delete_nim_heap_options(x)
+    opts |= delete_nim_heap_options(y)
     return opts
 
 
 def vdn_options(p: Pair) -> set[Pair]:
-    """All positions reachable from VDN position p: delete one heap and split
-    the other into two nonempty heaps.  A heap of one stone cannot be split;
-    (1, 1) is terminal."""
+    """All positions reachable from VDN position p: the union of
+    vdn_heap_options over its two heaps (the certificate sweeps rely on
+    this identity).  (1, 1) is terminal."""
     x, y = validate_vdn(p)
-    opts: set[Pair] = set()
-    for s in (x, y):
-        if s >= 2:
-            _check_enumerable(s)
-            # (s - a, a) for 1 <= a <= s / 2
-            opts.update(zip(range(s - 1, 0, -1), range(1, s // 2 + 1)))
+    opts = vdn_heap_options(x)
+    opts |= vdn_heap_options(y)
     return opts
 
 

@@ -6,9 +6,11 @@ recursion versus a closed formula, or an explicit certificate versus direct
 enumeration) and emits a VerificationReport.  Sweeps are exhaustive within
 their bounds, never sampled.  The two-heap formula sweeps stream the
 engine's anti-diagonals and hold O(bound) memory.  The certificate sweeps
-(proof-steps, iso) evaluate their scalar function once per pair an option
-can be, then compare each position's whole option set against those
-values.  Every check runs in the calling thread.  Mismatches are listed
+(proof-steps, iso) rest on every two-heap option set being the union of
+what choosing each heap reaches (``rulesets.*_heap_options``): they check
+each heap's moves once, keep O(bound) per-heap results, and do only O(1)
+work per position, plus a full per-option check where a heap's result
+fails.  Every check runs in the calling thread.  Mismatches are listed
 in canonical position order.
 
 Mismatch convention: ``expected`` is the brute-force / oracle side,
@@ -191,41 +193,19 @@ def proof_step_failures(x: int, y: int) -> list[Mismatch]:
     with closed-form value v.  Together with termination this certifies that
     the closed form satisfies the defining mex recursion at (x, y).
     """
-    return _proof_step_failures(x, y, {}, set())
-
-
-def _value_levels(bound: int) -> dict[int, set[rulesets.Pair]]:
-    """Every canonical pair a + b <= bound - 1, which is every pair an option
-    of a position within ``bound`` can be, grouped by scalar closed-form
-    value: ``levels[h]`` is the set of those pairs with value h."""
-    levels: dict[int, set[rulesets.Pair]] = {}
-    for b in range((bound + 1) // 2):
-        for a in range(b, bound - b):
-            levels.setdefault(closed_forms.delete_nim_grundy(a, b), set()).add((a, b))
-    return levels
-
-
-def _proof_step_failures(
-    x: int, y: int, levels: dict[int, set[rulesets.Pair]], tabled: set[rulesets.Pair]
-) -> list[Mismatch]:
-    """proof_step_failures with condition (a) decided by set operations on
-    ``levels`` (see _value_levels; ``tabled`` is the union of its sets).
-    Options outside ``tabled``, and positions where (a) fails, fall back to
-    one scalar call per option, so the report does not depend on the table."""
     pos_text = f"{x},{y}"
     h = closed_forms.delete_nim_grundy(x, y)
     opts = rulesets.delete_nim_options((x, y))
     found: list[Mismatch] = []
-    if not (opts <= tabled and opts.isdisjoint(levels.get(h, ()))):
-        hits = sorted(q for q in opts if closed_forms.delete_nim_grundy(*q) == h)
-        if hits:
-            found.append(
-                (
-                    pos_text,
-                    f"no option with value {h}",
-                    f"option {hits[0][0]},{hits[0][1]} has value {h}",
-                )
+    hits = sorted(q for q in opts if closed_forms.delete_nim_grundy(*q) == h)
+    if hits:
+        found.append(
+            (
+                pos_text,
+                f"no option with value {h}",
+                f"option {hits[0][0]},{hits[0][1]} has value {h}",
             )
+        )
     for v in range(h):
         bit = 1 << v
         if x & bit:
@@ -251,12 +231,42 @@ def _proof_step_failures(
     return found
 
 
+def _heap_certificate(s: int, grundy: Callable, heap_options: Callable) -> tuple[int, int]:
+    """What choosing a Delete Nim heap of s stones contributes to the proof
+    steps of every position holding it: ``(values, bad)``.  Bit g of
+    ``values`` is set when some position the choice reaches has closed-form
+    value g (all bits, -1, if one has a negative value).  Bit v of ``bad``
+    is set when bit v of s is set and the option constructed from it,
+    (s - 2**v, 2**v - 1), is not among those positions or lacks value v."""
+    reached = heap_options(s)
+    values = 0
+    for q in reached:
+        g = grundy(*q)
+        values |= 1 << g if g >= 0 else -1
+    bad = 0
+    for v in range(s.bit_length()):
+        bit = 1 << v
+        if s & bit:
+            q = rulesets.canonical_pair(s - bit, bit - 1)
+            if q not in reached or grundy(*q) != v:
+                bad |= bit
+    return values, bad
+
+
 def verify_proof_steps(
     bound: int, budget: int | None = None
 ) -> VerificationReport:
     """Run the per-position certificate checks for all 0 <= y <= x <= bound.
 
-    The value table holds O(bound**2) pairs, so the sweep is charged
+    A position's options are the union of what choosing each of its heaps
+    reaches (``rulesets.delete_nim_heap_options``), so both steps are
+    decided per heap: (a) holds at (x, y) when bit h is clear in the union
+    of the two heaps' value bitmasks, and (b) when each bit v < h is set in
+    x or y and the option constructed from that heap is good (see
+    _heap_certificate).  A position where either test fails is checked
+    again by proof_step_failures, one option at a time, for the report.
+    Each heap is enumerated once, when its row starts, and not kept, so the
+    sweep holds O(bound) values and does O(bound**2) work.  It is charged
     (bound+1)**2 cells against ``budget`` before any work, like the
     streaming sweeps."""
     if bound < 0:
@@ -267,12 +277,25 @@ def verify_proof_steps(
             f"proof-steps to bound {bound} needs {cells} cells, budget is {budget}"
         )
     t0 = time.perf_counter()
-    levels = _value_levels(bound)
-    tabled = set().union(*levels.values())
+    grundy = closed_forms.delete_nim_grundy
+    heap_options = rulesets.delete_nim_heap_options
+    values: list[int] = []
+    bad: list[int] = []
     mismatches: list[Mismatch] = []
     for x in range(bound + 1):
+        heap_values, heap_bad = _heap_certificate(x, grundy, heap_options)
+        values.append(heap_values)
+        bad.append(heap_bad)
         for y in range(x + 1):
-            mismatches.extend(_proof_step_failures(x, y, levels, tabled))
+            h = grundy(x, y)
+            below = (1 << h) - 1 if h >= 0 else 0  # the values step (b) constructs
+            if (
+                h < 0
+                or (heap_values | values[y]) >> h & 1
+                or below & ~(x | y)
+                or below & (x & heap_bad | ~x & y & bad[y])
+            ):
+                mismatches.extend(proof_step_failures(x, y))
     checked = (bound + 1) * (bound + 2) // 2
     return VerificationReport(
         "proof-steps", bound, checked, mismatches, time.perf_counter() - t0
@@ -339,8 +362,8 @@ DEFAULT_BOUNDS: dict = {
     "vdn": 256,
     "bouton": (3, 16),
     "sum": 12,
-    "proof-steps": 128,
-    "iso": 64,
+    "proof-steps": 1024,
+    "iso": 1024,
 }
 
 

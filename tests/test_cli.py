@@ -384,6 +384,31 @@ class TestVerifyCommand:
         assert record["passed"]
         assert record["checked"] == 8192 * 8193 // 2
 
+    def test_certificate_sweeps_memory_is_linear_in_bound(self):
+        # Keeping every heap's option set in both sweeps peaks near 360 MB at
+        # this bound, and one option set per position takes minutes.
+        probe = (
+            "import resource, subprocess, sys\n"
+            "r = subprocess.run([sys.executable, '-m', 'impartial', 'verify', '--check',"
+            " 'proof-steps', '--check', 'iso', '--bound', '2048', '--format', 'json'],"
+            " capture_output=True, text=True)\n"
+            "rss = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss\n"
+            "print(r.returncode, rss // 1024 if sys.platform == 'darwin' else rss)\n"
+            "sys.stdout.write(r.stdout)\n"
+        )
+        r = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, timeout=300
+        )
+        head, _, report = r.stdout.partition("\n")
+        code, rss_kib = (int(v) for v in head.split())
+        assert code == 0
+        assert rss_kib < 150 * 1024
+        records = json.loads(report)
+        assert [(rec["name"], rec["checked"], rec["passed"]) for rec in records] == [
+            ("proof-steps", 2049 * 2050 // 2, True),
+            ("iso", 2048 * 2049 // 2, True),
+        ]
+
     def test_mismatch_exits_1(self, monkeypatch, capsys):
         failing = verification.VerificationReport("vdn", 4, 10, [("2,1", 1, 9)], 0.0)
         monkeypatch.setattr(
@@ -468,3 +493,33 @@ class TestUsage:
         monkeypatch.setattr(cli, "cmd_best_move", patched)
         assert cli.main(argv) == 7
         assert capsys.readouterr().out == "patched\n"
+
+    def test_reader_closing_early_exits_141(self):
+        # 4 million csv rows: far more than a pipe buffers, so the writer is
+        # still writing when the reader goes away
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "impartial", "table", "--game", "delete-nim",
+             "--bound", "2000", "--format", "csv"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        try:
+            assert proc.stdout.readline() == "x,y,grundy\n"
+            proc.stdout.close()
+            err = proc.stderr.read()
+            code = proc.wait(timeout=60)
+        finally:
+            proc.kill()
+            proc.wait()
+        assert code == cli.EXIT_BROKEN_PIPE == 141
+        assert err == ""
+
+    def test_broken_pipe_with_in_memory_stdout(self, monkeypatch, capsys):
+        # stdout without a file descriptor, as when main is called in-process
+        def closed(args):
+            raise BrokenPipeError
+
+        monkeypatch.setattr(cli, "cmd_table", closed)
+        assert cli.main(["table", "--game", "vdn", "--bound", "3"]) == 141
+        assert capsys.readouterr().err == ""

@@ -89,6 +89,56 @@ class TestOptionSets:
             rs.nim_options((big,))
 
 
+class TestHeapOptions:
+    # What choosing a heap reaches does not depend on the other heap, so the
+    # reference option set of (s, 0) in Delete Nim, and of (s, 1) in VDN,
+    # is exactly what choosing a heap of s stones reaches.
+
+    def test_delete_nim_heap_matches_reference(self):
+        for s in range(65):
+            assert rs.delete_nim_heap_options(s) == ref_delete_options(s, 0)
+
+    def test_vdn_heap_matches_reference(self):
+        for s in range(1, 65):
+            assert rs.vdn_heap_options(s) == ref_vdn_options(s, 1)
+
+    def test_options_match_reference_in_either_order(self):
+        for x in range(41):
+            for y in range(41):
+                assert rs.delete_nim_options((x, y)) == ref_delete_options(x, y)
+                if x and y:
+                    assert rs.vdn_options((x, y)) == ref_vdn_options(x, y)
+
+    @given(st.integers(0, 10**4), st.integers(0, 10**4))
+    def test_delete_nim_options_are_the_union_of_heap_moves(self, x, y):
+        assert rs.delete_nim_options((x, y)) == (
+            rs.delete_nim_heap_options(x) | rs.delete_nim_heap_options(y)
+        )
+
+    @given(st.integers(1, 10**4), st.integers(1, 10**4))
+    def test_vdn_options_are_the_union_of_heap_moves(self, x, y):
+        assert rs.vdn_options((x, y)) == rs.vdn_heap_options(x) | rs.vdn_heap_options(y)
+
+    def test_each_call_returns_a_fresh_set(self):
+        # delete_nim_options and vdn_options add the second heap's moves
+        # into the set the first call returned
+        rs.delete_nim_heap_options(5).add((99, 0))
+        rs.vdn_heap_options(5).add((99, 1))
+        assert (99, 0) not in rs.delete_nim_heap_options(5)
+        assert (99, 1) not in rs.vdn_heap_options(5)
+
+    def test_domain_and_enumeration_limit(self):
+        with pytest.raises(DomainError):
+            rs.delete_nim_heap_options(-1)
+        with pytest.raises(DomainError):
+            rs.vdn_heap_options(0)
+        big = rs.ENUMERATION_LIMIT + 1
+        with pytest.raises(BudgetExceededError):
+            rs.delete_nim_heap_options(big)
+        with pytest.raises(BudgetExceededError):
+            rs.vdn_heap_options(big)
+
+
 class TestSum:
     def test_name_and_structure(self):
         game = rs.make_sum(rs.DELETE_NIM, rs.NIM)

@@ -104,23 +104,25 @@ def _patched(right, cells):
 
 
 def _dropping(right, heap, option):
-    """``right`` with ``option`` missing whenever a heap has ``heap`` stones."""
+    """The heap primitive ``right`` with ``option`` missing from what choosing
+    a heap of ``heap`` stones reaches."""
 
-    def wrong(p):
-        opts = right(p)
-        if heap in p:
+    def wrong(s):
+        opts = right(s)
+        if s == heap:
             opts.discard(option)
         return opts
 
     return wrong
 
 
-def _adding(right, position, extra):
-    """``right`` with the ``extra`` options added at ``position`` only."""
+def _adding(right, heap, extra):
+    """The heap primitive ``right`` with the ``extra`` options added to what
+    choosing a heap of ``heap`` stones reaches."""
 
-    def wrong(p):
-        opts = right(p)
-        if tuple(p) == position:
+    def wrong(s):
+        opts = right(s)
+        if s == heap:
             opts |= extra
         return opts
 
@@ -149,25 +151,63 @@ class TestCertificateFaultInjection:
             for x, y in [(12, 0), (12, 2), (12, 4), (12, 6), (12, 8), (12, 10), (12, 12), (14, 12)]
         ]
 
+    def test_proof_steps_wrong_scalar_with_no_heap_bit(self, monkeypatch):
+        # (12, 4) is no option of any position inside the bound, and no
+        # option of it has the wrong value 1, so only step (b) can fail
+        monkeypatch.setattr(
+            cf, "delete_nim_grundy", _patched(cf.delete_nim_grundy, {(12, 4): 1})  # right: 0
+        )
+        rep = vf.verify_proof_steps(12)
+        assert rep.mismatches == [("12,4", "a heap with bit 0 set", "neither heap has it")]
+
+    def test_proof_steps_negative_scalar(self, monkeypatch):
+        # a negative value is reported where it is checked, not raised
+        monkeypatch.setattr(
+            cf, "delete_nim_grundy", _patched(cf.delete_nim_grundy, {(4, 0): -1})  # right: 0
+        )
+        rep = vf.verify_proof_steps(8)
+        assert rep.mismatches == [
+            (f"{x},{y}", "a constructed option with value 0", "option 4,0 has value -1")
+            for x, y in [(5, 0), (5, 1), (5, 2), (5, 3), (5, 4), (5, 5), (6, 5), (8, 5)]
+        ]
+
+    # Option faults are planted in the per-heap primitive on ``rulesets``,
+    # which both the option sets and the sweeps read, so each one reaches
+    # every position that holds the faulty heap.
+
     def test_proof_steps_dropped_option(self, monkeypatch):
         monkeypatch.setattr(
-            rulesets, "delete_nim_options", _dropping(rulesets.delete_nim_options, 8, (7, 0))
+            rulesets, "delete_nim_heap_options",
+            _dropping(rulesets.delete_nim_heap_options, 8, (7, 0)),
         )
         rep = vf.verify_proof_steps(20)
         assert rep.mismatches == [
             ("8,7", "constructed option 7,0 to be legal", "not an option")
         ]
 
-    def test_proof_steps_option_outside_the_table(self, monkeypatch):
-        # (10, 3) and (14, 0) sum past bound - 1, so no option of a legal
-        # position can be either: they are checked one call at a time.
+    def test_proof_steps_dropped_option_of_the_smaller_heap(self, monkeypatch):
+        # at (8, 7) and (10, 7) bit 0 comes from the smaller heap, 7
         monkeypatch.setattr(
-            rulesets, "delete_nim_options",
-            _adding(rulesets.delete_nim_options, (10, 3), {(10, 3), (14, 0)}),
+            rulesets, "delete_nim_heap_options",
+            _dropping(rulesets.delete_nim_heap_options, 7, (6, 0)),
+        )
+        rep = vf.verify_proof_steps(10)
+        assert rep.mismatches == [
+            (f"{x},{y}", "constructed option 6,0 to be legal", "not an option")
+            for x, y in [(7, 0), (7, 1), (7, 2), (7, 3), (7, 4), (7, 5), (7, 6), (7, 7),
+                         (8, 7), (10, 7)]
+        ]
+
+    def test_proof_steps_illegal_extra_option(self, monkeypatch):
+        # (10, 3) does not sum to 2, so no move from a heap of 3 reaches it
+        monkeypatch.setattr(
+            rulesets, "delete_nim_heap_options",
+            _adding(rulesets.delete_nim_heap_options, 3, {(10, 3)}),
         )
         rep = vf.verify_proof_steps(12)
         assert rep.mismatches == [
-            ("10,3", "no option with value 2", "option 10,3 has value 2")
+            (f"{x},{y}", "no option with value 2", "option 10,3 has value 2")
+            for x, y in [(3, 0), (3, 1), (3, 2), (3, 3), (8, 3), (9, 3), (10, 3), (11, 3)]
         ]
 
     def test_iso_wrong_map(self, monkeypatch):
@@ -188,7 +228,7 @@ class TestCertificateFaultInjection:
 
     def test_iso_dropped_option(self, monkeypatch):
         monkeypatch.setattr(
-            isomorphism, "vdn_options", _dropping(isomorphism.vdn_options, 9, (6, 3))
+            rulesets, "vdn_heap_options", _dropping(rulesets.vdn_heap_options, 9, (6, 3))
         )
         rep = vf.verify_isomorphism(10)
         assert rep.mismatches == [
@@ -197,14 +237,17 @@ class TestCertificateFaultInjection:
                          (9, 9), (10, 9)]
         ]
 
-    def test_iso_option_outside_the_table(self, monkeypatch):
-        # (9, 5) sums past the bound, so no legal option maps through the
-        # table to it
+    def test_iso_illegal_extra_option(self, monkeypatch):
+        # (9, 5) does not sum to 7, so no move from a heap of 7 reaches it
         monkeypatch.setattr(
-            isomorphism, "vdn_options", _adding(isomorphism.vdn_options, (7, 4), {(9, 5)})
+            rulesets, "vdn_heap_options", _adding(rulesets.vdn_heap_options, 7, {(9, 5)})
         )
         rep = vf.verify_isomorphism(10)
-        assert rep.mismatches == [("7,4", "equal option sets", "extra=[(8, 4)] missing=[]")]
+        assert rep.mismatches == [
+            (f"{x},{y}", "equal option sets", "extra=[(8, 4)] missing=[]")
+            for x, y in [(7, 1), (7, 2), (7, 3), (7, 4), (7, 5), (7, 6), (7, 7), (8, 7),
+                         (9, 7), (10, 7)]
+        ]
 
 
 class TestReportShape:
