@@ -55,14 +55,12 @@ def _closed_form_value(game: str, pos) -> int:
     return closed_forms.nim_sum(pos)
 
 
-def _grid_value_fn(game: str, pos, budget: int):
-    """Evaluator for every position of a two-heap game from ``pos`` down,
-    backed by one dense grid; None for Nim.  ``play`` needs values across
-    the whole game; a single query needs only ``engine.option_values``."""
+def _value_fn(game: str, pos, budget: int):
+    """``best_move``'s ``value_fn`` for ``pos``: a lookup into the kernel's
+    option values for a two-heap game, None (the generic engine) for Nim."""
     if game == "nim":
         return None
-    grid = engine.grundy_grid(RULESETS[game], max(pos), budget=budget)
-    return lambda q: int(grid[q[0], q[1]])
+    return engine.option_values(RULESETS[game], pos, budget).__getitem__
 
 
 def cmd_grundy(args) -> int:
@@ -136,11 +134,7 @@ def cmd_table(args) -> int:
     lo = 0 if game == "delete-nim" else 1
     if bound < lo:
         raise ParseError(f"bound must be >= {lo} for {game}")
-    cells = (bound + 1) * (bound + 1)
-    if cells > DEFAULT_BUDGET:
-        raise BudgetExceededError(
-            f"table to bound {bound} needs {cells} cells, budget is {DEFAULT_BUDGET}"
-        )
+    engine.check_cells("table", bound, DEFAULT_BUDGET)
     if not args.output:
         _write_table(sys.stdout, game, lo, bound, args.format)
         return EXIT_OK
@@ -159,9 +153,7 @@ def cmd_best_move(args) -> int:
     if not rules.options(pos):
         print("P-position (terminal)")
         return EXIT_OK
-    value_fn = None
-    if args.game != "nim":
-        value_fn = engine.option_values(rules, pos, args.budget).__getitem__
+    value_fn = _value_fn(args.game, pos, args.budget)
     move = engine.best_move(pos, rules, budget=args.budget, value_fn=value_fn)
     print("P-position" if move is None else format_position(rules, move))
     return EXIT_OK
@@ -237,7 +229,10 @@ def cmd_verify(args) -> int:
 def cmd_play(args) -> int:
     rules = RULESETS[args.game]
     pos = parse_position(rules, args.position)
-    value_fn = _grid_value_fn(args.game, pos, args.budget)
+    if args.game != "nim":
+        # refused before any output, as a query on the start would be; later
+        # positions only shrink, so the charge of each engine move passes
+        engine.check_cells("dense sweep", max(pos), args.budget)
     memo: engine.MemoTable = {}
     mover = args.first
     while True:
@@ -248,6 +243,7 @@ def cmd_play(args) -> int:
             print("engine wins" if mover == "human" else "you win")
             return EXIT_OK
         if mover == "engine":
+            value_fn = _value_fn(args.game, pos, args.budget)
             move = engine.best_move(
                 pos, rules, memo=memo, budget=args.budget, value_fn=value_fn
             )

@@ -8,22 +8,22 @@ The generic path needs nothing from a ruleset beyond ``canonical`` and
 one table may be shared by every call of a sweep.
 
 The two-heap backend is one anti-diagonal kernel.  The verification sweeps
-stream every diagonal up to their bound (``diagonals``); a single-position
-query runs it only as far as its options lie and reads back just the two
-option diagonals (``option_values``); ``grundy_grid`` scatters it into a
-dense table for callers that need values across a whole game.
+stream every diagonal up to their bound (``diagonals``); a query, and each
+engine move in ``play``, runs it only as far as the position's options lie
+and reads back just the two option diagonals (``option_values``).
+``grundy_grid`` scatters it into a dense table; it is library API only, and
+no command or sweep builds one.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
 from .errors import BudgetExceededError, DomainError
-from .rulesets import DELETE_NIM, VDN, Ruleset, make_sum
+from .rulesets import DELETE_NIM, VDN, Ruleset
 
 MemoTable = dict
 
@@ -34,8 +34,7 @@ __all__ = [
     "Outcome",
     "classify",
     "best_move",
-    "SumCheck",
-    "sum_grundy_check",
+    "check_cells",
     "diagonals",
     "option_values",
     "delete_nim_grid",
@@ -132,8 +131,8 @@ def best_move(
     A position is an N-position exactly when some option has value 0, so no
     separate classification pass is needed.  Ties break to the smallest
     canonical option in lexicographic order.  ``value_fn`` may supply option
-    values from the two-heap kernel (a lookup into ``option_values`` or into
-    a ``grundy_grid``) instead of the generic engine.
+    values from the two-heap kernel, as ``option_values(rules, pos).__getitem__``
+    does, instead of the generic engine.
     """
     p = rules.canonical(pos)
     if value_fn is None:
@@ -146,38 +145,6 @@ def best_move(
         if value_fn(q) == 0:
             return q
     return None
-
-
-@dataclass(frozen=True)
-class SumCheck:
-    """Result of checking G(g + h) == G(g) XOR G(h) on one pair of positions."""
-
-    sum_value: int
-    xor_value: int
-
-    @property
-    def equal(self) -> bool:
-        return self.sum_value == self.xor_value
-
-
-def sum_grundy_check(
-    g,
-    h,
-    left: Ruleset,
-    right: Ruleset,
-    memo: MemoTable | None = None,
-    budget: int | None = None,
-) -> SumCheck:
-    """Grundy value of the disjoint sum (g, h) by direct mex recursion over
-    the sum graph, compared against the XOR of the component values."""
-    if memo is None:
-        memo = {}
-    rules = make_sum(left, right)
-    sum_value = grundy((g, h), rules, memo=memo, budget=budget)
-    xor_value = grundy(g, left, memo=memo, budget=budget) ^ grundy(
-        h, right, memo=memo, budget=budget
-    )
-    return SumCheck(sum_value, xor_value)
 
 
 # --- dense backend -----------------------------------------------------------
@@ -208,11 +175,13 @@ def _mex_of_masks(masks: np.ndarray) -> np.ndarray:
     return np.bitwise_count(low_zero - np.uint64(1))
 
 
-def _check_cells(bound: int, budget: int | None) -> None:
+def check_cells(what: str, bound: int, budget: int | None) -> None:
+    """Charge ``what`` the (bound + 1)**2 cells of the full grid up to
+    ``bound``: raise BudgetExceededError if they exceed ``budget``."""
     cells = (bound + 1) * (bound + 1)
     if budget is not None and cells > budget:
         raise BudgetExceededError(
-            f"dense sweep to bound {bound} needs {cells} cells, budget is {budget}"
+            f"{what} to bound {bound} needs {cells} cells, budget is {budget}"
         )
 
 
@@ -231,7 +200,7 @@ def diagonals(rules: Ruleset, bound: int, budget: int | None = None) -> Iterator
     lo, removed = _MOVES[rules.name]
     if bound < lo:
         raise DomainError(f"bound must be >= {lo}, got {bound}")
-    _check_cells(bound, budget)
+    check_cells("dense sweep", bound, budget)
     return _diagonals(lo, removed, bound)
 
 

@@ -28,7 +28,7 @@ from typing import Callable
 import numpy as np
 
 from . import closed_forms, engine, isomorphism, rulesets
-from .errors import BudgetExceededError, DomainError
+from .errors import DomainError
 
 __all__ = [
     "VerificationReport",
@@ -187,16 +187,19 @@ def verify_bouton(
 def proof_step_failures(x: int, y: int) -> list[Mismatch]:
     """Certificate checks for one Delete Nim position (empty list if both hold).
 
-    With h the closed-form value of (x, y): (a) no option may have closed-form
-    value h; (b) for every v < h, some heap s has bit v set (try x, then y)
-    and the constructed option (s - 2**v, 2**v - 1) must be a legal option
-    with closed-form value v.  Together with termination this certifies that
-    the closed form satisfies the defining mex recursion at (x, y).
+    With h the closed-form value of (x, y), which as a mex must be >= 0:
+    (a) no option may have closed-form value h; (b) for every v < h, some
+    heap s has bit v set (try x, then y) and the constructed option
+    (s - 2**v, 2**v - 1) must be a legal option with closed-form value v.
+    Together with termination this certifies that the closed form satisfies
+    the defining mex recursion at (x, y).
     """
     pos_text = f"{x},{y}"
     h = closed_forms.delete_nim_grundy(x, y)
     opts = rulesets.delete_nim_options((x, y))
     found: list[Mismatch] = []
+    if h < 0:
+        found.append((pos_text, "a value >= 0", f"{pos_text} has value {h}"))
     hits = sorted(q for q in opts if closed_forms.delete_nim_grundy(*q) == h)
     if hits:
         found.append(
@@ -271,11 +274,7 @@ def verify_proof_steps(
     streaming sweeps."""
     if bound < 0:
         raise DomainError(f"bound must be >= 0, got {bound}")
-    cells = (bound + 1) * (bound + 1)
-    if budget is not None and cells > budget:
-        raise BudgetExceededError(
-            f"proof-steps to bound {bound} needs {cells} cells, budget is {budget}"
-        )
+    engine.check_cells("proof-steps", bound, budget)
     t0 = time.perf_counter()
     grundy = closed_forms.delete_nim_grundy
     heap_options = rulesets.delete_nim_heap_options
@@ -307,21 +306,22 @@ def verify_sum_theorem(
 ) -> VerificationReport:
     """Direct mex recursion on Delete Nim sum graphs versus the XOR of the
     component values, for every ordered pair of canonical positions with
-    coordinates <= bound."""
+    coordinates <= bound.  Both sides come from the generic engine on one
+    shared memo; each component's value is taken once."""
     if bound < 0:
         raise DomainError(f"bound must be >= 0, got {bound}")
     t0 = time.perf_counter()
     comps = [(x, y) for x in range(bound + 1) for y in range(x + 1)]
+    game = rulesets.make_sum(rulesets.DELETE_NIM, rulesets.DELETE_NIM)
     memo: engine.MemoTable = {}
+    values = [engine.grundy(c, rulesets.DELETE_NIM, memo, budget) for c in comps]
     mismatches: list[Mismatch] = []
-    for g in comps:
-        for h in comps:
-            res = engine.sum_grundy_check(
-                g, h, rulesets.DELETE_NIM, rulesets.DELETE_NIM, memo=memo, budget=budget
-            )
-            if not res.equal:
+    for g, g_value in zip(comps, values):
+        for h, h_value in zip(comps, values):
+            sum_value = engine.grundy((g, h), game, memo, budget)
+            if sum_value != g_value ^ h_value:
                 mismatches.append(
-                    (f"{g[0]},{g[1]}+{h[0]},{h[1]}", res.sum_value, res.xor_value)
+                    (f"{g[0]},{g[1]}+{h[0]},{h[1]}", sum_value, g_value ^ h_value)
                 )
     return VerificationReport(
         "sum", bound, len(comps) ** 2, mismatches, time.perf_counter() - t0

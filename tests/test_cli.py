@@ -4,12 +4,20 @@ import json
 import subprocess
 import sys
 import time
+from itertools import combinations_with_replacement
 
 import pytest
 
 from impartial import cli, verification
 from impartial.closed_forms import delete_nim_grundy
-from reference import ref_delete_grundy, ref_delete_options, ref_vdn_grundy, ref_vdn_options
+from reference import (
+    ref_delete_grundy,
+    ref_delete_options,
+    ref_nim_grundy,
+    ref_nim_options,
+    ref_vdn_grundy,
+    ref_vdn_options,
+)
 
 
 def run_cli(*args, stdin=""):
@@ -459,6 +467,101 @@ class TestPlayCommand:
     def test_eof_aborts_130(self):
         r = run_cli("play", "--game", "delete-nim", "--position", "5,5", stdin="")
         assert r.returncode == 130
+
+    @pytest.mark.parametrize("game", ["delete-nim", "vdn", "nim"])
+    def test_engine_moves_match_reference(self, game, monkeypatch, capsys):
+        # every start with heaps <= 12 (Nim: 2-3 heaps <= 5), engine first;
+        # the human answers with the largest option
+        options, value = _REFERENCE_GAMES[game]
+        if game == "nim":
+            starts = [c for k in (2, 3) for c in combinations_with_replacement(range(1, 6), k)]
+        else:
+            lo = 0 if game == "delete-nim" else 1
+            starts = [(x, y) for x in range(lo, 13) for y in range(lo, x + 1)]
+        transcript: list[str] = []
+
+        def human(prompt):
+            transcript.append(capsys.readouterr().out)
+            return _position_text(max(options(_last_position(transcript[-1]))))
+
+        monkeypatch.setattr("builtins.input", human)
+        engine_moves = 0
+        for start in starts:
+            transcript.clear()
+            argv = ["play", "--game", game, "--position", _position_text(start)]
+            assert cli.main(argv + ["--first", "engine"]) == 0
+            transcript.append(capsys.readouterr().out)
+            lines = "".join(transcript).splitlines()
+            for before, line in zip(lines, lines[1:]):
+                if not line.startswith("engine plays "):
+                    continue
+                pos = _parse_position(before.removeprefix("position: "))
+                move = _parse_position(line.removeprefix("engine plays "))
+                opts = options(pos)
+                winning = sorted(q for q in opts if value(q) == 0)
+                assert move in (winning or [min(opts)]), (start, pos, move)
+                engine_moves += 1
+        assert engine_moves > len(starts)
+
+    @pytest.mark.parametrize("game", ["delete-nim", "vdn"])
+    def test_budget_is_the_full_grid_of_the_start(self, game, monkeypatch, capsys):
+        # refused before the first output line; later positions only shrink
+        argv = ["play", "--game", game, "--position", "50,3", "--first", "engine", "--budget"]
+        assert cli.main(argv + ["2600"]) == 4
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "error: dense sweep to bound 50 needs 2601 cells, budget is 2600\n"
+
+        def closed(prompt):
+            raise EOFError
+
+        monkeypatch.setattr("builtins.input", closed)
+        assert cli.main(argv + ["2601"]) == 130
+        out = capsys.readouterr()
+        assert out.out.startswith("position: 50,3\nengine plays ")
+        assert out.err == ""
+
+    def test_play_memory_is_linear_in_heap(self):
+        # a full grid to 8000 peaks near 280 MB; the kernel up to the
+        # engine's options needs O(heap) memory
+        probe = (
+            "import resource, subprocess, sys\n"
+            "r = subprocess.run([sys.executable, '-m', 'impartial', 'play', '--game',"
+            " 'delete-nim', '--position', '8000,7', '--first', 'engine'],"
+            " stdin=subprocess.DEVNULL, capture_output=True, text=True)\n"
+            "rss = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss\n"
+            "print(r.returncode, rss // 1024 if sys.platform == 'darwin' else rss)\n"
+            "sys.stdout.write(r.stdout)\n"
+        )
+        r = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, timeout=300
+        )
+        head, _, transcript = r.stdout.partition("\n")
+        code, rss_kib = (int(v) for v in head.split())
+        assert code == 130
+        assert rss_kib < 100 * 1024
+        assert transcript.startswith("position: 8000,7\nengine plays ")
+
+
+_REFERENCE_GAMES = {
+    "delete-nim": (lambda p: ref_delete_options(*p), lambda p: ref_delete_grundy(*p)),
+    "vdn": (lambda p: ref_vdn_options(*p), lambda p: ref_vdn_grundy(*p)),
+    "nim": (ref_nim_options, ref_nim_grundy),
+}
+
+
+def _position_text(pos) -> str:
+    return ",".join(map(str, pos)) or "0"
+
+
+def _parse_position(text: str) -> tuple:
+    # "0" is the empty Nim position; no two-heap position prints as one number
+    return () if text == "0" else tuple(int(v) for v in text.split(","))
+
+
+def _last_position(out: str) -> tuple:
+    last = [line for line in out.splitlines() if line.startswith("position: ")][-1]
+    return _parse_position(last.removeprefix("position: "))
 
 
 class TestUsage:

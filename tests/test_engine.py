@@ -161,16 +161,21 @@ class TestBestMove:
 
 
 class TestSumCheck:
+    # the sum graph is searched by the generic engine; the XOR is taken here
     def test_components_xor(self):
-        res = engine.sum_grundy_check((3, 2), (1, 0), rs.DELETE_NIM, rs.DELETE_NIM)
-        assert res.sum_value == 3
-        assert res.xor_value == 2 ^ 1
-        assert res.equal
+        memo = {}
+        game = rs.make_sum(rs.DELETE_NIM, rs.DELETE_NIM)
+        assert engine.grundy((3, 2), rs.DELETE_NIM, memo) == 2
+        assert engine.grundy((1, 0), rs.DELETE_NIM, memo) == 1
+        assert engine.grundy(((3, 2), (1, 0)), game, memo) == 3 == 2 ^ 1
 
     def test_mixed_games(self):
-        res = engine.sum_grundy_check((3, 2), (2, 1), rs.DELETE_NIM, rs.VDN)
-        assert res.xor_value == 2 ^ 1
-        assert res.sum_value == res.xor_value
+        memo = {}
+        game = rs.make_sum(rs.DELETE_NIM, rs.VDN)
+        left = engine.grundy((3, 2), rs.DELETE_NIM, memo)
+        right = engine.grundy((2, 1), rs.VDN, memo)
+        assert left ^ right == 2 ^ 1
+        assert engine.grundy(((3, 2), (2, 1)), game, memo) == left ^ right
 
 
 class TestDenseGrids:

@@ -93,6 +93,30 @@ class TestFaultInjection:
             (f"{x},{y}", reference(x, y), reference(x, y) + 5) for x, y in sorted(cells)
         ]
 
+    def test_sum_dropped_option(self, monkeypatch):
+        # without its value-1 option (2,0)+(1,1), the sum (3,0)+(1,1) gets
+        # mex {0, 2} = 1 instead of 2 ^ 1, and every sum above it can change
+        right = rulesets.sum_options
+
+        def wrong(p, left, right_rules):
+            opts = right(p, left, right_rules)
+            if p == ((3, 0), (1, 1)):
+                opts.discard(((2, 0), (1, 1)))
+            return opts
+
+        monkeypatch.setattr(rulesets, "sum_options", wrong)
+        rep = vf.verify_sum_theorem(6)
+        assert rep.positions_checked == triangle(6) ** 2
+        assert len(rep.mismatches) == 81
+        assert rep.mismatches[0] == ("3,0+1,1", 1, 3)
+        assert rep.mismatches[-1] == ("6,5+5,5", 4, 2)
+        # row-major in (g, h)
+        keys = [
+            tuple(tuple(int(v) for v in c.split(",")) for c in text.split("+"))
+            for text, _, _ in rep.mismatches
+        ]
+        assert keys == sorted(keys)
+
 
 def _patched(right, cells):
     """``right`` except at the argument tuples ``cells`` maps to a result."""
@@ -166,10 +190,22 @@ class TestCertificateFaultInjection:
             cf, "delete_nim_grundy", _patched(cf.delete_nim_grundy, {(4, 0): -1})  # right: 0
         )
         rep = vf.verify_proof_steps(8)
-        assert rep.mismatches == [
+        assert rep.mismatches == [("4,0", "a value >= 0", "4,0 has value -1")] + [
             (f"{x},{y}", "a constructed option with value 0", "option 4,0 has value -1")
             for x, y in [(5, 0), (5, 1), (5, 2), (5, 3), (5, 4), (5, 5), (6, 5), (8, 5)]
         ]
+
+    def test_proof_steps_negative_scalar_at_the_position(self, monkeypatch):
+        # (12, 4) is no constructed option, so its own check is the only
+        # one that can see the value; -1 has no bits below it for step (b)
+        monkeypatch.setattr(
+            cf, "delete_nim_grundy", _patched(cf.delete_nim_grundy, {(12, 4): -1})  # right: 0
+        )
+        assert vf.proof_step_failures(12, 4) == [("12,4", "a value >= 0", "12,4 has value -1")]
+        for bound in (12, 20):
+            assert vf.verify_proof_steps(bound).mismatches == [
+                ("12,4", "a value >= 0", "12,4 has value -1")
+            ]
 
     # Option faults are planted in the per-heap primitive on ``rulesets``,
     # which both the option sets and the sweeps read, so each one reaches
