@@ -13,6 +13,13 @@ engine move in ``play``, runs it only as far as the position's options lie
 and reads back just the two option diagonals (``option_values``).
 ``grundy_grid`` scatters it into a dense table; it is library API only, and
 no command or sweep builds one.
+
+``sum_values`` is the same recursion on the sum of two boards of one
+two-heap game: a move chooses a heap of either board, and so reaches one
+whole smaller anti-diagonal of that board.  It keeps one bitmask per (heap
+size, position of the other board) and does O(1) integer work per sum.  It
+takes no XOR; the sum-theorem sweep compares its values with the XOR of the
+component values itself.
 """
 
 from __future__ import annotations
@@ -37,6 +44,7 @@ __all__ = [
     "check_cells",
     "diagonals",
     "option_values",
+    "sum_values",
     "delete_nim_grid",
     "vdn_grid",
     "grundy_grid",
@@ -240,6 +248,58 @@ def _diagonals(lo: int, removed: int, bound: int) -> Iterator:
                 raise RuntimeError("grundy values exceed the dense backend's bitmask width")
             opened[s] = mask
         yield heaps[x_range][::-1], heaps[y_range], values
+
+
+def sum_values(rules: Ruleset, bound: int) -> Iterator:
+    """Grundy value of every sum g + h of two boards of the two-heap game
+    ``rules``, g and h canonical positions with lo <= y <= x <= bound, by mex
+    recursion on the sum graph.
+
+    Yields ``(g, h, value)`` once per ordered pair, g by anti-diagonal and h
+    by anti-diagonal within each g.  A move chooses one heap of g or of h,
+    and choosing a heap of s stones reaches the whole anti-diagonal
+    s - removed of that board, so
+
+        S[g, h] = mex(col[g.x][h] | col[g.y][h] | row[g][h.x] | row[g][h.y])
+
+    where ``col[s][h]`` is the bitmask of the values S[q, h] over the left
+    positions q that heap s reaches, and ``row[g][s]`` the same over right
+    positions.  Both are complete by the time they are read, and each new
+    value is OR-ed into one entry of each, so the work per sum is O(1)
+    integer operations and the memory is the O(bound**3) ``col`` masks.
+    No budget is charged here; the caller charges the sums it asks for.
+    """
+    if rules.name not in _MOVES:
+        raise ValueError(f"no dense backend for ruleset {rules.name!r}")
+    if bound < 0:
+        raise DomainError(f"bound must be >= 0, got {bound}")
+    return _sum_values(*_MOVES[rules.name], bound)
+
+
+def _sum_values(lo: int, removed: int, bound: int) -> Iterator:
+    comps = [
+        (t - y, y)
+        for t in range(2 * lo, 2 * bound + 1)
+        for y in range(max(lo, t - bound), t // 2 + 1)
+    ]
+    col = [[0] * len(comps) for _ in range(bound + 1)]
+    # each right position with its index, the two heaps where its row
+    # entries are read, and the heap whose choice reaches its diagonal
+    right = [(j, h, h[0], h[1], h[0] + h[1] + removed) for j, h in enumerate(comps)]
+    for g in comps:
+        gx, gy = g
+        reach_x, reach_y = col[gx], col[gy]
+        s = gx + gy + removed
+        # the heap that reaches g's diagonal; past the bound nothing reads it
+        opened = col[s] if s <= bound else [0] * len(comps)
+        row = [0] * (2 * bound + 2)
+        for j, h, hx, hy, hs in right:
+            m = reach_x[j] | reach_y[j] | row[hx] | row[hy]
+            value = (m ^ (m + 1)).bit_length() - 1  # the lowest clear bit of m
+            yield g, h, value
+            bit = 1 << value
+            row[hs] |= bit
+            opened[j] |= bit
 
 
 def _scatter(rules: Ruleset, bound: int, budget: int | None, fill: int) -> np.ndarray:

@@ -10,8 +10,9 @@ engine's anti-diagonals and hold O(bound) memory.  The certificate sweeps
 what choosing each heap reaches (``rulesets.*_heap_options``): they check
 each heap's moves once, keep O(bound) per-heap results, and do only O(1)
 work per position, plus a full per-option check where a heap's result
-fails.  Every check runs in the calling thread.  Mismatches are listed
-in canonical position order.
+fails.  The sum sweep takes the sum values from the engine's per-heap sum
+kernel and XORs the component values itself.  Every check runs in the
+calling thread.  Mismatches are listed in canonical position order.
 
 Mismatch convention: ``expected`` is the brute-force / oracle side,
 ``actual`` is the closed-form / theorem side.
@@ -28,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 from . import closed_forms, engine, isomorphism, rulesets
-from .errors import DomainError
+from .errors import BudgetExceededError, DomainError
 
 __all__ = [
     "VerificationReport",
@@ -306,23 +307,31 @@ def verify_sum_theorem(
 ) -> VerificationReport:
     """Direct mex recursion on Delete Nim sum graphs versus the XOR of the
     component values, for every ordered pair of canonical positions with
-    coordinates <= bound.  Both sides come from the generic engine on one
-    shared memo; each component's value is taken once."""
+    coordinates <= bound.  The component values come from the generic
+    engine, the sum values from the engine's sum kernel
+    (``engine.sum_values``); the XOR is taken here.
+
+    The budget counts positions as the generic engine's memo would hold
+    them: the T components, then the T**2 sums, charged before the kernel
+    runs."""
     if bound < 0:
         raise DomainError(f"bound must be >= 0, got {bound}")
     t0 = time.perf_counter()
     comps = [(x, y) for x in range(bound + 1) for y in range(x + 1)]
-    game = rulesets.make_sum(rulesets.DELETE_NIM, rulesets.DELETE_NIM)
     memo: engine.MemoTable = {}
-    values = [engine.grundy(c, rulesets.DELETE_NIM, memo, budget) for c in comps]
-    mismatches: list[Mismatch] = []
-    for g, g_value in zip(comps, values):
-        for h, h_value in zip(comps, values):
-            sum_value = engine.grundy((g, h), game, memo, budget)
-            if sum_value != g_value ^ h_value:
-                mismatches.append(
-                    (f"{g[0]},{g[1]}+{h[0]},{h[1]}", sum_value, g_value ^ h_value)
-                )
+    values = {c: engine.grundy(c, rulesets.DELETE_NIM, memo, budget) for c in comps}
+    # charged as the generic engine charges its memo, with its message
+    if budget is not None and len(memo) + len(comps) ** 2 > budget:
+        raise BudgetExceededError(
+            f"grundy computation exceeded the budget of {budget} positions"
+        )
+    found: list = []
+    for g, h, sum_value in engine.sum_values(rulesets.DELETE_NIM, bound):
+        if sum_value != values[g] ^ values[h]:
+            found.append((g, h, sum_value, values[g] ^ values[h]))
+    mismatches: list[Mismatch] = [
+        (f"{g[0]},{g[1]}+{h[0]},{h[1]}", s, x) for g, h, s, x in sorted(found)
+    ]
     return VerificationReport(
         "sum", bound, len(comps) ** 2, mismatches, time.perf_counter() - t0
     )
@@ -361,7 +370,7 @@ DEFAULT_BOUNDS: dict = {
     "delete-nim": 4096,
     "vdn": 256,
     "bouton": (3, 16),
-    "sum": 12,
+    "sum": 32,
     "proof-steps": 1024,
     "iso": 1024,
 }

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 import time
@@ -28,6 +29,26 @@ def run_cli(*args, stdin=""):
         text=True,
         timeout=120,
     )
+
+
+def run_cli_peak_rss(*args, timeout=300):
+    """Run the CLI from an intermediate interpreter, so that RUSAGE_CHILDREN
+    sees only it, not children earlier tests started.  Returns (exit code,
+    peak RSS in KiB, stdout); stdin is closed."""
+    probe = (
+        "import resource, subprocess, sys\n"
+        f"r = subprocess.run([sys.executable, '-m', 'impartial', *{list(args)!r}],"
+        f" stdin=subprocess.DEVNULL, capture_output=True, text=True, timeout={timeout})\n"
+        "rss = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss\n"
+        "print(r.returncode, rss // 1024 if sys.platform == 'darwin' else rss)\n"
+        "sys.stdout.write(r.stdout)\n"
+    )
+    r = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=timeout + 60
+    )
+    head, _, out = r.stdout.partition("\n")
+    code, rss_kib = (int(v) for v in head.split())
+    return code, rss_kib, out
 
 
 class TestGrundyCommand:
@@ -188,19 +209,11 @@ class TestTableCommand:
 
     def test_table_memory_is_linear_in_bound(self):
         # 1.4 million records: a grid, a row list and a record list of them
-        # peak above 500 MB.  The table is written from an intermediate
-        # interpreter so that RUSAGE_CHILDREN sees only it.
-        probe = (
-            "import os, resource, subprocess, sys\n"
-            "r = subprocess.run([sys.executable, '-m', 'impartial', 'table', '--game',"
-            " 'delete-nim', '--bound', '1200', '--format', 'json', '--output', os.devnull])\n"
-            "rss = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss\n"
-            "print(r.returncode, rss // 1024 if sys.platform == 'darwin' else rss)\n"
+        # peak above 500 MB
+        code, rss_kib, _ = run_cli_peak_rss(
+            "table", "--game", "delete-nim", "--bound", "1200", "--format", "json",
+            "--output", os.devnull,
         )
-        r = subprocess.run(
-            [sys.executable, "-c", probe], capture_output=True, text=True, timeout=300
-        )
-        code, rss_kib = (int(v) for v in r.stdout.split())
         assert code == 0
         assert rss_kib < 100 * 1024
 
@@ -369,23 +382,10 @@ class TestVerifyCommand:
         assert out.err == error
 
     def test_stretch_sweep_memory_is_linear_in_bound(self):
-        # A full (bound+1)^2 grid pair at this bound peaks above 2 GB.  The
-        # sweep runs in an intermediate interpreter so that RUSAGE_CHILDREN
-        # sees only it, not children earlier tests started.
-        probe = (
-            "import resource, subprocess, sys\n"
-            "r = subprocess.run([sys.executable, '-m', 'impartial', 'verify', '--check',"
-            " 'delete-nim', '--bound-delete-nim', '8191', '--format', 'json'],"
-            " capture_output=True, text=True)\n"
-            "rss = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss\n"
-            "print(r.returncode, rss // 1024 if sys.platform == 'darwin' else rss)\n"
-            "sys.stdout.write(r.stdout)\n"
+        # A full (bound+1)^2 grid pair at this bound peaks above 2 GB.
+        code, rss_kib, report = run_cli_peak_rss(
+            "verify", "--check", "delete-nim", "--bound-delete-nim", "8191", "--format", "json"
         )
-        r = subprocess.run(
-            [sys.executable, "-c", probe], capture_output=True, text=True, timeout=300
-        )
-        head, _, report = r.stdout.partition("\n")
-        code, rss_kib = (int(v) for v in head.split())
         assert code == 0
         assert rss_kib < 150 * 1024
         [record] = json.loads(report)
@@ -395,20 +395,10 @@ class TestVerifyCommand:
     def test_certificate_sweeps_memory_is_linear_in_bound(self):
         # Keeping every heap's option set in both sweeps peaks near 360 MB at
         # this bound, and one option set per position takes minutes.
-        probe = (
-            "import resource, subprocess, sys\n"
-            "r = subprocess.run([sys.executable, '-m', 'impartial', 'verify', '--check',"
-            " 'proof-steps', '--check', 'iso', '--bound', '2048', '--format', 'json'],"
-            " capture_output=True, text=True)\n"
-            "rss = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss\n"
-            "print(r.returncode, rss // 1024 if sys.platform == 'darwin' else rss)\n"
-            "sys.stdout.write(r.stdout)\n"
+        code, rss_kib, report = run_cli_peak_rss(
+            "verify", "--check", "proof-steps", "--check", "iso", "--bound", "2048",
+            "--format", "json",
         )
-        r = subprocess.run(
-            [sys.executable, "-c", probe], capture_output=True, text=True, timeout=300
-        )
-        head, _, report = r.stdout.partition("\n")
-        code, rss_kib = (int(v) for v in head.split())
         assert code == 0
         assert rss_kib < 150 * 1024
         records = json.loads(report)
@@ -416,6 +406,37 @@ class TestVerifyCommand:
             ("proof-steps", 2049 * 2050 // 2, True),
             ("iso", 2048 * 2049 // 2, True),
         ]
+
+    def test_sum_budget_threshold(self, capsys):
+        # the generic engine on the sum graph memoizes T components and then
+        # T**2 sums, so the sweep is over budget exactly below T + T**2
+        for bound in range(13):
+            t = (bound + 1) * (bound + 2) // 2
+            argv = ["verify", "--check", "sum", "--bound-sum", str(bound), "--budget"]
+            assert cli.main(argv + [str(t + t * t - 1)]) == 4
+            out = capsys.readouterr()
+            assert out.out == "0/0 checks passed\n"
+            assert out.err == (
+                f"error: grundy computation exceeded the budget of {t + t * t - 1} positions\n"
+            )
+            assert cli.main(argv + [str(t + t * t)]) == 0
+            out = capsys.readouterr()
+            assert out.out.startswith(
+                f"[PASS] sum: bound={bound} checked={t * t} mismatches=0 "
+            )
+            assert out.err == ""
+
+    def test_sum_sweep_memory(self):
+        # 741 k sums.  The generic engine memoizes every one: at bound 32
+        # (315 k sums) it took 18 s and peaked at 116 MB.  The sum kernel
+        # keeps O(bound**3) masks.
+        code, rss_kib, report = run_cli_peak_rss(
+            "verify", "--check", "sum", "--bound-sum", "40", "--format", "json", timeout=60
+        )
+        assert code == 0
+        assert rss_kib < 60 * 1024
+        [record] = json.loads(report)
+        assert (record["checked"], record["passed"]) == ((41 * 42 // 2) ** 2, True)
 
     def test_mismatch_exits_1(self, monkeypatch, capsys):
         failing = verification.VerificationReport("vdn", 4, 10, [("2,1", 1, 9)], 0.0)
@@ -524,20 +545,9 @@ class TestPlayCommand:
     def test_play_memory_is_linear_in_heap(self):
         # a full grid to 8000 peaks near 280 MB; the kernel up to the
         # engine's options needs O(heap) memory
-        probe = (
-            "import resource, subprocess, sys\n"
-            "r = subprocess.run([sys.executable, '-m', 'impartial', 'play', '--game',"
-            " 'delete-nim', '--position', '8000,7', '--first', 'engine'],"
-            " stdin=subprocess.DEVNULL, capture_output=True, text=True)\n"
-            "rss = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss\n"
-            "print(r.returncode, rss // 1024 if sys.platform == 'darwin' else rss)\n"
-            "sys.stdout.write(r.stdout)\n"
+        code, rss_kib, transcript = run_cli_peak_rss(
+            "play", "--game", "delete-nim", "--position", "8000,7", "--first", "engine"
         )
-        r = subprocess.run(
-            [sys.executable, "-c", probe], capture_output=True, text=True, timeout=300
-        )
-        head, _, transcript = r.stdout.partition("\n")
-        code, rss_kib = (int(v) for v in head.split())
         assert code == 130
         assert rss_kib < 100 * 1024
         assert transcript.startswith("position: 8000,7\nengine plays ")

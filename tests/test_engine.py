@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from impartial import closed_forms as cf
 from impartial import engine
 from impartial import rulesets as rs
-from impartial.errors import BudgetExceededError
+from impartial.errors import BudgetExceededError, DomainError
 from reference import ref_delete_grundy, ref_nim_grundy, ref_vdn_grundy
 
 
@@ -176,6 +176,29 @@ class TestSumCheck:
         right = engine.grundy((2, 1), rs.VDN, memo)
         assert left ^ right == 2 ^ 1
         assert engine.grundy(((3, 2), (2, 1)), game, memo) == left ^ right
+
+
+class TestSumValues:
+    # pinned against the generic engine on the sum graph, as diagonals is
+    @pytest.mark.parametrize("rules", [rs.DELETE_NIM, rs.VDN], ids=lambda r: r.name)
+    def test_matches_generic_engine(self, rules):
+        game = rs.make_sum(rules, rules)
+        memo = {}
+        lo = 0 if rules is rs.DELETE_NIM else 1
+        for bound in range(9):
+            comps = [(x, y) for x in range(lo, bound + 1) for y in range(lo, x + 1)]
+            seen = Counter()
+            for g, h, value in engine.sum_values(rules, bound):
+                seen[g, h] += 1
+                assert value == engine.grundy((g, h), game, memo)
+            assert set(seen) == {(g, h) for g in comps for h in comps}
+            assert sum(seen.values()) == len(comps) ** 2
+
+    def test_refused_inputs(self):
+        with pytest.raises(ValueError):
+            engine.sum_values(rs.NIM, 4)
+        with pytest.raises(DomainError):
+            engine.sum_values(rs.DELETE_NIM, -1)
 
 
 class TestDenseGrids:

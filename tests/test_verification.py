@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from math import comb
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from impartial import closed_forms as cf
-from impartial import isomorphism, rulesets
+from impartial import engine, isomorphism, rulesets
 from impartial import verification as vf
 from impartial.errors import BudgetExceededError
 from reference import ref_delete_grundy, ref_vdn_grundy
@@ -95,16 +96,26 @@ class TestFaultInjection:
 
     def test_sum_dropped_option(self, monkeypatch):
         # without its value-1 option (2,0)+(1,1), the sum (3,0)+(1,1) gets
-        # mex {0, 2} = 1 instead of 2 ^ 1, and every sum above it can change
-        right = rulesets.sum_options
+        # mex {0, 2} = 1 instead of 2 ^ 1, and every sum above it can change.
+        # The sum kernel is replaced by the generic engine on that faulty
+        # graph, in the kernel's own pair order.
+        right = engine.sum_values
 
-        def wrong(p, left, right_rules):
-            opts = right(p, left, right_rules)
-            if p == ((3, 0), (1, 1)):
-                opts.discard(((2, 0), (1, 1)))
-            return opts
+        def wrong(rules, bound):
+            game = rulesets.make_sum(rules, rules)
 
-        monkeypatch.setattr(rulesets, "sum_options", wrong)
+            def options(p):
+                opts = game.options(p)
+                if p == ((3, 0), (1, 1)):
+                    opts.discard(((2, 0), (1, 1)))
+                return opts
+
+            faulty = dataclasses.replace(game, options=options)
+            memo = {}
+            for g, h, _ in right(rules, bound):
+                yield g, h, engine.grundy((g, h), faulty, memo)
+
+        monkeypatch.setattr(engine, "sum_values", wrong)
         rep = vf.verify_sum_theorem(6)
         assert rep.positions_checked == triangle(6) ** 2
         assert len(rep.mismatches) == 81
