@@ -1,8 +1,9 @@
 """Sprague-Grundy analysis of Delete Nim, VDN and Nim.
 
-Closed-form Grundy values, a generic memoized mex engine, a dense grid
-backend, the VDN/Delete Nim isomorphism, and exhaustive verification sweeps
-that compare the formulas against brute force on bounded domains.
+Closed-form Grundy values, a generic memoized mex engine, a streaming
+anti-diagonal backend for the two-heap games, the VDN/Delete Nim
+isomorphism, and exhaustive verification sweeps that compare the formulas
+against brute force on bounded domains.
 """
 
 from .closed_forms import (

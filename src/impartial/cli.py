@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 
@@ -38,13 +37,9 @@ EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a writer kille
 # stay comfortably inside.
 DEFAULT_BUDGET = 1 << 26
 
-# The single-bound checks, in CHECK_NAMES order, and their config file keys;
-# each also has a --bound-<name> flag.  bouton takes --heaps/--size instead.
-CONFIG_KEYS = {
-    name: name.replace("-", "_") + "_bound"
-    for name in verification.CHECK_NAMES
-    if name != "bouton"
-}
+# The single-bound checks, in CHECK_NAMES order; each has a --bound-<name>
+# flag.  bouton takes --heaps/--size instead.
+SINGLE_BOUND_CHECKS = [name for name in verification.CHECK_NAMES if name != "bouton"]
 
 
 def _closed_form_value(game: str, pos) -> int:
@@ -150,52 +145,28 @@ def cmd_table(args) -> int:
 def cmd_best_move(args) -> int:
     rules = RULESETS[args.game]
     pos = parse_position(rules, args.position)
+    # charged before the options are listed, which for a large heap is the work
+    value_fn = _value_fn(args.game, pos, args.budget)
     if not rules.options(pos):
         print("P-position (terminal)")
         return EXIT_OK
-    value_fn = _value_fn(args.game, pos, args.budget)
     move = engine.best_move(pos, rules, budget=args.budget, value_fn=value_fn)
     print("P-position" if move is None else format_position(rules, move))
     return EXIT_OK
 
 
 def _verify_bounds(args) -> dict:
-    """Merge bound sources: builtin < config file < --bound < per-check flag."""
+    """Merge bound sources: builtin < --bound < per-check flag."""
     bounds = dict(verification.DEFAULT_BOUNDS)
-    if args.config:
-        try:
-            with open(args.config) as fh:
-                cfg = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ParseError(f"cannot read config {args.config!r}: {exc}") from exc
-        if not isinstance(cfg, dict):
-            raise ParseError(f"config {args.config!r} must be a JSON object")
-
-        def setting(key: str, default: int) -> int:
-            value = cfg.get(key, default)
-            if type(value) is not int:  # JSON true/false are bools, not bounds
-                raise ParseError(
-                    f"config {args.config!r}: {key} must be an integer, got {json.dumps(value)}"
-                )
-            return value
-
-        for name, key in CONFIG_KEYS.items():
-            bounds[name] = setting(key, bounds[name])
-        heaps, size = bounds["bouton"]
-        bounds["bouton"] = (setting("bouton_heaps", heaps), setting("bouton_size", size))
-    if args.bound is not None:
-        for name in CONFIG_KEYS:
-            bounds[name] = args.bound
-    for name in CONFIG_KEYS:
-        value = getattr(args, "bound_" + name.replace("-", "_"))
-        if value is not None:
-            bounds[name] = value
-    if args.heaps is not None or args.size is not None:
-        heaps, size = bounds["bouton"]
-        bounds["bouton"] = (
-            args.heaps if args.heaps is not None else heaps,
-            args.size if args.size is not None else size,
-        )
+    for name in SINGLE_BOUND_CHECKS:
+        for value in (args.bound, getattr(args, "bound_" + name.replace("-", "_"))):
+            if value is not None:
+                bounds[name] = value
+    heaps, size = bounds["bouton"]
+    bounds["bouton"] = (
+        args.heaps if args.heaps is not None else heaps,
+        args.size if args.size is not None else size,
+    )
     return bounds
 
 
@@ -303,13 +274,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--all", action="store_true", help="run every check (the default)")
     p.add_argument("--check", action="append", choices=verification.CHECK_NAMES)
     p.add_argument("--bound", type=int, help="bound for every selected single-bound check")
-    for name in CONFIG_KEYS:
+    for name in SINGLE_BOUND_CHECKS:
         p.add_argument(f"--bound-{name}", type=int)
     p.add_argument("--heaps", type=int, help="max heap count for the bouton check")
     p.add_argument("--size", type=int, help="max heap size for the bouton check")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument("--format", choices=["text", "json"], default="text")
-    p.add_argument("--config", help="JSON file with default bounds")
 
     p = sub.add_parser("play", help="interactive game against the engine")
     add_common(p, sorted(RULESETS))

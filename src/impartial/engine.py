@@ -157,10 +157,9 @@ def best_move(
 
 # --- dense backend -----------------------------------------------------------
 #
-# The sweeps over two-heap grids dominate runtime, and the option set of a
-# two-heap position is a union of whole anti-diagonals: choosing a heap of s
-# stones reaches exactly the canonical pairs (a, b) with a + b == s - removed
-# and both heaps at least lo, where
+# The option set of a two-heap position is a union of whole anti-diagonals:
+# choosing a heap of s stones reaches exactly the canonical pairs (a, b) with
+# a + b == s - removed and both heaps at least lo, where
 #
 #   Delete Nim: (lo, removed) = (0, 1)   one stone goes, either part may be empty
 #   VDN:        (lo, removed) = (1, 0)   no stone goes, both parts nonempty

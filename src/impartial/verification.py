@@ -12,7 +12,11 @@ each heap's moves once, keep O(bound) per-heap results, and do only O(1)
 work per position, plus a full per-option check where a heap's result
 fails.  The sum sweep takes the sum values from the engine's per-heap sum
 kernel and XORs the component values itself.  Every check runs in the
-calling thread.  Mismatches are listed in canonical position order.
+calling thread.  Mismatches are listed in row-major position order (iso
+lists its option-set ones before its Grundy ones), except bouton's, which
+keep the order of its enumeration: by heap count, then as
+``combinations_with_replacement`` yields the heap sizes, so ``4,3,1`` comes
+before ``2,2,2``.
 
 Mismatch convention: ``expected`` is the brute-force / oracle side,
 ``actual`` is the closed-form / theorem side.
@@ -312,19 +316,18 @@ def verify_sum_theorem(
     (``engine.sum_values``); the XOR is taken here.
 
     The budget counts positions as the generic engine's memo would hold
-    them: the T components, then the T**2 sums, charged before the kernel
-    runs."""
+    them, the T components and then the T**2 sums, and is charged before
+    any work, with the generic engine's message."""
     if bound < 0:
         raise DomainError(f"bound must be >= 0, got {bound}")
     t0 = time.perf_counter()
     comps = [(x, y) for x in range(bound + 1) for y in range(x + 1)]
-    memo: engine.MemoTable = {}
-    values = {c: engine.grundy(c, rulesets.DELETE_NIM, memo, budget) for c in comps}
-    # charged as the generic engine charges its memo, with its message
-    if budget is not None and len(memo) + len(comps) ** 2 > budget:
+    if budget is not None and len(comps) + len(comps) ** 2 > budget:
         raise BudgetExceededError(
             f"grundy computation exceeded the budget of {budget} positions"
         )
+    memo: engine.MemoTable = {}
+    values = {c: engine.grundy(c, rulesets.DELETE_NIM, memo) for c in comps}
     found: list = []
     for g, h, sum_value in engine.sum_values(rulesets.DELETE_NIM, bound):
         if sum_value != values[g] ^ values[h]:

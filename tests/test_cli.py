@@ -233,6 +233,16 @@ class TestBestMoveCommand:
         assert r.returncode == 0
         assert r.stdout == expected
 
+    def test_refusal_lists_no_options(self):
+        # a million options of 1000000,1 peak near 105 MB; the budget refuses
+        # the query before they are listed
+        code, rss_kib, out = run_cli_peak_rss(
+            "best-move", "--game", "delete-nim", "--position", "1000000,1", timeout=60
+        )
+        assert code == 4
+        assert out == ""
+        assert rss_kib < 60 * 1024
+
     def test_nim(self):
         r = run_cli("best-move", "--game", "nim", "--position", "4,5,6")
         move = tuple(int(t) for t in r.stdout.strip().split(","))
@@ -268,11 +278,22 @@ def test_two_heap_queries_match_reference(game, lo, ref_grundy, ref_options, cap
 @pytest.mark.parametrize("game", ["delete-nim", "vdn"])
 @pytest.mark.parametrize("command", ["grundy", "best-move"])
 def test_two_heap_query_budget_is_the_full_grid(command, game, capsys):
-    # a two-heap query is charged (max + 1)**2 cells before any work: 51**2 here
+    # a two-heap query is charged (max + 1)**2 cells before any work: 51**2
+    # here, and (terminal + 1)**2 at the terminal position
     argv = [command, "--game", game, "--position", "50,3", "--budget"]
     assert cli.main(argv + ["2600"]) == 4
     assert "2601 cells" in capsys.readouterr().err
     assert cli.main(argv + ["2601"]) == 0
+    capsys.readouterr()
+    terminal = 0 if game == "delete-nim" else 1
+    cells = (terminal + 1) ** 2
+    argv = [command, "--game", game, "--position", f"{terminal},{terminal}", "--budget"]
+    assert cli.main(argv + [str(cells - 1)]) == 4
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == (
+        f"error: dense sweep to bound {terminal} needs {cells} cells, budget is {cells - 1}\n"
+    )
 
 
 class TestVerifyCommand:
@@ -299,25 +320,12 @@ class TestVerifyCommand:
         assert data[0]["bound"] == 16
         assert data[3]["bound"] == 4  # sum kept its dedicated flag
 
-    def test_bound_precedence(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"vdn_bound": 20, "iso_bound": 20}))
+    def test_bound_precedence(self):
         r = run_cli(
-            "verify", "--check", "vdn", "--check", "iso",
-            "--config", str(cfg), "--bound", "24", "--bound-iso", "8",
+            "verify", "--check", "vdn", "--check", "iso", "--bound", "24", "--bound-iso", "8",
         )
-        assert "vdn: bound=24" in r.stdout  # --bound beats config
+        assert "vdn: bound=24" in r.stdout  # --bound beats the default
         assert "iso: bound=8" in r.stdout  # per-check flag beats --bound
-
-    def test_config_alone(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"vdn_bound": 20}))
-        r = run_cli("verify", "--check", "vdn", "--config", str(cfg))
-        assert "bound=20" in r.stdout
-
-    def test_missing_config_is_usage_error(self):
-        r = run_cli("verify", "--check", "vdn", "--config", "/no/such/file.json")
-        assert r.returncode == 2
 
     def test_budget_exhaustion_exits_4(self):
         r = run_cli("verify", "--check", "delete-nim", "--budget", "100")
@@ -335,16 +343,10 @@ class TestVerifyCommand:
         assert cli.main(["verify", "--check", "vdn", "--workers", "2"]) == 2
         assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
 
-    @pytest.mark.parametrize(
-        "document", ['{"vdn_bound": "abc"}', '{"bouton_heaps": null}', "[1, 2]"]
-    )
-    def test_bad_config_is_usage_error(self, document, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(document)
-        assert cli.main(["verify", "--check", "vdn", "--config", str(cfg)]) == 2
-        out = capsys.readouterr()
-        assert out.out == ""
-        assert out.err.startswith("error: config ")
+    def test_config_flag_rejected(self, capsys):
+        # every bound has its own flag; there is no bound file
+        assert cli.main(["verify", "--check", "vdn", "--config", "cfg.json"]) == 2
+        assert "unrecognized arguments: --config cfg.json" in capsys.readouterr().err
 
     def test_domain_error_keeps_finished_reports(self, capsys):
         # vdn refuses bound 0 after delete-nim at 0 has run and passed
@@ -413,12 +415,13 @@ class TestVerifyCommand:
         for bound in range(13):
             t = (bound + 1) * (bound + 2) // 2
             argv = ["verify", "--check", "sum", "--bound-sum", str(bound), "--budget"]
-            assert cli.main(argv + [str(t + t * t - 1)]) == 4
-            out = capsys.readouterr()
-            assert out.out == "0/0 checks passed\n"
-            assert out.err == (
-                f"error: grundy computation exceeded the budget of {t + t * t - 1} positions\n"
-            )
+            for budget in (0, t - 1, t + t * t - 1):
+                assert cli.main(argv + [str(budget)]) == 4
+                out = capsys.readouterr()
+                assert out.out == "0/0 checks passed\n"
+                assert out.err == (
+                    f"error: grundy computation exceeded the budget of {budget} positions\n"
+                )
             assert cli.main(argv + [str(t + t * t)]) == 0
             out = capsys.readouterr()
             assert out.out.startswith(

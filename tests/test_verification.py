@@ -128,6 +128,31 @@ class TestFaultInjection:
         ]
         assert keys == sorted(keys)
 
+    # bouton lists mismatches in the order it enumerates positions, by heap
+    # count and then as combinations_with_replacement yields the heap
+    # sizes, so 4,3,1 comes before 2,2,2
+    def test_bouton_wrong_criterion(self, monkeypatch):
+        right = cf.bouton_is_p
+        monkeypatch.setattr(cf, "bouton_is_p", lambda p: right(p) != (p in {(), (3, 2, 1)}))
+        assert vf.verify_bouton(3, 4).mismatches == [("0", "P", "N"), ("3,2,1", "P", "N")]
+
+    def test_bouton_illegal_extra_option(self, monkeypatch):
+        # the illegal option () of (1, 1) has value 0, so the engine calls
+        # (1, 1) an N-position, and values above it shift
+        game = rulesets.NIM
+
+        def options(p):
+            opts = game.options(p)
+            if p == (1, 1):
+                opts.add(())
+            return opts
+
+        monkeypatch.setattr(rulesets, "NIM", dataclasses.replace(game, options=options))
+        assert vf.verify_bouton(3, 4).mismatches == [
+            ("1,1", "N", "P"), ("2,1", "P", "N"), ("2,2", "N", "P"), ("1,1,1", "P", "N"),
+            ("3,2,1", "N", "P"), ("4,3,1", "P", "N"), ("2,2,2", "P", "N"),
+        ]
+
 
 def _patched(right, cells):
     """``right`` except at the argument tuples ``cells`` maps to a result."""
