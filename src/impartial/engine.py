@@ -116,14 +116,9 @@ class Outcome(enum.Enum):
     N = "N"
 
 
-def classify(
-    pos,
-    rules: Ruleset,
-    memo: MemoTable | None = None,
-    budget: int | None = None,
-) -> Outcome:
+def classify(pos, rules: Ruleset, memo: MemoTable | None = None) -> Outcome:
     """P-position iff the Grundy value is 0."""
-    return Outcome.P if grundy(pos, rules, memo, budget) == 0 else Outcome.N
+    return Outcome.P if grundy(pos, rules, memo) == 0 else Outcome.N
 
 
 def best_move(

@@ -10,6 +10,7 @@ of canonical positions.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -190,18 +191,23 @@ def make_sum(left: Ruleset, right: Ruleset) -> Ruleset:
     return Ruleset(f"{left.name}+{right.name}", _canonical, _options, _validate)
 
 
+_HEAP_TEXT = re.compile(r"-?[0-9]+")
+
+
 def parse_position(rules: Ruleset, text: str):
     """Parse the shared text syntax: two-heap games as ``x,y``, Nim as a
-    comma-separated heap list.  Whitespace around commas is ignored.
+    comma-separated heap list.  Whitespace around commas is ignored; each
+    heap is ASCII digits with an optional leading minus (so no ``1_0``,
+    ``+3`` or fullwidth digits, which ``int`` would accept).
     Returns the canonical position; raises ParseError / DomainError."""
     if rules.name not in RULESETS:
         raise ParseError(f"no text syntax for ruleset {rules.name!r}")
     parts = [s.strip() for s in text.split(",")]
-    if any(not s for s in parts):
+    if not all(_HEAP_TEXT.fullmatch(s) for s in parts):
         raise ParseError(f"malformed position {text!r}")
     try:
         values = tuple(int(s) for s in parts)
-    except ValueError as exc:
+    except ValueError as exc:  # more digits than int() converts
         raise ParseError(f"malformed position {text!r}") from exc
     if rules.name in ("delete-nim", "vdn") and len(values) != 2:
         raise ParseError(f"{rules.name} positions are pairs x,y, got {text!r}")

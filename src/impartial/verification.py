@@ -11,10 +11,15 @@ what choosing each heap reaches (``rulesets.*_heap_options``): they check
 each heap's moves once, keep O(bound) per-heap results, and do only O(1)
 work per position, plus a full per-option check where a heap's result
 fails.  The sum sweep takes the sum values from the engine's per-heap sum
-kernel and XORs the component values itself.  Every check runs in the
-calling thread.  Mismatches are listed in row-major position order (iso
-lists its option-set ones before its Grundy ones), except bouton's, which
-keep the order of its enumeration: by heap count, then as
+kernel and XORs the component values itself.  Every sweep charges its
+budget from an arithmetic count before it builds anything: the
+(bound+1)**2 grid cells for the two-heap and certificate sweeps, positions
+for sum and bouton (bouton's counted, not listed), so none passes a budget
+into the generic engine.  Every check runs in the calling thread.
+
+Mismatches are listed in row-major position order (iso lists its
+option-set ones before its Grundy ones), except bouton's, which keep the
+order of its enumeration: by heap count, then as
 ``combinations_with_replacement`` yields the heap sizes, so ``4,3,1`` comes
 before ``2,2,2``.
 
@@ -28,6 +33,7 @@ import json
 import time
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
+from math import comb
 from typing import Callable
 
 import numpy as np
@@ -117,6 +123,14 @@ def _as_mismatches(found: list) -> list[Mismatch]:
     return [(f"{x},{y}", e, a) for x, y, e, a in sorted(found)]
 
 
+def _charge_positions(count: int, budget: int | None) -> None:
+    """Refuse ``count`` positions over ``budget`` with the generic engine's message."""
+    if budget is not None and count > budget:
+        raise BudgetExceededError(
+            f"grundy computation exceeded the budget of {budget} positions"
+        )
+
+
 def _verify_two_heap(
     name: str, rules: rulesets.Ruleset, formula: Callable, bound: int, budget: int | None
 ) -> VerificationReport:
@@ -157,35 +171,26 @@ def verify_bouton(
 ) -> VerificationReport:
     """Engine P/N classification versus the nim-sum criterion for every Nim
     position with at most ``max_heaps`` heaps, each of at most ``max_size``
-    stones."""
+    stones.  The budget is charged, before any work, the positions the shared
+    memo ends up holding: the multisets of at most max_heaps sizes from
+    1..max_size, counted as comb(max_size + max_heaps, max_heaps)."""
     if max_heaps < 1 or max_size < 0:
         raise DomainError(f"need max_heaps >= 1 and max_size >= 0, got ({max_heaps}, {max_size})")
+    count = comb(max_size + max_heaps, max_heaps)
+    _charge_positions(count, budget)
     t0 = time.perf_counter()
-    positions: list[tuple[int, ...]] = [()]
-    for k in range(1, max_heaps + 1):
-        positions.extend(
-            tuple(sorted(c, reverse=True))
-            for c in combinations_with_replacement(range(1, max_size + 1), k)
-        )
     memo: engine.MemoTable = {}
     mismatches: list[Mismatch] = []
-    for p in positions:
-        eng_p = engine.classify(p, rulesets.NIM, memo=memo, budget=budget)
-        formula_p = closed_forms.bouton_is_p(p)
-        if (eng_p is engine.Outcome.P) != formula_p:
-            mismatches.append(
-                (
-                    rulesets.format_position(rulesets.NIM, p),
-                    eng_p.value,
-                    "P" if formula_p else "N",
-                )
-            )
+    for k in range(max_heaps + 1):
+        for c in combinations_with_replacement(range(1, max_size + 1), k):
+            p = c[::-1]  # canonical: descending
+            eng_p = engine.classify(p, rulesets.NIM, memo=memo)
+            formula_p = closed_forms.bouton_is_p(p)
+            if (eng_p is engine.Outcome.P) != formula_p:
+                position = rulesets.format_position(rulesets.NIM, p)
+                mismatches.append((position, eng_p.value, "P" if formula_p else "N"))
     return VerificationReport(
-        "bouton",
-        (max_heaps, max_size),
-        len(positions),
-        mismatches,
-        time.perf_counter() - t0,
+        "bouton", (max_heaps, max_size), count, mismatches, time.perf_counter() - t0
     )
 
 
@@ -320,12 +325,10 @@ def verify_sum_theorem(
     any work, with the generic engine's message."""
     if bound < 0:
         raise DomainError(f"bound must be >= 0, got {bound}")
+    t = (bound + 1) * (bound + 2) // 2
+    _charge_positions(t + t * t, budget)
     t0 = time.perf_counter()
     comps = [(x, y) for x in range(bound + 1) for y in range(x + 1)]
-    if budget is not None and len(comps) + len(comps) ** 2 > budget:
-        raise BudgetExceededError(
-            f"grundy computation exceeded the budget of {budget} positions"
-        )
     memo: engine.MemoTable = {}
     values = {c: engine.grundy(c, rulesets.DELETE_NIM, memo) for c in comps}
     found: list = []
@@ -335,9 +338,7 @@ def verify_sum_theorem(
     mismatches: list[Mismatch] = [
         (f"{g[0]},{g[1]}+{h[0]},{h[1]}", s, x) for g, h, s, x in sorted(found)
     ]
-    return VerificationReport(
-        "sum", bound, len(comps) ** 2, mismatches, time.perf_counter() - t0
-    )
+    return VerificationReport("sum", bound, t * t, mismatches, time.perf_counter() - t0)
 
 
 def verify_isomorphism(
@@ -365,38 +366,28 @@ def verify_isomorphism(
     )
 
 
-CHECK_NAMES = ["delete-nim", "vdn", "bouton", "sum", "proof-steps", "iso"]
-
-# Each default completes in seconds on commodity hardware via the dense
-# backend; the delete-nim sweep is the acceptance-scale one.
-DEFAULT_BOUNDS: dict = {
-    "delete-nim": 4096,
-    "vdn": 256,
-    "bouton": (3, 16),
-    "sum": 32,
-    "proof-steps": 1024,
-    "iso": 1024,
+# Every check, in report order, with its default bound; bouton's bound is
+# its (max heaps, max size) pair.  Each default completes in seconds on
+# commodity hardware; the delete-nim sweep is the acceptance-scale one.
+_CHECKS: dict[str, tuple[Callable, object]] = {
+    "delete-nim": (verify_delete_nim_formula, 4096),
+    "vdn": (verify_vdn_formula, 256),
+    "bouton": (lambda bound, budget: verify_bouton(*bound, budget), (3, 16)),
+    "sum": (verify_sum_theorem, 32),
+    "proof-steps": (verify_proof_steps, 1024),
+    "iso": (verify_isomorphism, 1024),
 }
+
+CHECK_NAMES = list(_CHECKS)
+DEFAULT_BOUNDS: dict = {name: bound for name, (_, bound) in _CHECKS.items()}
 
 
 def run_check(name: str, bound=None, budget: int | None = None) -> VerificationReport:
     """Run one named check at ``bound`` (defaults per DEFAULT_BOUNDS)."""
-    if name not in CHECK_NAMES:
+    if name not in _CHECKS:
         raise ValueError(f"unknown check {name!r}; expected one of {CHECK_NAMES}")
-    if bound is None:
-        bound = DEFAULT_BOUNDS[name]
-    if name == "delete-nim":
-        return verify_delete_nim_formula(bound, budget=budget)
-    if name == "vdn":
-        return verify_vdn_formula(bound, budget=budget)
-    if name == "bouton":
-        heaps, size = bound
-        return verify_bouton(heaps, size, budget=budget)
-    if name == "sum":
-        return verify_sum_theorem(bound, budget=budget)
-    if name == "proof-steps":
-        return verify_proof_steps(bound, budget=budget)
-    return verify_isomorphism(bound, budget=budget)
+    check, default = _CHECKS[name]
+    return check(default if bound is None else bound, budget)
 
 
 def run_all(bounds: dict | None = None, budget: int | None = None) -> list[VerificationReport]:

@@ -72,6 +72,18 @@ class TestGrundyCommand:
         r = run_cli("grundy", "--game", "delete-nim", "--position", "3;2")
         assert r.returncode == 2
 
+    # int() reads all three, as 10,2 and 3,2 and 3,2
+    @pytest.mark.parametrize("text", ["1_0,2", "\uff13,\uff12", "+3,2"])
+    def test_only_ascii_digits_parse(self, text, capsys):
+        assert cli.main(["grundy", "--game", "delete-nim", "--position", text]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"error: malformed position {text!r}\n"
+
+    def test_whitespace_around_commas(self, capsys):
+        assert cli.main(["grundy", "--game", "delete-nim", "--position", " 3 , 2 "]) == 0
+        assert capsys.readouterr().out == "closed-form: 2\nengine: 2\noutcome: N\n"
+
     def test_disagreement_exits_3(self, monkeypatch, capsys):
         monkeypatch.setattr(cli.closed_forms, "delete_nim_grundy", lambda x, y: 99)
         code = cli.main(["grundy", "--game", "delete-nim", "--position", "3,2"])
@@ -441,6 +453,21 @@ class TestVerifyCommand:
         [record] = json.loads(report)
         assert (record["checked"], record["passed"]) == ((41 * 42 // 2) ** 2, True)
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            # 12 M positions: listing them ran past 90 s and 1.1 GB
+            ["--check", "bouton", "--heaps", "4", "--size", "128", "--budget", "1000000"],
+            # 4.5 M components: listing them peaked at 454 MB
+            ["--check", "sum", "--bound-sum", "3000"],
+        ],
+    )
+    def test_refusal_builds_nothing(self, args):
+        code, rss_kib, out = run_cli_peak_rss("verify", *args, timeout=30)
+        assert code == 4
+        assert out == "0/0 checks passed\n"
+        assert rss_kib < 60 * 1024
+
     def test_mismatch_exits_1(self, monkeypatch, capsys):
         failing = verification.VerificationReport("vdn", 4, 10, [("2,1", 1, 9)], 0.0)
         monkeypatch.setattr(
@@ -487,6 +514,15 @@ class TestPlayCommand:
         assert r.returncode == 0
         assert r.stdout.count("illegal move") == 2
         assert "you win" in r.stdout
+
+    def test_non_ascii_digit_moves_reprompt(self, monkeypatch, capsys):
+        # 1,0 reaches only 0,0; each of these would have parsed as some position
+        moves = iter(["0_0,0", "\uff10,\uff10", "+0,0", " 0 , 0 "])
+        monkeypatch.setattr("builtins.input", lambda prompt: next(moves))
+        assert cli.main(["play", "--game", "delete-nim", "--position", "1,0"]) == 0
+        out = capsys.readouterr().out
+        assert out.count("illegal move: cannot parse") == 3
+        assert out.endswith("position: 0,0\nyou win\n")
 
     def test_eof_aborts_130(self):
         r = run_cli("play", "--game", "delete-nim", "--position", "5,5", stdin="")

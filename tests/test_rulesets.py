@@ -173,7 +173,9 @@ class TestParse:
         assert rs.parse_position(rs.NIM, "4") == (4,)
         assert rs.parse_position(rs.NIM, "0,0,0") == ()
 
-    @pytest.mark.parametrize("bad", ["", "3", "3,2,1", "3;2", "a,b", "3,", ",2", "1.5,2"])
+    @pytest.mark.parametrize(
+        "bad", ["", "3", "3,2,1", "3;2", "a,b", "3,", ",2", "1.5,2", "1_0,2", "\uff13,\uff12", "+3,2"]
+    )
     def test_malformed_pair_text(self, bad):
         with pytest.raises(ParseError):
             rs.parse_position(rs.DELETE_NIM, bad)

@@ -64,6 +64,32 @@ class TestSweeps:
             vf.verify_proof_steps(60, budget=100)
         assert vf.verify_proof_steps(60, budget=61 * 61).passed
 
+    @pytest.mark.parametrize("heaps, size", [(1, 0), (3, 0), (1, 5), (2, 4), (3, 7), (4, 3)])
+    def test_bouton_budget_threshold(self, heaps, size):
+        # the shared memo ends holding every position, so the sweep is over
+        # budget exactly below their count
+        n = 1 + sum(comb(size + k - 1, k) for k in range(1, heaps + 1))
+        message = f"grundy computation exceeded the budget of {n - 1} positions"
+        with pytest.raises(BudgetExceededError) as exc:
+            vf.verify_bouton(heaps, size, budget=n - 1)
+        assert str(exc.value) == message
+        rep = vf.verify_bouton(heaps, size, budget=n)
+        assert rep.passed
+        assert rep.positions_checked == n
+
+    def test_refusals_call_no_engine(self, monkeypatch):
+        # each refusal is decided from a count, before any position is
+        # listed or evaluated; bouton 3x128 has 366 k positions
+        def unreachable(*args, **kwargs):
+            raise AssertionError("engine called by a refused sweep")
+
+        for name in ("grundy", "classify", "sum_values"):
+            monkeypatch.setattr(engine, name, unreachable)
+        with pytest.raises(BudgetExceededError):
+            vf.verify_bouton(3, 128, budget=1000)
+        with pytest.raises(BudgetExceededError):
+            vf.verify_sum_theorem(3000, budget=1000)
+
 
 class TestFaultInjection:
     # Each pair of cells is listed in the order the sweep streams them (by
@@ -369,8 +395,13 @@ class TestRunners:
         assert rep.bound == vf.DEFAULT_BOUNDS["iso"]
 
     def test_run_check_unknown_name(self):
-        with pytest.raises(ValueError):
+        expected = (
+            "unknown check 'not-a-check'; expected one of "
+            "['delete-nim', 'vdn', 'bouton', 'sum', 'proof-steps', 'iso']"
+        )
+        with pytest.raises(ValueError) as exc:
             vf.run_check("not-a-check")
+        assert str(exc.value) == expected
 
     def test_run_all_with_custom_bounds(self):
         bounds = {
@@ -386,4 +417,8 @@ class TestRunners:
         assert all(r.passed for r in reports)
 
     def test_check_names_cover_default_bounds(self):
-        assert set(vf.CHECK_NAMES) == set(vf.DEFAULT_BOUNDS)
+        assert vf.CHECK_NAMES == ["delete-nim", "vdn", "bouton", "sum", "proof-steps", "iso"]
+        assert list(vf.DEFAULT_BOUNDS.items()) == [
+            ("delete-nim", 4096), ("vdn", 256), ("bouton", (3, 16)), ("sum", 32),
+            ("proof-steps", 1024), ("iso", 1024),
+        ]
