@@ -33,8 +33,8 @@ EXIT_BUDGET = 4
 EXIT_ABORTED = 130
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a writer killed by it
 
-# Cap on dense-grid cells / memoized positions; bounds a few thousand wide
-# stay comfortably inside.
+# Cap on dense-grid cells, sweep positions and Nim kernel units; bounds a
+# few thousand wide stay comfortably inside.
 DEFAULT_BUDGET = 1 << 26
 
 # The single-bound checks, in CHECK_NAMES order; each has a --bound-<name>
@@ -52,10 +52,13 @@ def _closed_form_value(game: str, pos) -> int:
 
 def _value_fn(game: str, pos, budget: int):
     """``best_move``'s ``value_fn`` for ``pos``: a lookup into the kernel's
-    option values for a two-heap game, None (the generic engine) for Nim."""
+    values of its options, charged before the options are listed."""
+    rules = RULESETS[game]
     if game == "nim":
-        return None
-    return engine.option_values(RULESETS[game], pos, budget).__getitem__
+        values = engine.nim_values(pos, budget)
+        opts = rules.options(pos)
+        return {q: value for q, value in values if q in opts}.__getitem__
+    return engine.option_values(rules, pos, budget).__getitem__
 
 
 def cmd_grundy(args) -> int:
@@ -63,7 +66,8 @@ def cmd_grundy(args) -> int:
     pos = parse_position(rules, args.position)
     formula = _closed_form_value(args.game, pos)
     if args.game == "nim":
-        eng = engine.grundy(pos, rules, budget=args.budget)
+        for _, eng in engine.nim_values(pos, args.budget):
+            pass  # pos comes last
     else:
         eng = engine.mex(engine.option_values(rules, pos, args.budget).values())
     print(f"closed-form: {formula}")
@@ -150,7 +154,7 @@ def cmd_best_move(args) -> int:
     if not rules.options(pos):
         print("P-position (terminal)")
         return EXIT_OK
-    move = engine.best_move(pos, rules, budget=args.budget, value_fn=value_fn)
+    move = engine.best_move(pos, rules, value_fn=value_fn)
     print("P-position" if move is None else format_position(rules, move))
     return EXIT_OK
 
@@ -200,11 +204,12 @@ def cmd_verify(args) -> int:
 def cmd_play(args) -> int:
     rules = RULESETS[args.game]
     pos = parse_position(rules, args.position)
-    if args.game != "nim":
-        # refused before any output, as a query on the start would be; later
-        # positions only shrink, so the charge of each engine move passes
+    # refused before any output, as a query on the start would be; later
+    # positions only shrink, so the charge of each engine move passes
+    if args.game == "nim":
+        engine.check_down_set(pos, args.budget)
+    else:
         engine.check_cells("dense sweep", max(pos), args.budget)
-    memo: engine.MemoTable = {}
     mover = args.first
     while True:
         print(f"position: {format_position(rules, pos)}")
@@ -215,9 +220,7 @@ def cmd_play(args) -> int:
             return EXIT_OK
         if mover == "engine":
             value_fn = _value_fn(args.game, pos, args.budget)
-            move = engine.best_move(
-                pos, rules, memo=memo, budget=args.budget, value_fn=value_fn
-            )
+            move = engine.best_move(pos, rules, value_fn=value_fn)
             if move is None:  # losing position: play the smallest canonical option
                 move = sorted(opts)[0]
             print(f"engine plays {format_position(rules, move)}")

@@ -1,6 +1,6 @@
 """Generic Sprague-Grundy machinery: mex, memoized Grundy values over any
-ruleset, P/N classification, optimal moves, and a streaming bottom-up
-backend for the two-heap games.
+ruleset, P/N classification, optimal moves, a streaming bottom-up backend
+for the two-heap games, and a prefix-mask kernel for Nim.
 
 The generic path needs nothing from a ruleset beyond ``canonical`` and
 ``options``.  Grundy values are memoized in a plain dict keyed by
@@ -20,17 +20,25 @@ whole smaller anti-diagonal of that board.  It keeps one bitmask per (heap
 size, position of the other board) and does O(1) integer work per sum.  It
 takes no XOR; the sum-theorem sweep compares its values with the XOR of the
 component values itself.
+
+``nim_values`` is the recursion for Nim: every position a Nim position
+dominates, each from prefix bitmasks of what shrinking one heap reaches,
+with O(heaps) integer work per position.  It serves every Nim command and
+the Bouton sweep; it takes no nim-sum of heap sizes or values.  The
+generic engine stays the library's reference route, which the tests pin
+every kernel against.
 """
 
 from __future__ import annotations
 
 import enum
+from itertools import accumulate
 from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
 from .errors import BudgetExceededError, DomainError
-from .rulesets import DELETE_NIM, VDN, Ruleset
+from .rulesets import DELETE_NIM, NIM, VDN, Ruleset, format_position
 
 MemoTable = dict
 
@@ -45,6 +53,9 @@ __all__ = [
     "diagonals",
     "option_values",
     "sum_values",
+    "NIM_HEAP_LIMIT",
+    "check_down_set",
+    "nim_values",
     "delete_nim_grid",
     "vdn_grid",
     "grundy_grid",
@@ -76,9 +87,9 @@ def grundy(
     Iterative postorder over the game graph; the subgraph below (x, 0) has
     depth proportional to x, which would overflow the recursion limit long
     before it strained memory.  ``budget`` caps the number of memoized
-    positions and raises BudgetExceededError once exceeded, signalling a
-    sweep bound set too high.  The result is independent of the order in
-    which ``rules.options`` yields options.
+    positions and raises BudgetExceededError once exceeded; no command or
+    sweep passes one, since each charges its kernel up front.  The result
+    is independent of the order in which ``rules.options`` yields options.
     """
     if memo is None:
         memo = {}
@@ -125,7 +136,6 @@ def best_move(
     pos,
     rules: Ruleset,
     memo: MemoTable | None = None,
-    budget: int | None = None,
     value_fn: Callable | None = None,
 ) -> Optional[tuple]:
     """A winning option (Grundy value 0) from an N-position, or None from a
@@ -134,15 +144,15 @@ def best_move(
     A position is an N-position exactly when some option has value 0, so no
     separate classification pass is needed.  Ties break to the smallest
     canonical option in lexicographic order.  ``value_fn`` may supply option
-    values from the two-heap kernel, as ``option_values(rules, pos).__getitem__``
-    does, instead of the generic engine.
+    values from a kernel, as ``option_values(rules, pos).__getitem__`` does,
+    instead of the generic engine.
     """
     p = rules.canonical(pos)
     if value_fn is None:
         table = {} if memo is None else memo
 
         def value_fn(q):
-            return grundy(q, rules, memo=table, budget=budget)
+            return grundy(q, rules, memo=table)
 
     for q in sorted(rules.options(p)):
         if value_fn(q) == 0:
@@ -294,6 +304,127 @@ def _sum_values(lo: int, removed: int, bound: int) -> Iterator:
             bit = 1 << value
             row[hs] |= bit
             opened[j] |= bit
+
+
+# --- Nim kernel --------------------------------------------------------------
+#
+# Shrinking a heap h of a Nim position p leaves the rest r = p minus h and
+# reaches r + v for every v < h.  With M[r][h] the bitmask of the values of
+# r + v over v < h,
+#
+#   G(p) = mex(OR of M[p minus h][h] over the distinct heaps h of p)
+#   M[r][h + 1] = M[r][h] | 1 << G(r + h)
+#
+# Positions are zero-padded descending tuples, visited in ascending lex
+# order.  r + v rises in that order as v rises, so one running mask per rest
+# holds M[r][h] when r + h is visited, and every option of a position, one
+# heap replaced by a smaller one, is visited before it.
+
+NIM_HEAP_LIMIT = 1 << 16  # the masks are as wide as the values, so heaps are capped
+
+
+def _down_set_size(a: tuple) -> int:
+    """Number of zero-padded descending tuples that the nonempty descending
+    tuple ``a`` dominates, by a DP over its heaps from the last."""
+    # cnt[c]: the tails b_i >= ... >= b_last, b_i == c <= a_i.  Each is a
+    # prefix sum of the next cnt, the same for every c above a_{i+1}, so
+    # the list for the first heap is never built.
+    cnt = [1] * (a[-1] + 1)
+    for i in range(len(a) - 2, -1, -1):
+        pre = list(accumulate(cnt))
+        if i == 0:
+            return sum(pre) + (a[0] - a[1]) * pre[-1]
+        cnt = pre + [pre[-1]] * (a[i] - a[i + 1])
+    return len(cnt)
+
+
+def check_down_set(pos, budget: int | None) -> tuple:
+    """Charge ``nim_values(pos)`` its work before any of it runs: one unit per
+    heap of ``pos`` for each position ``pos`` dominates, counted, not listed.
+    Raise BudgetExceededError if that exceeds ``budget``, or if a heap
+    exceeds NIM_HEAP_LIMIT; return the canonical position."""
+    a = NIM.canonical(NIM.validate(pos))
+    if a and a[0] > NIM_HEAP_LIMIT:
+        raise BudgetExceededError(
+            f"a heap of {a[0]} stones exceeds the nim kernel's limit of {NIM_HEAP_LIMIT}"
+        )
+    heaps = len(a)
+    # at least 1 + sum(a) positions: (), each single heap up to a[0], and
+    # each c, ..., c of i + 1 heaps with c <= a[i]; that also caps the DP
+    if budget is not None and (
+        heaps * (1 + sum(a)) > budget or (a and heaps * _down_set_size(a) > budget)
+    ):
+        raise BudgetExceededError(
+            f"nim values below {format_position(NIM, a)} exceed the budget of {budget} units"
+        )
+    return a
+
+
+def nim_values(pos, budget: int | None = None) -> Iterator:
+    """Grundy value of every Nim position that ``pos`` dominates (every
+    multiset whose sorted heaps are at most those of ``pos``, place by
+    place), by mex recursion.
+
+    Yields ``(position, value)`` with canonical positions, in ascending lex
+    order of their zero-padded descending tuples, so ``pos`` comes last.
+    Each position costs one mask read and one mask update per distinct heap.
+    Memory is one slot per rest (a position of one heap fewer) whose last
+    heap is at most the last heap of ``pos``; a slot no position reads again
+    holds 0.  The budget is charged (``check_down_set``) before anything
+    runs.
+    """
+    return _nim_values(check_down_set(pos, budget))
+
+
+def _nim_values(a: tuple) -> Iterator:
+    k = len(a)
+    if not k:
+        yield (), 0
+        return
+    cap = a[-1]
+    # rest minus its last heap -> the running mask of each such rest, indexed
+    # by the rest's last heap; a rest no position reads again holds 0
+    rows: dict = {}
+    prefix = [0] * (k - 1)
+    while True:
+        # positions prefix + (v,): each distinct heap h of the prefix, at its
+        # first index j, leaves the rest (prefix minus h) + (v,)
+        p = tuple(prefix)
+        head = p[: k - 1 - p.count(0)]
+        slots = []
+        for j, h in enumerate(p):
+            if j and h == p[j - 1]:
+                continue
+            q = p[:j] + p[j + 1 :]
+            row = rows.get(q)
+            if row is None:
+                row = rows[q] = [0] * (min(q[-1], cap) + 1 if q else cap + 1)
+            slots.append((row, h < a[j]))  # whether the rest comes back, with h + 1
+        # shrinking a last heap v below the prefix's own leaves the rest p,
+        # whose mask runs in acc; at v == last that rest is read through
+        # its slot, since v is then a heap of the prefix
+        last = p[-1] if p else cap + 1
+        acc = 0
+        for v in range(min(last, cap) + 1):
+            if v == last:
+                rows[p[:-1]][v] = acc
+            m = acc
+            for row, _ in slots:
+                m |= row[v]
+            value = (m ^ (m + 1)).bit_length() - 1  # the lowest clear bit of m
+            bit = 1 << value
+            acc |= bit
+            for row, more in slots:
+                row[v] = row[v] | bit if more else 0
+            yield (head + (v,) if v else head), value
+        # the next prefix in lex order
+        j = k - 2
+        while j >= 0 and (prefix[j] == a[j] or (j and prefix[j] == prefix[j - 1])):
+            j -= 1
+        if j < 0:
+            return
+        prefix[j] += 1
+        prefix[j + 1 :] = [0] * (k - 2 - j)
 
 
 def _scatter(rules: Ruleset, bound: int, budget: int | None, fill: int) -> np.ndarray:

@@ -11,17 +11,17 @@ what choosing each heap reaches (``rulesets.*_heap_options``): they check
 each heap's moves once, keep O(bound) per-heap results, and do only O(1)
 work per position, plus a full per-option check where a heap's result
 fails.  The sum sweep takes the sum values from the engine's per-heap sum
-kernel and XORs the component values itself.  Every sweep charges its
-budget from an arithmetic count before it builds anything: the
-(bound+1)**2 grid cells for the two-heap and certificate sweeps, positions
-for sum and bouton (bouton's counted, not listed), so none passes a budget
-into the generic engine.  Every check runs in the calling thread.
+kernel and XORs the component values itself; the Bouton sweep takes its
+values from the engine's Nim kernel.  Every sweep charges its budget from
+an arithmetic count before it builds anything: the (bound+1)**2 grid cells
+for the two-heap and certificate sweeps, positions for sum and bouton
+(bouton's counted, not listed), so none passes a budget into the generic
+engine.  Every check runs in the calling thread.
 
 Mismatches are listed in row-major position order (iso lists its
-option-set ones before its Grundy ones), except bouton's, which keep the
-order of its enumeration: by heap count, then as
-``combinations_with_replacement`` yields the heap sizes, so ``4,3,1`` comes
-before ``2,2,2``.
+option-set ones before its Grundy ones), except bouton's, which are listed
+by heap count, then as ``combinations_with_replacement`` yields the heap
+sizes, so ``4,3,1`` comes before ``2,2,2``.
 
 Mismatch convention: ``expected`` is the brute-force / oracle side,
 ``actual`` is the closed-form / theorem side.
@@ -32,7 +32,6 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
 from math import comb
 from typing import Callable
 
@@ -169,26 +168,27 @@ def verify_vdn_formula(
 def verify_bouton(
     max_heaps: int, max_size: int, budget: int | None = None
 ) -> VerificationReport:
-    """Engine P/N classification versus the nim-sum criterion for every Nim
-    position with at most ``max_heaps`` heaps, each of at most ``max_size``
-    stones.  The budget is charged, before any work, the positions the shared
-    memo ends up holding: the multisets of at most max_heaps sizes from
-    1..max_size, counted as comb(max_size + max_heaps, max_heaps)."""
+    """Nim kernel P/N classification (value 0 or not) versus the nim-sum
+    criterion for every Nim position with at most ``max_heaps`` heaps, each
+    of at most ``max_size`` stones: the positions (max_size,) * max_heaps
+    dominates, in one ``engine.nim_values`` call.  The budget is charged,
+    before any work, in positions, with the generic engine's message: the
+    multisets of at most max_heaps sizes from 1..max_size, counted as
+    comb(max_size + max_heaps, max_heaps)."""
     if max_heaps < 1 or max_size < 0:
         raise DomainError(f"need max_heaps >= 1 and max_size >= 0, got ({max_heaps}, {max_size})")
     count = comb(max_size + max_heaps, max_heaps)
     _charge_positions(count, budget)
     t0 = time.perf_counter()
-    memo: engine.MemoTable = {}
-    mismatches: list[Mismatch] = []
-    for k in range(max_heaps + 1):
-        for c in combinations_with_replacement(range(1, max_size + 1), k):
-            p = c[::-1]  # canonical: descending
-            eng_p = engine.classify(p, rulesets.NIM, memo=memo)
-            formula_p = closed_forms.bouton_is_p(p)
-            if (eng_p is engine.Outcome.P) != formula_p:
-                position = rulesets.format_position(rulesets.NIM, p)
-                mismatches.append((position, eng_p.value, "P" if formula_p else "N"))
+    found: list = []
+    for p, value in engine.nim_values((max_size,) * max_heaps):
+        formula_p = closed_forms.bouton_is_p(p)
+        if (value == 0) != formula_p:
+            position = rulesets.format_position(rulesets.NIM, p)
+            # by heap count, then as combinations_with_replacement yields the sizes
+            order = (len(p), p[::-1])
+            found.append((order, (position, "N" if value else "P", "P" if formula_p else "N")))
+    mismatches: list[Mismatch] = [mismatch for _, mismatch in sorted(found)]
     return VerificationReport(
         "bouton", (max_heaps, max_size), count, mismatches, time.perf_counter() - t0
     )

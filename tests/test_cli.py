@@ -2,10 +2,12 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
+from math import comb
 
 import pytest
 
@@ -61,6 +63,13 @@ class TestGrundyCommand:
         r = run_cli("grundy", "--game", "nim", "--position", "2,5,7")
         assert r.returncode == 0
         assert r.stdout == "closed-form: 0\nengine: 0\noutcome: P\n"
+
+    def test_large_nim_heap_answers_in_seconds(self):
+        code, rss_kib, out = run_cli_peak_rss(
+            "grundy", "--game", "nim", "--position", "20000", timeout=10
+        )
+        assert (code, out) == (0, "closed-form: 20000\nengine: 20000\noutcome: N\n")
+        assert rss_kib < 60 * 1024
 
     def test_vdn_domain_error(self):
         r = run_cli("grundy", "--game", "vdn", "--position", "0,3")
@@ -255,6 +264,15 @@ class TestBestMoveCommand:
         assert out == ""
         assert rss_kib < 60 * 1024
 
+    def test_large_nim_down_set_refused_in_seconds(self):
+        # 26,982,005 positions of 3 heaps, 80,946,015 units, over the default
+        # budget, which is decided from a count
+        code, rss_kib, out = run_cli_peak_rss(
+            "best-move", "--game", "nim", "--position", "3000,2999,5", timeout=10
+        )
+        assert (code, out) == (4, "")
+        assert rss_kib < 60 * 1024
+
     def test_nim(self):
         r = run_cli("best-move", "--game", "nim", "--position", "4,5,6")
         move = tuple(int(t) for t in r.stdout.strip().split(","))
@@ -306,6 +324,39 @@ def test_two_heap_query_budget_is_the_full_grid(command, game, capsys):
     assert out.err == (
         f"error: dense sweep to bound {terminal} needs {cells} cells, budget is {cells - 1}\n"
     )
+
+
+def _nim_units(pos) -> int:
+    """One unit per heap for each Nim position below ``pos``, listed."""
+    below = {tuple(sorted((h for h in q if h), reverse=True))
+             for q in product(*(range(h + 1) for h in pos))}
+    return len(pos) * len(below)
+
+
+@pytest.mark.parametrize("text", ["5", "4,4", "6,3,1"])
+@pytest.mark.parametrize("command", ["grundy", "best-move"])
+def test_nim_query_budget_is_the_down_set(command, text, capsys):
+    # a Nim query is charged its heap count per position below it, before
+    # any work
+    pos = tuple(int(h) for h in text.split(","))
+    n = _nim_units(pos)
+    argv = [command, "--game", "nim", "--position", text, "--budget"]
+    assert cli.main(argv + [str(n - 1)]) == 4
+    assert capsys.readouterr() == (
+        "", f"error: nim values below {text} exceed the budget of {n - 1} units\n"
+    )
+    assert cli.main(argv + [str(n)]) == 0
+    out = capsys.readouterr()
+    value = ref_nim_grundy(pos)
+    if command == "grundy":
+        outcome = "N" if value else "P"
+        assert out.out == f"closed-form: {value}\nengine: {value}\noutcome: {outcome}\n"
+    elif value:
+        move = tuple(int(h) for h in out.out.split(",")) if out.out != "0\n" else ()
+        assert move in ref_nim_options(pos) and ref_nim_grundy(move) == 0
+    else:
+        assert out.out == "P-position\n"
+    assert out.err == ""
 
 
 class TestVerifyCommand:
@@ -468,6 +519,36 @@ class TestVerifyCommand:
         assert out == "0/0 checks passed\n"
         assert rss_kib < 60 * 1024
 
+    def test_bouton_reports_at_the_budget_edge(self, capsys):
+        # heaps 1-4 x sizes 0-12: refused one below the count, then the
+        # report, which all but its elapsed time pins
+        for heaps in range(1, 5):
+            for size in range(13):
+                n = comb(size + heaps, heaps)
+                argv = ["verify", "--check", "bouton", "--heaps", str(heaps),
+                        "--size", str(size), "--budget"]
+                assert cli.main(argv + [str(n - 1)]) == 4
+                assert capsys.readouterr() == (
+                    "0/0 checks passed\n",
+                    f"error: grundy computation exceeded the budget of {n - 1} positions\n",
+                )
+                assert cli.main(argv + [str(n)]) == 0
+                out = re.sub(r"elapsed=[0-9]+\.[0-9]ms", "elapsed=Xms", capsys.readouterr().out)
+                assert out == (
+                    f"[PASS] bouton: bound={heaps}x{size} checked={n} mismatches=0 "
+                    "elapsed=Xms\n1/1 checks passed\n"
+                )
+                assert cli.main(argv + [str(n), "--format", "json"]) == 0
+                (record,) = json.loads(capsys.readouterr().out)
+                assert list(record) == [
+                    "name", "bound", "checked", "mismatches", "elapsed-milliseconds", "passed"
+                ]
+                del record["elapsed-milliseconds"]
+                assert record == {
+                    "name": "bouton", "bound": [heaps, size], "checked": n,
+                    "mismatches": [], "passed": True,
+                }
+
     def test_mismatch_exits_1(self, monkeypatch, capsys):
         failing = verification.VerificationReport("vdn", 4, 10, [("2,1", 1, 9)], 0.0)
         monkeypatch.setattr(
@@ -579,6 +660,23 @@ class TestPlayCommand:
         assert cli.main(argv + ["2601"]) == 130
         out = capsys.readouterr()
         assert out.out.startswith("position: 50,3\nengine plays ")
+        assert out.err == ""
+
+    def test_nim_budget_is_the_down_set_of_the_start(self, monkeypatch, capsys):
+        n = _nim_units((6, 3, 1))
+        argv = ["play", "--game", "nim", "--position", "6,3,1", "--first", "engine", "--budget"]
+        assert cli.main(argv + [str(n - 1)]) == 4
+        assert capsys.readouterr() == (
+            "", f"error: nim values below 6,3,1 exceed the budget of {n - 1} units\n"
+        )
+
+        def closed(prompt):
+            raise EOFError
+
+        monkeypatch.setattr("builtins.input", closed)
+        assert cli.main(argv + [str(n)]) == 130
+        out = capsys.readouterr()
+        assert out.out.startswith("position: 6,3,1\nengine plays ")
         assert out.err == ""
 
     def test_play_memory_is_linear_in_heap(self):

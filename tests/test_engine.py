@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import random
 from collections import Counter
 
@@ -199,6 +200,66 @@ class TestSumValues:
             engine.sum_values(rs.NIM, 4)
         with pytest.raises(DomainError):
             engine.sum_values(rs.DELETE_NIM, -1)
+
+
+def _down_set(p) -> set:
+    # a multiset lies below p exactly when some order of its heaps fits
+    # under p's heaps one by one
+    return {rs.canonical_nim(q) for q in itertools.product(*(range(h + 1) for h in p))}
+
+
+class TestNimValues:
+    @pytest.mark.parametrize("top", [(8, 8, 8), (5, 5, 5, 5)])
+    def test_matches_generic_engine_and_reference(self, top):
+        # every position of at most 3 heaps of at most 8 stones, and of at
+        # most 4 of at most 5: the down-set of top
+        memo: engine.MemoTable = {}
+        got = list(engine.nim_values(top))
+        values = dict(got)
+        assert len(values) == len(got)
+        assert set(values) == _down_set(top)
+        for p, value in got:
+            assert value == engine.grundy(p, rs.NIM, memo) == ref_nim_grundy(p), p
+
+    def test_each_start_yields_its_down_set_in_lex_order(self):
+        # ascending zero-padded tuples, so every option comes before the
+        # positions that reach it, and the start comes last
+        for start in itertools.combinations_with_replacement(range(7), 3):
+            p = rs.canonical_nim(start)
+            got = [q for q, _ in engine.nim_values(start)]
+            padded = [q + (0,) * (len(p) - len(q)) for q in got]
+            assert padded == sorted(set(padded)), p
+            assert set(got) == _down_set(p)
+            assert got[-1] == p
+
+    def test_charge_is_heaps_times_down_set(self):
+        # over budget exactly below its count, which is never listed
+        for start in itertools.combinations_with_replacement(range(6), 4):
+            p = rs.canonical_nim(start)
+            n = len(p) * len(_down_set(p))
+            assert engine.check_down_set(start, n) == p
+            with pytest.raises(BudgetExceededError) as exc:
+                engine.nim_values(start, n - 1)
+            text = ",".join(map(str, p)) or "0"
+            assert str(exc.value) == f"nim values below {text} exceed the budget of {n - 1} units"
+        # 26,982,005 positions below 3000,2999,5, and 20,001 below 20000
+        with pytest.raises(BudgetExceededError):
+            engine.check_down_set((3000, 2999, 5), 80_946_014)
+        assert engine.check_down_set((5, 2999, 3000), 80_946_015) == (3000, 2999, 5)
+        with pytest.raises(BudgetExceededError):
+            engine.check_down_set((20000,), 20_000)
+        assert engine.check_down_set((20000,), 20_001) == (20000,)
+
+    def test_refused_inputs(self):
+        limit = engine.NIM_HEAP_LIMIT
+        assert engine.check_down_set((limit, 1), None) == (limit, 1)
+        with pytest.raises(BudgetExceededError) as exc:
+            engine.nim_values((3, limit + 1))
+        assert str(exc.value) == (
+            f"a heap of {limit + 1} stones exceeds the nim kernel's limit of {limit}"
+        )
+        with pytest.raises(DomainError):
+            engine.nim_values((3, -1))
 
 
 class TestDenseGrids:

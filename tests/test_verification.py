@@ -83,7 +83,7 @@ class TestSweeps:
         def unreachable(*args, **kwargs):
             raise AssertionError("engine called by a refused sweep")
 
-        for name in ("grundy", "classify", "sum_values"):
+        for name in ("grundy", "classify", "sum_values", "nim_values"):
             monkeypatch.setattr(engine, name, unreachable)
         with pytest.raises(BudgetExceededError):
             vf.verify_bouton(3, 128, budget=1000)
@@ -163,9 +163,11 @@ class TestFaultInjection:
         assert vf.verify_bouton(3, 4).mismatches == [("0", "P", "N"), ("3,2,1", "P", "N")]
 
     def test_bouton_illegal_extra_option(self, monkeypatch):
-        # the illegal option () of (1, 1) has value 0, so the engine calls
-        # (1, 1) an N-position, and values above it shift
+        # the Nim kernel replaced by the generic engine on rules where (1, 1)
+        # has the illegal option (): that option has value 0, so (1, 1) is
+        # called an N-position, and values above it shift
         game = rulesets.NIM
+        kernel = engine.nim_values
 
         def options(p):
             opts = game.options(p)
@@ -173,7 +175,13 @@ class TestFaultInjection:
                 opts.add(())
             return opts
 
-        monkeypatch.setattr(rulesets, "NIM", dataclasses.replace(game, options=options))
+        faulty = dataclasses.replace(game, options=options)
+
+        def values(pos):
+            memo: engine.MemoTable = {}
+            return ((p, engine.grundy(p, faulty, memo)) for p, _ in kernel(pos))
+
+        monkeypatch.setattr(engine, "nim_values", values)
         assert vf.verify_bouton(3, 4).mismatches == [
             ("1,1", "N", "P"), ("2,1", "P", "N"), ("2,2", "N", "P"), ("1,1,1", "P", "N"),
             ("3,2,1", "N", "P"), ("4,3,1", "P", "N"), ("2,2,2", "P", "N"),
