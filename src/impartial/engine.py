@@ -7,10 +7,13 @@ The generic path needs nothing from a ruleset beyond ``canonical`` and
 (ruleset name, canonical position); each entry is written exactly once, so
 one table may be shared by every call of a sweep.
 
-The two-heap backend is one anti-diagonal kernel.  The verification sweeps
-stream every diagonal up to their bound (``diagonals``); a query, and each
-engine move in ``play``, runs it only as far as the position's options lie
-and reads back just the two option diagonals (``option_values``).
+The two-heap backend is one anti-diagonal kernel.  It keeps, per heap size,
+the bitmask of the values that choosing the heap does not reach, and
+produces each cell's value as a one-hot bit, ``1 << value``; a reader turns
+only the diagonals it reads into values.  The verification sweeps stream
+every diagonal up to their bound (``diagonals``); a query, and each engine
+move in ``play``, runs it only as far as the position's options lie and
+reads back just the two option diagonals (``option_values``).
 ``grundy_grid`` scatters it into a dense table; it is library API only, and
 no command or sweep builds one.
 
@@ -169,22 +172,17 @@ def best_move(
 #   Delete Nim: (lo, removed) = (0, 1)   one stone goes, either part may be empty
 #   VDN:        (lo, removed) = (1, 0)   no stone goes, both parts nonempty
 #
-# so a bottom-up pass over anti-diagonals needs only opened[s], the set of
-# Grundy values reachable by choosing a heap of s stones, as a bitmask per
-# heap size.  Position (x, y) is the mex of opened[x] | opened[y].  This is
-# the same mex recursion as the generic path (tests pin the two against each
-# other), with no closed form involved.
+# so a bottom-up pass over anti-diagonals needs only unreached[s], the
+# complement of the set of Grundy values reachable by choosing a heap of s
+# stones, as a bitmask per heap size.  Position (x, y) is the mex of the
+# values both heaps reach, the lowest set bit of free = unreached[x] &
+# unreached[y]; free & -free isolates it as 1 << mex, and the bits below it
+# number exactly the mex.  This is the same mex recursion as the generic
+# path (tests pin the two against each other), with no closed form involved.
 
 _MOVES = {"delete-nim": (0, 1), "vdn": (1, 0)}
 
-_MASK_WIDTH = 62  # values must fit a uint64 bitmask with headroom for the +1
-
-
-def _mex_of_masks(masks: np.ndarray) -> np.ndarray:
-    # mex of a value set stored as a bitmask = index of the lowest zero bit;
-    # (~m) & (m + 1) isolates it, and the bits below it number exactly the mex.
-    low_zero = (~masks) & (masks + np.uint64(1))
-    return np.bitwise_count(low_zero - np.uint64(1))
+_MASK_WIDTH = 62  # values stay below this, so every mex, at most 62, is a bit of a uint64
 
 
 def check_cells(what: str, bound: int, budget: int | None) -> None:
@@ -197,23 +195,31 @@ def check_cells(what: str, bound: int, budget: int | None) -> None:
         )
 
 
-def diagonals(rules: Ruleset, bound: int, budget: int | None = None) -> Iterator:
-    """Grundy values of every canonical two-heap position lo <= y <= x <= bound
-    (lo is 0 for Delete Nim, 1 for VDN), by mex recursion, one anti-diagonal
-    x + y == t at a time in increasing t.
-
-    Yields ``(xs, ys, values)`` per diagonal, ``ys`` ascending; ``xs`` and
-    ``ys`` are read-only views.  Memory is O(bound): one bitmask per heap
-    size.  The bound and the budget are checked before anything runs; the
-    budget is charged the (bound + 1)**2 cells of the full grid.
-    """
+def _two_heap_moves(rules: Ruleset, bound: int, budget: int | None) -> tuple[int, int]:
+    """``(lo, removed)`` of a two-heap ruleset, once the bound and the budget
+    are checked."""
     if rules.name not in _MOVES:
         raise ValueError(f"no dense backend for ruleset {rules.name!r}")
     lo, removed = _MOVES[rules.name]
     if bound < lo:
         raise DomainError(f"bound must be >= {lo}, got {bound}")
     check_cells("dense sweep", bound, budget)
-    return _diagonals(lo, removed, bound)
+    return lo, removed
+
+
+def diagonals(rules: Ruleset, bound: int, budget: int | None = None) -> Iterator:
+    """Grundy values of every canonical two-heap position lo <= y <= x <= bound
+    (lo is 0 for Delete Nim, 1 for VDN), by mex recursion, one anti-diagonal
+    x + y == t at a time in increasing t.
+
+    Yields ``(xs, ys, values)`` per diagonal, ``ys`` ascending; ``xs`` and
+    ``ys`` are read-only views, ``values`` a fresh uint8 array.  Memory is
+    O(bound): one bitmask per heap size.  The bound and the budget are
+    checked before anything runs; the budget is charged the (bound + 1)**2
+    cells of the full grid.
+    """
+    lows = _lows(*_two_heap_moves(rules, bound, budget), bound)
+    return ((xs, ys, _values(low)) for xs, ys, low in lows)
 
 
 def option_values(rules: Ruleset, pos, budget: int | None = None) -> dict:
@@ -222,36 +228,47 @@ def option_values(rules: Ruleset, pos, budget: int | None = None) -> dict:
 
     The options of (x, y), x >= y, fill anti-diagonals x - removed and
     y - removed, so the kernel runs only up to diagonal x - removed and
-    stops there.  The budget is charged the (x + 1)**2 cells of the full
-    grid before any work, as ``diagonals`` charges it.
+    stops there, and only those two diagonals are turned into values.  The
+    budget is charged the (x + 1)**2 cells of the full grid before any
+    work, as ``diagonals`` charges it.
     """
     x, y = rules.canonical(rules.validate(pos))
-    diags = diagonals(rules, x, budget)
-    lo, removed = _MOVES[rules.name]
+    lo, removed = _two_heap_moves(rules, x, budget)
     wanted = {x - removed, y - removed}
     values: dict = {}
-    for t, (xs, ys, vals) in zip(range(2 * lo, x - removed + 1), diags):
+    for t, (xs, ys, low) in zip(range(2 * lo, x - removed + 1), _lows(lo, removed, x)):
         if t in wanted:
-            values.update(zip(zip(xs.tolist(), ys.tolist()), vals.tolist()))
+            values.update(zip(zip(xs.tolist(), ys.tolist()), _values(low).tolist()))
     return values
 
 
-def _diagonals(lo: int, removed: int, bound: int) -> Iterator:
+def _values(low: np.ndarray) -> np.ndarray:
+    # low holds 1 << value per cell; the bits below it number exactly the value
+    return np.bitwise_count(low - 1)
+
+
+def _lows(lo: int, removed: int, bound: int) -> Iterator:
+    """Per anti-diagonal t, in increasing t: ``(xs, ys, low)`` with
+    ``low[i] == 1 << G(xs[i], ys[i])`` as uint64."""
     heaps = np.arange(bound + 1)
     heaps.flags.writeable = False
-    opened = np.zeros(bound + 1, dtype=np.uint64)
+    unreached = np.full(bound + 1, ~np.uint64(0))
+    # x = t - y falls as y rises, so the x side is read through reversed views,
+    # at index bound - x
+    heaps_down, unreached_down = heaps[::-1], unreached[::-1]
     for t in range(2 * lo, 2 * bound + 1):
         y0, y1 = max(lo, t - bound), t // 2
         y_range = slice(y0, y1 + 1)
-        x_range = slice(t - y1, t - y0 + 1)  # reversed below: x = t - y falls as y rises
-        values = _mex_of_masks(opened[x_range][::-1] | opened[y_range])
+        x_range = slice(bound - t + y0, bound - t + y1 + 1)
+        free = unreached_down[x_range] & unreached[y_range]
+        low = free & -free
         s = t + removed
-        if s <= bound:  # diagonal t is complete, and it is what a heap of s opens
-            mask = int(np.bitwise_or.reduce(np.left_shift(np.uint64(1), values)))
-            if mask >> _MASK_WIDTH:
+        if s <= bound:  # diagonal t is complete, and it is what a heap of s reaches
+            reached = np.bitwise_or.reduce(low)
+            if int(reached) >> _MASK_WIDTH:
                 raise RuntimeError("grundy values exceed the dense backend's bitmask width")
-            opened[s] = mask
-        yield heaps[x_range][::-1], heaps[y_range], values
+            unreached[s] = ~reached
+        yield heaps_down[x_range], heaps[y_range], low
 
 
 def sum_values(rules: Ruleset, bound: int) -> Iterator:

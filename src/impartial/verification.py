@@ -5,18 +5,20 @@ Every check runs two independent routes against each other (bottom-up mex
 recursion versus a closed formula, or an explicit certificate versus direct
 enumeration) and emits a VerificationReport.  Sweeps are exhaustive within
 their bounds, never sampled.  The two-heap formula sweeps stream the
-engine's anti-diagonals and hold O(bound) memory.  The certificate sweeps
-(proof-steps, iso) rest on every two-heap option set being the union of
-what choosing each heap reaches (``rulesets.*_heap_options``): they check
-each heap's moves once, keep O(bound) per-heap results, and do only O(1)
-work per position, plus a full per-option check where a heap's result
-fails.  The sum sweep takes the sum values from the engine's per-heap sum
-kernel and XORs the component values itself; the Bouton sweep takes its
-values from the engine's Nim kernel.  Every sweep charges its budget from
-an arithmetic count before it builds anything: the (bound+1)**2 grid cells
-for the two-heap and certificate sweeps, positions for sum and bouton
-(bouton's counted, not listed), so none passes a budget into the generic
-engine.  Every check runs in the calling thread.
+engine's anti-diagonals, compare them with the closed form a block of at
+most ``_BLOCK_CELLS`` cells at a time, and hold O(bound) memory.  The
+certificate sweeps (proof-steps, iso) rest on every two-heap option set
+being the union of what choosing each heap reaches
+(``rulesets.*_heap_options``): they check each heap's moves once, keep
+O(bound) per-heap results, and do only O(1) work per position, plus a full
+per-option check where a heap's result fails.  The sum sweep takes the sum
+values from the engine's per-heap sum kernel and XORs the component values
+itself; the Bouton sweep takes its values from the engine's Nim kernel.
+Every sweep charges its budget from an arithmetic count before it builds
+anything: the (bound+1)**2 grid cells for the two-heap and certificate
+sweeps, positions for sum and bouton (bouton's counted, not listed), so
+none passes a budget into the generic engine.  Every check runs in the
+calling thread.
 
 Mismatches are listed in row-major position order (iso lists its
 option-set ones before its Grundy ones), except bouton's, which are listed
@@ -33,7 +35,7 @@ import json
 import time
 from dataclasses import dataclass
 from math import comb
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -130,15 +132,40 @@ def _charge_positions(count: int, budget: int | None) -> None:
         )
 
 
+# Cells per formula call and comparison in the two-heap sweeps: each call
+# costs a fixed numpy dispatch, so short diagonals are compared in blocks.
+_BLOCK_CELLS = 4096
+
+
+def _blocks(diagonals) -> Iterator:
+    """Consecutive ``(xs, ys, values)`` diagonals joined into blocks of at
+    most _BLOCK_CELLS cells; a diagonal that fills a block by itself is
+    yielded as it is."""
+    pending: list = []
+    cells = 0
+    for diagonal in diagonals:
+        size = diagonal[2].size
+        if pending and cells + size > _BLOCK_CELLS:
+            yield [np.concatenate(a) for a in zip(*pending)]
+            pending, cells = [], 0
+        if size >= _BLOCK_CELLS:
+            yield diagonal
+        else:
+            pending.append(diagonal)
+            cells += size
+    if pending:
+        yield [np.concatenate(a) for a in zip(*pending)]
+
+
 def _verify_two_heap(
     name: str, rules: rulesets.Ruleset, formula: Callable, bound: int, budget: int | None
 ) -> VerificationReport:
-    """Stream the engine's diagonals and compare each on the spot with the
-    vectorized closed form evaluated on the same cells."""
+    """Stream the engine's diagonals and compare them, a block at a time,
+    with the vectorized closed form evaluated on the same cells."""
     t0 = time.perf_counter()
     checked = 0
     found: list = []
-    for xs, ys, values in engine.diagonals(rules, bound, budget):
+    for xs, ys, values in _blocks(engine.diagonals(rules, bound, budget)):
         checked += values.size
         _differing_cells(found, xs, ys, values, formula(xs, ys))
     return VerificationReport(

@@ -5,7 +5,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from impartial import closed_forms as cf
@@ -288,6 +288,46 @@ class TestDenseGrids:
             for y in range(lo, x + 1):
                 expected = {q: engine.grundy(q, rules, memo) for q in rules.options((x, y))}
                 assert engine.option_values(rules, (y, x)) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rules=st.sampled_from([rs.DELETE_NIM, rs.VDN]),
+        a=st.integers(min_value=1, max_value=600),
+        b=st.integers(min_value=1, max_value=600),
+    )
+    def test_option_values_match_diagonals(self, rules, a, b):
+        # the two readers of the kernel agree, position for position, on the
+        # option diagonals x - removed and y - removed; heaps of 0 are drawn
+        # for Delete Nim only
+        if rules is rs.DELETE_NIM:
+            a, b = a - 1, b - 1
+        x, y = max(a, b), min(a, b)
+        removed = 1 if rules is rs.DELETE_NIM else 0
+        expected = {}
+        for xs, ys, values in engine.diagonals(rules, x):
+            if xs[0] + ys[0] in (x - removed, y - removed):
+                expected.update(zip(zip(xs.tolist(), ys.tolist()), values.tolist()))
+        assert engine.option_values(rules, (a, b)) == expected
+
+    def test_terminal_positions_have_no_option_values(self):
+        assert engine.option_values(rs.DELETE_NIM, (0, 0)) == {}
+        assert engine.option_values(rs.VDN, (1, 1)) == {}
+
+    def test_mask_width_guard(self, monkeypatch):
+        # with room for the values 0 and 1 only, the guard trips on the first
+        # diagonal that holds a 2 and is read by a heap within the bound:
+        # Delete Nim (3, 0), read by a heap of 4, and VDN (4, 1), by a heap of 5
+        monkeypatch.setattr(engine, "_MASK_WIDTH", 2)
+        for rules, lo, first in ((rs.DELETE_NIM, 0, 4), (rs.VDN, 1, 5)):
+            for b in range(lo, first + 4):
+                if b < first:
+                    list(engine.diagonals(rules, b))
+                    engine.option_values(rules, (b, lo))
+                    continue
+                with pytest.raises(RuntimeError):
+                    list(engine.diagonals(rules, b))
+                with pytest.raises(RuntimeError):
+                    engine.option_values(rules, (b, lo))
 
     def test_vdn_grid_padding(self):
         grid = engine.grundy_grid(rs.VDN, 5)

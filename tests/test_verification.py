@@ -120,6 +120,55 @@ class TestFaultInjection:
             (f"{x},{y}", reference(x, y), reference(x, y) + 5) for x, y in sorted(cells)
         ]
 
+    # The sweeps compare the closed form a block of diagonals at a time, so
+    # faults are planted on every 7th diagonal, in the middle of each, and at
+    # the corners of the triangle, across every block boundary.
+    @pytest.mark.parametrize(
+        "verify, formula, reference, lo, bound",
+        [
+            (vf.verify_delete_nim_formula, "delete_nim_grundy_array", ref_delete_grundy, 0, 200),
+            (vf.verify_vdn_formula, "vdn_grundy_array", ref_vdn_grundy, 1, 150),
+        ],
+        ids=["delete-nim", "vdn"],
+    )
+    def test_wrong_formula_across_blocks(self, monkeypatch, verify, formula, reference, lo, bound):
+        cells = {(lo, lo), (bound, lo), (bound, bound)}
+        for t in range(2 * lo, 2 * bound + 1, 7):
+            y = (max(lo, t - bound) + t // 2) // 2
+            cells.add((t - y, y))
+        right = getattr(cf, formula)
+
+        def wrong(xs, ys):
+            values = right(xs, ys).astype(np.int64)
+            planted = [(x, y) in cells for x, y in zip(xs.tolist(), ys.tolist())]
+            values[np.array(planted, dtype=bool)] += 5
+            return values
+
+        monkeypatch.setattr(cf, formula, wrong)
+        rep = verify(bound)
+        assert rep.positions_checked == (bound - lo + 1) * (bound - lo + 2) // 2
+        assert rep.mismatches == [
+            (f"{x},{y}", reference(x, y), reference(x, y) + 5) for x, y in sorted(cells)
+        ]
+
+    def test_wrong_engine_value_is_reported(self, monkeypatch):
+        # one cell of a late diagonal, (200, 197) on diagonal 397 of 401, is
+        # perturbed on the engine side, which the report lists as expected
+        right = engine.diagonals
+
+        def wrong(rules, bound, budget=None):
+            for xs, ys, values in right(rules, bound, budget):
+                if xs[0] + ys[0] == 397:
+                    values = values.copy()
+                    values[0] += 3
+                yield xs, ys, values
+
+        monkeypatch.setattr(engine, "diagonals", wrong)
+        rep = vf.verify_delete_nim_formula(200)
+        assert rep.mismatches == [
+            ("200,197", ref_delete_grundy(200, 197) + 3, ref_delete_grundy(200, 197))
+        ]
+
     def test_sum_dropped_option(self, monkeypatch):
         # without its value-1 option (2,0)+(1,1), the sum (3,0)+(1,1) gets
         # mex {0, 2} = 1 instead of 2 ^ 1, and every sum above it can change.
