@@ -51,13 +51,15 @@ def _closed_form_value(game: str, pos) -> int:
 
 
 def _value_fn(game: str, pos, budget: int):
-    """``best_move``'s ``value_fn`` for ``pos``: a lookup into the kernel's
-    values of its options, charged before the options are listed."""
+    """``best_move``'s ``value_fn`` for ``pos``, charged before the options
+    are listed: a lookup into the kernel's values of its options.  For Nim,
+    whose kernel yields the whole down-set, it keeps only the options of
+    value 0, all ``best_move`` tests for, and gives None for the others."""
     rules = RULESETS[game]
     if game == "nim":
         values = engine.nim_values(pos, budget)
         opts = rules.options(pos)
-        return {q: value for q, value in values if q in opts}.__getitem__
+        return dict.fromkeys((q for q, value in values if not value and q in opts), 0).get
     return engine.option_values(rules, pos, budget).__getitem__
 
 

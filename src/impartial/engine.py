@@ -10,12 +10,18 @@ one table may be shared by every call of a sweep.
 The two-heap backend is one anti-diagonal kernel.  It keeps, per heap size,
 the bitmask of the values that choosing the heap does not reach, and
 produces each cell's value as a one-hot bit, ``1 << value``; a reader turns
-only the diagonals it reads into values.  The verification sweeps stream
-every diagonal up to their bound (``diagonals``); a query, and each engine
-move in ``play``, runs it only as far as the position's options lie and
-reads back just the two option diagonals (``option_values``).
-``grundy_grid`` scatters it into a dense table; it is library API only, and
-no command or sweep builds one.
+only the diagonals it reads into values.  A heap's mask depends on no
+bound, so each game has one table of them for the whole process, which
+every call extends and none rebuilds (``_TABLES``); a lock guards it, so
+threads may share it.  The verification sweeps stream every diagonal up to
+their bound (``diagonals``), reduce only those of heaps the table does not
+know, and add the heaps they finish to it; a query, and each engine move
+in ``play``, extends it only through the heaps no earlier call reached and
+reads back just the two option diagonals (``option_values``).  Every call
+is charged its full grid whatever the table holds, so what was asked
+before changes no answer and no refusal.
+``grundy_grid`` scatters the diagonals into a dense table; it is library
+API only, and no command or sweep builds one.
 
 ``sum_values`` is the same recursion on the sum of two boards of one
 two-heap game: a move chooses a heap of either board, and so reaches one
@@ -35,6 +41,7 @@ every kernel against.
 from __future__ import annotations
 
 import enum
+import threading
 from itertools import accumulate
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -195,16 +202,68 @@ def check_cells(what: str, bound: int, budget: int | None) -> None:
         )
 
 
-def _two_heap_moves(rules: Ruleset, bound: int, budget: int | None) -> tuple[int, int]:
-    """``(lo, removed)`` of a two-heap ruleset, once the bound and the budget
-    are checked."""
-    if rules.name not in _MOVES:
+class _Unreached:
+    """``unreached[s]`` of one two-heap game for every heap size s below
+    ``known``, kept for the life of the process and only ever extended.
+
+    A heap's mask depends on the diagonal that heap reaches and on nothing
+    else, so every caller, whatever its bound, reads and extends the same
+    table.  A kernel pass works on its own copy (``snapshot``) and hands
+    back the heaps it finished (``publish``), so the pass itself takes no
+    lock.  ``lock`` guards both and the reallocation of ``masks``, whose
+    entries below ``known`` are final and never written again; ``known``
+    moves only after they are copied, so an error or a reader that stops
+    early leaves a consistent prefix.
+    """
+
+    def __init__(self, lo: int, removed: int) -> None:
+        self.lo, self.removed = lo, removed
+        self.lock = threading.Lock()
+        # below 2 * lo + removed a heap reaches no diagonal, so nothing
+        self.known = 2 * lo + removed
+        self.masks = np.full(self.known, ~np.uint64(0))
+
+    def snapshot(self, bound: int) -> tuple[np.ndarray, int]:
+        """A copy of the masks of heaps 0 .. bound, all ones past the known
+        ones, and the number of known heaps it holds."""
+        masks = np.full(bound + 1, ~np.uint64(0))
+        with self.lock:
+            known = min(self.known, bound + 1)
+            masks[:known] = self.masks[:known]
+        return masks, known
+
+    def publish(self, masks: np.ndarray, known: int) -> None:
+        """Take the final masks ``masks[:known]`` of the heaps not yet known."""
+        with self.lock:
+            old = self.known
+            if known <= old:
+                return
+            if len(self.masks) < known:
+                grown = np.full(max(known, 2 * len(self.masks)), ~np.uint64(0))
+                grown[:old] = self.masks[:old]
+                self.masks = grown
+            self.masks[old:known] = masks[old:known]
+            self.known = known
+
+
+def _new_tables() -> dict:
+    """An empty table per two-heap game, by ruleset name."""
+    return {name: _Unreached(lo, removed) for name, (lo, removed) in _MOVES.items()}
+
+
+_TABLES = _new_tables()  # shared by every call in the process
+
+
+def _table(rules: Ruleset, bound: int, budget: int | None) -> _Unreached:
+    """The table of a two-heap ruleset, once the bound and the budget are
+    checked."""
+    table = _TABLES.get(rules.name)
+    if table is None:
         raise ValueError(f"no dense backend for ruleset {rules.name!r}")
-    lo, removed = _MOVES[rules.name]
-    if bound < lo:
-        raise DomainError(f"bound must be >= {lo}, got {bound}")
+    if bound < table.lo:
+        raise DomainError(f"bound must be >= {table.lo}, got {bound}")
     check_cells("dense sweep", bound, budget)
-    return lo, removed
+    return table
 
 
 def diagonals(rules: Ruleset, bound: int, budget: int | None = None) -> Iterator:
@@ -214,11 +273,13 @@ def diagonals(rules: Ruleset, bound: int, budget: int | None = None) -> Iterator
 
     Yields ``(xs, ys, values)`` per diagonal, ``ys`` ascending; ``xs`` and
     ``ys`` are read-only views, ``values`` a fresh uint8 array.  Memory is
-    O(bound): one bitmask per heap size.  The bound and the budget are
-    checked before anything runs; the budget is charged the (bound + 1)**2
-    cells of the full grid.
+    O(bound): one bitmask per heap size.  Heaps the game's shared table
+    knows are not reduced again, and the sweep adds the ones it finishes
+    to the table.  The bound and the budget are checked before anything
+    runs; the budget is charged the (bound + 1)**2 cells of the full grid.
     """
-    lows = _lows(*_two_heap_moves(rules, bound, budget), bound)
+    table = _table(rules, bound, budget)
+    lows = _lows(table, bound, 2 * table.lo, 2 * bound)
     return ((xs, ys, _values(low)) for xs, ys, low in lows)
 
 
@@ -227,18 +288,28 @@ def option_values(rules: Ruleset, pos, budget: int | None = None) -> dict:
     recursion: ``{option: value}`` with canonical options.
 
     The options of (x, y), x >= y, fill anti-diagonals x - removed and
-    y - removed, so the kernel runs only up to diagonal x - removed and
-    stops there, and only those two diagonals are turned into values.  The
-    budget is charged the (x + 1)**2 cells of the full grid before any
-    work, as ``diagonals`` charges it.
+    y - removed.  The game's shared table is extended through heap x, over
+    just the diagonals no earlier call has run, and the two option
+    diagonals are then read from it, so a query below heaps already known
+    does O(x) work.  The budget is charged the (x + 1)**2 cells of the full
+    grid before any work, as ``diagonals`` charges it, whatever is known.
     """
     x, y = rules.canonical(rules.validate(pos))
-    lo, removed = _two_heap_moves(rules, x, budget)
-    wanted = {x - removed, y - removed}
+    table = _table(rules, x, budget)
+    lo, removed = table.lo, table.removed
+    if table.known <= x:
+        for _ in _lows(table, x, table.known - removed, x - removed):
+            pass
+    masks = table.masks  # final up to x, whatever reallocates it later
     values: dict = {}
-    for t, (xs, ys, low) in zip(range(2 * lo, x - removed + 1), _lows(lo, removed, x)):
-        if t in wanted:
-            values.update(zip(zip(xs.tolist(), ys.tolist()), _values(low).tolist()))
+    for t in sorted({y - removed, x - removed}):
+        # cells (t - v, v), lo <= v <= t // 2
+        top = t // 2
+        if top < lo:
+            continue
+        free = masks[t - top : t - lo + 1][::-1] & masks[lo : top + 1]
+        cells = zip(range(t - lo, t - top - 1, -1), range(lo, top + 1))
+        values.update(zip(cells, _values(free & -free).tolist()))
     return values
 
 
@@ -247,28 +318,39 @@ def _values(low: np.ndarray) -> np.ndarray:
     return np.bitwise_count(low - 1)
 
 
-def _lows(lo: int, removed: int, bound: int) -> Iterator:
-    """Per anti-diagonal t, in increasing t: ``(xs, ys, low)`` with
-    ``low[i] == 1 << G(xs[i], ys[i])`` as uint64."""
+def _lows(table: _Unreached, bound: int, first: int, last: int) -> Iterator:
+    """Per anti-diagonal t from ``first`` to ``last`` of the grid up to
+    ``bound``, in increasing t: ``(xs, ys, low)`` with
+    ``low[i] == 1 << G(xs[i], ys[i])`` as uint64.
+
+    Every heap below ``first + removed`` must be known to the table.  The
+    pass reduces only the diagonals of heaps it does not know, and gives
+    the heaps it finished to the table when it ends, however it ends.
+    """
+    lo, removed = table.lo, table.removed
+    unreached, known = table.snapshot(bound)
     heaps = np.arange(bound + 1)
     heaps.flags.writeable = False
-    unreached = np.full(bound + 1, ~np.uint64(0))
     # x = t - y falls as y rises, so the x side is read through reversed views,
     # at index bound - x
     heaps_down, unreached_down = heaps[::-1], unreached[::-1]
-    for t in range(2 * lo, 2 * bound + 1):
-        y0, y1 = max(lo, t - bound), t // 2
-        y_range = slice(y0, y1 + 1)
-        x_range = slice(bound - t + y0, bound - t + y1 + 1)
-        free = unreached_down[x_range] & unreached[y_range]
-        low = free & -free
-        s = t + removed
-        if s <= bound:  # diagonal t is complete, and it is what a heap of s reaches
-            reached = np.bitwise_or.reduce(low)
-            if int(reached) >> _MASK_WIDTH:
-                raise RuntimeError("grundy values exceed the dense backend's bitmask width")
-            unreached[s] = ~reached
-        yield heaps_down[x_range], heaps[y_range], low
+    try:
+        for t in range(max(first, 2 * lo), last + 1):
+            y0, y1 = max(lo, t - bound), t // 2
+            y_range = slice(y0, y1 + 1)
+            x_range = slice(bound - t + y0, bound - t + y1 + 1)
+            free = unreached_down[x_range] & unreached[y_range]
+            low = free & -free
+            s = t + removed
+            if known <= s <= bound:  # diagonal t is complete, and it is what a heap of s reaches
+                reached = np.bitwise_or.reduce(low)
+                if int(reached) >> _MASK_WIDTH:
+                    raise RuntimeError("grundy values exceed the dense backend's bitmask width")
+                unreached[s] = ~reached
+                known = s + 1
+            yield heaps_down[x_range], heaps[y_range], low
+    finally:
+        table.publish(unreached, known)
 
 
 def sum_values(rules: Ruleset, bound: int) -> Iterator:

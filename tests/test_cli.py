@@ -11,7 +11,7 @@ from math import comb
 
 import pytest
 
-from impartial import cli, verification
+from impartial import cli, engine, verification
 from impartial.closed_forms import delete_nim_grundy
 from reference import (
     ref_delete_grundy,
@@ -273,6 +273,20 @@ class TestBestMoveCommand:
         assert (code, out) == (4, "")
         assert rss_kib < 60 * 1024
 
+    def test_nim_ties_break_to_the_smallest_option(self, capsys):
+        # several options can restore a zero nim-sum, (7,6,5) -> 6,5,3 or
+        # 7,5,2 or 7,6,1; the answer is the smallest canonical one
+        for start in combinations_with_replacement(range(8), 3):
+            pos = tuple(sorted((h for h in start if h), reverse=True))
+            assert cli.main(["best-move", "--game", "nim", "--position", _position_text(pos)]) == 0
+            opts = ref_nim_options(pos)
+            winning = sorted(q for q in opts if ref_nim_grundy(q) == 0)
+            if not opts:
+                expected = "P-position (terminal)"
+            else:
+                expected = _position_text(winning[0]) if winning else "P-position"
+            assert capsys.readouterr().out == expected + "\n", pos
+
     def test_nim(self):
         r = run_cli("best-move", "--game", "nim", "--position", "4,5,6")
         move = tuple(int(t) for t in r.stdout.strip().split(","))
@@ -303,6 +317,43 @@ def test_two_heap_queries_match_reference(game, lo, ref_grundy, ref_options, cap
             move = tuple(int(v) for v in answer.split(","))
             assert move in ref_options(x, y), (x, y, answer)
             assert ref_grundy(*move) == 0, (x, y, answer)
+
+
+def test_queries_answer_the_same_warm_and_cold(monkeypatch, capsys):
+    # the engine keeps its two-heap tables for the whole process; what
+    # earlier calls built changes no output, exit code or refusal
+    calls = [
+        ["grundy", "--game", "delete-nim", "--position", "300,17"],
+        ["best-move", "--game", "vdn", "--position", "41,40"],
+        ["grundy", "--game", "delete-nim", "--position", "3,9", "--budget", "99"],
+        ["best-move", "--game", "delete-nim", "--position", "9,3", "--budget", "100"],
+        ["grundy", "--game", "vdn", "--position", "0,3"],
+        ["best-move", "--game", "delete-nim", "--position", "255,0"],
+        ["play", "--game", "vdn", "--position", "60,9", "--first", "engine"],
+        ["grundy", "--game", "vdn", "--position", "513,2"],
+        ["best-move", "--game", "vdn", "--position", "7,7"],
+        ["grundy", "--game", "delete-nim", "--position", "0,0", "--budget", "0"],
+        ["best-move", "--game", "delete-nim", "--position", "640,639"],
+    ]
+
+    def closed(prompt):
+        raise EOFError
+
+    monkeypatch.setattr("builtins.input", closed)
+
+    def answer(argv):
+        code = cli.main(argv)
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    cold = []
+    for argv in calls:
+        monkeypatch.setattr(engine, "_TABLES", engine._new_tables())
+        cold.append(answer(argv))
+    monkeypatch.setattr(engine, "_TABLES", engine._new_tables())
+    answer(["grundy", "--game", "vdn", "--position", "700,1"])
+    assert [answer(argv) for argv in calls] == cold
+    assert [code for code, _, _ in cold] == [0, 0, 4, 0, 2, 0, 130, 0, 0, 4, 0]
 
 
 @pytest.mark.parametrize("game", ["delete-nim", "vdn"])

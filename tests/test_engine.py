@@ -1,7 +1,11 @@
 import dataclasses
 import itertools
 import random
+import sys
+import threading
+import time
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,7 +16,25 @@ from impartial import closed_forms as cf
 from impartial import engine
 from impartial import rulesets as rs
 from impartial.errors import BudgetExceededError, DomainError
-from reference import ref_delete_grundy, ref_nim_grundy, ref_vdn_grundy
+from reference import ref_delete_grundy, ref_nim_grundy, ref_v2, ref_vdn_grundy
+
+
+def _one_go_masks(rules, heaps: int) -> np.ndarray:
+    """The masks of heaps 0 .. heaps - 1, built by one sweep on an empty table."""
+    with mock.patch.object(engine, "_TABLES", engine._new_tables()):
+        for _ in engine.diagonals(rules, heaps - 1):
+            pass
+        table = engine._TABLES[rules.name]
+        assert table.known == heaps
+        return table.masks[:heaps].copy()
+
+
+def _ref_value(rules, x: int, y: int) -> int:
+    # the paper's closed forms on the reference's own 2-adic valuation; the
+    # reference recursion would take about 15 s per game to reach 600
+    if rules is rs.DELETE_NIM:
+        return ref_v2((x | y) + 1)
+    return ref_v2(((x - 1) | (y - 1)) + 1)
 
 
 class TestMex:
@@ -316,7 +338,10 @@ class TestDenseGrids:
     def test_mask_width_guard(self, monkeypatch):
         # with room for the values 0 and 1 only, the guard trips on the first
         # diagonal that holds a 2 and is read by a heap within the bound:
-        # Delete Nim (3, 0), read by a heap of 4, and VDN (4, 1), by a heap of 5
+        # Delete Nim (3, 0), read by a heap of 4, and VDN (4, 1), by a heap of
+        # 5.  The tables start empty, since a heap known from an earlier call
+        # is not reduced again.
+        monkeypatch.setattr(engine, "_TABLES", engine._new_tables())
         monkeypatch.setattr(engine, "_MASK_WIDTH", 2)
         for rules, lo, first in ((rs.DELETE_NIM, 0, 4), (rs.VDN, 1, 5)):
             for b in range(lo, first + 4):
@@ -328,6 +353,115 @@ class TestDenseGrids:
                     list(engine.diagonals(rules, b))
                 with pytest.raises(RuntimeError):
                     engine.option_values(rules, (b, lo))
+            # a trip hands back only the heaps below it: smaller queries still
+            # answer from that prefix, and larger ones trip again
+            table = engine._TABLES[rules.name]
+            assert table.known == first
+            pos = (first - 1, first - 1)
+            expected = {q: engine.grundy(q, rules) for q in rules.options(pos)}
+            assert engine.option_values(rules, pos) == expected
+            with pytest.raises(RuntimeError):
+                engine.option_values(rules, (first + 40, lo))
+            assert table.known == first
+
+    @pytest.mark.parametrize("rules", [rs.DELETE_NIM, rs.VDN], ids=lambda r: r.name)
+    def test_sweep_closed_early_leaves_a_prefix(self, monkeypatch, rules):
+        # a reader that stops halfway keeps what it finished, and later
+        # calls extend the table from there
+        monkeypatch.setattr(engine, "_TABLES", engine._new_tables())
+        table = engine._TABLES[rules.name]
+        sweep = engine.diagonals(rules, 300)
+        for _ in range(150):
+            next(sweep)
+        sweep.close()
+        known = table.known
+        assert 100 < known < 300
+        assert np.array_equal(table.masks[:known], _one_go_masks(rules, known))
+        x, y = 280, 33
+        expected = {(a, b): _ref_value(rules, a, b) for a, b in rules.options((x, y))}
+        assert engine.option_values(rules, (x, y)) == expected
+        assert table.known == x + 1
+        assert np.array_equal(table.masks[: x + 1], _one_go_masks(rules, x + 1))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        rules=st.sampled_from([rs.DELETE_NIM, rs.VDN]),
+        heaps=st.lists(
+            st.tuples(st.integers(min_value=1, max_value=600), st.integers(min_value=1, max_value=600)),
+            min_size=1,
+            max_size=8,
+        ),
+    )
+    def test_table_is_history_independent(self, rules, heaps):
+        # queries in any order, rising and falling and across the sizes where
+        # the table is reallocated, grow the same table one sweep builds, and
+        # each answers what a cold table would
+        memo = {}
+        if rules is rs.DELETE_NIM:
+            heaps = [(a - 1, b - 1) for a, b in heaps]
+        with mock.patch.object(engine, "_TABLES", engine._new_tables()):
+            table = engine._TABLES[rules.name]
+            for a, b in heaps:
+                got = engine.option_values(rules, (a, b))
+                opts = rules.options((a, b))
+                assert got == {(p, q): _ref_value(rules, p, q) for p, q in opts}
+                if max(a, b) <= 25:
+                    assert got == {q: engine.grundy(q, rules, memo) for q in opts}
+            known = table.known
+            assert known == max(2 * table.lo + table.removed, max(map(max, heaps)) + 1)
+            assert np.array_equal(table.masks[:known], _one_go_masks(rules, known))
+
+    def test_concurrent_extension(self):
+        # threads extend both tables at once, a few heaps per call and across
+        # every reallocation, and give way at every line of the table's
+        # methods; without the lock a copy lands in an array a reallocation
+        # has just replaced, or a reader meets a count ahead of the masks,
+        # and reads all ones: a wrong value
+        failures = []
+        table_code = {engine._Unreached.snapshot.__code__, engine._Unreached.publish.__code__}
+
+        def give_way(frame, event, arg):
+            if event == "line":
+                time.sleep(0)
+            return give_way
+
+        def trace(frame, event, arg):
+            return give_way if frame.f_code in table_code else None
+
+        def work(step):
+            try:
+                for n in range(step, 300, step):
+                    for rules in (rs.DELETE_NIM, rs.VDN):
+                        if n % 30 == 0:
+                            for _ in engine.diagonals(rules, n):
+                                pass
+                        got = engine.option_values(rules, (n, 1))
+                        for (a, b), value in got.items():
+                            if value != _ref_value(rules, a, b):
+                                failures.append((rules.name, n, (a, b), value))
+            except Exception as exc:  # a torn table can also fail to broadcast
+                failures.append(repr(exc))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        threading.settrace(trace)
+        try:
+            for _ in range(2):
+                with mock.patch.object(engine, "_TABLES", engine._new_tables()):
+                    threads = [threading.Thread(target=work, args=(k,)) for k in (1, 2, 3, 5)]
+                    for thread in threads:
+                        thread.start()
+                    for thread in threads:
+                        thread.join(timeout=60)
+                    assert not any(thread.is_alive() for thread in threads)
+                    for rules in (rs.DELETE_NIM, rs.VDN):
+                        table = engine._TABLES[rules.name]
+                        assert table.known == 300
+                        assert np.array_equal(table.masks[:300], _one_go_masks(rules, 300))
+        finally:
+            threading.settrace(None)
+            sys.setswitchinterval(interval)
+        assert failures == []
 
     def test_vdn_grid_padding(self):
         grid = engine.grundy_grid(rs.VDN, 5)
@@ -343,6 +477,9 @@ class TestDenseGrids:
             engine.option_values(rs.NIM, (4, 2))
 
     def test_budget(self):
+        # what earlier calls built changes no charge
+        engine.option_values(rs.DELETE_NIM, (700, 3))
+        assert engine._TABLES["delete-nim"].known > 600
         with pytest.raises(BudgetExceededError):
             engine.grundy_grid(rs.DELETE_NIM, 1000, budget=100)
         # charged before the first diagonal is asked for
