@@ -19,7 +19,13 @@ know, and add the heaps they finish to it; a query, and each engine move
 in ``play``, extends it only through the heaps no earlier call reached and
 reads back just the two option diagonals (``option_values``).  Every call
 is charged its full grid whatever the table holds, so what was asked
-before changes no answer and no refusal.
+before changes no answer and no refusal.  The table saves work only where
+one interpreter asks more than one two-heap question: each engine move of
+a ``play`` session after the first, a ``verify`` check that sweeps a game
+an earlier check swept, and a caller that keeps one interpreter for many
+``option_values`` or ``cli.main`` calls.  A lone ``grundy`` or
+``best-move`` command starts from an empty table and does the work a
+cold query always did.
 ``grundy_grid`` scatters the diagonals into a dense table; it is library
 API only, and no command or sweep builds one.
 
@@ -208,12 +214,14 @@ class _Unreached:
 
     A heap's mask depends on the diagonal that heap reaches and on nothing
     else, so every caller, whatever its bound, reads and extends the same
-    table.  A kernel pass works on its own copy (``snapshot``) and hands
-    back the heaps it finished (``publish``), so the pass itself takes no
-    lock.  ``lock`` guards both and the reallocation of ``masks``, whose
-    entries below ``known`` are final and never written again; ``known``
-    moves only after they are copied, so an error or a reader that stops
-    early leaves a consistent prefix.
+    table.  A kernel pass with heaps to finish works on its own copy
+    (``snapshot``) and, when it ends, hands the table that copy if it
+    knows more heaps (``publish``); one with none reads the table's array
+    in place.  So the pass itself takes no lock.  An array the table
+    holds is never written again, and a reader reads it only below the
+    ``known`` it saw; ``lock`` keeps each array with its own count, and
+    since ``known`` counts only finished heaps, an error or a reader that
+    stops early leaves a consistent prefix.
     """
 
     def __init__(self, lo: int, removed: int) -> None:
@@ -224,26 +232,25 @@ class _Unreached:
         self.masks = np.full(self.known, ~np.uint64(0))
 
     def snapshot(self, bound: int) -> tuple[np.ndarray, int]:
-        """A copy of the masks of heaps 0 .. bound, all ones past the known
-        ones, and the number of known heaps it holds."""
-        masks = np.full(bound + 1, ~np.uint64(0))
+        """The masks of heaps 0 .. bound, all ones past the known ones, and
+        the number of known heaps they hold: a read-only view if every heap
+        is known, else a copy."""
         with self.lock:
-            known = min(self.known, bound + 1)
-            masks[:known] = self.masks[:known]
-        return masks, known
+            masks, known = self.masks, self.known
+        if known > bound:
+            view = masks[: bound + 1]
+            view.flags.writeable = False
+            return view, bound + 1
+        copy = np.full(bound + 1, ~np.uint64(0))
+        copy[:known] = masks[:known]
+        return copy, known
 
     def publish(self, masks: np.ndarray, known: int) -> None:
-        """Take the final masks ``masks[:known]`` of the heaps not yet known."""
+        """Adopt ``masks``, final below ``known`` and never written again,
+        if it knows more heaps than the table."""
         with self.lock:
-            old = self.known
-            if known <= old:
-                return
-            if len(self.masks) < known:
-                grown = np.full(max(known, 2 * len(self.masks)), ~np.uint64(0))
-                grown[:old] = self.masks[:old]
-                self.masks = grown
-            self.masks[old:known] = masks[old:known]
-            self.known = known
+            if known > self.known:
+                self.masks, self.known = masks, known
 
 
 def _new_tables() -> dict:
@@ -279,7 +286,7 @@ def diagonals(rules: Ruleset, bound: int, budget: int | None = None) -> Iterator
     runs; the budget is charged the (bound + 1)**2 cells of the full grid.
     """
     table = _table(rules, bound, budget)
-    lows = _lows(table, bound, 2 * table.lo, 2 * bound)
+    lows = _lows(table, bound, range(2 * table.lo, 2 * bound + 1))
     return ((xs, ys, _values(low)) for xs, ys, low in lows)
 
 
@@ -298,18 +305,12 @@ def option_values(rules: Ruleset, pos, budget: int | None = None) -> dict:
     table = _table(rules, x, budget)
     lo, removed = table.lo, table.removed
     if table.known <= x:
-        for _ in _lows(table, x, table.known - removed, x - removed):
+        for _ in _lows(table, x, range(table.known - removed, x - removed + 1)):
             pass
-    masks = table.masks  # final up to x, whatever reallocates it later
+    wanted = sorted(t for t in {y - removed, x - removed} if t >= 2 * lo)
     values: dict = {}
-    for t in sorted({y - removed, x - removed}):
-        # cells (t - v, v), lo <= v <= t // 2
-        top = t // 2
-        if top < lo:
-            continue
-        free = masks[t - top : t - lo + 1][::-1] & masks[lo : top + 1]
-        cells = zip(range(t - lo, t - top - 1, -1), range(lo, top + 1))
-        values.update(zip(cells, _values(free & -free).tolist()))
+    for xs, ys, low in _lows(table, x, wanted):  # every heap up to x is known: no reduce
+        values.update(zip(zip(xs.tolist(), ys.tolist()), _values(low).tolist()))
     return values
 
 
@@ -318,14 +319,15 @@ def _values(low: np.ndarray) -> np.ndarray:
     return np.bitwise_count(low - 1)
 
 
-def _lows(table: _Unreached, bound: int, first: int, last: int) -> Iterator:
-    """Per anti-diagonal t from ``first`` to ``last`` of the grid up to
-    ``bound``, in increasing t: ``(xs, ys, low)`` with
+def _lows(table: _Unreached, bound: int, ts: Iterable[int]) -> Iterator:
+    """Per anti-diagonal t of the grid up to ``bound`` in ``ts``, which
+    rise from 2 * lo on: ``(xs, ys, low)`` with
     ``low[i] == 1 << G(xs[i], ys[i])`` as uint64.
 
-    Every heap below ``first + removed`` must be known to the table.  The
-    pass reduces only the diagonals of heaps it does not know, and gives
-    the heaps it finished to the table when it ends, however it ends.
+    Every heap below t + removed must be known when diagonal t runs, to
+    the table or from a diagonal the pass ran before.  The pass reduces a
+    diagonal only if its heap is the first one not known, and gives the
+    heaps it finished to the table when it ends, however it ends.
     """
     lo, removed = table.lo, table.removed
     unreached, known = table.snapshot(bound)
@@ -335,14 +337,14 @@ def _lows(table: _Unreached, bound: int, first: int, last: int) -> Iterator:
     # at index bound - x
     heaps_down, unreached_down = heaps[::-1], unreached[::-1]
     try:
-        for t in range(max(first, 2 * lo), last + 1):
+        for t in ts:
             y0, y1 = max(lo, t - bound), t // 2
             y_range = slice(y0, y1 + 1)
             x_range = slice(bound - t + y0, bound - t + y1 + 1)
             free = unreached_down[x_range] & unreached[y_range]
             low = free & -free
             s = t + removed
-            if known <= s <= bound:  # diagonal t is complete, and it is what a heap of s reaches
+            if known == s <= bound:  # diagonal t is complete, and it is what a heap of s reaches
                 reached = np.bitwise_or.reduce(low)
                 if int(reached) >> _MASK_WIDTH:
                     raise RuntimeError("grundy values exceed the dense backend's bitmask width")

@@ -383,6 +383,24 @@ class TestDenseGrids:
         assert table.known == x + 1
         assert np.array_equal(table.masks[: x + 1], _one_go_masks(rules, x + 1))
 
+    @pytest.mark.parametrize("rules", [rs.DELETE_NIM, rs.VDN], ids=lambda r: r.name)
+    def test_sweep_within_known_heaps_writes_nothing(self, monkeypatch, rules):
+        # a sweep whose heaps are all known reads the table in place: its
+        # values are a cold sweep's, and the table keeps its array
+        def sweep():
+            return [(xs.tolist(), ys.tolist(), v.tolist()) for xs, ys, v in engine.diagonals(rules, 200)]
+
+        with mock.patch.object(engine, "_TABLES", engine._new_tables()):
+            cold = sweep()
+        monkeypatch.setattr(engine, "_TABLES", engine._new_tables())
+        engine.option_values(rules, (300, 1))
+        table = engine._TABLES[rules.name]
+        masks, known = table.masks, table.known
+        before = masks.copy()
+        assert sweep() == cold
+        assert table.masks is masks and table.known == known
+        assert np.array_equal(masks, before)
+
     @settings(max_examples=40, deadline=None)
     @given(
         rules=st.sampled_from([rs.DELETE_NIM, rs.VDN]),
@@ -393,9 +411,8 @@ class TestDenseGrids:
         ),
     )
     def test_table_is_history_independent(self, rules, heaps):
-        # queries in any order, rising and falling and across the sizes where
-        # the table is reallocated, grow the same table one sweep builds, and
-        # each answers what a cold table would
+        # queries in any order, rising and falling, grow the same table one
+        # sweep builds, and each answers what a cold table would
         memo = {}
         if rules is rs.DELETE_NIM:
             heaps = [(a - 1, b - 1) for a, b in heaps]
@@ -412,11 +429,11 @@ class TestDenseGrids:
             assert np.array_equal(table.masks[:known], _one_go_masks(rules, known))
 
     def test_concurrent_extension(self):
-        # threads extend both tables at once, a few heaps per call and across
-        # every reallocation, and give way at every line of the table's
-        # methods; without the lock a copy lands in an array a reallocation
-        # has just replaced, or a reader meets a count ahead of the masks,
-        # and reads all ones: a wrong value
+        # threads extend both tables at once, a few heaps per call, and give
+        # way at every line of the table's methods; without the lock a reader
+        # can pair one array with the count of a longer one, or a publish
+        # can leave a count ahead of its array, and read all ones: a wrong
+        # value
         failures = []
         table_code = {engine._Unreached.snapshot.__code__, engine._Unreached.publish.__code__}
 
