@@ -52,26 +52,18 @@ def _closed_form_value(game: str, pos) -> int:
 
 def _value_fn(game: str, pos, budget: int):
     """``best_move``'s ``value_fn`` for ``pos``, charged before the options
-    are listed: a lookup into the kernel's values of its options.  For Nim,
-    whose kernel yields the whole down-set, it keeps only the options of
-    value 0, all ``best_move`` tests for, and gives None for the others."""
-    rules = RULESETS[game]
-    if game == "nim":
-        values = engine.nim_values(pos, budget)
-        opts = rules.options(pos)
-        return dict.fromkeys((q for q, value in values if not value and q in opts), 0).get
-    return engine.option_values(rules, pos, budget).__getitem__
+    are listed: a lookup into ``engine.option_values``, which reads the
+    process's tables where earlier calls have filled them."""
+    return engine.option_values(RULESETS[game], pos, budget).__getitem__
 
 
 def cmd_grundy(args) -> int:
+    """The closed form's value of the position against the engine's, the mex
+    of ``engine.option_values``; exit 3 if they differ."""
     rules = RULESETS[args.game]
     pos = parse_position(rules, args.position)
     formula = _closed_form_value(args.game, pos)
-    if args.game == "nim":
-        for _, eng in engine.nim_values(pos, args.budget):
-            pass  # pos comes last
-    else:
-        eng = engine.mex(engine.option_values(rules, pos, args.budget).values())
+    eng = engine.mex(engine.option_values(rules, pos, args.budget).values())
     print(f"closed-form: {formula}")
     print(f"engine: {eng}")
     print(f"outcome: {'P' if eng == 0 else 'N'}")

@@ -38,17 +38,33 @@ component values itself.
 
 ``nim_values`` is the recursion for Nim: every position a Nim position
 dominates, each from prefix bitmasks of what shrinking one heap reaches,
-with O(heaps) integer work per position.  It serves every Nim command and
-the Bouton sweep; it takes no nim-sum of heap sizes or values.  The
-generic engine stays the library's reference route, which the tests pin
-every kernel against.
+with O(heaps) integer work per position.  It serves the Bouton sweep; it
+takes no nim-sum of heap sizes or values.  The Nim commands ask
+``option_values``, which runs the same kernel and keeps, per heap count K,
+one table for the whole process (``_NimTables``, in ``_TABLES``): the value
+of every zero-padded descending K-tuple whose first heap is below some m,
+in one flat array by the tuple's rank, with the kernel's rows to resume
+from.  A query reads a table that knows its options.  Otherwise it grows
+the table of max(heaps, 2) heaps through its first heap, but only if the
+new shell, one unit per heap of each new position, fits the credit: the
+charges of earlier Nim queries less what growth has already spent.
+Otherwise it runs the kernel over its own down-set alone, as a lone
+command and the first Nim query of a process always do.  So the tables
+never do more work than earlier queries were charged for.  Every query is
+charged its down-set first, whatever the tables hold.  A lock is held
+across each read and growth, and a growth that does not finish (an
+interrupt during ``play``) empties its table rather than leave it half
+grown.  The generic engine stays the library's reference route, which the
+tests pin every kernel against.
 """
 
 from __future__ import annotations
 
 import enum
 import threading
+from array import array
 from itertools import accumulate
+from math import comb
 from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
@@ -253,20 +269,12 @@ class _Unreached:
                 self.masks, self.known = masks, known
 
 
-def _new_tables() -> dict:
-    """An empty table per two-heap game, by ruleset name."""
-    return {name: _Unreached(lo, removed) for name, (lo, removed) in _MOVES.items()}
-
-
-_TABLES = _new_tables()  # shared by every call in the process
-
-
 def _table(rules: Ruleset, bound: int, budget: int | None) -> _Unreached:
     """The table of a two-heap ruleset, once the bound and the budget are
     checked."""
-    table = _TABLES.get(rules.name)
-    if table is None:
+    if rules.name not in _MOVES:
         raise ValueError(f"no dense backend for ruleset {rules.name!r}")
+    table = _TABLES[rules.name]
     if bound < table.lo:
         raise DomainError(f"bound must be >= {table.lo}, got {bound}")
     check_cells("dense sweep", bound, budget)
@@ -291,16 +299,25 @@ def diagonals(rules: Ruleset, bound: int, budget: int | None = None) -> Iterator
 
 
 def option_values(rules: Ruleset, pos, budget: int | None = None) -> dict:
-    """Grundy value of every option of the two-heap position ``pos``, by mex
+    """Grundy value of every option of the position ``pos``, by mex
     recursion: ``{option: value}`` with canonical options.
 
-    The options of (x, y), x >= y, fill anti-diagonals x - removed and
-    y - removed.  The game's shared table is extended through heap x, over
-    just the diagonals no earlier call has run, and the two option
-    diagonals are then read from it, so a query below heaps already known
-    does O(x) work.  The budget is charged the (x + 1)**2 cells of the full
-    grid before any work, as ``diagonals`` charges it, whatever is known.
+    The options of a two-heap position (x, y), x >= y, fill anti-diagonals
+    x - removed and y - removed.  The game's shared table is extended
+    through heap x, over just the diagonals no earlier call has run, and
+    the two option diagonals are then read from it, so a query below heaps
+    already known does O(x) work.  The budget is charged the (x + 1)**2
+    cells of the full grid before any work, as ``diagonals`` charges it,
+    whatever is known.
+
+    A Nim position is charged its down-set (``check_down_set``) before any
+    work, whatever is known.  Its options are read from a Nim table that
+    knows them, or from one grown to know them if earlier calls left the
+    credit for it (``_NimTables``), or else from one kernel pass over the
+    down-set that keeps only the options.
     """
+    if rules.name == NIM.name:
+        return _nim_option_values(pos, budget)
     x, y = rules.canonical(rules.validate(pos))
     table = _table(rules, x, budget)
     lo, removed = table.lo, table.removed
@@ -482,16 +499,30 @@ def _nim_values(a: tuple) -> Iterator:
     if not k:
         yield (), 0
         return
+    for p, values in _nim_rows(a, {}, [0] * (k - 1), False):
+        head = p[: k - 1 - p.count(0)]
+        yield head, values[0]
+        for v in range(1, len(values)):
+            yield head + (v,), values[v]
+
+
+def _nim_rows(a: tuple, rows: dict, prefix: list, keep: bool) -> Iterator:
+    """The kernel: per prefix p, a zero-padded descending tuple of
+    len(a) - 1 heaps, in ascending lex order from ``prefix`` through the
+    last one ``a`` dominates, ``(p, values)`` with ``values[v]`` the value of
+    p + (v,) for v = 0 .. min(p[-1], a[-1]).
+
+    ``rows`` maps a rest minus its last heap to the running masks of such
+    rests, indexed by the rest's last heap.  Without ``keep`` a slot whose
+    rest no position of the down-set reads again is set to 0; with it every
+    slot is kept, so a later pass over a larger cube resumes from ``rows``.
+    """
+    k = len(a)
     cap = a[-1]
-    # rest minus its last heap -> the running mask of each such rest, indexed
-    # by the rest's last heap; a rest no position reads again holds 0
-    rows: dict = {}
-    prefix = [0] * (k - 1)
     while True:
         # positions prefix + (v,): each distinct heap h of the prefix, at its
         # first index j, leaves the rest (prefix minus h) + (v,)
         p = tuple(prefix)
-        head = p[: k - 1 - p.count(0)]
         slots = []
         for j, h in enumerate(p):
             if j and h == p[j - 1]:
@@ -500,12 +531,13 @@ def _nim_values(a: tuple) -> Iterator:
             row = rows.get(q)
             if row is None:
                 row = rows[q] = [0] * (min(q[-1], cap) + 1 if q else cap + 1)
-            slots.append((row, h < a[j]))  # whether the rest comes back, with h + 1
+            slots.append((row, keep or h < a[j]))  # whether the rest comes back, with h + 1
         # shrinking a last heap v below the prefix's own leaves the rest p,
         # whose mask runs in acc; at v == last that rest is read through
         # its slot, since v is then a heap of the prefix
         last = p[-1] if p else cap + 1
         acc = 0
+        values = []
         for v in range(min(last, cap) + 1):
             if v == last:
                 rows[p[:-1]][v] = acc
@@ -517,7 +549,8 @@ def _nim_values(a: tuple) -> Iterator:
             acc |= bit
             for row, more in slots:
                 row[v] = row[v] | bit if more else 0
-            yield (head + (v,) if v else head), value
+            values.append(value)
+        yield p, values
         # the next prefix in lex order
         j = k - 2
         while j >= 0 and (prefix[j] == a[j] or (j and prefix[j] == prefix[j - 1])):
@@ -526,6 +559,116 @@ def _nim_values(a: tuple) -> Iterator:
             return
         prefix[j] += 1
         prefix[j + 1 :] = [0] * (k - 2 - j)
+
+
+# A Nim table of K heaps knows every zero-padded descending K-tuple whose
+# first heap is below m: the first C(m + K - 1, K) tuples of the kernel's lex
+# order, tuple b at rank sum_i C(b_i + K-1-i, K-i).  On the cube of side m - 1,
+# with every slot kept, no slot depends on m, and no row length does but that
+# of the one row of two heaps, which is extended; so the pass that stopped
+# after prefix (m - 1, ..., m - 1) resumes at prefix (m, 0, ..., 0).
+
+
+def _rank(q: tuple, k: int) -> int:
+    """Index of ``q``, zero-padded to k heaps, in lex order."""
+    return sum(comb(b + k - 1 - i, k - i) for i, b in enumerate(q))
+
+
+def _typecode(top: int) -> str:
+    """The narrowest unsigned array typecode that holds 0 .. top."""
+    return next(code for code in "BHIQ" if top < 1 << 8 * array(code).itemsize)
+
+
+class _NimTables:
+    """The Nim tables, by heap count K, kept for the life of the process and
+    only ever grown.  Each holds the values of its tuples by rank in one
+    flat array, with the kernel's rows to resume from.
+
+    Growth is paid from credit: the charges of earlier ``option_values``
+    calls, less the units growth has spent, one per heap of each new
+    position.  So the tables never do more work than earlier calls were
+    charged for, and the first call of a process builds nothing.  ``lock``
+    is held across every read and growth.  A growth that does not finish
+    leaves its rows half updated, so it empties its table.
+    """
+
+    def __init__(self) -> None:
+        self.lock = threading.Lock()
+        self.known: dict = {}  # K -> (values by rank, m)
+        self.rows: dict = {}  # K -> the kernel's rows where the last pass stopped
+        self.credit = 0
+
+    def read(self, a: tuple, opts, units: int) -> Optional[dict]:
+        """The values of ``opts``, the options of ``a``, from a table that
+        knows them or one grown to, or None; then ``a``'s charge of
+        ``units`` is added to the credit."""
+        top = a[0] + 1
+        with self.lock:
+            known = self.known.items()
+            covering = ((k, values) for k, (values, m) in known if k >= len(a) and m >= top)
+            table = next(covering, None) or self._grow(max(len(a), 2), top)
+            self.credit += units
+            if table is None:
+                return None
+            k, values = table
+            return {q: values[_rank(q, k)] for q in opts}
+
+    def _grow(self, k: int, m: int) -> Optional[tuple]:
+        """Grow the table of k heaps to first heaps below m, if the credit
+        covers it: ``(k, values)``, else None."""
+        values, known = self.known.get(k, (array("B"), 0))
+        shell = k * (comb(m + k - 1, k) - comb(known + k - 1, k))
+        if shell > self.credit:
+            return None
+        self.credit -= shell
+        cap = m - 1
+        rows = self.rows.setdefault(k, {})
+        if () in rows:  # two heaps: the one row is indexed by the last heap, up to the cap
+            rows[()] += [0] * (m - len(rows[()]))
+        if values.typecode != _typecode(k * cap):  # a value is at most the count of options
+            values = array(_typecode(k * cap), values)
+        try:
+            for _, row in _nim_rows((cap,) * k, rows, [known] + [0] * (k - 2), True):
+                values.extend(row)
+        except BaseException:
+            self.known.pop(k, None)
+            del self.rows[k]
+            raise
+        self.known[k] = values, m
+        return k, values
+
+
+def _nim_option_values(pos, budget: int | None) -> dict:
+    """``option_values`` for Nim (see there)."""
+    a = check_down_set(pos, budget)
+    if not a:
+        return {}
+    opts = NIM.options(a)
+    values = _TABLES[NIM.name].read(a, opts, len(a) * _down_set_size(a))
+    if values is not None:
+        return values
+    # one pass over the down-set, keeping each option's value as its prefix passes
+    k = len(a)
+    wanted: dict = {}
+    for q in opts:
+        padded = q + (0,) * (k - len(q))
+        wanted.setdefault(padded[:-1], []).append((padded[-1], q))
+    values = {}
+    for p, row in _nim_rows(a, {}, [0] * (k - 1), False):
+        for v, q in wanted.get(p, ()):
+            values[q] = row[v]
+    return values
+
+
+def _new_tables() -> dict:
+    """An empty table per two-heap game, and the empty Nim tables, by
+    ruleset name."""
+    tables: dict = {name: _Unreached(lo, removed) for name, (lo, removed) in _MOVES.items()}
+    tables[NIM.name] = _NimTables()
+    return tables
+
+
+_TABLES = _new_tables()  # shared by every call in the process
 
 
 def _scatter(rules: Ruleset, bound: int, budget: int | None, fill: int) -> np.ndarray:

@@ -320,40 +320,64 @@ def test_two_heap_queries_match_reference(game, lo, ref_grundy, ref_options, cap
 
 
 def test_queries_answer_the_same_warm_and_cold(monkeypatch, capsys):
-    # the engine keeps its two-heap tables for the whole process; what
-    # earlier calls built changes no output, exit code or refusal
+    # the engine keeps its two-heap and Nim tables for the whole process;
+    # what earlier calls built changes no output, exit code or refusal
+    nim_units = _nim_units((24, 20, 13))
     calls = [
-        ["grundy", "--game", "delete-nim", "--position", "300,17"],
-        ["best-move", "--game", "vdn", "--position", "41,40"],
-        ["grundy", "--game", "delete-nim", "--position", "3,9", "--budget", "99"],
-        ["best-move", "--game", "delete-nim", "--position", "9,3", "--budget", "100"],
-        ["grundy", "--game", "vdn", "--position", "0,3"],
-        ["best-move", "--game", "delete-nim", "--position", "255,0"],
-        ["play", "--game", "vdn", "--position", "60,9", "--first", "engine"],
-        ["grundy", "--game", "vdn", "--position", "513,2"],
-        ["best-move", "--game", "vdn", "--position", "7,7"],
-        ["grundy", "--game", "delete-nim", "--position", "0,0", "--budget", "0"],
-        ["best-move", "--game", "delete-nim", "--position", "640,639"],
+        (["grundy", "--game", "delete-nim", "--position", "300,17"], []),
+        (["best-move", "--game", "vdn", "--position", "41,40"], []),
+        (["grundy", "--game", "delete-nim", "--position", "3,9", "--budget", "99"], []),
+        (["best-move", "--game", "delete-nim", "--position", "9,3", "--budget", "100"], []),
+        (["grundy", "--game", "vdn", "--position", "0,3"], []),
+        (["best-move", "--game", "delete-nim", "--position", "255,0"], []),
+        (["play", "--game", "vdn", "--position", "60,9", "--first", "engine"], []),
+        (["grundy", "--game", "vdn", "--position", "513,2"], []),
+        (["best-move", "--game", "vdn", "--position", "7,7"], []),
+        (["grundy", "--game", "delete-nim", "--position", "0,0", "--budget", "0"], []),
+        (["best-move", "--game", "delete-nim", "--position", "640,639"], []),
+        (["grundy", "--game", "nim", "--position", "24,20,13", "--budget", str(nim_units - 1)], []),
+        (["grundy", "--game", "nim", "--position", "24,20,13", "--budget", str(nim_units)], []),
+        (["best-move", "--game", "nim", "--position", "13,20,24", "--budget", str(nim_units - 1)],
+         []),
+        (["best-move", "--game", "nim", "--position", "13,20,24", "--budget", str(nim_units)], []),
+        (["grundy", "--game", "nim", "--position", "0", "--budget", "0"], []),
+        (["best-move", "--game", "nim", "--position", "0"], []),
+        (["best-move", "--game", "nim", "--position", "7,7"], []),
+        (["grundy", "--game", "nim", "--position", "9,9,9,9"], []),
+        (["play", "--game", "nim", "--position", "24,20,13", "--first", "engine"], ["24,20,9"]),
+        (["grundy", "--game", "nim", "--position", "30,2"], []),
+        (["best-move", "--game", "nim", "--position", "28,28,28"], []),
     ]
+    replies: list = []
 
-    def closed(prompt):
-        raise EOFError
+    def scripted(prompt):
+        print(prompt, end="")
+        if not replies:
+            raise EOFError
+        return replies.pop(0)
 
-    monkeypatch.setattr("builtins.input", closed)
+    monkeypatch.setattr("builtins.input", scripted)
 
-    def answer(argv):
+    def answer(argv, script=()):
+        replies[:] = script
         code = cli.main(argv)
         out = capsys.readouterr()
         return code, out.out, out.err
 
     cold = []
-    for argv in calls:
+    for argv, script in calls:
         monkeypatch.setattr(engine, "_TABLES", engine._new_tables())
-        cold.append(answer(argv))
+        cold.append(answer(argv, script))
     monkeypatch.setattr(engine, "_TABLES", engine._new_tables())
     answer(["grundy", "--game", "vdn", "--position", "700,1"])
-    assert [answer(argv) for argv in calls] == cold
-    assert [code for code, _, _ in cold] == [0, 0, 4, 0, 2, 0, 130, 0, 0, 4, 0]
+    for _ in range(2):  # the first pays for the second, which grows the 3-heap table
+        answer(["grundy", "--game", "nim", "--position", "24,24,24"])
+    assert engine._TABLES["nim"].known[3][1] == 25
+    assert [answer(argv, script) for argv, script in calls] == cold
+    two_heap = [0, 0, 4, 0, 2, 0, 130, 0, 0, 4, 0]
+    assert [code for code, _, _ in cold] == two_heap + [4, 0, 4, 0, 0, 0, 0, 0, 130, 0, 0]
+    assert engine._TABLES["nim"].known[3][1] == 29  # grown again, from where it stopped
+    assert cold[-3][1].endswith("engine plays 24,17,9\nposition: 24,17,9\nyour move> ")
 
 
 @pytest.mark.parametrize("game", ["delete-nim", "vdn"])

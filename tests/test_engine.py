@@ -9,14 +9,14 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from impartial import closed_forms as cf
 from impartial import engine
 from impartial import rulesets as rs
 from impartial.errors import BudgetExceededError, DomainError
-from reference import ref_delete_grundy, ref_nim_grundy, ref_v2, ref_vdn_grundy
+from reference import ref_delete_grundy, ref_nim_grundy, ref_nim_options, ref_v2, ref_vdn_grundy
 
 
 def _one_go_masks(rules, heaps: int) -> np.ndarray:
@@ -284,6 +284,163 @@ class TestNimValues:
             engine.nim_values((3, -1))
 
 
+def _charge(pos) -> int:
+    """One unit per heap for each Nim position below ``pos``, listed."""
+    p = rs.canonical_nim(pos)
+    return len(p) * len(_down_set(p))
+
+
+def _ref_options(pos) -> dict:
+    return {q: ref_nim_grundy(q) for q in ref_nim_options(rs.canonical_nim(pos))}
+
+
+def _cube_values(k: int, m: int) -> list:
+    """The values of every k-tuple with heaps below m, by rank, from one
+    ``nim_values`` run over the cube."""
+    return [value for _, value in engine.nim_values((m - 1,) * k)]
+
+
+_NIM_QUERIES = st.lists(
+    st.lists(st.integers(min_value=0, max_value=15), min_size=1, max_size=4),
+    min_size=1,
+    max_size=12,
+)
+
+
+class TestNimTables:
+    @settings(max_examples=40, deadline=None)
+    @given(_NIM_QUERIES)
+    @example([[15, 15, 15], [15, 15, 15], [3, 2], [15, 15, 15, 15], [14, 2, 1], [15, 15, 15, 15]])
+    def test_tables_are_history_independent(self, seq):
+        # queries in any order answer what a cold query would, and every
+        # table holds what one kernel run over its cube gives
+        with mock.patch.object(engine, "_TABLES", engine._new_tables()):
+            for pos in seq:
+                assert engine.option_values(rs.NIM, pos) == _ref_options(pos)
+            for k, (values, m) in engine._TABLES["nim"].known.items():
+                assert list(values) == _cube_values(k, m)
+
+    @pytest.mark.parametrize("start", [(24, 24, 24), (7, 5, 3), (300,), (2, 2)])
+    def test_first_call_builds_nothing(self, start):
+        # the first Nim call of a process runs over its own down-set alone,
+        # even where its charge would pay for the table
+        with mock.patch.object(engine, "_TABLES", engine._new_tables()):
+            nim = engine._TABLES["nim"]
+            assert engine.option_values(rs.NIM, start) == _ref_options(start)
+            assert nim.known == {} and nim.rows == {}
+            assert nim.credit == _charge(start)
+        # the cube's shell is its own charge, so a second call grows it
+        assert _charge((24, 24, 24)) == 3 * engine.comb(24 + 3, 3)
+        with mock.patch.object(engine, "_TABLES", engine._new_tables()):
+            nim = engine._TABLES["nim"]
+            engine.option_values(rs.NIM, (24, 24, 24))
+            assert engine.option_values(rs.NIM, (24, 24, 24)) == _ref_options((24, 24, 24))
+            assert [(k, m) for k, (_, m) in nim.known.items()] == [(3, 25)]
+            assert nim.credit == _charge((24, 24, 24))
+
+    def test_growth_widens_the_array(self):
+        # values of 2 heaps below 131 may pass 255 (a value is at most the
+        # count of options), so the grown table moves to a wider array
+        with mock.patch.object(engine, "_TABLES", engine._new_tables()):
+            nim = engine._TABLES["nim"]
+            for pos in [(130, 130), (60, 1)]:
+                engine.option_values(rs.NIM, pos)
+            assert nim.known[2][0].typecode == "B"
+            assert engine.option_values(rs.NIM, (130, 129)) == _ref_options((130, 129))
+            values, m = nim.known[2]
+            assert (values.typecode, m) == ("H", 131)
+            assert list(values) == _cube_values(2, 131)
+
+    @settings(max_examples=30, deadline=None)
+    @given(_NIM_QUERIES)
+    def test_growth_spends_only_earlier_charges(self, seq):
+        # the positions the kernel runs for the tables, one unit per heap,
+        # never exceed the charges of the calls before the current one
+        spent = [0]
+        kernel = engine._nim_rows
+
+        def counted(a, rows, prefix, keep):
+            for p, values in kernel(a, rows, prefix, keep):
+                if keep:
+                    spent[0] += len(a) * len(values)
+                yield p, values
+
+        earlier = 0
+        with mock.patch.object(engine, "_TABLES", engine._new_tables()), mock.patch.object(
+            engine, "_nim_rows", counted
+        ):
+            for pos in seq:
+                engine.option_values(rs.NIM, pos)
+                assert spent[0] <= earlier
+                earlier += _charge(pos)
+
+    def test_interrupted_growth_leaves_right_answers(self, monkeypatch):
+        # a growth stopped mid-shell leaves its rows half updated; the table
+        # it leaves must still answer right, and grow right
+        kernel = engine._nim_rows
+
+        def interrupted(a, rows, prefix, keep):
+            for i, item in enumerate(kernel(a, rows, prefix, keep)):
+                if keep and i == 5:
+                    raise KeyboardInterrupt
+                yield item
+
+        monkeypatch.setattr(engine, "_TABLES", engine._new_tables())
+        nim = engine._TABLES["nim"]
+        for pos in [(12, 12, 12), (12, 12, 12), (9, 8, 7)]:
+            engine.option_values(rs.NIM, pos)
+        assert nim.known[3][1] == 13
+        with monkeypatch.context() as patch:
+            patch.setattr(engine, "_nim_rows", interrupted)
+            with pytest.raises(KeyboardInterrupt):
+                engine.option_values(rs.NIM, (14, 11, 10))  # grows the table from 13 to 15
+        for pos in [(14, 11, 10), (9, 8, 7), (11, 5), (14, 14, 14), (6,), (15, 2, 1), (15, 15, 1)]:
+            assert engine.option_values(rs.NIM, pos) == _ref_options(pos)
+        assert nim.known[3][1] == 16
+        for k, (values, m) in nim.known.items():
+            assert list(values) == _cube_values(k, m)
+
+    def test_concurrent_growth(self):
+        # threads grow and read the tables at once; without the lock two
+        # growths of one table run the kernel over the same rows and append
+        # to the same array, and ranks read wrong values
+        def queries(step):
+            for n in range(step, 40, step):
+                yield from ((n, n - 1, 1), (n,), (n // 2, n // 3, n // 4, 1), (n, 3))
+
+        expected = {pos: _ref_options(pos) for pos in queries(1)}
+        failures = []
+
+        def work(step):
+            try:
+                for pos in queries(step):
+                    if engine.option_values(rs.NIM, pos) != expected[pos]:
+                        failures.append(pos)
+            except Exception as exc:  # a torn table can also index past its array
+                failures.append(repr(exc))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(2):
+                with mock.patch.object(engine, "_TABLES", engine._new_tables()):
+                    nim = engine._TABLES["nim"]
+                    nim.credit = 10**9  # every call may grow: this checks the lock, not the credit
+                    threads = [threading.Thread(target=work, args=(k,)) for k in (1, 2, 3, 5)]
+                    for thread in threads:
+                        thread.start()
+                    for thread in threads:
+                        thread.join(timeout=60)
+                    assert not any(thread.is_alive() for thread in threads)
+                    # a 2-heap query may read the 3-heap table, so only these two are fixed
+                    assert nim.known[3][1] == 40 and nim.known[4][1] == 20
+                    for k, (values, m) in nim.known.items():
+                        assert list(values) == _cube_values(k, m)
+        finally:
+            sys.setswitchinterval(interval)
+        assert failures == []
+
+
 class TestDenseGrids:
     @pytest.mark.parametrize("rules", [rs.DELETE_NIM, rs.VDN], ids=lambda r: r.name)
     def test_grid_matches_generic_engine(self, rules):
@@ -491,7 +648,7 @@ class TestDenseGrids:
         with pytest.raises(ValueError):
             engine.diagonals(rs.NIM, 4)
         with pytest.raises(ValueError):
-            engine.option_values(rs.NIM, (4, 2))
+            engine.option_values(rs.make_sum(rs.DELETE_NIM, rs.VDN), ((4, 2), (3, 1)))
 
     def test_budget(self):
         # what earlier calls built changes no charge
