@@ -50,11 +50,9 @@ def _closed_form_value(game: str, pos) -> int:
     return closed_forms.nim_sum(pos)
 
 
-def _value_fn(game: str, pos, budget: int):
-    """``best_move``'s ``value_fn`` for ``pos``, charged before the options
-    are listed: a lookup into ``engine.option_values``, which reads the
-    process's tables where earlier calls have filled them."""
-    return engine.option_values(RULESETS[game], pos, budget).__getitem__
+def _winning_move(values: dict):
+    """The smallest option of value 0 in an ``engine.option_values`` map, or None."""
+    return min((q for q, v in values.items() if v == 0), default=None)
 
 
 def cmd_grundy(args) -> int:
@@ -141,15 +139,15 @@ def cmd_table(args) -> int:
 
 
 def cmd_best_move(args) -> int:
+    """Answer from the ``engine.option_values`` map alone; empty is terminal."""
     rules = RULESETS[args.game]
     pos = parse_position(rules, args.position)
-    # charged before the options are listed, which for a large heap is the work
-    value_fn = _value_fn(args.game, pos, args.budget)
-    if not rules.options(pos):
-        print("P-position (terminal)")
-        return EXIT_OK
-    move = engine.best_move(pos, rules, value_fn=value_fn)
-    print("P-position" if move is None else format_position(rules, move))
+    values = engine.option_values(rules, pos, args.budget)
+    move = _winning_move(values)
+    if move is not None:
+        print(format_position(rules, move))
+    else:
+        print("P-position" if values else "P-position (terminal)")
     return EXIT_OK
 
 
@@ -200,10 +198,7 @@ def cmd_play(args) -> int:
     pos = parse_position(rules, args.position)
     # refused before any output, as a query on the start would be; later
     # positions only shrink, so the charge of each engine move passes
-    if args.game == "nim":
-        engine.check_down_set(pos, args.budget)
-    else:
-        engine.check_cells("dense sweep", max(pos), args.budget)
+    engine.check_query(rules, pos, args.budget)
     mover = args.first
     while True:
         print(f"position: {format_position(rules, pos)}")
@@ -213,10 +208,9 @@ def cmd_play(args) -> int:
             print("engine wins" if mover == "human" else "you win")
             return EXIT_OK
         if mover == "engine":
-            value_fn = _value_fn(args.game, pos, args.budget)
-            move = engine.best_move(pos, rules, value_fn=value_fn)
+            move = _winning_move(engine.option_values(rules, pos, args.budget))
             if move is None:  # losing position: play the smallest canonical option
-                move = sorted(opts)[0]
+                move = min(opts)
             print(f"engine plays {format_position(rules, move)}")
             pos = move
             mover = "human"

@@ -7,6 +7,12 @@ The generic path needs nothing from a ruleset beyond ``canonical`` and
 (ruleset name, canonical position); each entry is written exactly once, so
 one table may be shared by every call of a sweep.
 
+A query takes one route in every game.  ``check_query`` charges it before
+any work, whatever the tables hold, so what was asked before changes no
+answer and no refusal; ``option_values`` returns ``{option: value}``, and
+the commands answer from that map alone: its mex, its smallest canonical
+option of value 0, or, if it is empty, a terminal position.
+
 The two-heap backend is one anti-diagonal kernel.  It keeps, per heap size,
 the bitmask of the values that choosing the heap does not reach, and
 produces each cell's value as a one-hot bit, ``1 << value``; a reader turns
@@ -17,15 +23,12 @@ threads may share it.  The verification sweeps stream every diagonal up to
 their bound (``diagonals``), reduce only those of heaps the table does not
 know, and add the heaps they finish to it; a query, and each engine move
 in ``play``, extends it only through the heaps no earlier call reached and
-reads back just the two option diagonals (``option_values``).  Every call
-is charged its full grid whatever the table holds, so what was asked
-before changes no answer and no refusal.  The table saves work only where
-one interpreter asks more than one two-heap question: each engine move of
-a ``play`` session after the first, a ``verify`` check that sweeps a game
-an earlier check swept, and a caller that keeps one interpreter for many
-``option_values`` or ``cli.main`` calls.  A lone ``grundy`` or
-``best-move`` command starts from an empty table and does the work a
-cold query always did.
+reads back just the two option diagonals (``option_values``).  The table
+saves work only where one interpreter asks more than one two-heap
+question: each engine move of a ``play`` session after the first, a
+``verify`` check that sweeps a game an earlier check swept, and a caller
+that keeps one interpreter for many ``option_values`` or ``cli.main``
+calls; a lone command starts from an empty table.
 ``grundy_grid`` scatters the diagonals into a dense table; it is library
 API only, and no command or sweep builds one.
 
@@ -50,8 +53,7 @@ new shell, one unit per heap of each new position, fits the credit: the
 charges of earlier Nim queries less what growth has already spent.
 Otherwise it runs the kernel over its own down-set alone, as a lone
 command and the first Nim query of a process always do.  So the tables
-never do more work than earlier queries were charged for.  Every query is
-charged its down-set first, whatever the tables hold.  A lock is held
+never do more work than earlier queries were charged for.  A lock is held
 across each read and growth, and a growth that does not finish (an
 interrupt during ``play``) empties its table rather than leave it half
 grown.  The generic engine stays the library's reference route, which the
@@ -82,11 +84,11 @@ __all__ = [
     "classify",
     "best_move",
     "check_cells",
+    "check_query",
     "diagonals",
     "option_values",
     "sum_values",
     "NIM_HEAP_LIMIT",
-    "check_down_set",
     "nim_values",
     "delete_nim_grid",
     "vdn_grid",
@@ -176,8 +178,8 @@ def best_move(
     A position is an N-position exactly when some option has value 0, so no
     separate classification pass is needed.  Ties break to the smallest
     canonical option in lexicographic order.  ``value_fn`` may supply option
-    values from a kernel, as ``option_values(rules, pos).__getitem__`` does,
-    instead of the generic engine.
+    values instead of the generic engine.  No command calls this: each reads
+    the same move from the map ``option_values`` returns.
     """
     p = rules.canonical(pos)
     if value_fn is None:
@@ -269,16 +271,22 @@ class _Unreached:
                 self.masks, self.known = masks, known
 
 
+def _moves(rules: Ruleset) -> tuple[int, int]:
+    """``(lo, removed)`` of a two-heap ruleset."""
+    try:
+        return _MOVES[rules.name]
+    except KeyError:
+        raise ValueError(f"no dense backend for ruleset {rules.name!r}") from None
+
+
 def _table(rules: Ruleset, bound: int, budget: int | None) -> _Unreached:
     """The table of a two-heap ruleset, once the bound and the budget are
     checked."""
-    if rules.name not in _MOVES:
-        raise ValueError(f"no dense backend for ruleset {rules.name!r}")
-    table = _TABLES[rules.name]
-    if bound < table.lo:
-        raise DomainError(f"bound must be >= {table.lo}, got {bound}")
+    lo, _ = _moves(rules)
+    if bound < lo:
+        raise DomainError(f"bound must be >= {lo}, got {bound}")
     check_cells("dense sweep", bound, budget)
-    return table
+    return _TABLES[rules.name]
 
 
 def diagonals(rules: Ruleset, bound: int, budget: int | None = None) -> Iterator:
@@ -298,28 +306,53 @@ def diagonals(rules: Ruleset, bound: int, budget: int | None = None) -> Iterator
     return ((xs, ys, _values(low)) for xs, ys, low in lows)
 
 
+def check_query(rules: Ruleset, pos, budget: int | None = None) -> tuple:
+    """Validate ``pos`` and charge a query on it: return the canonical
+    position and its charge, or raise BudgetExceededError if that exceeds
+    ``budget``.  A two-heap position (x, y), x >= y, is charged the (x + 1)**2
+    cells of the grid up to x; a Nim position one unit per heap for each
+    position it dominates, counted, not listed (no heap may pass NIM_HEAP_LIMIT)."""
+    p = rules.canonical(rules.validate(pos))
+    if rules.name != NIM.name:
+        _table(rules, p[0], budget)
+        return p, (p[0] + 1) ** 2
+    if p and p[0] > NIM_HEAP_LIMIT:
+        raise BudgetExceededError(
+            f"a heap of {p[0]} stones exceeds the nim kernel's limit of {NIM_HEAP_LIMIT}"
+        )
+    # at least 1 + sum(p) positions: (), each single heap up to p[0], and each
+    # c, ..., c of i + 1 heaps with c <= p[i]; a refusal by this skips the DP
+    units = len(p) * (1 + sum(p))
+    if p and (budget is None or units <= budget):
+        units = len(p) * _down_set_size(p)
+    if budget is not None and units > budget:
+        raise BudgetExceededError(
+            f"nim values below {format_position(NIM, p)} exceed the budget of {budget} units"
+        )
+    return p, units
+
+
 def option_values(rules: Ruleset, pos, budget: int | None = None) -> dict:
     """Grundy value of every option of the position ``pos``, by mex
-    recursion: ``{option: value}`` with canonical options.
+    recursion: ``{option: value}`` with canonical options, empty at a
+    terminal position.  ``check_query`` charges the query first.
 
     The options of a two-heap position (x, y), x >= y, fill anti-diagonals
     x - removed and y - removed.  The game's shared table is extended
     through heap x, over just the diagonals no earlier call has run, and
     the two option diagonals are then read from it, so a query below heaps
-    already known does O(x) work.  The budget is charged the (x + 1)**2
-    cells of the full grid before any work, as ``diagonals`` charges it,
-    whatever is known.
+    already known does O(x) work.
 
-    A Nim position is charged its down-set (``check_down_set``) before any
-    work, whatever is known.  Its options are read from a Nim table that
-    knows them, or from one grown to know them if earlier calls left the
-    credit for it (``_NimTables``), or else from one kernel pass over the
-    down-set that keeps only the options.
+    The options of a Nim position are read from a Nim table that knows
+    them, or from one grown to know them if earlier calls left the credit
+    for it (``_NimTables``), or else from one kernel pass over the down-set
+    that keeps only the options.
     """
+    p, units = check_query(rules, pos, budget)
     if rules.name == NIM.name:
-        return _nim_option_values(pos, budget)
-    x, y = rules.canonical(rules.validate(pos))
-    table = _table(rules, x, budget)
+        return _nim_option_values(p, units)
+    x, y = p
+    table = _TABLES[rules.name]
     lo, removed = table.lo, table.removed
     if table.known <= x:
         for _ in _lows(table, x, range(table.known - removed, x - removed + 1)):
@@ -391,11 +424,10 @@ def sum_values(rules: Ruleset, bound: int) -> Iterator:
     integer operations and the memory is the O(bound**3) ``col`` masks.
     No budget is charged here; the caller charges the sums it asks for.
     """
-    if rules.name not in _MOVES:
-        raise ValueError(f"no dense backend for ruleset {rules.name!r}")
+    lo, removed = _moves(rules)
     if bound < 0:
         raise DomainError(f"bound must be >= 0, got {bound}")
-    return _sum_values(*_MOVES[rules.name], bound)
+    return _sum_values(lo, removed, bound)
 
 
 def _sum_values(lo: int, removed: int, bound: int) -> Iterator:
@@ -456,28 +488,6 @@ def _down_set_size(a: tuple) -> int:
     return len(cnt)
 
 
-def check_down_set(pos, budget: int | None) -> tuple:
-    """Charge ``nim_values(pos)`` its work before any of it runs: one unit per
-    heap of ``pos`` for each position ``pos`` dominates, counted, not listed.
-    Raise BudgetExceededError if that exceeds ``budget``, or if a heap
-    exceeds NIM_HEAP_LIMIT; return the canonical position."""
-    a = NIM.canonical(NIM.validate(pos))
-    if a and a[0] > NIM_HEAP_LIMIT:
-        raise BudgetExceededError(
-            f"a heap of {a[0]} stones exceeds the nim kernel's limit of {NIM_HEAP_LIMIT}"
-        )
-    heaps = len(a)
-    # at least 1 + sum(a) positions: (), each single heap up to a[0], and
-    # each c, ..., c of i + 1 heaps with c <= a[i]; that also caps the DP
-    if budget is not None and (
-        heaps * (1 + sum(a)) > budget or (a and heaps * _down_set_size(a) > budget)
-    ):
-        raise BudgetExceededError(
-            f"nim values below {format_position(NIM, a)} exceed the budget of {budget} units"
-        )
-    return a
-
-
 def nim_values(pos, budget: int | None = None) -> Iterator:
     """Grundy value of every Nim position that ``pos`` dominates (every
     multiset whose sorted heaps are at most those of ``pos``, place by
@@ -488,10 +498,10 @@ def nim_values(pos, budget: int | None = None) -> Iterator:
     Each position costs one mask read and one mask update per distinct heap.
     Memory is one slot per rest (a position of one heap fewer) whose last
     heap is at most the last heap of ``pos``; a slot no position reads again
-    holds 0.  The budget is charged (``check_down_set``) before anything
-    runs.
+    holds 0.  The budget is charged as a query on ``pos`` (``check_query``)
+    before anything runs.
     """
-    return _nim_values(check_down_set(pos, budget))
+    return _nim_values(check_query(NIM, pos, budget)[0])
 
 
 def _nim_values(a: tuple) -> Iterator:
@@ -638,13 +648,12 @@ class _NimTables:
         return k, values
 
 
-def _nim_option_values(pos, budget: int | None) -> dict:
-    """``option_values`` for Nim (see there)."""
-    a = check_down_set(pos, budget)
+def _nim_option_values(a: tuple, units: int) -> dict:
+    """``option_values`` for the canonical Nim position ``a``, charged ``units``."""
     if not a:
         return {}
     opts = NIM.options(a)
-    values = _TABLES[NIM.name].read(a, opts, len(a) * _down_set_size(a))
+    values = _TABLES[NIM.name].read(a, opts, units)
     if values is not None:
         return values
     # one pass over the down-set, keeping each option's value as its prefix passes
@@ -695,8 +704,5 @@ def vdn_grid(bound: int, budget: int | None = None) -> np.ndarray:
 def grundy_grid(rules: Ruleset, bound: int, budget: int | None = None) -> np.ndarray:
     """Dense Grundy table for a two-heap ruleset; index as grid[x, y] in
     either heap order."""
-    if rules.name == "delete-nim":
-        return delete_nim_grid(bound, budget)
-    if rules.name == "vdn":
-        return vdn_grid(bound, budget)
-    raise ValueError(f"no dense backend for ruleset {rules.name!r}")
+    _moves(rules)
+    return (delete_nim_grid if rules.name == DELETE_NIM.name else vdn_grid)(bound, budget)

@@ -13,6 +13,7 @@ import pytest
 
 from impartial import cli, engine, verification
 from impartial.closed_forms import delete_nim_grundy
+from impartial.rulesets import RULESETS
 from reference import (
     ref_delete_grundy,
     ref_delete_options,
@@ -311,12 +312,85 @@ def test_two_heap_queries_match_reference(game, lo, ref_grundy, ref_options, cap
             assert capsys.readouterr().out.splitlines()[1] == f"engine: {value}"
             assert cli.main(["best-move", "--game", game, "--position", f"{x},{y}"]) == 0
             answer = capsys.readouterr().out.strip()
+            opts = ref_options(x, y)
             if value == 0:
-                assert answer.startswith("P-position"), (x, y, answer)
+                assert answer == ("P-position" if opts else "P-position (terminal)"), (x, y)
                 continue
-            move = tuple(int(v) for v in answer.split(","))
-            assert move in ref_options(x, y), (x, y, answer)
-            assert ref_grundy(*move) == 0, (x, y, answer)
+            # ties break to the smallest canonical winning option
+            winning = sorted(q for q in opts if ref_grundy(*q) == 0)
+            assert answer == _position_text(winning[0]), (x, y, answer)
+
+
+# a win in each game, the empty Nim position as the winning move, a
+# P-position and a terminal position
+_ROUTE_CASES = [
+    ("delete-nim", "30,7"), ("vdn", "30,7"), ("nim", "7,5,4"), ("nim", "5"),
+    ("delete-nim", "2,2"), ("vdn", "1,1"),
+]
+
+
+def _unreachable(*args, **kwargs):
+    raise AssertionError("engine.best_move called")
+
+
+@pytest.mark.parametrize("game,text", _ROUTE_CASES)
+def test_best_move_reads_option_values_alone(game, text, monkeypatch, capsys):
+    # best-move answers from the engine.option_values map: it calls no
+    # engine.best_move and lists no options beyond those option_values
+    # lists itself, which for a two-heap game is none
+    rules = RULESETS[game]
+    options = rules.options
+    listed = []
+
+    def counted(p):
+        listed.append(p)
+        return options(p)
+
+    monkeypatch.setattr(engine, "best_move", _unreachable)
+    object.__setattr__(rules, "options", counted)  # Ruleset is frozen
+    try:
+        engine.option_values(rules, _parse_position(text))
+        own = len(listed)
+        listed.clear()
+        assert cli.main(["best-move", "--game", game, "--position", text]) == 0
+    finally:
+        object.__setattr__(rules, "options", options)
+    assert len(listed) == own
+    if game != "nim":
+        assert own == 0
+    ref_options, ref_value = _REFERENCE_GAMES[game]
+    opts = ref_options(_parse_position(text))
+    winning = sorted(q for q in opts if ref_value(q) == 0)
+    if winning:  # () is a winning move too, so no truth test on the move
+        expected = _position_text(winning[0])
+    else:
+        expected = "P-position" if opts else "P-position (terminal)"
+    assert capsys.readouterr().out == expected + "\n"
+
+
+@pytest.mark.parametrize("game,text", _ROUTE_CASES)
+def test_play_engine_moves_read_option_values_alone(game, text, monkeypatch, capsys):
+    # an engine turn plays the smallest winning option of the map, or the
+    # smallest option from a P-position, with no call to engine.best_move
+    def closed(prompt):
+        raise EOFError
+
+    monkeypatch.setattr(engine, "best_move", _unreachable)
+    monkeypatch.setattr("builtins.input", closed)
+    code = cli.main(["play", "--game", game, "--position", text, "--first", "engine"])
+    out = capsys.readouterr().out
+    ref_options, ref_value = _REFERENCE_GAMES[game]
+    opts = ref_options(_parse_position(text))
+    if not opts:
+        assert (code, out) == (0, f"position: {text}\nyou win\n")
+        return
+    move = min([q for q in opts if ref_value(q) == 0] or opts)
+    shown = _position_text(move)
+    played = f"position: {text}\nengine plays {shown}\nposition: {shown}\n"
+    if ref_options(move):
+        assert (code, out) == (130, played)
+    else:
+        assert (code, out) == (0, played + "engine wins\n")
 
 
 def test_queries_answer_the_same_warm_and_cold(monkeypatch, capsys):

@@ -259,22 +259,24 @@ class TestNimValues:
         for start in itertools.combinations_with_replacement(range(6), 4):
             p = rs.canonical_nim(start)
             n = len(p) * len(_down_set(p))
-            assert engine.check_down_set(start, n) == p
+            assert engine.check_query(rs.NIM, start, n) == (p, n)
             with pytest.raises(BudgetExceededError) as exc:
                 engine.nim_values(start, n - 1)
             text = ",".join(map(str, p)) or "0"
             assert str(exc.value) == f"nim values below {text} exceed the budget of {n - 1} units"
         # 26,982,005 positions below 3000,2999,5, and 20,001 below 20000
         with pytest.raises(BudgetExceededError):
-            engine.check_down_set((3000, 2999, 5), 80_946_014)
-        assert engine.check_down_set((5, 2999, 3000), 80_946_015) == (3000, 2999, 5)
+            engine.check_query(rs.NIM, (3000, 2999, 5), 80_946_014)
+        assert engine.check_query(rs.NIM, (5, 2999, 3000), 80_946_015) == (
+            (3000, 2999, 5), 80_946_015
+        )
         with pytest.raises(BudgetExceededError):
-            engine.check_down_set((20000,), 20_000)
-        assert engine.check_down_set((20000,), 20_001) == (20000,)
+            engine.check_query(rs.NIM, (20000,), 20_000)
+        assert engine.check_query(rs.NIM, (20000,), 20_001) == ((20000,), 20_001)
 
     def test_refused_inputs(self):
         limit = engine.NIM_HEAP_LIMIT
-        assert engine.check_down_set((limit, 1), None) == (limit, 1)
+        assert engine.check_query(rs.NIM, (limit, 1), None) == ((limit, 1), 4 * limit + 2)
         with pytest.raises(BudgetExceededError) as exc:
             engine.nim_values((3, limit + 1))
         assert str(exc.value) == (
@@ -643,11 +645,14 @@ class TestDenseGrids:
         assert np.all(grid[:, 0] == -1)
 
     def test_unsupported_ruleset(self):
-        with pytest.raises(ValueError):
+        refused = "no dense backend for ruleset 'nim'"
+        with pytest.raises(ValueError, match=refused):
             engine.grundy_grid(rs.NIM, 4)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=refused):
             engine.diagonals(rs.NIM, 4)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=refused):
+            engine.sum_values(rs.NIM, 4)
+        with pytest.raises(ValueError, match="no dense backend for ruleset 'delete-nim[+]vdn'"):
             engine.option_values(rs.make_sum(rs.DELETE_NIM, rs.VDN), ((4, 2), (3, 1)))
 
     def test_budget(self):
@@ -663,6 +668,7 @@ class TestDenseGrids:
         with pytest.raises(BudgetExceededError):
             engine.option_values(rs.DELETE_NIM, (3, 9), budget=99)
         assert engine.option_values(rs.DELETE_NIM, (3, 9), budget=100)
+        assert engine.check_query(rs.VDN, (3, 9), 100) == ((9, 3), 100)
 
     def test_matches_closed_form_grid(self):
         assert np.array_equal(
