@@ -202,19 +202,20 @@ def cmd_play(args) -> int:
     mover = args.first
     while True:
         print(f"position: {format_position(rules, pos)}")
-        opts = rules.options(pos)
-        if not opts:
-            # the player to move has no options; the other player moved last
-            print("engine wins" if mover == "human" else "you win")
-            return EXIT_OK
         if mover == "engine":
-            move = _winning_move(engine.option_values(rules, pos, args.budget))
+            values = engine.option_values(rules, pos, args.budget)  # keyed by the options
+            if not values:  # the human moved last
+                print("you win")
+                return EXIT_OK
+            move = _winning_move(values)
             if move is None:  # losing position: play the smallest canonical option
-                move = min(opts)
+                move = min(values)
             print(f"engine plays {format_position(rules, move)}")
-            pos = move
-            mover = "human"
         else:
+            opts = rules.options(pos)
+            if not opts:  # the engine moved last
+                print("engine wins")
+                return EXIT_OK
             try:
                 line = input("your move> ")
             except EOFError:
@@ -230,8 +231,8 @@ def cmd_play(args) -> int:
                     f"of {format_position(rules, pos)}"
                 )
                 continue
-            pos = move
-            mover = "engine"
+        pos = move
+        mover = "human" if mover == "engine" else "engine"
 
 
 @functools.cache

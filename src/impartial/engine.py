@@ -10,8 +10,9 @@ one table may be shared by every call of a sweep.
 A query takes one route in every game.  ``check_query`` charges it before
 any work, whatever the tables hold, so what was asked before changes no
 answer and no refusal; ``option_values`` returns ``{option: value}``, and
-the commands answer from that map alone: its mex, its smallest canonical
-option of value 0, or, if it is empty, a terminal position.
+the commands, each engine turn of ``play`` too, answer from that map alone:
+its mex, its smallest option of value 0 (else, in ``play``, its smallest
+option), or, if it is empty, a terminal position.
 
 The two-heap backend is one anti-diagonal kernel.  It keeps, per heap size,
 the bitmask of the values that choosing the heap does not reach, and

@@ -16,8 +16,8 @@ values from the engine's per-heap sum kernel and XORs the component values
 itself; the Bouton sweep takes its values from the engine's Nim kernel.
 Every sweep charges its budget from an arithmetic count before it builds
 anything: the (bound+1)**2 grid cells for the two-heap and certificate
-sweeps, positions for sum and bouton (bouton's counted, not listed), so
-none passes a budget into the generic engine.  Every check runs in the
+sweeps, positions for sum, and a Nim query's units for bouton, so none
+passes a budget into the generic engine.  Every check runs in the
 calling thread.
 
 Mismatches are listed in row-major position order (iso lists its
@@ -124,14 +124,6 @@ def _as_mismatches(found: list) -> list[Mismatch]:
     return [(f"{x},{y}", e, a) for x, y, e, a in sorted(found)]
 
 
-def _charge_positions(count: int, budget: int | None) -> None:
-    """Refuse ``count`` positions over ``budget`` with the generic engine's message."""
-    if budget is not None and count > budget:
-        raise BudgetExceededError(
-            f"grundy computation exceeded the budget of {budget} positions"
-        )
-
-
 # Cells per formula call and comparison in the two-heap sweeps: each call
 # costs a fixed numpy dispatch, so short diagonals are compared in blocks.
 _BLOCK_CELLS = 4096
@@ -199,16 +191,21 @@ def verify_bouton(
     criterion for every Nim position with at most ``max_heaps`` heaps, each
     of at most ``max_size`` stones: the positions (max_size,) * max_heaps
     dominates, in one ``engine.nim_values`` call.  The budget is charged,
-    before any work, in positions, with the generic engine's message: the
-    multisets of at most max_heaps sizes from 1..max_size, counted as
-    comb(max_size + max_heaps, max_heaps)."""
+    before any work, as a Nim query on that position (``engine.check_query``).
+    Any size but 0 costs over max_heaps**2 units, so past that the sweep is
+    refused before the heaps are built."""
     if max_heaps < 1 or max_size < 0:
         raise DomainError(f"need max_heaps >= 1 and max_size >= 0, got ({max_heaps}, {max_size})")
+    if max_size and budget is not None and max_heaps * max_heaps > budget:
+        raise BudgetExceededError(
+            f"nim values below {max_heaps} heaps of {max_size} exceed the budget of {budget} units"
+        )
+    top = (max_size,) * max_heaps if max_size else ()
+    engine.check_query(rulesets.NIM, top, budget)
     count = comb(max_size + max_heaps, max_heaps)
-    _charge_positions(count, budget)
     t0 = time.perf_counter()
     found: list = []
-    for p, value in engine.nim_values((max_size,) * max_heaps):
+    for p, value in engine.nim_values(top):
         formula_p = closed_forms.bouton_is_p(p)
         if (value == 0) != formula_p:
             position = rulesets.format_position(rulesets.NIM, p)
@@ -353,7 +350,8 @@ def verify_sum_theorem(
     if bound < 0:
         raise DomainError(f"bound must be >= 0, got {bound}")
     t = (bound + 1) * (bound + 2) // 2
-    _charge_positions(t + t * t, budget)
+    if budget is not None and t + t * t > budget:
+        raise BudgetExceededError(f"grundy computation exceeded the budget of {budget} positions")
     t0 = time.perf_counter()
     comps = [(x, y) for x in range(bound + 1) for y in range(x + 1)]
     memo: engine.MemoTable = {}

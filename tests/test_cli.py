@@ -393,6 +393,66 @@ def test_play_engine_moves_read_option_values_alone(game, text, monkeypatch, cap
         assert (code, out) == (0, played + "engine wins\n")
 
 
+# each game from both sides, P-position starts and terminal starts
+_PLAY_ROUTE_CASES = [
+    ("delete-nim", "9,5", "human"), ("delete-nim", "9,5", "engine"),
+    ("vdn", "9,5", "human"), ("vdn", "9,5", "engine"),
+    ("nim", "5,3,2", "human"), ("nim", "5,3,2", "engine"),
+    ("delete-nim", "2,2", "engine"), ("nim", "3,2,1", "engine"),
+    ("delete-nim", "0,0", "engine"), ("vdn", "1,1", "human"), ("nim", "0", "human"),
+]
+
+
+@pytest.mark.parametrize("game,text,first", _PLAY_ROUTE_CASES)
+def test_play_lists_options_on_human_turns_only(game, text, first, monkeypatch, capsys):
+    # an engine turn answers from the option_values map alone; a human turn
+    # lists the options once per prompt, to check the reply, or once to see
+    # that the engine moved last.  What option_values lists itself (the Nim
+    # kernel pass names the options) is not counted.
+    rules = RULESETS[game]
+    options, query = rules.options, engine.option_values
+    listed, asked, inside = [], [], []
+
+    def counted(p):
+        if not inside:
+            listed.append(p)
+        return options(p)
+
+    def answered(rules, pos, budget=None):
+        asked.append(pos)
+        inside.append(pos)
+        try:
+            return query(rules, pos, budget)
+        finally:
+            inside.pop()
+
+    ref_options, _ = _REFERENCE_GAMES[game]
+    transcript: list[str] = []
+
+    def human(prompt):  # one unparsable reply, then the largest option
+        transcript.append(capsys.readouterr().out)
+        if len(transcript) == 1:
+            return "x"
+        return _position_text(max(ref_options(_last_position(transcript[-1]))))
+
+    monkeypatch.setattr(engine, "option_values", answered)
+    monkeypatch.setattr("builtins.input", human)
+    object.__setattr__(rules, "options", counted)  # Ruleset is frozen
+    try:
+        code = cli.main(["play", "--game", game, "--position", text, "--first", first])
+    finally:
+        object.__setattr__(rules, "options", options)
+    transcript.append(capsys.readouterr().out)
+    lines = "".join(transcript).splitlines()
+    assert code == 0
+    # a position line is the engine's turn when it plays or loses next
+    turns = [(_parse_position(line.removeprefix("position: ")),
+              after.startswith(("engine plays ", "you win")))
+             for line, after in zip(lines, lines[1:] + [""]) if line.startswith("position: ")]
+    assert asked == [pos for pos, engine_turn in turns if engine_turn]
+    assert listed == [pos for pos, engine_turn in turns if not engine_turn]
+
+
 def test_queries_answer_the_same_warm_and_cold(monkeypatch, capsys):
     # the engine keeps its two-heap and Nim tables for the whole process;
     # what earlier calls built changes no output, exit code or refusal
@@ -658,6 +718,8 @@ class TestVerifyCommand:
         [
             # 12 M positions: listing them ran past 90 s and 1.1 GB
             ["--check", "bouton", "--heaps", "4", "--size", "128", "--budget", "1000000"],
+            # 9,003,000 units: charged its 3,001 positions, the kernel ran (2.5 s, 105 MB)
+            ["--check", "bouton", "--heaps", "3000", "--size", "1", "--budget", "1000000"],
             # 4.5 M components: listing them peaked at 454 MB
             ["--check", "sum", "--bound-sum", "3000"],
         ],
@@ -669,22 +731,25 @@ class TestVerifyCommand:
         assert rss_kib < 60 * 1024
 
     def test_bouton_reports_at_the_budget_edge(self, capsys):
-        # heaps 1-4 x sizes 0-12: refused one below the count, then the
-        # report, which all but its elapsed time pins
+        # heaps 1-4 x sizes 0-12: refused one unit below the charge of a Nim
+        # query on size,...,size (heaps units per position, 0 for size 0),
+        # then the report, which all but its elapsed time pins
         for heaps in range(1, 5):
             for size in range(13):
-                n = comb(size + heaps, heaps)
+                count = comb(size + heaps, heaps)
+                n = heaps * count if size else 0
+                top = ",".join([str(size)] * heaps) if size else "0"
                 argv = ["verify", "--check", "bouton", "--heaps", str(heaps),
                         "--size", str(size), "--budget"]
                 assert cli.main(argv + [str(n - 1)]) == 4
                 assert capsys.readouterr() == (
                     "0/0 checks passed\n",
-                    f"error: grundy computation exceeded the budget of {n - 1} positions\n",
+                    f"error: nim values below {top} exceed the budget of {n - 1} units\n",
                 )
                 assert cli.main(argv + [str(n)]) == 0
                 out = re.sub(r"elapsed=[0-9]+\.[0-9]ms", "elapsed=Xms", capsys.readouterr().out)
                 assert out == (
-                    f"[PASS] bouton: bound={heaps}x{size} checked={n} mismatches=0 "
+                    f"[PASS] bouton: bound={heaps}x{size} checked={count} mismatches=0 "
                     "elapsed=Xms\n1/1 checks passed\n"
                 )
                 assert cli.main(argv + [str(n), "--format", "json"]) == 0
@@ -694,7 +759,7 @@ class TestVerifyCommand:
                 ]
                 del record["elapsed-milliseconds"]
                 assert record == {
-                    "name": "bouton", "bound": [heaps, size], "checked": n,
+                    "name": "bouton", "bound": [heaps, size], "checked": count,
                     "mismatches": [], "passed": True,
                 }
 

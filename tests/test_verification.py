@@ -66,16 +66,19 @@ class TestSweeps:
 
     @pytest.mark.parametrize("heaps, size", [(1, 0), (3, 0), (1, 5), (2, 4), (3, 7), (4, 3)])
     def test_bouton_budget_threshold(self, heaps, size):
-        # the shared memo ends holding every position, so the sweep is over
-        # budget exactly below their count
-        n = 1 + sum(comb(size + k - 1, k) for k in range(1, heaps + 1))
-        message = f"grundy computation exceeded the budget of {n - 1} positions"
+        # charged as a Nim query on size,...,size: heaps units per position
+        # it dominates, the empty one and each multiset of 1..heaps sizes
+        # from 1..size; size 0 is the empty position, 0 units
+        count = 1 + sum(comb(size + k - 1, k) for k in range(1, heaps + 1))
+        n = heaps * count if size else 0
+        top = ",".join([str(size)] * heaps) if size else "0"
+        message = f"nim values below {top} exceed the budget of {n - 1} units"
         with pytest.raises(BudgetExceededError) as exc:
             vf.verify_bouton(heaps, size, budget=n - 1)
         assert str(exc.value) == message
         rep = vf.verify_bouton(heaps, size, budget=n)
         assert rep.passed
-        assert rep.positions_checked == n
+        assert rep.positions_checked == count
 
     def test_refusals_call_no_engine(self, monkeypatch):
         # each refusal is decided from a count, before any position is
@@ -89,6 +92,22 @@ class TestSweeps:
             vf.verify_bouton(3, 128, budget=1000)
         with pytest.raises(BudgetExceededError):
             vf.verify_sum_theorem(3000, budget=1000)
+
+    def test_bouton_refuses_a_heap_count_before_building_it(self, monkeypatch):
+        # one stone per heap already costs heaps * (heaps + 1) units, so past
+        # heaps**2 the sweep is refused from the two numbers alone
+        def unreachable(*args, **kwargs):
+            raise AssertionError("heaps built for a refused sweep")
+
+        monkeypatch.setattr(engine, "check_query", unreachable)
+        with pytest.raises(BudgetExceededError) as exc:
+            vf.verify_bouton(10**12, 1, budget=1 << 26)
+        assert str(exc.value) == (
+            "nim values below 1000000000000 heaps of 1 exceed the budget of 67108864 units"
+        )
+        with pytest.raises(BudgetExceededError) as exc:
+            vf.verify_bouton(3, 5, budget=8)
+        assert str(exc.value) == "nim values below 3 heaps of 5 exceed the budget of 8 units"
 
 
 class TestFaultInjection:
