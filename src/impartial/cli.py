@@ -8,8 +8,10 @@ output was written.  Output is deterministic: identical invocations produce
 byte-identical output, except for the elapsed times in verify's reports.
 
 ``table`` streams: it evaluates the closed-form ``*_array`` functions on one
-x-row at a time and writes each row as it goes, so it holds O(bound) memory
-and builds no grid.
+x-row at a time and writes each row as it goes, and builds no grid.  Rows
+are gathered from a table of finished cell texts, one per value and column
+seen, so it holds O(bound log bound) memory: a value is at most
+``bound.bit_length()``.
 """
 
 from __future__ import annotations
@@ -83,41 +85,42 @@ def _grundy_rows(game: str, lo: int, bound: int):
         yield x, grundy_array(x, ys)
 
 
-# Every closed-form value is the 2-adic valuation of a positive int64, so below 64.
-_DIGITS = [str(g) for g in range(64)]
-
-
 def _write_table(out, game: str, lo: int, bound: int, fmt: str) -> None:
     """Render the table one x-row, and one ``write``, at a time.  The csv and
     json bytes are those of ``csv.writer`` and of ``json.dumps`` on the list
-    of ``{"x", "y", "grundy"}`` records.  A csv or json row is its cells
-    joined by the row's x part; a cell is its y part, built once per table,
-    plus its value's digits."""
+    of ``{"x", "y", "grundy"}`` records.  A row is its lead, its cells joined
+    by its joiner, and its end; ``cells[g, i]`` holds the finished text of a
+    value-``g`` cell in column ``i``, so a row is one gather and one join.
+    The cell table grows to the largest value seen, so it holds at most (max
+    value + 1) x (bound + 1 - lo) strings: O(bound log bound) memory.  A text
+    cell does not depend on its column, so text keeps one column of cells."""
     ys = range(lo, bound + 1)
-    if fmt == "csv":
-        out.write("x,y,grundy\n")
-        tails = [f"{y}," for y in ys]
-        for x, values in _grundy_rows(game, lo, bound):
-            lead = f"{x},"
-            cells = map(str.__add__, tails, map(_DIGITS.__getitem__, values.tolist()))
-            out.write(lead + ("\n" + lead).join(cells) + "\n")
-    elif fmt == "json":
-        tails = [f', "y": {y}, "grundy": ' for y in ys]
-        sep = "["
-        for x, values in _grundy_rows(game, lo, bound):
-            lead = f'{{"x": {x}'
-            cells = map(str.__add__, tails, map(_DIGITS.__getitem__, values.tolist()))
-            out.write(sep + lead + ("}, " + lead).join(cells) + "}")
-            sep = ", "
-        out.write("]\n")
-    else:
+    if fmt == "text":
         top = max(int(values.max()) for _, values in _grundy_rows(game, lo, bound))
         width = max(len(str(top)), len(str(bound)))
         label = max(3, len(str(bound)))
-        padded = [f" {g:>{width}}" for g in range(top + 1)]
-        out.write(" " * label + "".join(f" {y:>{width}}" for y in ys) + "\n")
-        for x, values in _grundy_rows(game, lo, bound):
-            out.write(f"{x:>{label}}" + "".join(map(padded.__getitem__, values.tolist())) + "\n")
+        head = " " * label + "".join(f" {y:>{width}}" for y in ys) + "\n"
+        lead, joiner, cell = f"{{x:>{label}}}", "", f" {{g:>{width}}}"
+        end, between, foot = "\n", "", ""
+        ys = range(1)  # a text cell does not depend on y: one column serves all
+    elif fmt == "csv":
+        head, lead, joiner, cell = "x,y,grundy\n", "{x},", "\n{x},", "{y},{g}"
+        end, between, foot = "\n", "", ""
+    else:
+        head, lead, joiner, cell = "[", '{{"x": {x}', '}}, {{"x": {x}', ', "y": {y}, "grundy": {g}'
+        end, between, foot = "}", ", ", "]\n"
+    cols = np.arange(len(ys))
+    cells = np.empty((0, len(ys)), dtype=object)
+    sep = head  # bound >= lo, so there is a first row to carry the header
+    for x, values in _grundy_rows(game, lo, bound):
+        top = int(values.max())
+        if top >= len(cells):
+            more = [[cell.format(y=y, g=g) for y in ys] for g in range(len(cells), top + 1)]
+            cells = np.concatenate([cells, np.array(more, dtype=object)])
+        row = joiner.format(x=x).join(cells[values, cols].tolist())
+        out.write(sep + lead.format(x=x) + row + end)
+        sep = between
+    out.write(foot)
 
 
 def cmd_table(args) -> int:

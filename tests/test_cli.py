@@ -19,6 +19,7 @@ from reference import (
     ref_delete_options,
     ref_nim_grundy,
     ref_nim_options,
+    ref_v2,
     ref_vdn_grundy,
     ref_vdn_options,
 )
@@ -104,13 +105,16 @@ class TestGrundyCommand:
         assert "disagree" in out.err
 
 
-def _reference_table(game: str, bound: int, fmt: str) -> str:
+def _reference_table(game: str, bound: int, fmt: str, xs=None, ref=None) -> str:
     """The table as first specified: reference values, rendered with the
-    stdlib csv writer, json.dumps of a list of dicts, or a padded grid."""
+    stdlib csv writer, json.dumps of a list of dicts, or a padded grid.
+    With ``xs``, only those x-rows are rendered."""
     lo = 0 if game == "delete-nim" else 1
-    ref = ref_delete_grundy if game == "delete-nim" else ref_vdn_grundy
+    if ref is None:
+        ref = ref_delete_grundy if game == "delete-nim" else ref_vdn_grundy
     heaps = range(lo, bound + 1)
-    rows = [(x, y, ref(x, y)) for x in heaps for y in heaps]
+    xs = heaps if xs is None else xs
+    rows = [(x, y, ref(x, y)) for x in xs for y in heaps]
     out = io.StringIO()
     if fmt == "csv":
         writer = csv.writer(out, lineterminator="\n")
@@ -123,10 +127,28 @@ def _reference_table(game: str, bound: int, fmt: str) -> str:
         label = max(3, len(str(bound)))
         out.write(" " * label + "".join(f" {y:>{width}}" for y in heaps) + "\n")
         cells = iter(rows)
-        for x in heaps:
+        for x in xs:
             line = "".join(f" {next(cells)[2]:>{width}}" for _ in heaps)
             out.write(f"{x:>{label}}{line}\n")
     return out.getvalue()
+
+
+def _paper_value(game: str):
+    """The paper's closed forms on the reference's own 2-adic valuation: the
+    reference recursion would take minutes to reach a bound of 1023."""
+    if game == "delete-nim":
+        return lambda x, y: ref_v2((x | y) + 1)
+    return lambda x, y: ref_v2(((x - 1) | (y - 1)) + 1)
+
+
+def _table_rows(table: str, fmt: str, lo: int, per_row: int) -> list:
+    """A rendered table cut into its header and its x-rows: ``per_row``
+    lines each in csv or text, the records of one x in json."""
+    if fmt == "json":
+        assert table[:1] == "[" and table[-2:] == "]\n"
+        return ["["] + re.split(rf', (?={{"x": \d+, "y": {lo},)', table[1:-2])
+    lines = table.splitlines(keepends=True)
+    return lines[:1] + ["".join(lines[i:i + per_row]) for i in range(1, len(lines), per_row)]
 
 
 class TestTableCommand:
@@ -208,6 +230,29 @@ class TestTableCommand:
             assert cli.main(argv + ["--output", str(path)]) == 0
             assert capsys.readouterr().out == ""
             assert path.read_text() == want, (game, fmt, bound)
+
+    @pytest.mark.parametrize(
+        "game,bound,fmt",
+        [(game, bound, fmt) for game, bound in (("delete-nim", 1023), ("vdn", 1024))
+         for fmt in ("csv", "json")] + [("delete-nim", 1023, "text")],
+    )
+    def test_two_digit_values_match_independent_renderer(self, game, bound, fmt, capsys, tmp_path):
+        # the last row, and the last cell of every row, has value 10: (1023, y)
+        # and (x, 1023) in Delete Nim, (1024, y) and (x, 1024) in VDN
+        lo = 0 if game == "delete-nim" else 1
+        xs = [lo, lo + 1, bound // 2, bound - 1, bound]
+        value = _paper_value(game)
+        assert {value(x, bound) for x in xs} == {value(bound, y) for y in xs} == {10}
+        per_row = 1 if fmt == "text" else bound + 1 - lo
+        want = _table_rows(_reference_table(game, bound, fmt, xs, value), fmt, lo, per_row)
+        argv = ["table", "--game", game, "--bound", str(bound), "--format", fmt]
+        path = tmp_path / f"table.{fmt}"
+        assert cli.main(argv) == 0
+        assert cli.main(argv + ["--output", str(path)]) == 0
+        for table in (capsys.readouterr().out, path.read_text()):
+            rows = _table_rows(table, fmt, lo, per_row)
+            assert len(rows) == 1 + bound + 1 - lo
+            assert rows[:1] + [rows[1 + x - lo] for x in xs] == want
 
     def test_unwritable_output_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "missing" / "x.csv"
