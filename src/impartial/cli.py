@@ -7,11 +7,12 @@ session aborted, 141 (128 + SIGPIPE) stdout closed by its reader before the
 output was written.  Output is deterministic: identical invocations produce
 byte-identical output, except for the elapsed times in verify's reports.
 
-``table`` streams: it evaluates the closed-form ``*_array`` functions on one
-x-row at a time and writes each row as it goes, and builds no grid.  Rows
-are gathered from a table of finished cell texts, one per value and column
+``table`` streams: it evaluates the closed-form ``*_array`` functions once
+on each x-row and writes each row as it goes, and builds no grid.  Rows are
+gathered from a table of finished cell texts, one per value and column
 seen, so it holds O(bound log bound) memory: a value is at most
-``bound.bit_length()``.
+``bound.bit_length()``, which has no more digits than ``bound``, so the
+text columns are as wide as ``bound``.
 """
 
 from __future__ import annotations
@@ -52,11 +53,6 @@ def _closed_form_value(game: str, pos) -> int:
     return closed_forms.nim_sum(pos)
 
 
-def _winning_move(values: dict):
-    """The smallest option of value 0 in an ``engine.option_values`` map, or None."""
-    return min((q for q, v in values.items() if v == 0), default=None)
-
-
 def cmd_grundy(args) -> int:
     """The closed form's value of the position against the engine's, the mex
     of ``engine.option_values``; exit 3 if they differ."""
@@ -93,12 +89,13 @@ def _write_table(out, game: str, lo: int, bound: int, fmt: str) -> None:
     value-``g`` cell in column ``i``, so a row is one gather and one join.
     The cell table grows to the largest value seen, so it holds at most (max
     value + 1) x (bound + 1 - lo) strings: O(bound log bound) memory.  A text
-    cell does not depend on its column, so text keeps one column of cells."""
+    cell is its value padded to the width of ``bound``, which no value
+    exceeds; it does not depend on its column, so text keeps one column of
+    cells."""
     ys = range(lo, bound + 1)
     if fmt == "text":
-        top = max(int(values.max()) for _, values in _grundy_rows(game, lo, bound))
-        width = max(len(str(top)), len(str(bound)))
-        label = max(3, len(str(bound)))
+        width = len(str(bound))
+        label = max(3, width)
         head = " " * label + "".join(f" {y:>{width}}" for y in ys) + "\n"
         lead, joiner, cell = f"{{x:>{label}}}", "", f" {{g:>{width}}}"
         end, between, foot = "\n", "", ""
@@ -146,7 +143,7 @@ def cmd_best_move(args) -> int:
     rules = RULESETS[args.game]
     pos = parse_position(rules, args.position)
     values = engine.option_values(rules, pos, args.budget)
-    move = _winning_move(values)
+    move = engine.winning_move(values)
     if move is not None:
         print(format_position(rules, move))
     else:
@@ -210,7 +207,7 @@ def cmd_play(args) -> int:
             if not values:  # the human moved last
                 print("you win")
                 return EXIT_OK
-            move = _winning_move(values)
+            move = engine.winning_move(values)
             if move is None:  # losing position: play the smallest canonical option
                 move = min(values)
             print(f"engine plays {format_position(rules, move)}")

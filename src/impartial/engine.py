@@ -11,8 +11,9 @@ A query takes one route in every game.  ``check_query`` charges it before
 any work, whatever the tables hold, so what was asked before changes no
 answer and no refusal; ``option_values`` returns ``{option: value}``, and
 the commands, each engine turn of ``play`` too, answer from that map alone:
-its mex, its smallest option of value 0 (else, in ``play``, its smallest
-option), or, if it is empty, a terminal position.
+its mex, its ``winning_move`` (else, in ``play``, its smallest option), or,
+if it is empty, a terminal position.  ``winning_move`` is the one statement
+of the rule; ``best_move`` applies it to the generic engine's values.
 
 The two-heap backend is one anti-diagonal kernel.  It keeps, per heap size,
 the bitmask of the values that choosing the heap does not reach, and
@@ -84,6 +85,7 @@ __all__ = [
     "Outcome",
     "classify",
     "best_move",
+    "winning_move",
     "check_cells",
     "check_query",
     "diagonals",
@@ -167,20 +169,22 @@ def classify(pos, rules: Ruleset, memo: MemoTable | None = None) -> Outcome:
     return Outcome.P if grundy(pos, rules, memo) == 0 else Outcome.N
 
 
+def winning_move(values: dict) -> Optional[tuple]:
+    """The smallest option of value 0, a P-position, in an ``{option: value}``
+    map: the winning move from an N-position.  None for the map of a
+    P-position or of a terminal position."""
+    return min((q for q, v in values.items() if v == 0), default=None)
+
+
 def best_move(
     pos,
     rules: Ruleset,
     memo: MemoTable | None = None,
     value_fn: Callable | None = None,
 ) -> Optional[tuple]:
-    """A winning option (Grundy value 0) from an N-position, or None from a
-    P-position or terminal position.
-
-    A position is an N-position exactly when some option has value 0, so no
-    separate classification pass is needed.  Ties break to the smallest
-    canonical option in lexicographic order.  ``value_fn`` may supply option
-    values instead of the generic engine.  No command calls this: each reads
-    the same move from the map ``option_values`` returns.
+    """``winning_move`` over the options of ``pos``, valued by the generic
+    engine or by ``value_fn``.  The commands call ``winning_move`` on the
+    map ``option_values`` returns instead.
     """
     p = rules.canonical(pos)
     if value_fn is None:
@@ -189,10 +193,7 @@ def best_move(
         def value_fn(q):
             return grundy(q, rules, memo=table)
 
-    for q in sorted(rules.options(p)):
-        if value_fn(q) == 0:
-            return q
-    return None
+    return winning_move({q: value_fn(q) for q in rules.options(p)})
 
 
 # --- dense backend -----------------------------------------------------------

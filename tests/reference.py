@@ -7,6 +7,7 @@ evidence rather than tautology.
 """
 
 from functools import lru_cache
+from itertools import product
 
 
 def ref_v2(n: int) -> int:
@@ -76,3 +77,12 @@ def ref_vdn_grundy(x: int, y: int) -> int:
 def ref_nim_grundy(heaps: tuple) -> int:
     heaps = tuple(sorted((v for v in heaps if v > 0), reverse=True))
     return ref_mex(ref_nim_grundy(opt) for opt in ref_nim_options(heaps))
+
+
+def ref_nim_units(heaps: tuple) -> int:
+    """The charge of a Nim query: one unit per nonempty heap for each Nim
+    position the heaps dominate, listed one by one."""
+    heaps = [h for h in heaps if h > 0]
+    below = {tuple(sorted((v for v in q if v > 0), reverse=True))
+             for q in product(*(range(h + 1) for h in heaps))}
+    return len(heaps) * len(below)

@@ -16,7 +16,14 @@ from impartial import closed_forms as cf
 from impartial import engine
 from impartial import rulesets as rs
 from impartial.errors import BudgetExceededError, DomainError
-from reference import ref_delete_grundy, ref_nim_grundy, ref_nim_options, ref_v2, ref_vdn_grundy
+from reference import (
+    ref_delete_grundy,
+    ref_nim_grundy,
+    ref_nim_options,
+    ref_nim_units,
+    ref_v2,
+    ref_vdn_grundy,
+)
 
 
 def _one_go_masks(rules, heaps: int) -> np.ndarray:
@@ -155,6 +162,10 @@ class TestBestMove:
         assert engine.best_move((2, 2), rs.DELETE_NIM) is None
         assert engine.best_move((0, 0), rs.DELETE_NIM) is None
         assert engine.best_move((5, 0), rs.DELETE_NIM) == (2, 2)
+        # the rule itself, on the options of 5,0 with their values
+        assert engine.winning_move({(4, 0): 0, (3, 1): 2, (2, 2): 0}) == (2, 2)
+        assert engine.winning_move({(2, 0): 2, (1, 1): 1}) is None
+        assert engine.winning_move({}) is None
 
     def test_move_is_optimal_and_legal(self):
         memo = {}
@@ -258,7 +269,7 @@ class TestNimValues:
         # over budget exactly below its count, which is never listed
         for start in itertools.combinations_with_replacement(range(6), 4):
             p = rs.canonical_nim(start)
-            n = len(p) * len(_down_set(p))
+            n = ref_nim_units(start)
             assert engine.check_query(rs.NIM, start, n) == (p, n)
             with pytest.raises(BudgetExceededError) as exc:
                 engine.nim_values(start, n - 1)
@@ -284,12 +295,6 @@ class TestNimValues:
         )
         with pytest.raises(DomainError):
             engine.nim_values((3, -1))
-
-
-def _charge(pos) -> int:
-    """One unit per heap for each Nim position below ``pos``, listed."""
-    p = rs.canonical_nim(pos)
-    return len(p) * len(_down_set(p))
 
 
 def _ref_options(pos) -> dict:
@@ -330,15 +335,15 @@ class TestNimTables:
             nim = engine._TABLES["nim"]
             assert engine.option_values(rs.NIM, start) == _ref_options(start)
             assert nim.known == {} and nim.rows == {}
-            assert nim.credit == _charge(start)
+            assert nim.credit == ref_nim_units(start)
         # the cube's shell is its own charge, so a second call grows it
-        assert _charge((24, 24, 24)) == 3 * engine.comb(24 + 3, 3)
+        assert ref_nim_units((24, 24, 24)) == 3 * engine.comb(24 + 3, 3)
         with mock.patch.object(engine, "_TABLES", engine._new_tables()):
             nim = engine._TABLES["nim"]
             engine.option_values(rs.NIM, (24, 24, 24))
             assert engine.option_values(rs.NIM, (24, 24, 24)) == _ref_options((24, 24, 24))
             assert [(k, m) for k, (_, m) in nim.known.items()] == [(3, 25)]
-            assert nim.credit == _charge((24, 24, 24))
+            assert nim.credit == ref_nim_units((24, 24, 24))
 
     def test_growth_widens_the_array(self):
         # values of 2 heaps below 131 may pass 255 (a value is at most the
@@ -374,7 +379,7 @@ class TestNimTables:
             for pos in seq:
                 engine.option_values(rs.NIM, pos)
                 assert spent[0] <= earlier
-                earlier += _charge(pos)
+                earlier += ref_nim_units(pos)
 
     def test_interrupted_growth_leaves_right_answers(self, monkeypatch):
         # a growth stopped mid-shell leaves its rows half updated; the table
