@@ -26,7 +26,7 @@ import numpy as np
 
 from . import closed_forms, engine, verification
 from .errors import BudgetExceededError, DomainError, ParseError
-from .rulesets import RULESETS, format_position, parse_position
+from .rulesets import RULESETS, TWO_HEAP_MOVES, format_position, parse_position
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -122,7 +122,7 @@ def _write_table(out, game: str, lo: int, bound: int, fmt: str) -> None:
 
 def cmd_table(args) -> int:
     game, bound = args.game, args.bound
-    lo = 0 if game == "delete-nim" else 1
+    lo, _ = TWO_HEAP_MOVES[game]
     if bound < lo:
         raise ParseError(f"bound must be >= {lo} for {game}")
     engine.check_cells("table", bound, DEFAULT_BUDGET)
@@ -254,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p, sorted(RULESETS))
 
     p = sub.add_parser("table", help="Grundy grid for a two-heap game")
-    p.add_argument("--game", required=True, choices=["delete-nim", "vdn"])
+    p.add_argument("--game", required=True, choices=list(TWO_HEAP_MOVES))
     p.add_argument("--bound", type=int, required=True)
     p.add_argument("--format", choices=["text", "csv", "json"], default="text")
     p.add_argument("--output", help="write to a file instead of stdout")

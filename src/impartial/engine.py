@@ -15,17 +15,19 @@ its mex, its ``winning_move`` (else, in ``play``, its smallest option), or,
 if it is empty, a terminal position.  ``winning_move`` is the one statement
 of the rule; ``best_move`` applies it to the generic engine's values.
 
-The two-heap backend is one anti-diagonal kernel.  It keeps, per heap size,
-the bitmask of the values that choosing the heap does not reach, and
-produces each cell's value as a one-hot bit, ``1 << value``; a reader turns
-only the diagonals it reads into values.  A heap's mask depends on no
-bound, so each game has one table of them for the whole process, which
-every call extends and none rebuilds (``_TABLES``); a lock guards it, so
-threads may share it.  The verification sweeps stream every diagonal up to
-their bound (``diagonals``), reduce only those of heaps the table does not
-know, and add the heaps they finish to it; a query, and each engine move
-in ``play``, extends it only through the heaps no earlier call reached and
-reads back just the two option diagonals (``option_values``).  The table
+The two-heap backend is one anti-diagonal kernel on the ``(lo, removed)``
+of ``rulesets.TWO_HEAP_MOVES``.  It keeps, per heap size, the bitmask of
+the values that choosing the heap does not reach, and produces each cell's
+value as a one-hot bit, ``1 << value``; a reader turns only the diagonals
+it reads into values.  A heap's mask depends on no bound, so each game has
+one table of them for the whole process, which every call extends and
+none rebuilds (``_TABLES``); every pass works on its own copy, and a lock
+guards the table, so threads may share it.  The verification sweeps stream
+every diagonal up to their bound (``diagonals``), reduce only those of
+heaps the table does not know, and add the heaps they finish to it; a
+query, and each engine move in ``play``, runs one pass over its two option
+diagonals and the diagonals of the heaps no earlier call reached, through
+heap x (``option_values``).  The table
 saves work only where one interpreter asks more than one two-heap
 question: each engine move of a ``play`` session after the first, a
 ``verify`` check that sweeps a game an earlier check swept, and a caller
@@ -74,7 +76,7 @@ from typing import Callable, Iterable, Iterator, Optional
 import numpy as np
 
 from .errors import BudgetExceededError, DomainError
-from .rulesets import DELETE_NIM, NIM, VDN, Ruleset, format_position
+from .rulesets import DELETE_NIM, NIM, TWO_HEAP_MOVES, VDN, Ruleset, format_position
 
 MemoTable = dict
 
@@ -200,7 +202,8 @@ def best_move(
 #
 # The option set of a two-heap position is a union of whole anti-diagonals:
 # choosing a heap of s stones reaches exactly the canonical pairs (a, b) with
-# a + b == s - removed and both heaps at least lo, where
+# a + b == s - removed and both heaps at least lo, where, in
+# rulesets.TWO_HEAP_MOVES,
 #
 #   Delete Nim: (lo, removed) = (0, 1)   one stone goes, either part may be empty
 #   VDN:        (lo, removed) = (1, 0)   no stone goes, both parts nonempty
@@ -213,19 +216,19 @@ def best_move(
 # number exactly the mex.  This is the same mex recursion as the generic
 # path (tests pin the two against each other), with no closed form involved.
 
-_MOVES = {"delete-nim": (0, 1), "vdn": (1, 0)}
-
 _MASK_WIDTH = 62  # values stay below this, so every mex, at most 62, is a bit of a uint64
 
 
-def check_cells(what: str, bound: int, budget: int | None) -> None:
+def check_cells(what: str, bound: int, budget: int | None) -> int:
     """Charge ``what`` the (bound + 1)**2 cells of the full grid up to
-    ``bound``: raise BudgetExceededError if they exceed ``budget``."""
+    ``bound`` and return them: raise BudgetExceededError if they exceed
+    ``budget``."""
     cells = (bound + 1) * (bound + 1)
     if budget is not None and cells > budget:
         raise BudgetExceededError(
             f"{what} to bound {bound} needs {cells} cells, budget is {budget}"
         )
+    return cells
 
 
 class _Unreached:
@@ -234,10 +237,9 @@ class _Unreached:
 
     A heap's mask depends on the diagonal that heap reaches and on nothing
     else, so every caller, whatever its bound, reads and extends the same
-    table.  A kernel pass with heaps to finish works on its own copy
-    (``snapshot``) and, when it ends, hands the table that copy if it
-    knows more heaps (``publish``); one with none reads the table's array
-    in place.  So the pass itself takes no lock.  An array the table
+    table.  A kernel pass works on its own copy (``snapshot``) and, when
+    it ends, hands the table that copy if it knows more heaps
+    (``publish``).  So the pass itself takes no lock.  An array the table
     holds is never written again, and a reader reads it only below the
     ``known`` it saw; ``lock`` keeps each array with its own count, and
     since ``known`` counts only finished heaps, an error or a reader that
@@ -252,15 +254,10 @@ class _Unreached:
         self.masks = np.full(self.known, ~np.uint64(0))
 
     def snapshot(self, bound: int) -> tuple[np.ndarray, int]:
-        """The masks of heaps 0 .. bound, all ones past the known ones, and
-        the number of known heaps they hold: a read-only view if every heap
-        is known, else a copy."""
+        """A copy of the masks of heaps 0 .. bound, all ones past the known
+        ones, and the number of known heaps it holds."""
         with self.lock:
-            masks, known = self.masks, self.known
-        if known > bound:
-            view = masks[: bound + 1]
-            view.flags.writeable = False
-            return view, bound + 1
+            masks, known = self.masks, min(self.known, bound + 1)
         copy = np.full(bound + 1, ~np.uint64(0))
         copy[:known] = masks[:known]
         return copy, known
@@ -276,19 +273,9 @@ class _Unreached:
 def _moves(rules: Ruleset) -> tuple[int, int]:
     """``(lo, removed)`` of a two-heap ruleset."""
     try:
-        return _MOVES[rules.name]
+        return TWO_HEAP_MOVES[rules.name]
     except KeyError:
         raise ValueError(f"no dense backend for ruleset {rules.name!r}") from None
-
-
-def _table(rules: Ruleset, bound: int, budget: int | None) -> _Unreached:
-    """The table of a two-heap ruleset, once the bound and the budget are
-    checked."""
-    lo, _ = _moves(rules)
-    if bound < lo:
-        raise DomainError(f"bound must be >= {lo}, got {bound}")
-    check_cells("dense sweep", bound, budget)
-    return _TABLES[rules.name]
 
 
 def diagonals(rules: Ruleset, bound: int, budget: int | None = None) -> Iterator:
@@ -303,8 +290,11 @@ def diagonals(rules: Ruleset, bound: int, budget: int | None = None) -> Iterator
     to the table.  The bound and the budget are checked before anything
     runs; the budget is charged the (bound + 1)**2 cells of the full grid.
     """
-    table = _table(rules, bound, budget)
-    lows = _lows(table, bound, range(2 * table.lo, 2 * bound + 1))
+    lo, _ = _moves(rules)
+    if bound < lo:
+        raise DomainError(f"bound must be >= {lo}, got {bound}")
+    check_cells("dense sweep", bound, budget)
+    lows = _lows(_TABLES[rules.name], bound, range(2 * lo, 2 * bound + 1))
     return ((xs, ys, _values(low)) for xs, ys, low in lows)
 
 
@@ -316,8 +306,8 @@ def check_query(rules: Ruleset, pos, budget: int | None = None) -> tuple:
     position it dominates, counted, not listed (no heap may pass NIM_HEAP_LIMIT)."""
     p = rules.canonical(rules.validate(pos))
     if rules.name != NIM.name:
-        _table(rules, p[0], budget)
-        return p, (p[0] + 1) ** 2
+        _moves(rules)  # a ruleset with no dense backend is refused here
+        return p, check_cells("dense sweep", p[0], budget)
     if p and p[0] > NIM_HEAP_LIMIT:
         raise BudgetExceededError(
             f"a heap of {p[0]} stones exceeds the nim kernel's limit of {NIM_HEAP_LIMIT}"
@@ -340,10 +330,10 @@ def option_values(rules: Ruleset, pos, budget: int | None = None) -> dict:
     terminal position.  ``check_query`` charges the query first.
 
     The options of a two-heap position (x, y), x >= y, fill anti-diagonals
-    x - removed and y - removed.  The game's shared table is extended
-    through heap x, over just the diagonals no earlier call has run, and
-    the two option diagonals are then read from it, so a query below heaps
-    already known does O(x) work.
+    x - removed and y - removed.  One pass runs those two and, through
+    heap x, the diagonals no earlier call has run, whose heaps it adds to
+    the game's shared table, so a query below heaps already known does O(x)
+    work.
 
     The options of a Nim position are read from a Nim table that knows
     them, or from one grown to know them if earlier calls left the credit
@@ -356,13 +346,12 @@ def option_values(rules: Ruleset, pos, budget: int | None = None) -> dict:
     x, y = p
     table = _TABLES[rules.name]
     lo, removed = table.lo, table.removed
-    if table.known <= x:
-        for _ in _lows(table, x, range(table.known - removed, x - removed + 1)):
-            pass
-    wanted = sorted(t for t in {y - removed, x - removed} if t >= 2 * lo)
+    wanted = {t for t in (y - removed, x - removed) if t >= 2 * lo}
+    ts = sorted(wanted.union(range(table.known - removed, x - removed + 1)))
     values: dict = {}
-    for xs, ys, low in _lows(table, x, wanted):  # every heap up to x is known: no reduce
-        values.update(zip(zip(xs.tolist(), ys.tolist()), _values(low).tolist()))
+    for (xs, ys, low), t in zip(_lows(table, x, ts), ts):
+        if t in wanted:
+            values.update(zip(zip(xs.tolist(), ys.tolist()), _values(low).tolist()))
     return values
 
 
@@ -377,9 +366,10 @@ def _lows(table: _Unreached, bound: int, ts: Iterable[int]) -> Iterator:
     ``low[i] == 1 << G(xs[i], ys[i])`` as uint64.
 
     Every heap below t + removed must be known when diagonal t runs, to
-    the table or from a diagonal the pass ran before.  The pass reduces a
-    diagonal only if its heap is the first one not known, and gives the
-    heaps it finished to the table when it ends, however it ends.
+    the table or from a diagonal the pass ran before.  The pass works on a
+    copy of the table's masks, reduces a diagonal only if its heap is the
+    first one not known, and gives the heaps it finished to the table when
+    it ends, however it ends.
     """
     lo, removed = table.lo, table.removed
     unreached, known = table.snapshot(bound)
@@ -674,7 +664,7 @@ def _nim_option_values(a: tuple, units: int) -> dict:
 def _new_tables() -> dict:
     """An empty table per two-heap game, and the empty Nim tables, by
     ruleset name."""
-    tables: dict = {name: _Unreached(lo, removed) for name, (lo, removed) in _MOVES.items()}
+    tables: dict = {name: _Unreached(*moves) for name, moves in TWO_HEAP_MOVES.items()}
     tables[NIM.name] = _NimTables()
     return tables
 
@@ -682,25 +672,26 @@ def _new_tables() -> dict:
 _TABLES = _new_tables()  # shared by every call in the process
 
 
-def _scatter(rules: Ruleset, bound: int, budget: int | None, fill: int) -> np.ndarray:
+def _scatter(rules: Ruleset, bound: int, budget: int | None) -> np.ndarray:
     diags = diagonals(rules, bound, budget)
-    grid = np.full((bound + 1, bound + 1), fill, dtype=np.int16)
+    grid = np.full((bound + 1, bound + 1), -1, dtype=np.int16)
     for xs, ys, values in diags:
         grid[xs, ys] = values
-    # mirror the canonical half; fill is below every Grundy value
+    # mirror the canonical half; -1 is below every Grundy value, and stays
+    # only in VDN's row and column 0, which hold no position
     return np.maximum(grid, grid.T, out=grid)
 
 
 def delete_nim_grid(bound: int, budget: int | None = None) -> np.ndarray:
     """Grundy values of every Delete Nim position with 0 <= x, y <= bound,
     computed bottom-up by mex recursion (see ``diagonals``)."""
-    return _scatter(DELETE_NIM, bound, budget, 0)
+    return _scatter(DELETE_NIM, bound, budget)
 
 
 def vdn_grid(bound: int, budget: int | None = None) -> np.ndarray:
     """Grundy values of every VDN position with 1 <= x, y <= bound, computed
     bottom-up by mex recursion; row and column 0 hold -1 (not VDN positions)."""
-    return _scatter(VDN, bound, budget, -1)
+    return _scatter(VDN, bound, budget)
 
 
 def grundy_grid(rules: Ruleset, bound: int, budget: int | None = None) -> np.ndarray:

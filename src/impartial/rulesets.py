@@ -6,6 +6,11 @@ Positions are plain tuples.  Two-heap positions are unordered pairs kept in
 canonical order x >= y; Nim positions are sorted descending with zero heaps
 dropped.  Option functions accept either heap order and always return sets
 of canonical positions.
+
+The two-heap games share one move: choosing a heap of s stones deletes the
+other heap, removes ``removed`` stones, and splits the rest into two heaps
+of at least ``lo`` stones each.  ``TWO_HEAP_MOVES`` holds ``(lo, removed)``
+per game, the one statement of the rule that every module reads.
 """
 
 from __future__ import annotations
@@ -22,6 +27,9 @@ Pair = tuple[int, int]
 # a single oversized heap could exhaust memory before any engine budget check
 # runs.  Closed forms stay O(1) at any width; only enumeration is capped.
 ENUMERATION_LIMIT = 1 << 20
+
+# VDN (x, y) is Delete Nim (x - 1, y - 1) because of exactly this pair
+TWO_HEAP_MOVES = {"delete-nim": (0, 1), "vdn": (1, 0)}
 
 
 def canonical_pair(x: int, y: int) -> Pair:
@@ -63,6 +71,18 @@ def _check_enumerable(s: int) -> None:
         )
 
 
+def _heap_options(game: str, label: str, s: int) -> set[Pair]:
+    """What choosing a heap of s stones reaches in the two-heap ``game``:
+    every canonical pair summing to s - removed with both parts >= lo."""
+    lo, removed = TWO_HEAP_MOVES[game]
+    if s < lo:
+        raise DomainError(f"{label} heaps must be >= {lo}, got {s}")
+    _check_enumerable(s)
+    rest = s - removed
+    # (rest - a, a) for lo <= a <= rest / 2; zip stops at the shorter range
+    return set(zip(range(rest - lo, lo - 1, -1), range(lo, rest // 2 + 1)))
+
+
 def delete_nim_heap_options(s: int) -> set[Pair]:
     """The positions a Delete Nim move reaches by choosing a heap of s stones,
     whatever the other heap holds.
@@ -72,27 +92,14 @@ def delete_nim_heap_options(s: int) -> set[Pair]:
     a + b == s - 1 is reachable, with "no split" being the pair (s - 1, 0).
     An empty heap cannot be chosen, so s == 0 reaches nothing.
     """
-    if s < 0:
-        raise DomainError(f"Delete Nim heaps must be >= 0, got {s}")
-    if s == 0:
-        return set()
-    _check_enumerable(s)
-    # (s - 1 - a, a) for a <= (s - 1) / 2 enumerates exactly the canonical
-    # pairs summing to s - 1; zip stops at the shorter range.
-    return set(zip(range(s - 1, -1, -1), range((s - 1) // 2 + 1)))
+    return _heap_options("delete-nim", "Delete Nim", s)
 
 
 def vdn_heap_options(s: int) -> set[Pair]:
     """The positions a VDN move reaches by choosing a heap of s stones: the
     other heap is deleted and this one split into two nonempty heaps.  A
     heap of one stone cannot be split, so s == 1 reaches nothing."""
-    if s < 1:
-        raise DomainError(f"VDN heaps must be >= 1, got {s}")
-    if s == 1:
-        return set()
-    _check_enumerable(s)
-    # (s - a, a) for 1 <= a <= s / 2
-    return set(zip(range(s - 1, 0, -1), range(1, s // 2 + 1)))
+    return _heap_options("vdn", "VDN", s)
 
 
 def delete_nim_options(p: Pair) -> set[Pair]:
@@ -209,7 +216,7 @@ def parse_position(rules: Ruleset, text: str):
         values = tuple(int(s) for s in parts)
     except ValueError as exc:  # more digits than int() converts
         raise ParseError(f"malformed position {text!r}") from exc
-    if rules.name in ("delete-nim", "vdn") and len(values) != 2:
+    if rules.name in TWO_HEAP_MOVES and len(values) != 2:
         raise ParseError(f"{rules.name} positions are pairs x,y, got {text!r}")
     rules.validate(values)
     return rules.canonical(values)

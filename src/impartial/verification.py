@@ -5,8 +5,9 @@ Every check runs two independent routes against each other (bottom-up mex
 recursion versus a closed formula, or an explicit certificate versus direct
 enumeration) and emits a VerificationReport.  Sweeps are exhaustive within
 their bounds, never sampled.  The two-heap formula sweeps stream the
-engine's anti-diagonals, compare them with the closed form a block of at
-most ``_BLOCK_CELLS`` cells at a time, and hold O(bound) memory.  The
+engine's anti-diagonals, join them into blocks of at most
+``_BLOCK_CELLS`` cells (a longer diagonal is a block of its own), compare
+each block with the closed form, and hold O(bound) memory.  The
 certificate sweeps (proof-steps, iso) rest on every two-heap option set
 being the union of what choosing each heap reaches
 (``rulesets.*_heap_options``): they check each heap's moves once, keep
@@ -131,8 +132,7 @@ _BLOCK_CELLS = 4096
 
 def _blocks(diagonals) -> Iterator:
     """Consecutive ``(xs, ys, values)`` diagonals joined into blocks of at
-    most _BLOCK_CELLS cells; a diagonal that fills a block by itself is
-    yielded as it is."""
+    most _BLOCK_CELLS cells, or of one diagonal if it is longer."""
     pending: list = []
     cells = 0
     for diagonal in diagonals:
@@ -140,11 +140,8 @@ def _blocks(diagonals) -> Iterator:
         if pending and cells + size > _BLOCK_CELLS:
             yield [np.concatenate(a) for a in zip(*pending)]
             pending, cells = [], 0
-        if size >= _BLOCK_CELLS:
-            yield diagonal
-        else:
-            pending.append(diagonal)
-            cells += size
+        pending.append(diagonal)
+        cells += size
     if pending:
         yield [np.concatenate(a) for a in zip(*pending)]
 

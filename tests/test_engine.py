@@ -549,8 +549,9 @@ class TestDenseGrids:
 
     @pytest.mark.parametrize("rules", [rs.DELETE_NIM, rs.VDN], ids=lambda r: r.name)
     def test_sweep_within_known_heaps_writes_nothing(self, monkeypatch, rules):
-        # a sweep whose heaps are all known reads the table in place: its
-        # values are a cold sweep's, and the table keeps its array
+        # a sweep whose heaps are all known runs on a copy and hands the
+        # table nothing: its values are a cold sweep's, and the table keeps
+        # its array
         def sweep():
             return [(xs.tolist(), ys.tolist(), v.tolist()) for xs, ys, v in engine.diagonals(rules, 200)]
 

@@ -128,10 +128,23 @@ class TestHeapOptions:
         assert (99, 1) not in rs.vdn_heap_options(5)
 
     def test_domain_and_enumeration_limit(self):
-        with pytest.raises(DomainError):
+        # the texts of the one shared enumerator, and of the validators and
+        # the parser beside it
+        with pytest.raises(DomainError) as exc:
             rs.delete_nim_heap_options(-1)
-        with pytest.raises(DomainError):
+        assert str(exc.value) == "Delete Nim heaps must be >= 0, got -1"
+        with pytest.raises(DomainError) as exc:
             rs.vdn_heap_options(0)
+        assert str(exc.value) == "VDN heaps must be >= 1, got 0"
+        with pytest.raises(DomainError) as exc:
+            rs.DELETE_NIM.validate((-1, 0))
+        assert str(exc.value) == "Delete Nim heaps must be >= 0, got (-1, 0)"
+        with pytest.raises(DomainError) as exc:
+            rs.VDN.validate((0, 3))
+        assert str(exc.value) == "VDN heaps must be >= 1, got (0, 3)"
+        with pytest.raises(ParseError) as exc:
+            rs.parse_position(rs.VDN, "1,2,3")
+        assert str(exc.value) == "vdn positions are pairs x,y, got '1,2,3'"
         big = rs.ENUMERATION_LIMIT + 1
         with pytest.raises(BudgetExceededError):
             rs.delete_nim_heap_options(big)

@@ -164,11 +164,14 @@ class TestFaultInjection:
             return values
 
         monkeypatch.setattr(cf, formula, wrong)
-        rep = verify(bound)
-        assert rep.positions_checked == (bound - lo + 1) * (bound - lo + 2) // 2
-        assert rep.mismatches == [
-            (f"{x},{y}", reference(x, y), reference(x, y) + 5) for x, y in sorted(cells)
-        ]
+        # at 16 cells a block most diagonals here are longer than a block
+        for block_cells in (vf._BLOCK_CELLS, 16):
+            monkeypatch.setattr(vf, "_BLOCK_CELLS", block_cells)
+            rep = verify(bound)
+            assert rep.positions_checked == (bound - lo + 1) * (bound - lo + 2) // 2
+            assert rep.mismatches == [
+                (f"{x},{y}", reference(x, y), reference(x, y) + 5) for x, y in sorted(cells)
+            ]
 
     def test_wrong_engine_value_is_reported(self, monkeypatch):
         # one cell of a late diagonal, (200, 197) on diagonal 397 of 401, is
