@@ -23,8 +23,9 @@ it reads into values.  A heap's mask depends on no bound, so each game has
 one table of them for the whole process, which every call extends and
 none rebuilds (``_TABLES``); every pass works on its own copy, and a lock
 guards the table, so threads may share it.  The verification sweeps stream
-every diagonal up to their bound (``diagonals``), reduce only those of
-heaps the table does not know, and add the heaps they finish to it; a
+every diagonal up to their bound (``diagonals``), written in runs into
+one buffer, reduce only those of heaps the table does not know, and add
+the heaps they finish to it; a
 query, and each engine move in ``play``, runs one pass over its two option
 diagonals and the diagonals of the heaps no earlier call reached, through
 heap x (``option_values``).  The table
@@ -278,23 +279,24 @@ def _moves(rules: Ruleset) -> tuple[int, int]:
         raise ValueError(f"no dense backend for ruleset {rules.name!r}") from None
 
 
-def diagonals(rules: Ruleset, bound: int, budget: int | None = None) -> Iterator:
+def diagonals(rules: Ruleset, bound: int, budget: int | None = None, cells: int = 0) -> Iterator:
     """Grundy values of every canonical two-heap position lo <= y <= x <= bound
     (lo is 0 for Delete Nim, 1 for VDN), by mex recursion, one anti-diagonal
     x + y == t at a time in increasing t.
 
-    Yields ``(xs, ys, values)`` per diagonal, ``ys`` ascending; ``xs`` and
-    ``ys`` are read-only views, ``values`` a fresh uint8 array.  Memory is
-    O(bound): one bitmask per heap size.  Heaps the game's shared table
-    knows are not reduced again, and the sweep adds the ones it finishes
-    to the table.  The bound and the budget are checked before anything
-    runs; the budget is charged the (bound + 1)**2 cells of the full grid.
+    Yields ``(xs, ys, values)`` per diagonal, ``ys`` ascending, or per run
+    of consecutive diagonals of at most ``cells`` cells (a longer one
+    alone); ``values`` is fresh uint8, and a lone diagonal's ``xs`` and
+    ``ys`` are read-only views.  Memory is O(bound + cells).  Heaps the
+    game's shared table knows are not reduced again, and the sweep adds
+    the ones it finishes to the table.  The bound and the budget are
+    checked before anything runs; it charges the full (bound + 1)**2 cells.
     """
     lo, _ = _moves(rules)
     if bound < lo:
         raise DomainError(f"bound must be >= {lo}, got {bound}")
     check_cells("dense sweep", bound, budget)
-    lows = _lows(_TABLES[rules.name], bound, range(2 * lo, 2 * bound + 1))
+    lows = _lows(_TABLES[rules.name], bound, range(2 * lo, 2 * bound + 1), cells)
     return ((xs, ys, _values(low)) for xs, ys, low in lows)
 
 
@@ -360,10 +362,12 @@ def _values(low: np.ndarray) -> np.ndarray:
     return np.bitwise_count(low - 1)
 
 
-def _lows(table: _Unreached, bound: int, ts: Iterable[int]) -> Iterator:
-    """Per anti-diagonal t of the grid up to ``bound`` in ``ts``, which
-    rise from 2 * lo on: ``(xs, ys, low)`` with
-    ``low[i] == 1 << G(xs[i], ys[i])`` as uint64.
+def _lows(table: _Unreached, bound: int, ts: Iterable[int], cells: int = 0) -> Iterator:
+    """Per run of consecutive anti-diagonals t of the grid up to ``bound``
+    in ``ts``, which rise from 2 * lo on: ``(xs, ys, low)`` with
+    ``low[i] == 1 << G(xs[i], ys[i])`` as uint64.  A run is one diagonal,
+    or as many as fit in ``cells`` cells, written into one buffer, so
+    ``low`` is valid only until the next item.
 
     Every heap below t + removed must be known when diagonal t runs, to
     the table or from a diagonal the pass ran before.  The pass works on a
@@ -378,13 +382,20 @@ def _lows(table: _Unreached, bound: int, ts: Iterable[int]) -> Iterator:
     # x = t - y falls as y rises, so the x side is read through reversed views,
     # at index bound - x
     heaps_down, unreached_down = heaps[::-1], unreached[::-1]
+    buffer = np.empty(max(cells, bound // 2 + 1), np.uint64)
+    xs, ys, used = [], [], 0  # the heaps of the diagonals in the buffer
     try:
         for t in ts:
             y0, y1 = max(lo, t - bound), t // 2
+            size = y1 - y0 + 1
+            if xs and used + size > cells:
+                yield _joined(xs), _joined(ys), buffer[:used]
+                xs, ys, used = [], [], 0
             y_range = slice(y0, y1 + 1)
             x_range = slice(bound - t + y0, bound - t + y1 + 1)
-            free = unreached_down[x_range] & unreached[y_range]
-            low = free & -free
+            low = buffer[used : used + size]
+            np.bitwise_and(unreached_down[x_range], unreached[y_range], out=low)
+            np.bitwise_and(low, -low, out=low)
             s = t + removed
             if known == s <= bound:  # diagonal t is complete, and it is what a heap of s reaches
                 reached = np.bitwise_or.reduce(low)
@@ -392,9 +403,17 @@ def _lows(table: _Unreached, bound: int, ts: Iterable[int]) -> Iterator:
                     raise RuntimeError("grundy values exceed the dense backend's bitmask width")
                 unreached[s] = ~reached
                 known = s + 1
-            yield heaps_down[x_range], heaps[y_range], low
+            xs.append(heaps_down[x_range])
+            ys.append(heaps[y_range])
+            used += size
+        if xs:
+            yield _joined(xs), _joined(ys), buffer[:used]
     finally:
         table.publish(unreached, known)
+
+
+def _joined(parts: list) -> np.ndarray:
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def sum_values(rules: Ruleset, bound: int) -> Iterator:

@@ -5,9 +5,9 @@ Every check runs two independent routes against each other (bottom-up mex
 recursion versus a closed formula, or an explicit certificate versus direct
 enumeration) and emits a VerificationReport.  Sweeps are exhaustive within
 their bounds, never sampled.  The two-heap formula sweeps stream the
-engine's anti-diagonals, join them into blocks of at most
-``_BLOCK_CELLS`` cells (a longer diagonal is a block of its own), compare
-each block with the closed form, and hold O(bound) memory.  The
+engine's anti-diagonals in blocks of at most ``_BLOCK_CELLS`` cells,
+which its kernel writes whole (a longer diagonal is a block of its own),
+compare each block with the closed form, and hold O(bound) memory.  The
 certificate sweeps (proof-steps, iso) rest on every two-heap option set
 being the union of what choosing each heap reaches
 (``rulesets.*_heap_options``): they check each heap's moves once, keep
@@ -36,9 +36,7 @@ import json
 import time
 from dataclasses import dataclass
 from math import comb
-from typing import Callable, Iterator
-
-import numpy as np
+from typing import Callable
 
 from . import closed_forms, engine, isomorphism, rulesets
 from .errors import BudgetExceededError, DomainError
@@ -114,10 +112,7 @@ def _differing_cells(found: list, xs, ys, expected, actual) -> None:
     """Append (x, y, expected, actual) for every cell where the two differ."""
     differ = expected != actual
     if differ.any():
-        found.extend(
-            (int(xs[i]), int(ys[i]), int(expected[i]), int(actual[i]))
-            for i in np.flatnonzero(differ)
-        )
+        found.extend(zip(*(cells[differ].tolist() for cells in (xs, ys, expected, actual))))
 
 
 def _as_mismatches(found: list) -> list[Mismatch]:
@@ -130,22 +125,6 @@ def _as_mismatches(found: list) -> list[Mismatch]:
 _BLOCK_CELLS = 4096
 
 
-def _blocks(diagonals) -> Iterator:
-    """Consecutive ``(xs, ys, values)`` diagonals joined into blocks of at
-    most _BLOCK_CELLS cells, or of one diagonal if it is longer."""
-    pending: list = []
-    cells = 0
-    for diagonal in diagonals:
-        size = diagonal[2].size
-        if pending and cells + size > _BLOCK_CELLS:
-            yield [np.concatenate(a) for a in zip(*pending)]
-            pending, cells = [], 0
-        pending.append(diagonal)
-        cells += size
-    if pending:
-        yield [np.concatenate(a) for a in zip(*pending)]
-
-
 def _verify_two_heap(
     name: str, rules: rulesets.Ruleset, formula: Callable, bound: int, budget: int | None
 ) -> VerificationReport:
@@ -154,7 +133,7 @@ def _verify_two_heap(
     t0 = time.perf_counter()
     checked = 0
     found: list = []
-    for xs, ys, values in _blocks(engine.diagonals(rules, bound, budget)):
+    for xs, ys, values in engine.diagonals(rules, bound, budget, _BLOCK_CELLS):
         checked += values.size
         _differing_cells(found, xs, ys, values, formula(xs, ys))
     return VerificationReport(
@@ -187,10 +166,10 @@ def verify_bouton(
     """Nim kernel P/N classification (value 0 or not) versus the nim-sum
     criterion for every Nim position with at most ``max_heaps`` heaps, each
     of at most ``max_size`` stones: the positions (max_size,) * max_heaps
-    dominates, in one ``engine.nim_values`` call.  The budget is charged,
-    before any work, as a Nim query on that position (``engine.check_query``).
-    Any size but 0 costs over max_heaps**2 units, so past that the sweep is
-    refused before the heaps are built."""
+    dominates, in one ``engine.nim_values`` call, which charges the budget
+    once, before any work, as a Nim query on that position.  Any size but
+    0 costs over max_heaps**2 units, so past that the sweep is refused
+    before the heaps are built."""
     if max_heaps < 1 or max_size < 0:
         raise DomainError(f"need max_heaps >= 1 and max_size >= 0, got ({max_heaps}, {max_size})")
     if max_size and budget is not None and max_heaps * max_heaps > budget:
@@ -198,11 +177,10 @@ def verify_bouton(
             f"nim values below {max_heaps} heaps of {max_size} exceed the budget of {budget} units"
         )
     top = (max_size,) * max_heaps if max_size else ()
-    engine.check_query(rulesets.NIM, top, budget)
     count = comb(max_size + max_heaps, max_heaps)
     t0 = time.perf_counter()
     found: list = []
-    for p, value in engine.nim_values(top):
+    for p, value in engine.nim_values(top, budget):
         formula_p = closed_forms.bouton_is_p(p)
         if (value == 0) != formula_p:
             position = rulesets.format_position(rulesets.NIM, p)

@@ -547,6 +547,58 @@ class TestDenseGrids:
         assert table.known == x + 1
         assert np.array_equal(table.masks[: x + 1], _one_go_masks(rules, x + 1))
 
+    @pytest.mark.parametrize("cells", [1, 16, 4096, 0], ids=["1", "16", "4096", "below-every-diagonal"])
+    @pytest.mark.parametrize("rules", [rs.DELETE_NIM, rs.VDN], ids=lambda r: r.name)
+    def test_runs_join_the_diagonals(self, rules, cells):
+        # a run holds as many whole diagonals as fit in cells, or one longer
+        # one, and the runs joined are the per-diagonal output
+        bound = 600
+        diags = list(engine.diagonals(rules, bound))
+        runs = list(engine.diagonals(rules, bound, cells=cells))
+        sizes, run = [], []
+        for _, _, values in diags:
+            if run and sum(run) + values.size > cells:
+                sizes.append(run)
+                run = []
+            run.append(values.size)
+        sizes.append(run)
+        assert [values.size for _, _, values in runs] == [sum(run) for run in sizes]
+        for (xs, ys, _), run in zip(runs, sizes):
+            assert len(run) > 1 or not (xs.flags.writeable or ys.flags.writeable)
+        for i in range(3):
+            joined = np.concatenate([item[i] for item in runs])
+            assert np.array_equal(joined, np.concatenate([item[i] for item in diags]))
+
+    @pytest.mark.parametrize("rules", [rs.DELETE_NIM, rs.VDN], ids=lambda r: r.name)
+    def test_block_sweep_closed_early_leaves_a_prefix(self, monkeypatch, rules):
+        # a block sweep closed after three runs keeps the heaps of every
+        # diagonal it ran, which are the diagonals it yielded
+        monkeypatch.setattr(engine, "_TABLES", engine._new_tables())
+        table = engine._TABLES[rules.name]
+        sweep = engine.diagonals(rules, 300, cells=4096)
+        for _ in range(3):
+            xs, ys, _ = next(sweep)
+        sweep.close()
+        known = table.known
+        assert known == xs[-1] + ys[-1] + table.removed + 1
+        assert 100 < known < 300
+        assert np.array_equal(table.masks[:known], _one_go_masks(rules, known))
+
+    @pytest.mark.parametrize("cells", [16, 4096])
+    def test_mask_width_guard_in_blocks(self, monkeypatch, cells):
+        # a block sweep trips at the heap the per-diagonal sweep trips at,
+        # and hands the table only the heaps below it
+        monkeypatch.setattr(engine, "_MASK_WIDTH", 2)
+        for rules, lo, first in ((rs.DELETE_NIM, 0, 4), (rs.VDN, 1, 5)):
+            for run_cells in (0, cells):
+                monkeypatch.setattr(engine, "_TABLES", engine._new_tables())
+                table = engine._TABLES[rules.name]
+                list(engine.diagonals(rules, first - 1, cells=run_cells))
+                with pytest.raises(RuntimeError):
+                    list(engine.diagonals(rules, first + 40, cells=run_cells))
+                assert table.known == first
+                assert np.array_equal(table.masks, _one_go_masks(rules, first))
+
     @pytest.mark.parametrize("rules", [rs.DELETE_NIM, rs.VDN], ids=lambda r: r.name)
     def test_sweep_within_known_heaps_writes_nothing(self, monkeypatch, rules):
         # a sweep whose heaps are all known runs on a copy and hands the

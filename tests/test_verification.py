@@ -86,7 +86,7 @@ class TestSweeps:
         def unreachable(*args, **kwargs):
             raise AssertionError("engine called by a refused sweep")
 
-        for name in ("grundy", "classify", "sum_values", "nim_values"):
+        for name in ("grundy", "classify", "sum_values", "_nim_values"):
             monkeypatch.setattr(engine, name, unreachable)
         with pytest.raises(BudgetExceededError):
             vf.verify_bouton(3, 128, budget=1000)
@@ -108,6 +108,19 @@ class TestSweeps:
         with pytest.raises(BudgetExceededError) as exc:
             vf.verify_bouton(3, 5, budget=8)
         assert str(exc.value) == "nim values below 3 heaps of 5 exceed the budget of 8 units"
+
+    @pytest.mark.parametrize("heaps, size", [(3, 16), (1, 0)])
+    def test_bouton_charges_its_query_once(self, monkeypatch, heaps, size):
+        calls = []
+        right = engine.check_query
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return right(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "check_query", counted)
+        assert vf.verify_bouton(heaps, size, budget=1 << 26).passed
+        assert calls == [(rulesets.NIM, (size,) * heaps if size else (), 1 << 26)]
 
 
 class TestFaultInjection:
@@ -178,11 +191,9 @@ class TestFaultInjection:
         # perturbed on the engine side, which the report lists as expected
         right = engine.diagonals
 
-        def wrong(rules, bound, budget=None):
-            for xs, ys, values in right(rules, bound, budget):
-                if xs[0] + ys[0] == 397:
-                    values = values.copy()
-                    values[0] += 3
+        def wrong(rules, bound, budget=None, cells=0):
+            for xs, ys, values in right(rules, bound, budget, cells):
+                values[(xs == 200) & (ys == 197)] += 3
                 yield xs, ys, values
 
         monkeypatch.setattr(engine, "diagonals", wrong)
@@ -248,7 +259,7 @@ class TestFaultInjection:
 
         faulty = dataclasses.replace(game, options=options)
 
-        def values(pos):
+        def values(pos, budget=None):
             memo: engine.MemoTable = {}
             return ((p, engine.grundy(p, faulty, memo)) for p, _ in kernel(pos))
 
