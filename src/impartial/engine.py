@@ -22,20 +22,23 @@ value as a one-hot bit, ``1 << value``; a reader turns only the diagonals
 it reads into values.  A heap's mask depends on no bound, so each game has
 one table of them for the whole process, which every call extends and
 none rebuilds (``_TABLES``); every pass works on its own copy, and a lock
-guards the table, so threads may share it.  The verification sweeps stream
-every diagonal up to their bound (``diagonals``), written in runs into
-one buffer, reduce only those of heaps the table does not know, and add
-the heaps they finish to it; a
-query, and each engine move in ``play``, runs one pass over its two option
-diagonals and the diagonals of the heaps no earlier call reached, through
-heap x (``option_values``).  The table
+guards the table, so threads may share it.  The formula sweeps read the
+grid in bands of rows (``bands``): first one pass over the diagonals of
+the heaps through their bound that the table lacks, the fill, adds those
+heaps to it, and then each band is read from the final masks, one AND and
+one lowest bit per cell, with no diagonal in Python.  The iso sweep
+streams every diagonal up to its bound (``diagonals``), reducing only
+those of heaps the table does not know and adding the heaps it finishes;
+a query, and each engine move in ``play``, runs one pass over its two
+option diagonals and the diagonals of the heaps no earlier call reached,
+through heap x (``option_values``).  The table
 saves work only where one interpreter asks more than one two-heap
 question: each engine move of a ``play`` session after the first, a
 ``verify`` check that sweeps a game an earlier check swept, and a caller
 that keeps one interpreter for many ``option_values`` or ``cli.main``
 calls; a lone command starts from an empty table.
-``grundy_grid`` scatters the diagonals into a dense table; it is library
-API only, and no command or sweep builds one.
+``grundy_grid`` writes the bands into a dense table; it is library API
+only, and no command or sweep builds one.
 
 ``sum_values`` is the same recursion on the sum of two boards of one
 two-heap game: a move chooses a heap of either board, and so reaches one
@@ -77,7 +80,7 @@ from typing import Callable, Iterable, Iterator, Optional
 import numpy as np
 
 from .errors import BudgetExceededError, DomainError
-from .rulesets import DELETE_NIM, NIM, TWO_HEAP_MOVES, VDN, Ruleset, format_position
+from .rulesets import DELETE_NIM, NIM, TWO_HEAP_MOVES, VDN, Ruleset, echo_position, format_position
 
 MemoTable = dict
 
@@ -92,6 +95,7 @@ __all__ = [
     "check_cells",
     "check_query",
     "diagonals",
+    "bands",
     "option_values",
     "sum_values",
     "NIM_HEAP_LIMIT",
@@ -279,25 +283,65 @@ def _moves(rules: Ruleset) -> tuple[int, int]:
         raise ValueError(f"no dense backend for ruleset {rules.name!r}") from None
 
 
-def diagonals(rules: Ruleset, bound: int, budget: int | None = None, cells: int = 0) -> Iterator:
+def diagonals(rules: Ruleset, bound: int, budget: int | None = None) -> Iterator:
     """Grundy values of every canonical two-heap position lo <= y <= x <= bound
     (lo is 0 for Delete Nim, 1 for VDN), by mex recursion, one anti-diagonal
     x + y == t at a time in increasing t.
 
-    Yields ``(xs, ys, values)`` per diagonal, ``ys`` ascending, or per run
-    of consecutive diagonals of at most ``cells`` cells (a longer one
-    alone); ``values`` is fresh uint8, and a lone diagonal's ``xs`` and
-    ``ys`` are read-only views.  Memory is O(bound + cells).  Heaps the
-    game's shared table knows are not reduced again, and the sweep adds
-    the ones it finishes to the table.  The bound and the budget are
-    checked before anything runs; it charges the full (bound + 1)**2 cells.
+    Yields ``(xs, ys, values)`` per diagonal, ``ys`` ascending; ``xs`` and
+    ``ys`` are read-only views, ``values`` a fresh uint8 array.  Memory is
+    O(bound): one bitmask per heap size.  Heaps the game's shared table
+    knows are not reduced again, and the sweep adds the ones it finishes
+    to the table.  The bound and the budget are checked before anything
+    runs; the budget is charged the (bound + 1)**2 cells of the full grid.
     """
+    table = _sweep_table(rules, bound, budget)
+    lows = _lows(table, bound, range(2 * table.lo, 2 * bound + 1))
+    return ((xs, ys, _values(low)) for xs, ys, low in lows)
+
+
+def bands(rules: Ruleset, bound: int, budget: int | None, cells: int) -> Iterator:
+    """Grundy values of every two-heap position lo <= x, y <= bound, by mex
+    recursion, in bands of consecutive rows y.
+
+    First the fill: one pass over the diagonals whose heaps the game's
+    shared table lacks gives every heap through ``bound`` its final mask.
+    Then each band is read from those masks alone.  Yields
+    ``(xs, ys, values)`` per band of rows y0 <= y < y1: ``xs`` is the
+    read-only row ``y0 .. bound`` of shape (1, w), ``ys`` the read-only
+    column ``y0 .. y1 - 1`` of shape (k, 1), and ``values[i, j]`` the value
+    of (xs[0, j], ys[i, 0]), fresh uint8 of shape (k, w).  A band holds
+    about ``cells`` cells, with at least one row.  Every canonical position
+    y <= x falls in exactly one band; the k(k - 1)/2 cells of a band with
+    x < y repeat their mirrored positions.  Memory is O(bound + cells).  The
+    bound and the budget are checked before anything runs, as in
+    ``diagonals``.
+    """
+    return _bands(_sweep_table(rules, bound, budget), bound, cells)
+
+
+def _sweep_table(rules: Ruleset, bound: int, budget: int | None) -> _Unreached:
+    """The game's shared table, once ``bound`` and the budget are checked."""
     lo, _ = _moves(rules)
     if bound < lo:
         raise DomainError(f"bound must be >= {lo}, got {bound}")
     check_cells("dense sweep", bound, budget)
-    lows = _lows(_TABLES[rules.name], bound, range(2 * lo, 2 * bound + 1), cells)
-    return ((xs, ys, _values(low)) for xs, ys, low in lows)
+    return _TABLES[rules.name]
+
+
+def _bands(table: _Unreached, bound: int, cells: int) -> Iterator:
+    # the fill: diagonal t completes the mask of heap t + removed
+    for _ in _lows(table, bound, range(table.known - table.removed, bound + 1 - table.removed)):
+        pass
+    unreached, _ = table.snapshot(bound)
+    heaps = np.arange(bound + 1)
+    heaps.flags.writeable = False
+    y0 = table.lo
+    while y0 <= bound:
+        y1 = min(bound + 1, y0 + max(1, cells // (bound + 1 - y0)))
+        free = unreached[y0:y1, None] & unreached[None, y0:]
+        yield heaps[None, y0:], heaps[y0:y1, None], _values(free & -free)
+        y0 = y1
 
 
 def check_query(rules: Ruleset, pos, budget: int | None = None) -> tuple:
@@ -320,9 +364,8 @@ def check_query(rules: Ruleset, pos, budget: int | None = None) -> tuple:
     if p and (budget is None or units <= budget):
         units = len(p) * _down_set_size(p)
     if budget is not None and units > budget:
-        raise BudgetExceededError(
-            f"nim values below {format_position(NIM, p)} exceed the budget of {budget} units"
-        )
+        shown = echo_position(format_position(NIM, p))
+        raise BudgetExceededError(f"nim values below {shown} exceed the budget of {budget} units")
     return p, units
 
 
@@ -362,12 +405,10 @@ def _values(low: np.ndarray) -> np.ndarray:
     return np.bitwise_count(low - 1)
 
 
-def _lows(table: _Unreached, bound: int, ts: Iterable[int], cells: int = 0) -> Iterator:
-    """Per run of consecutive anti-diagonals t of the grid up to ``bound``
-    in ``ts``, which rise from 2 * lo on: ``(xs, ys, low)`` with
-    ``low[i] == 1 << G(xs[i], ys[i])`` as uint64.  A run is one diagonal,
-    or as many as fit in ``cells`` cells, written into one buffer, so
-    ``low`` is valid only until the next item.
+def _lows(table: _Unreached, bound: int, ts: Iterable[int]) -> Iterator:
+    """Per anti-diagonal t of the grid up to ``bound`` in ``ts``, which
+    rise from 2 * lo on: ``(xs, ys, low)`` with
+    ``low[i] == 1 << G(xs[i], ys[i])`` as uint64.
 
     Every heap below t + removed must be known when diagonal t runs, to
     the table or from a diagonal the pass ran before.  The pass works on a
@@ -382,20 +423,13 @@ def _lows(table: _Unreached, bound: int, ts: Iterable[int], cells: int = 0) -> I
     # x = t - y falls as y rises, so the x side is read through reversed views,
     # at index bound - x
     heaps_down, unreached_down = heaps[::-1], unreached[::-1]
-    buffer = np.empty(max(cells, bound // 2 + 1), np.uint64)
-    xs, ys, used = [], [], 0  # the heaps of the diagonals in the buffer
     try:
         for t in ts:
             y0, y1 = max(lo, t - bound), t // 2
-            size = y1 - y0 + 1
-            if xs and used + size > cells:
-                yield _joined(xs), _joined(ys), buffer[:used]
-                xs, ys, used = [], [], 0
             y_range = slice(y0, y1 + 1)
             x_range = slice(bound - t + y0, bound - t + y1 + 1)
-            low = buffer[used : used + size]
-            np.bitwise_and(unreached_down[x_range], unreached[y_range], out=low)
-            np.bitwise_and(low, -low, out=low)
+            free = unreached_down[x_range] & unreached[y_range]
+            low = free & -free
             s = t + removed
             if known == s <= bound:  # diagonal t is complete, and it is what a heap of s reaches
                 reached = np.bitwise_or.reduce(low)
@@ -403,17 +437,9 @@ def _lows(table: _Unreached, bound: int, ts: Iterable[int], cells: int = 0) -> I
                     raise RuntimeError("grundy values exceed the dense backend's bitmask width")
                 unreached[s] = ~reached
                 known = s + 1
-            xs.append(heaps_down[x_range])
-            ys.append(heaps[y_range])
-            used += size
-        if xs:
-            yield _joined(xs), _joined(ys), buffer[:used]
+            yield heaps_down[x_range], heaps[y_range], low
     finally:
         table.publish(unreached, known)
-
-
-def _joined(parts: list) -> np.ndarray:
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def sum_values(rules: Ruleset, bound: int) -> Iterator:
@@ -692,11 +718,12 @@ _TABLES = _new_tables()  # shared by every call in the process
 
 
 def _scatter(rules: Ruleset, bound: int, budget: int | None) -> np.ndarray:
-    diags = diagonals(rules, bound, budget)
     grid = np.full((bound + 1, bound + 1), -1, dtype=np.int16)
-    for xs, ys, values in diags:
-        grid[xs, ys] = values
-    # mirror the canonical half; -1 is below every Grundy value, and stays
+    # bands of about one row's worth of cells, each written where it lies
+    for _, ys, values in bands(rules, bound, budget, bound + 1):
+        y0 = int(ys[0, 0])
+        grid[y0 : y0 + len(ys), y0:] = values
+    # mirror the upper half; -1 is below every Grundy value, and stays
     # only in VDN's row and column 0, which hold no position
     return np.maximum(grid, grid.T, out=grid)
 

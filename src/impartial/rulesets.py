@@ -211,13 +211,13 @@ def parse_position(rules: Ruleset, text: str):
         raise ParseError(f"no text syntax for ruleset {rules.name!r}")
     parts = [s.strip() for s in text.split(",")]
     if not all(_HEAP_TEXT.fullmatch(s) for s in parts):
-        raise ParseError(f"malformed position {text!r}")
+        raise ParseError(f"malformed position {echo_position(text, repr)}")
     try:
         values = tuple(int(s) for s in parts)
     except ValueError as exc:  # more digits than int() converts
-        raise ParseError(f"malformed position {text!r}") from exc
+        raise ParseError(f"malformed position {echo_position(text, repr)}") from exc
     if rules.name in TWO_HEAP_MOVES and len(values) != 2:
-        raise ParseError(f"{rules.name} positions are pairs x,y, got {text!r}")
+        raise ParseError(f"{rules.name} positions are pairs x,y, got {echo_position(text, repr)}")
     rules.validate(values)
     return rules.canonical(values)
 
@@ -229,3 +229,18 @@ def format_position(rules: Ruleset, pos) -> str:
     if rules.name == "nim" and not pos:
         return "0"
     return ",".join(str(v) for v in pos)
+
+
+def echo_position(text: str, show: Callable = str) -> str:
+    """``show(text)``, a position's text as an error message echoes it, if
+    ``text`` is at most 60 characters.  Past that, ``show`` of its first 60,
+    then ``...`` and its number of comma-separated heaps, with the largest
+    if each is a heap of at most 60 digits, so that no message grows with
+    its input."""
+    if len(text) <= 60:
+        return show(text)
+    parts = [s.strip() for s in text.split(",")]
+    largest = ""
+    if all(len(s) <= 60 and _HEAP_TEXT.fullmatch(s) for s in parts):
+        largest = f", largest {max(map(int, parts))}"
+    return f"{show(text[:60])}... ({len(parts)} heaps{largest})"

@@ -4,10 +4,12 @@ identities on bounded position grids.
 Every check runs two independent routes against each other (bottom-up mex
 recursion versus a closed formula, or an explicit certificate versus direct
 enumeration) and emits a VerificationReport.  Sweeps are exhaustive within
-their bounds, never sampled.  The two-heap formula sweeps stream the
-engine's anti-diagonals in blocks of at most ``_BLOCK_CELLS`` cells,
-which its kernel writes whole (a longer diagonal is a block of its own),
-compare each block with the closed form, and hold O(bound) memory.  The
+their bounds, never sampled.  The two-heap formula sweeps read the
+engine's values in bands of rows of about ``_BLOCK_CELLS`` cells
+(``engine.bands``), which it reads from masks it has finished for every
+heap through the bound, compare each band with the closed form on the
+same broadcast arrays, count only its cells with x >= y, and hold
+O(bound) memory.  The
 certificate sweeps (proof-steps, iso) rest on every two-heap option set
 being the union of what choosing each heap reaches
 (``rulesets.*_heap_options``): they check each heap's moves once, keep
@@ -37,6 +39,8 @@ import time
 from dataclasses import dataclass
 from math import comb
 from typing import Callable
+
+import numpy as np
 
 from . import closed_forms, engine, isomorphism, rulesets
 from .errors import BudgetExceededError, DomainError
@@ -108,11 +112,12 @@ def reports_to_json(reports: list[VerificationReport]) -> str:
     return json.dumps([r.to_record() for r in reports], indent=2)
 
 
-def _differing_cells(found: list, xs, ys, expected, actual) -> None:
-    """Append (x, y, expected, actual) for every cell where the two differ."""
-    differ = expected != actual
+def _differing_cells(found: list, differ, xs, ys, expected, actual) -> None:
+    """Append (x, y, expected, actual) for every cell where ``differ`` holds;
+    the four arrays broadcast to its shape."""
     if differ.any():
-        found.extend(zip(*(cells[differ].tolist() for cells in (xs, ys, expected, actual))))
+        cells = (np.broadcast_to(a, differ.shape)[differ].tolist() for a in (xs, ys, expected, actual))
+        found.extend(zip(*cells))
 
 
 def _as_mismatches(found: list) -> list[Mismatch]:
@@ -120,22 +125,35 @@ def _as_mismatches(found: list) -> list[Mismatch]:
     return [(f"{x},{y}", e, a) for x, y, e, a in sorted(found)]
 
 
-# Cells per formula call and comparison in the two-heap sweeps: each call
-# costs a fixed numpy dispatch, so short diagonals are compared in blocks.
-_BLOCK_CELLS = 4096
+# Cells per band in the two-heap sweeps.  Each band costs a fixed numpy
+# dispatch per operation, so bands are wide; but each band allocates several
+# uint64 and int64 temporaries of its size at once, and glibc hands memory
+# that large back to the system when the band frees it (by munmap from 128
+# KiB, 16,384 cells, and by trimming its heap from well below that), so the
+# next band faults every page in afresh.  In a benchmark pass (delete-nim
+# 3072, vdn 1536; Linux x86-64, Python 3.11, numpy 2.4) that took 326 minor
+# page faults at 8,000 cells, 302 at 10,000, 2,049 at 11,000, 8,002 at
+# 16,384 and 17,964 at 32,768, and the pass grew slower from 16,384 on; in
+# a bare interpreter the step came at 13,000 instead.
+_BLOCK_CELLS = 10_000
 
 
 def _verify_two_heap(
     name: str, rules: rulesets.Ruleset, formula: Callable, bound: int, budget: int | None
 ) -> VerificationReport:
-    """Stream the engine's diagonals and compare them, a block at a time,
-    with the vectorized closed form evaluated on the same cells."""
+    """Compare the engine's values with the vectorized closed form evaluated
+    on the same cells, a band of rows at a time, on the canonical cells
+    x >= y only."""
     t0 = time.perf_counter()
-    checked = 0
     found: list = []
-    for xs, ys, values in engine.diagonals(rules, bound, budget, _BLOCK_CELLS):
-        checked += values.size
-        _differing_cells(found, xs, ys, values, formula(xs, ys))
+    for xs, ys, values in engine.bands(rules, bound, budget, _BLOCK_CELLS):
+        actual = formula(xs, ys)
+        differ = values != actual
+        k = len(ys)
+        differ[:, :k] &= xs[:, :k] >= ys  # only the first k columns hold x < y
+        _differing_cells(found, differ, xs, ys, values, actual)
+    lo, _ = rulesets.TWO_HEAP_MOVES[rules.name]
+    checked = (bound - lo + 1) * (bound - lo + 2) // 2
     return VerificationReport(
         name, bound, checked, _as_mismatches(found), time.perf_counter() - t0
     )
@@ -358,7 +376,7 @@ def verify_isomorphism(
     # holds (x - 1, y - 1), in the same order
     found: list = []
     for (xs, ys, vdn_values), (_, _, dn_values) in zip(vdn_diags, dn_diags, strict=True):
-        _differing_cells(found, xs, ys, dn_values, vdn_values)
+        _differing_cells(found, dn_values != vdn_values, xs, ys, dn_values, vdn_values)
     mismatches += _as_mismatches(found)
     checked = bound * (bound + 1) // 2
     return VerificationReport(

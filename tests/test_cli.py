@@ -610,6 +610,28 @@ def test_nim_query_budget_is_the_down_set(command, text, capsys):
     assert out.err == ""
 
 
+_ONES = ",".join(["1"] * 70_000)
+
+
+@pytest.mark.parametrize(
+    "game, text, code, head, tail",
+    [
+        ("nim", _ONES, 4, "nim values below 1,", "... (70000 heaps, largest 1) exceed the budget"),
+        ("delete-nim", _ONES, 2, "delete-nim positions are pairs x,y, got '1,", "... (70000 heaps, largest 1)"),
+        ("nim", _ONES[:-1] + "x", 2, "malformed position '1,1,", "'... (70000 heaps)"),
+    ],
+    ids=["nim-budget", "pairs", "malformed"],
+)
+def test_error_messages_echo_a_bounded_position(game, text, code, head, tail, capsys):
+    # a message echoes a prefix of a long position, its heap count and its
+    # largest heap, not the whole 140 kB of text
+    assert cli.main(["best-move", "--game", game, "--position", text]) == code
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert len(out.err.encode()) < 300
+    assert out.err.startswith("error: " + head) and tail in out.err
+
+
 class TestVerifyCommand:
     def test_single_check_text(self):
         r = run_cli("verify", "--check", "iso", "--bound", "16")

@@ -547,55 +547,64 @@ class TestDenseGrids:
         assert table.known == x + 1
         assert np.array_equal(table.masks[: x + 1], _one_go_masks(rules, x + 1))
 
-    @pytest.mark.parametrize("cells", [1, 16, 4096, 0], ids=["1", "16", "4096", "below-every-diagonal"])
+    @pytest.mark.parametrize(
+        "cells",
+        [1, 16, 4096, 10_000, 0],
+        ids=["1", "16", "4096", "10000", "below-every-diagonal"],
+    )
     @pytest.mark.parametrize("rules", [rs.DELETE_NIM, rs.VDN], ids=lambda r: r.name)
     def test_runs_join_the_diagonals(self, rules, cells):
-        # a run holds as many whole diagonals as fit in cells, or one longer
-        # one, and the runs joined are the per-diagonal output
+        # the bands, runs of whole rows of about cells cells each (one row
+        # at least; 0 is below every row and every diagonal), hold each
+        # canonical cell of the diagonals exactly once, with its value
         bound = 600
-        diags = list(engine.diagonals(rules, bound))
-        runs = list(engine.diagonals(rules, bound, cells=cells))
-        sizes, run = [], []
-        for _, _, values in diags:
-            if run and sum(run) + values.size > cells:
-                sizes.append(run)
-                run = []
-            run.append(values.size)
-        sizes.append(run)
-        assert [values.size for _, _, values in runs] == [sum(run) for run in sizes]
-        for (xs, ys, _), run in zip(runs, sizes):
-            assert len(run) > 1 or not (xs.flags.writeable or ys.flags.writeable)
-        for i in range(3):
-            joined = np.concatenate([item[i] for item in runs])
-            assert np.array_equal(joined, np.concatenate([item[i] for item in diags]))
+        lo = 0 if rules is rs.DELETE_NIM else 1
+        grid = np.full((bound + 1, bound + 1), -1)  # the diagonals' values at [x, y], x >= y
+        for xs, ys, values in engine.diagonals(rules, bound):
+            grid[xs, ys] = values
+        seen = np.zeros_like(grid)
+        y0 = lo
+        for xs, ys, values in engine.bands(rules, bound, None, cells):
+            assert not (xs.flags.writeable or ys.flags.writeable)
+            width = bound + 1 - y0
+            rows = min(max(1, cells // width), width)
+            assert xs.tolist() == [list(range(y0, bound + 1))]
+            assert ys.tolist() == [[y] for y in range(y0, y0 + rows)]
+            # a cell with x < y holds its mirrored position
+            assert np.array_equal(values, np.maximum(grid[xs, ys], grid[ys, xs]))
+            seen[xs, ys] += xs >= ys
+            y0 += rows
+        assert y0 == bound + 1
+        assert np.array_equal(seen, grid >= 0)
+        assert seen.sum() == (bound - lo + 1) * (bound - lo + 2) // 2
 
     @pytest.mark.parametrize("rules", [rs.DELETE_NIM, rs.VDN], ids=lambda r: r.name)
     def test_block_sweep_closed_early_leaves_a_prefix(self, monkeypatch, rules):
-        # a block sweep closed after three runs keeps the heaps of every
-        # diagonal it ran, which are the diagonals it yielded
+        # the fill runs before the first band, so a band reader closed after
+        # it leaves every heap through the bound known
         monkeypatch.setattr(engine, "_TABLES", engine._new_tables())
         table = engine._TABLES[rules.name]
-        sweep = engine.diagonals(rules, 300, cells=4096)
-        for _ in range(3):
-            xs, ys, _ = next(sweep)
+        sweep = engine.bands(rules, 300, None, 4096)
+        next(sweep)
         sweep.close()
-        known = table.known
-        assert known == xs[-1] + ys[-1] + table.removed + 1
-        assert 100 < known < 300
-        assert np.array_equal(table.masks[:known], _one_go_masks(rules, known))
+        assert table.known == 301
+        assert np.array_equal(table.masks[:301], _one_go_masks(rules, 301))
 
     @pytest.mark.parametrize("cells", [16, 4096])
     def test_mask_width_guard_in_blocks(self, monkeypatch, cells):
-        # a block sweep trips at the heap the per-diagonal sweep trips at,
-        # and hands the table only the heaps below it
+        # a band reader trips at the heap the diagonal sweep trips at, and
+        # its fill hands the table only the heaps below it
         monkeypatch.setattr(engine, "_MASK_WIDTH", 2)
         for rules, lo, first in ((rs.DELETE_NIM, 0, 4), (rs.VDN, 1, 5)):
-            for run_cells in (0, cells):
+            for sweep in (
+                lambda b: engine.diagonals(rules, b),
+                lambda b: engine.bands(rules, b, None, cells),
+            ):
                 monkeypatch.setattr(engine, "_TABLES", engine._new_tables())
                 table = engine._TABLES[rules.name]
-                list(engine.diagonals(rules, first - 1, cells=run_cells))
+                list(sweep(first - 1))
                 with pytest.raises(RuntimeError):
-                    list(engine.diagonals(rules, first + 40, cells=run_cells))
+                    list(sweep(first + 40))
                 assert table.known == first
                 assert np.array_equal(table.masks, _one_go_masks(rules, first))
 

@@ -214,6 +214,17 @@ class TestParse:
         assert rs.format_position(rs.DELETE_NIM, (3, 2)) == "3,2"
         assert rs.format_position(rs.NIM, (7, 5, 2)) == "7,5,2"
 
+    def test_echo_cuts_past_sixty_characters(self):
+        # up to 60 characters a text is echoed whole; past that, a prefix,
+        # its heap count, and its largest heap if every part is a short heap
+        whole = "1," * 29 + "10"
+        assert len(whole) == 60
+        assert rs.echo_position(whole) == whole
+        assert rs.echo_position(whole, repr) == repr(whole)
+        assert rs.echo_position(whole + "0") == whole + "... (30 heaps, largest 100)"
+        assert rs.echo_position("x," + whole, repr) == repr("x," + whole[:58]) + "... (31 heaps)"
+        assert rs.echo_position("1" * 61 + ",2") == "1" * 60 + "... (2 heaps)"
+
 
 def test_ruleset_is_frozen():
     with pytest.raises(Exception):

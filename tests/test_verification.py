@@ -152,9 +152,10 @@ class TestFaultInjection:
             (f"{x},{y}", reference(x, y), reference(x, y) + 5) for x, y in sorted(cells)
         ]
 
-    # The sweeps compare the closed form a block of diagonals at a time, so
-    # faults are planted on every 7th diagonal, in the middle of each, and at
-    # the corners of the triangle, across every block boundary.
+    # The sweeps compare the closed form a band of rows at a time, and read
+    # mirrored cells they do not count, so faults are planted on every 7th
+    # diagonal, in the middle of each, and at the corners of the triangle,
+    # across every band boundary.
     @pytest.mark.parametrize(
         "verify, formula, reference, lo, bound",
         [
@@ -172,12 +173,13 @@ class TestFaultInjection:
 
         def wrong(xs, ys):
             values = right(xs, ys).astype(np.int64)
-            planted = [(x, y) in cells for x, y in zip(xs.tolist(), ys.tolist())]
-            values[np.array(planted, dtype=bool)] += 5
+            xs, ys = np.broadcast_arrays(xs, ys)
+            planted = [(x, y) in cells for x, y in zip(xs.flat, ys.flat)]
+            values[np.array(planted, dtype=bool).reshape(values.shape)] += 5
             return values
 
         monkeypatch.setattr(cf, formula, wrong)
-        # at 16 cells a block most diagonals here are longer than a block
+        # at 16 cells every band here is one row
         for block_cells in (vf._BLOCK_CELLS, 16):
             monkeypatch.setattr(vf, "_BLOCK_CELLS", block_cells)
             rep = verify(bound)
@@ -186,17 +188,38 @@ class TestFaultInjection:
                 (f"{x},{y}", reference(x, y), reference(x, y) + 5) for x, y in sorted(cells)
             ]
 
+    @pytest.mark.parametrize(
+        "verify, formula",
+        [
+            (vf.verify_delete_nim_formula, "delete_nim_grundy_array"),
+            (vf.verify_vdn_formula, "vdn_grundy_array"),
+        ],
+        ids=["delete-nim", "vdn"],
+    )
+    def test_mirrored_cells_are_not_compared(self, monkeypatch, verify, formula):
+        # a band also holds cells with x < y, which repeat canonical ones; a
+        # formula wrong on those alone is right on every position
+        right = getattr(cf, formula)
+
+        def wrong(xs, ys):
+            return right(xs, ys) + (xs < ys)
+
+        monkeypatch.setattr(cf, formula, wrong)
+        for block_cells in (vf._BLOCK_CELLS, 16):
+            monkeypatch.setattr(vf, "_BLOCK_CELLS", block_cells)
+            assert verify(150).passed
+
     def test_wrong_engine_value_is_reported(self, monkeypatch):
         # one cell of a late diagonal, (200, 197) on diagonal 397 of 401, is
         # perturbed on the engine side, which the report lists as expected
-        right = engine.diagonals
+        right = engine.bands
 
-        def wrong(rules, bound, budget=None, cells=0):
+        def wrong(rules, bound, budget, cells):
             for xs, ys, values in right(rules, bound, budget, cells):
                 values[(xs == 200) & (ys == 197)] += 3
                 yield xs, ys, values
 
-        monkeypatch.setattr(engine, "diagonals", wrong)
+        monkeypatch.setattr(engine, "bands", wrong)
         rep = vf.verify_delete_nim_formula(200)
         assert rep.mismatches == [
             ("200,197", ref_delete_grundy(200, 197) + 3, ref_delete_grundy(200, 197))
