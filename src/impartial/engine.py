@@ -80,7 +80,9 @@ from typing import Callable, Iterable, Iterator, Optional
 import numpy as np
 
 from .errors import BudgetExceededError, DomainError
-from .rulesets import DELETE_NIM, NIM, TWO_HEAP_MOVES, VDN, Ruleset, echo_position, format_position
+from .rulesets import (
+    DELETE_NIM, NIM, TWO_HEAP_MOVES, VDN, Ruleset, echo_number, echo_position, format_position,
+)
 
 MemoTable = dict
 
@@ -231,7 +233,8 @@ def check_cells(what: str, bound: int, budget: int | None) -> int:
     cells = (bound + 1) * (bound + 1)
     if budget is not None and cells > budget:
         raise BudgetExceededError(
-            f"{what} to bound {bound} needs {cells} cells, budget is {budget}"
+            f"{what} to bound {echo_number(bound)} needs {echo_number(cells)} cells, "
+            f"budget is {echo_number(budget)}"
         )
     return cells
 

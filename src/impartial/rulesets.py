@@ -59,7 +59,7 @@ def validate_vdn(p: Pair) -> Pair:
 def validate_nim(p: Iterable[int]) -> tuple[int, ...]:
     heaps = tuple(p)
     if any(h < 0 for h in heaps):
-        raise DomainError(f"Nim heaps must be >= 0, got {heaps}")
+        raise DomainError(f"Nim heaps must be >= 0, got {echo_position(str(heaps))}")
     return heaps
 
 
@@ -231,16 +231,36 @@ def format_position(rules: Ruleset, pos) -> str:
     return ",".join(str(v) for v in pos)
 
 
+_ECHO = 60  # characters an error message echoes of a position or a number
+
+
 def echo_position(text: str, show: Callable = str) -> str:
     """``show(text)``, a position's text as an error message echoes it, if
     ``text`` is at most 60 characters.  Past that, ``show`` of its first 60,
     then ``...`` and its number of comma-separated heaps, with the largest
     if each is a heap of at most 60 digits, so that no message grows with
     its input."""
-    if len(text) <= 60:
+    if len(text) <= _ECHO:
         return show(text)
     parts = [s.strip() for s in text.split(",")]
     largest = ""
-    if all(len(s) <= 60 and _HEAP_TEXT.fullmatch(s) for s in parts):
+    if all(len(s) <= _ECHO and _HEAP_TEXT.fullmatch(s) for s in parts):
         largest = f", largest {max(map(int, parts))}"
-    return f"{show(text[:60])}... ({len(parts)} heaps{largest})"
+    return f"{show(text[:_ECHO])}... ({len(parts)} heaps{largest})"
+
+
+def echo_number(n: int) -> str:
+    """``str(n)``, a number as an error message echoes it, if it has at
+    most 60 digits.  Past that, its first 60 digits, then ``...`` and its
+    number of digits, as ``echo_position`` shortens a position, so that no
+    message grows with the number, nor needs more digits than ``str``
+    converts."""
+    size = abs(n)
+    if size < 10**_ECHO:
+        return str(n)
+    # 1233 / 4096 < log10(2), so this starts at or below the digit count
+    digits = (size.bit_length() - 1) * 1233 >> 12
+    while 10**digits <= size:
+        digits += 1
+    head = size // 10 ** (digits - _ECHO)
+    return f"{'-' * (n < 0)}{head}... ({digits} digits)"

@@ -9,19 +9,24 @@ engine's values in bands of rows of about ``_BLOCK_CELLS`` cells
 (``engine.bands``), which it reads from masks it has finished for every
 heap through the bound, compare each band with the closed form on the
 same broadcast arrays, count only its cells with x >= y, and hold
-O(bound) memory.  The
-certificate sweeps (proof-steps, iso) rest on every two-heap option set
-being the union of what choosing each heap reaches
-(``rulesets.*_heap_options``): they check each heap's moves once, keep
-O(bound) per-heap results, and do only O(1) work per position, plus a full
-per-option check where a heap's result fails.  The sum sweep takes the sum
-values from the engine's per-heap sum kernel and XORs the component values
-itself; the Bouton sweep takes its values from the engine's Nim kernel.
-Every sweep charges its budget from an arithmetic count before it builds
-anything: the (bound+1)**2 grid cells for the two-heap and certificate
-sweeps, positions for sum, and a Nim query's units for bouton, so none
-passes a budget into the generic engine.  Every check runs in the
-calling thread.
+O(bound) memory.  The certificate sweeps (proof-steps, iso) rest on every
+two-heap option set being the union of what choosing each heap reaches
+(``rulesets.*_heap_options``): they check each heap's moves once and keep
+O(bound) per-heap results.  proof-steps then tests every position on
+those results in bands of rows laid out the same way, a fixed number of
+numpy steps per band; iso takes its Grundy commutation from
+``engine.bands`` on both games and decides its option-set commutation a
+row at a time.  A position that fails is checked in full, one option at
+a time, for the report.  At bound 2048 that took proof-steps from about
+1.6 s to about 0.3 s and left iso at about 1.5 s, most of it the
+isomorphism map applied to each position (2-core x86-64).  The sum sweep
+takes the sum values from the engine's per-heap sum kernel and XORs the
+component values itself; the Bouton sweep takes its values from the
+engine's Nim kernel.  Every sweep charges its budget from an arithmetic
+count before it builds anything: the (bound+1)**2 grid cells for the
+two-heap and certificate sweeps, positions for sum, and a Nim query's
+units for bouton, so none passes a budget into the generic engine.
+Every check runs in the calling thread.
 
 Mismatches are listed in row-major position order (iso lists its
 option-set ones before its Grundy ones), except bouton's, which are listed
@@ -37,6 +42,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass
+from itertools import starmap
 from math import comb
 from typing import Callable
 
@@ -112,11 +118,15 @@ def reports_to_json(reports: list[VerificationReport]) -> str:
     return json.dumps([r.to_record() for r in reports], indent=2)
 
 
-def _differing_cells(found: list, differ, xs, ys, expected, actual) -> None:
-    """Append (x, y, expected, actual) for every cell where ``differ`` holds;
-    the four arrays broadcast to its shape."""
+def _differing_cells(found: list, differ, xs, ys, *values) -> None:
+    """Append (x, y, *values) for every cell x >= y of a band of rows where
+    ``differ`` holds: ``xs`` is the band's (1, w) row of columns x, ``ys``
+    its (k, 1) column of rows y from xs[0, 0] on, and every array
+    broadcasts to the shape of ``differ``, which this masks in place."""
+    k = len(ys)
+    differ[:, :k] &= xs[:, :k] >= ys  # only the first k columns hold x < y
     if differ.any():
-        cells = (np.broadcast_to(a, differ.shape)[differ].tolist() for a in (xs, ys, expected, actual))
+        cells = (np.broadcast_to(a, differ.shape)[differ].tolist() for a in (xs, ys, *values))
         found.extend(zip(*cells))
 
 
@@ -125,16 +135,18 @@ def _as_mismatches(found: list) -> list[Mismatch]:
     return [(f"{x},{y}", e, a) for x, y, e, a in sorted(found)]
 
 
-# Cells per band in the two-heap sweeps.  Each band costs a fixed numpy
-# dispatch per operation, so bands are wide; but each band allocates several
-# uint64 and int64 temporaries of its size at once, and glibc hands memory
-# that large back to the system when the band frees it (by munmap from 128
-# KiB, 16,384 cells, and by trimming its heap from well below that), so the
-# next band faults every page in afresh.  In a benchmark pass (delete-nim
-# 3072, vdn 1536; Linux x86-64, Python 3.11, numpy 2.4) that took 326 minor
-# page faults at 8,000 cells, 302 at 10,000, 2,049 at 11,000, 8,002 at
-# 16,384 and 17,964 at 32,768, and the pass grew slower from 16,384 on; in
-# a bare interpreter the step came at 13,000 instead.
+# Cells per band in the two-heap and certificate sweeps.  Each band costs a
+# fixed numpy dispatch per operation, so bands are wide (proof-steps at
+# bound 160 took 3.9 ms in bands and 9.5 ms at one row per band); but each
+# band allocates several uint64 and int64 temporaries of its size at once,
+# and glibc hands memory that large back to the system when the band frees
+# it (by munmap from 128 KiB, 16,384 cells, and by trimming its heap from
+# well below that), so the next band faults every page in afresh.  In a
+# benchmark pass (delete-nim 3072, vdn 1536; Linux x86-64, Python 3.11,
+# numpy 2.4) that took 326 minor page faults at 8,000 cells, 302 at 10,000,
+# 2,049 at 11,000, 8,002 at 16,384 and 17,964 at 32,768, and the pass grew
+# slower from 16,384 on; in a bare interpreter the step came at 13,000
+# instead.
 _BLOCK_CELLS = 10_000
 
 
@@ -148,10 +160,7 @@ def _verify_two_heap(
     found: list = []
     for xs, ys, values in engine.bands(rules, bound, budget, _BLOCK_CELLS):
         actual = formula(xs, ys)
-        differ = values != actual
-        k = len(ys)
-        differ[:, :k] &= xs[:, :k] >= ys  # only the first k columns hold x < y
-        _differing_cells(found, differ, xs, ys, values, actual)
+        _differing_cells(found, values != actual, xs, ys, values, actual)
     lo, _ = rulesets.TWO_HEAP_MOVES[rules.name]
     checked = (bound - lo + 1) * (bound - lo + 2) // 2
     return VerificationReport(
@@ -261,18 +270,20 @@ def proof_step_failures(x: int, y: int) -> list[Mismatch]:
     return found
 
 
+_ALL_BITS = (1 << 64) - 1
+
+
 def _heap_certificate(s: int, grundy: Callable, heap_options: Callable) -> tuple[int, int]:
     """What choosing a Delete Nim heap of s stones contributes to the proof
     steps of every position holding it: ``(values, bad)``.  Bit g of
     ``values`` is set when some position the choice reaches has closed-form
-    value g (all bits, -1, if one has a negative value).  Bit v of ``bad``
+    value g (all 64 bits if one has a negative value).  Bit v of ``bad``
     is set when bit v of s is set and the option constructed from it,
     (s - 2**v, 2**v - 1), is not among those positions or lacks value v."""
     reached = heap_options(s)
     values = 0
-    for q in reached:
-        g = grundy(*q)
-        values |= 1 << g if g >= 0 else -1
+    for g in set(starmap(grundy, reached)):
+        values |= 1 << g if g >= 0 else _ALL_BITS
     bad = 0
     for v in range(s.bit_length()):
         bit = 1 << v
@@ -281,6 +292,44 @@ def _heap_certificate(s: int, grundy: Callable, heap_options: Callable) -> tuple
             if q not in reached or grundy(*q) != v:
                 bad |= bit
     return values, bad
+
+
+def _proof_step_cells(bound: int, values: np.ndarray, bad: np.ndarray) -> list:
+    """``(x, y, h)`` for every cell 0 <= y <= x <= bound where a proof step
+    fails on the heaps' uint64 ``values`` and ``bad`` masks (see
+    _heap_certificate), h being the array closed form's value there.
+
+    The tests run on bands of rows y0 <= y < y1 by columns x >= y0, of
+    about ``_BLOCK_CELLS`` cells, as ``engine.bands`` lays them out: each
+    band evaluates the closed form once and tests every cell on the same
+    broadcast arrays, so the sweep costs a fixed number of numpy steps per
+    band, not Python work per position."""
+    heaps = np.arange(bound + 1)
+    found: list = []
+    y0 = 0
+    while y0 <= bound:
+        y1 = min(bound + 1, y0 + max(1, _BLOCK_CELLS // (bound + 1 - y0)))
+        xs, ys = heaps[None, y0:], heaps[y0:y1, None]
+        h = closed_forms.delete_nim_grundy_array(xs, ys)
+        x, y = xs.view(np.uint64), ys.view(np.uint64)
+        # 1 << h; 0 where h is negative (or past 63), so that below is all
+        # ones there and (b) fails at bit 63, which no heap holds
+        below = h.astype(np.uint64)
+        np.left_shift(np.uint64(1), below, out=below)
+        # (a) fails where bit h is set in what either heap reaches
+        test = np.bitwise_or(values[None, y0:], values[y0:y1, None])
+        test &= below
+        flagged = test != 0
+        below -= 1  # the values step (b) constructs
+        # (b) fails at bit v where x holds it and is bad there, or else y
+        # lacks it or is bad there
+        np.bitwise_and(~x, ~y | bad[y0:y1, None], out=test)
+        test |= x & bad[None, y0:]
+        test &= below
+        flagged |= test != 0
+        _differing_cells(found, flagged, xs, ys, h)
+        y0 = y1
+    return found
 
 
 def verify_proof_steps(
@@ -293,35 +342,34 @@ def verify_proof_steps(
     decided per heap: (a) holds at (x, y) when bit h is clear in the union
     of the two heaps' value bitmasks, and (b) when each bit v < h is set in
     x or y and the option constructed from that heap is good (see
-    _heap_certificate).  A position where either test fails is checked
-    again by proof_step_failures, one option at a time, for the report.
-    Each heap is enumerated once, when its row starts, and not kept, so the
-    sweep holds O(bound) values and does O(bound**2) work.  It is charged
-    (bound+1)**2 cells against ``budget`` before any work, like the
-    streaming sweeps."""
+    _heap_certificate).  Each heap is enumerated once, with the scalar
+    closed form, into two uint64 arrays; then the two tests run on bands
+    of rows against the array closed form (``_proof_step_cells``), so the
+    sweep holds O(bound + _BLOCK_CELLS) values and does O(bound**2) work,
+    all but the per-heap part of it in numpy.  At bound 1024 that took the
+    sweep from about 0.28 s to about 0.09 s (2-core x86-64).
+
+    A position where either test fails is checked again, in row-major
+    order, by proof_step_failures, one option at a time and with the
+    scalar closed form, for the report.  If that finds nothing and the
+    two closed forms disagree there, the disagreement is reported.  The
+    sweep is charged (bound+1)**2 cells against ``budget`` before any
+    work, like the streaming sweeps."""
     if bound < 0:
         raise DomainError(f"bound must be >= 0, got {bound}")
     engine.check_cells("proof-steps", bound, budget)
     t0 = time.perf_counter()
     grundy = closed_forms.delete_nim_grundy
     heap_options = rulesets.delete_nim_heap_options
-    values: list[int] = []
-    bad: list[int] = []
+    certificates = [_heap_certificate(s, grundy, heap_options) for s in range(bound + 1)]
+    values, bad = (np.array(masks, dtype=np.uint64) for masks in zip(*certificates))
     mismatches: list[Mismatch] = []
-    for x in range(bound + 1):
-        heap_values, heap_bad = _heap_certificate(x, grundy, heap_options)
-        values.append(heap_values)
-        bad.append(heap_bad)
-        for y in range(x + 1):
-            h = grundy(x, y)
-            below = (1 << h) - 1 if h >= 0 else 0  # the values step (b) constructs
-            if (
-                h < 0
-                or (heap_values | values[y]) >> h & 1
-                or below & ~(x | y)
-                or below & (x & heap_bad | ~x & y & bad[y])
-            ):
-                mismatches.extend(proof_step_failures(x, y))
+    for x, y, h in sorted(_proof_step_cells(bound, values, bad)):
+        failures = proof_step_failures(x, y)
+        if not failures and (g := grundy(x, y)) != h:
+            failures = [(f"{x},{y}", f"value {g}, as delete_nim_grundy gives",
+                         f"delete_nim_grundy_array gives {h}")]
+        mismatches += failures
     checked = (bound + 1) * (bound + 2) // 2
     return VerificationReport(
         "proof-steps", bound, checked, mismatches, time.perf_counter() - t0
@@ -363,19 +411,21 @@ def verify_isomorphism(
     bound: int, budget: int | None = None
 ) -> VerificationReport:
     """Option-set commutation under the VDN -> Delete Nim map for all
-    1 <= y <= x <= bound, plus Grundy commutation on the same domain
-    (each side computed by its own game's engine)."""
+    1 <= y <= x <= bound (``isomorphism.check_isomorphism``), plus Grundy
+    commutation on the same domain, each side computed by its own game's
+    engine and compared a band of rows at a time, on the cells x >= y."""
     t0 = time.perf_counter()
-    vdn_diags = engine.diagonals(rulesets.VDN, bound, budget)
-    dn_diags = engine.diagonals(rulesets.DELETE_NIM, bound - 1, budget)
+    vdn_bands = engine.bands(rulesets.VDN, bound, budget, _BLOCK_CELLS)
+    dn_bands = engine.bands(rulesets.DELETE_NIM, bound - 1, budget, _BLOCK_CELLS)
     mismatches: list[Mismatch] = [
         (f"{p[0]},{p[1]}", "equal option sets", reason)
         for p, reason in isomorphism.check_isomorphism(bound)
     ]
-    # VDN diagonal t holds (x, y) exactly where Delete Nim diagonal t - 2
-    # holds (x - 1, y - 1), in the same order
+    # VDN rows and columns 1 .. bound are Delete Nim's 0 .. bound - 1, so
+    # the two games' bands are equally wide, and pair one to one, cell by
+    # cell, (x, y) with (x - 1, y - 1)
     found: list = []
-    for (xs, ys, vdn_values), (_, _, dn_values) in zip(vdn_diags, dn_diags, strict=True):
+    for (xs, ys, vdn_values), (_, _, dn_values) in zip(vdn_bands, dn_bands, strict=True):
         _differing_cells(found, dn_values != vdn_values, xs, ys, dn_values, vdn_values)
     mismatches += _as_mismatches(found)
     checked = bound * (bound + 1) // 2

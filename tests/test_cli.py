@@ -619,8 +619,9 @@ _ONES = ",".join(["1"] * 70_000)
         ("nim", _ONES, 4, "nim values below 1,", "... (70000 heaps, largest 1) exceed the budget"),
         ("delete-nim", _ONES, 2, "delete-nim positions are pairs x,y, got '1,", "... (70000 heaps, largest 1)"),
         ("nim", _ONES[:-1] + "x", 2, "malformed position '1,1,", "'... (70000 heaps)"),
+        ("nim", _ONES[:-1] + "-1", 2, "Nim heaps must be >= 0, got (1, 1,", "... (70000 heaps)"),
     ],
-    ids=["nim-budget", "pairs", "malformed"],
+    ids=["nim-budget", "pairs", "malformed", "negative"],
 )
 def test_error_messages_echo_a_bounded_position(game, text, code, head, tail, capsys):
     # a message echoes a prefix of a long position, its heap count and its
@@ -630,6 +631,32 @@ def test_error_messages_echo_a_bounded_position(game, text, code, head, tail, ca
     assert out.out == ""
     assert len(out.err.encode()) < 300
     assert out.err.startswith("error: " + head) and tail in out.err
+
+
+_HUGE = "9" * 4000
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--check", "proof-steps", "--bound", _HUGE],
+        ["verify", "--check", "iso", "--bound", _HUGE],
+        ["verify", "--check", "delete-nim", "--bound", _HUGE],
+        ["table", "--game", "vdn", "--bound", _HUGE],
+        ["grundy", "--game", "delete-nim", "--position", _HUGE + ",1"],
+    ],
+    ids=["proof-steps", "iso", "delete-nim", "table", "grundy"],
+)
+def test_a_huge_bound_is_refused_in_a_bounded_message(argv, capsys):
+    # the charge, (bound + 1)**2 cells, has 8001 digits, more than str()
+    # converts: the message echoes a prefix and the digit count of each number
+    assert cli.main(argv) == 4
+    err = capsys.readouterr().err
+    assert len(err.encode()) < 300
+    assert err.endswith(
+        f" to bound {'9' * 60}... (4000 digits) needs 1{'0' * 59}... (8001 digits) cells, "
+        "budget is 67108864\n"
+    )
 
 
 class TestVerifyCommand:

@@ -225,6 +225,16 @@ class TestParse:
         assert rs.echo_position("x," + whole, repr) == repr("x," + whole[:58]) + "... (31 heaps)"
         assert rs.echo_position("1" * 61 + ",2") == "1" * 60 + "... (2 heaps)"
 
+    def test_echo_number_cuts_past_sixty_digits(self):
+        # a number of up to 60 digits is echoed whole; past that, its first
+        # 60 digits and its digit count, even past the 4300 digits str() takes
+        assert rs.echo_number(10**60 - 1) == "9" * 60
+        assert rs.echo_number(-(10**60 - 1)) == "-" + "9" * 60
+        assert rs.echo_number(10**60) == "1" + "0" * 59 + "... (61 digits)"
+        assert rs.echo_number(-(10**60 + 7)) == "-1" + "0" * 59 + "... (61 digits)"
+        assert rs.echo_number(10**8000 - 1) == "9" * 60 + "... (8000 digits)"
+        assert rs.echo_number(2**30000) == str(2**30000 // 10**(9031 - 60)) + "... (9031 digits)"
+
 
 def test_ruleset_is_frozen():
     with pytest.raises(Exception):

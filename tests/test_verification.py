@@ -302,6 +302,20 @@ def _patched(right, cells):
     return wrong
 
 
+def _patched_array(right, cells):
+    """The array twin of ``_patched``: ``right`` as int64, so that -1 fits,
+    except at the cells (x, y) of the broadcast arguments ``cells`` maps
+    to a value."""
+
+    def wrong(xs, ys):
+        values = right(xs, ys).astype(np.int64)
+        for (x, y), value in cells.items():
+            values[(xs == x) & (ys == y)] = value
+        return values
+
+    return wrong
+
+
 def _dropping(right, heap, option):
     """The heap primitive ``right`` with ``option`` missing from what choosing
     a heap of ``heap`` stones reaches."""
@@ -329,15 +343,18 @@ def _adding(right, heap, extra):
 
 
 class TestCertificateFaultInjection:
-    # Each list is pinned literally: it is the report a faulty scalar or
-    # ruleset gives with every option checked by its own call, so the
+    # Each list is pinned literally: it is the report a faulty closed form
+    # or ruleset gives with every option checked by its own call, so the
     # certificate sweeps must report exactly the same whatever shortcuts
-    # they take.
+    # they take.  A faulty closed form is planted in the scalar and the
+    # array form alike, at the same cells: proof-steps tests each position
+    # with the array form and each option with the scalar.
 
     def test_proof_steps_wrong_scalar(self, monkeypatch):
+        cells = {(9, 4): 3, (6, 5): 0}  # right: 1 and 3
+        monkeypatch.setattr(cf, "delete_nim_grundy", _patched(cf.delete_nim_grundy, cells))
         monkeypatch.setattr(
-            cf, "delete_nim_grundy",
-            _patched(cf.delete_nim_grundy, {(9, 4): 3, (6, 5): 0}),  # right: 1 and 3
+            cf, "delete_nim_grundy_array", _patched_array(cf.delete_nim_grundy_array, cells)
         )
         rep = vf.verify_proof_steps(14)
         assert rep.positions_checked == triangle(14)
@@ -353,16 +370,20 @@ class TestCertificateFaultInjection:
     def test_proof_steps_wrong_scalar_with_no_heap_bit(self, monkeypatch):
         # (12, 4) is no option of any position inside the bound, and no
         # option of it has the wrong value 1, so only step (b) can fail
+        cells = {(12, 4): 1}  # right: 0
+        monkeypatch.setattr(cf, "delete_nim_grundy", _patched(cf.delete_nim_grundy, cells))
         monkeypatch.setattr(
-            cf, "delete_nim_grundy", _patched(cf.delete_nim_grundy, {(12, 4): 1})  # right: 0
+            cf, "delete_nim_grundy_array", _patched_array(cf.delete_nim_grundy_array, cells)
         )
         rep = vf.verify_proof_steps(12)
         assert rep.mismatches == [("12,4", "a heap with bit 0 set", "neither heap has it")]
 
     def test_proof_steps_negative_scalar(self, monkeypatch):
         # a negative value is reported where it is checked, not raised
+        cells = {(4, 0): -1}  # right: 0
+        monkeypatch.setattr(cf, "delete_nim_grundy", _patched(cf.delete_nim_grundy, cells))
         monkeypatch.setattr(
-            cf, "delete_nim_grundy", _patched(cf.delete_nim_grundy, {(4, 0): -1})  # right: 0
+            cf, "delete_nim_grundy_array", _patched_array(cf.delete_nim_grundy_array, cells)
         )
         rep = vf.verify_proof_steps(8)
         assert rep.mismatches == [("4,0", "a value >= 0", "4,0 has value -1")] + [
@@ -373,14 +394,61 @@ class TestCertificateFaultInjection:
     def test_proof_steps_negative_scalar_at_the_position(self, monkeypatch):
         # (12, 4) is no constructed option, so its own check is the only
         # one that can see the value; -1 has no bits below it for step (b)
+        cells = {(12, 4): -1}  # right: 0
+        monkeypatch.setattr(cf, "delete_nim_grundy", _patched(cf.delete_nim_grundy, cells))
         monkeypatch.setattr(
-            cf, "delete_nim_grundy", _patched(cf.delete_nim_grundy, {(12, 4): -1})  # right: 0
+            cf, "delete_nim_grundy_array", _patched_array(cf.delete_nim_grundy_array, cells)
         )
         assert vf.proof_step_failures(12, 4) == [("12,4", "a value >= 0", "12,4 has value -1")]
         for bound in (12, 20):
             assert vf.verify_proof_steps(bound).mismatches == [
                 ("12,4", "a value >= 0", "12,4 has value -1")
             ]
+
+    @pytest.mark.parametrize("block_cells", [vf._BLOCK_CELLS, 16])
+    def test_proof_steps_array_form_disagrees(self, monkeypatch, block_cells):
+        # values planted in the array form alone, which the bands test: the
+        # scalar checks of proof_step_failures find nothing there, so each
+        # cell is reported as the two forms' disagreement, once, and not
+        # dropped.  They sit at the corners and on every 7th diagonal, so
+        # across every band boundary; at 16 cells every band is one row.
+        bound = 200
+        cells = {(0, 0), (bound, 0), (bound, bound)}
+        for t in range(0, 2 * bound + 1, 7):
+            y = (max(0, t - bound) + t // 2) // 2
+            cells.add((t - y, y))
+        wrong = {(x, y): ref_delete_grundy(x, y) + 1 for x, y in cells}
+        monkeypatch.setattr(
+            cf, "delete_nim_grundy_array", _patched_array(cf.delete_nim_grundy_array, wrong)
+        )
+        monkeypatch.setattr(vf, "_BLOCK_CELLS", block_cells)
+        rep = vf.verify_proof_steps(bound)
+        assert rep.positions_checked == triangle(bound)
+        assert rep.mismatches == [
+            (f"{x},{y}", f"value {g - 1}, as delete_nim_grundy gives",
+             f"delete_nim_grundy_array gives {g}")
+            for (x, y), g in sorted(wrong.items())
+        ]
+
+    @pytest.mark.parametrize("block_cells", [vf._BLOCK_CELLS, 16])
+    def test_iso_wrong_engine_value_is_reported_once(self, monkeypatch, block_cells):
+        # the VDN value of (200, 197) perturbed wherever a band holds it,
+        # mirrored cells included: the Grundy commutation reports it once
+        right = engine.bands
+
+        def wrong(rules, bound, budget, cells):
+            for xs, ys, values in right(rules, bound, budget, cells):
+                if rules is rulesets.VDN:
+                    values[(xs == 200) & (ys == 197) | (xs == 197) & (ys == 200)] += 3
+                yield xs, ys, values
+
+        monkeypatch.setattr(engine, "bands", wrong)
+        monkeypatch.setattr(vf, "_BLOCK_CELLS", block_cells)
+        rep = vf.verify_isomorphism(200)
+        assert rep.positions_checked == 200 * 201 // 2
+        assert rep.mismatches == [
+            ("200,197", ref_vdn_grundy(200, 197), ref_vdn_grundy(200, 197) + 3)
+        ]
 
     # Option faults are planted in the per-heap primitive on ``rulesets``,
     # which both the option sets and the sweeps read, so each one reaches
