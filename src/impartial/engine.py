@@ -98,6 +98,7 @@ __all__ = [
     "check_query",
     "diagonals",
     "bands",
+    "band_rows",
     "option_values",
     "sum_values",
     "NIM_HEAP_LIMIT",
@@ -339,11 +340,21 @@ def _bands(table: _Unreached, bound: int, cells: int) -> Iterator:
     unreached, _ = table.snapshot(bound)
     heaps = np.arange(bound + 1)
     heaps.flags.writeable = False
-    y0 = table.lo
+    for rows, cols in band_rows(table.lo, bound, cells):
+        free = unreached[rows, None] & unreached[None, cols]
+        yield heaps[None, cols], heaps[rows, None], _values(free & -free)
+
+
+def band_rows(lo: int, bound: int, cells: int) -> Iterator[tuple[slice, slice]]:
+    """The layout of ``bands``: ``(rows, cols)`` per band, the slices
+    y0 .. y1 - 1 and y0 .. bound of the heaps lo .. bound, holding about
+    ``cells`` cells (rows times columns) and at least one row.  Every pair
+    lo <= y <= x <= bound falls in exactly one band; the cells with x < y
+    are the k(k - 1)/2 of a band's first k columns, k its number of rows."""
+    y0 = lo
     while y0 <= bound:
         y1 = min(bound + 1, y0 + max(1, cells // (bound + 1 - y0)))
-        free = unreached[y0:y1, None] & unreached[None, y0:]
-        yield heaps[None, y0:], heaps[y0:y1, None], _values(free & -free)
+        yield slice(y0, y1), slice(y0, bound + 1)
         y0 = y1
 
 

@@ -8,16 +8,17 @@ their bounds, never sampled.  The two-heap formula sweeps read the
 engine's values in bands of rows of about ``_BLOCK_CELLS`` cells
 (``engine.bands``), which it reads from masks it has finished for every
 heap through the bound, compare each band with the closed form on the
-same broadcast arrays, count only its cells with x >= y, and hold
-O(bound) memory.  The certificate sweeps (proof-steps, iso) rest on every
+same broadcast arrays, count the cells with x >= y that each band
+compared, and hold O(bound) memory.  The certificate sweeps (proof-steps, iso) rest on every
 two-heap option set being the union of what choosing each heap reaches
 (``rulesets.*_heap_options``): they check each heap's moves once and keep
 O(bound) per-heap results.  proof-steps then tests every position on
-those results in bands of rows laid out the same way, a fixed number of
-numpy steps per band; iso takes its Grundy commutation from
-``engine.bands`` on both games and decides its option-set commutation a
-row at a time.  A position that fails is checked in full, one option at
-a time, for the report.  At bound 2048 that took proof-steps from about
+those results in bands of rows laid out the same way
+(``engine.band_rows``), a fixed number of numpy steps per band; iso
+takes its Grundy commutation from ``engine.bands`` on both games and
+still applies the isomorphism map to each position.  Both count their
+checked cells from the bands.  A position that fails is checked in
+full, one option at a time, for the report.  At bound 2048 that took proof-steps from about
 1.6 s to about 0.3 s and left iso at about 1.5 s, most of it the
 isomorphism map applied to each position (2-core x86-64).  The sum sweep
 takes the sum values from the engine's per-heap sum kernel and XORs the
@@ -118,16 +119,19 @@ def reports_to_json(reports: list[VerificationReport]) -> str:
     return json.dumps([r.to_record() for r in reports], indent=2)
 
 
-def _differing_cells(found: list, differ, xs, ys, *values) -> None:
+def _differing_cells(found: list, differ, xs, ys, *values) -> int:
     """Append (x, y, *values) for every cell x >= y of a band of rows where
-    ``differ`` holds: ``xs`` is the band's (1, w) row of columns x, ``ys``
-    its (k, 1) column of rows y from xs[0, 0] on, and every array
-    broadcasts to the shape of ``differ``, which this masks in place."""
+    ``differ`` holds, and return the number of cells x >= y the band
+    compared: ``xs`` and ``ys`` are a band's (1, w) row of columns x and
+    (k, 1) column of rows y as ``engine.band_rows`` lays them out, and
+    every array broadcasts to the shape of ``differ``, which this masks in
+    place."""
     k = len(ys)
     differ[:, :k] &= xs[:, :k] >= ys  # only the first k columns hold x < y
     if differ.any():
         cells = (np.broadcast_to(a, differ.shape)[differ].tolist() for a in (xs, ys, *values))
         found.extend(zip(*cells))
+    return differ.size - k * (k - 1) // 2
 
 
 def _as_mismatches(found: list) -> list[Mismatch]:
@@ -158,11 +162,10 @@ def _verify_two_heap(
     x >= y only."""
     t0 = time.perf_counter()
     found: list = []
+    checked = 0
     for xs, ys, values in engine.bands(rules, bound, budget, _BLOCK_CELLS):
         actual = formula(xs, ys)
-        _differing_cells(found, values != actual, xs, ys, values, actual)
-    lo, _ = rulesets.TWO_HEAP_MOVES[rules.name]
-    checked = (bound - lo + 1) * (bound - lo + 2) // 2
+        checked += _differing_cells(found, values != actual, xs, ys, values, actual)
     return VerificationReport(
         name, bound, checked, _as_mismatches(found), time.perf_counter() - t0
     )
@@ -294,22 +297,21 @@ def _heap_certificate(s: int, grundy: Callable, heap_options: Callable) -> tuple
     return values, bad
 
 
-def _proof_step_cells(bound: int, values: np.ndarray, bad: np.ndarray) -> list:
+def _proof_step_cells(bound: int, values: np.ndarray, bad: np.ndarray) -> tuple[list, int]:
     """``(x, y, h)`` for every cell 0 <= y <= x <= bound where a proof step
     fails on the heaps' uint64 ``values`` and ``bad`` masks (see
-    _heap_certificate), h being the array closed form's value there.
+    _heap_certificate), h being the array closed form's value there, and
+    the number of cells x >= y the bands tested.
 
-    The tests run on bands of rows y0 <= y < y1 by columns x >= y0, of
-    about ``_BLOCK_CELLS`` cells, as ``engine.bands`` lays them out: each
-    band evaluates the closed form once and tests every cell on the same
-    broadcast arrays, so the sweep costs a fixed number of numpy steps per
-    band, not Python work per position."""
+    The tests run on the bands of rows of about ``_BLOCK_CELLS`` cells that
+    ``engine.band_rows`` lays out: each band evaluates the closed form once
+    and tests every cell on the same broadcast arrays, so the sweep costs a
+    fixed number of numpy steps per band, not Python work per position."""
     heaps = np.arange(bound + 1)
     found: list = []
-    y0 = 0
-    while y0 <= bound:
-        y1 = min(bound + 1, y0 + max(1, _BLOCK_CELLS // (bound + 1 - y0)))
-        xs, ys = heaps[None, y0:], heaps[y0:y1, None]
+    checked = 0
+    for rows, cols in engine.band_rows(0, bound, _BLOCK_CELLS):
+        xs, ys = heaps[None, cols], heaps[rows, None]
         h = closed_forms.delete_nim_grundy_array(xs, ys)
         x, y = xs.view(np.uint64), ys.view(np.uint64)
         # 1 << h; 0 where h is negative (or past 63), so that below is all
@@ -317,19 +319,18 @@ def _proof_step_cells(bound: int, values: np.ndarray, bad: np.ndarray) -> list:
         below = h.astype(np.uint64)
         np.left_shift(np.uint64(1), below, out=below)
         # (a) fails where bit h is set in what either heap reaches
-        test = np.bitwise_or(values[None, y0:], values[y0:y1, None])
+        test = np.bitwise_or(values[None, cols], values[rows, None])
         test &= below
         flagged = test != 0
         below -= 1  # the values step (b) constructs
         # (b) fails at bit v where x holds it and is bad there, or else y
         # lacks it or is bad there
-        np.bitwise_and(~x, ~y | bad[y0:y1, None], out=test)
-        test |= x & bad[None, y0:]
+        np.bitwise_and(~x, ~y | bad[rows, None], out=test)
+        test |= x & bad[None, cols]
         test &= below
         flagged |= test != 0
-        _differing_cells(found, flagged, xs, ys, h)
-        y0 = y1
-    return found
+        checked += _differing_cells(found, flagged, xs, ys, h)
+    return found, checked
 
 
 def verify_proof_steps(
@@ -349,12 +350,22 @@ def verify_proof_steps(
     all but the per-heap part of it in numpy.  At bound 1024 that took the
     sweep from about 0.28 s to about 0.09 s (2-core x86-64).
 
+    So the two closed forms carry the certificate together: each
+    position's own value h is the array form's
+    (``closed_forms.delete_nim_grundy_array``), and the scalar form
+    (``closed_forms.delete_nim_grundy``) is evaluated only at the options
+    the heaps reach and at flagged positions.  A fault in the scalar form
+    alone, at a position that is no option inside the bound and whose
+    array value passes, is not seen here; the two forms are compared
+    cell by cell only by ``tests/test_closed_forms.py``, through bound 64.
+
     A position where either test fails is checked again, in row-major
     order, by proof_step_failures, one option at a time and with the
     scalar closed form, for the report.  If that finds nothing and the
     two closed forms disagree there, the disagreement is reported.  The
     sweep is charged (bound+1)**2 cells against ``budget`` before any
-    work, like the streaming sweeps."""
+    work, like the streaming sweeps, and reports the cells its bands
+    tested."""
     if bound < 0:
         raise DomainError(f"bound must be >= 0, got {bound}")
     engine.check_cells("proof-steps", bound, budget)
@@ -364,13 +375,13 @@ def verify_proof_steps(
     certificates = [_heap_certificate(s, grundy, heap_options) for s in range(bound + 1)]
     values, bad = (np.array(masks, dtype=np.uint64) for masks in zip(*certificates))
     mismatches: list[Mismatch] = []
-    for x, y, h in sorted(_proof_step_cells(bound, values, bad)):
+    flagged, checked = _proof_step_cells(bound, values, bad)
+    for x, y, h in sorted(flagged):
         failures = proof_step_failures(x, y)
         if not failures and (g := grundy(x, y)) != h:
             failures = [(f"{x},{y}", f"value {g}, as delete_nim_grundy gives",
                          f"delete_nim_grundy_array gives {h}")]
         mismatches += failures
-    checked = (bound + 1) * (bound + 2) // 2
     return VerificationReport(
         "proof-steps", bound, checked, mismatches, time.perf_counter() - t0
     )
@@ -413,7 +424,8 @@ def verify_isomorphism(
     """Option-set commutation under the VDN -> Delete Nim map for all
     1 <= y <= x <= bound (``isomorphism.check_isomorphism``), plus Grundy
     commutation on the same domain, each side computed by its own game's
-    engine and compared a band of rows at a time, on the cells x >= y."""
+    engine and compared a band of rows at a time, on the cells x >= y.
+    The report counts the cells the Grundy bands compared."""
     t0 = time.perf_counter()
     vdn_bands = engine.bands(rulesets.VDN, bound, budget, _BLOCK_CELLS)
     dn_bands = engine.bands(rulesets.DELETE_NIM, bound - 1, budget, _BLOCK_CELLS)
@@ -425,10 +437,10 @@ def verify_isomorphism(
     # the two games' bands are equally wide, and pair one to one, cell by
     # cell, (x, y) with (x - 1, y - 1)
     found: list = []
+    checked = 0
     for (xs, ys, vdn_values), (_, _, dn_values) in zip(vdn_bands, dn_bands, strict=True):
-        _differing_cells(found, dn_values != vdn_values, xs, ys, dn_values, vdn_values)
+        checked += _differing_cells(found, dn_values != vdn_values, xs, ys, dn_values, vdn_values)
     mismatches += _as_mismatches(found)
-    checked = bound * (bound + 1) // 2
     return VerificationReport(
         "iso", bound, checked, mismatches, time.perf_counter() - t0
     )
