@@ -1,6 +1,6 @@
 """Generic Sprague-Grundy machinery: mex, memoized Grundy values over any
-ruleset, P/N classification, optimal moves, a streaming bottom-up backend
-for the two-heap games, and a prefix-mask kernel for Nim.
+ruleset, P/N classification, optimal moves, a fill-then-read bottom-up
+backend for the two-heap games, and a prefix-mask kernel for Nim.
 
 The generic path needs nothing from a ruleset beyond ``canonical`` and
 ``options``.  Grundy values are memoized in a plain dict keyed by
@@ -16,23 +16,19 @@ if it is empty, a terminal position.  ``winning_move`` is the one statement
 of the rule; ``best_move`` applies it to the generic engine's values.
 
 The two-heap backend is one anti-diagonal kernel on the ``(lo, removed)``
-of ``rulesets.TWO_HEAP_MOVES``.  It keeps, per heap size, the bitmask of
-the values that choosing the heap does not reach, and produces each cell's
-value as a one-hot bit, ``1 << value``; a reader turns only the diagonals
-it reads into values.  A heap's mask depends on no bound, so each game has
-one table of them for the whole process, which every call extends and
-none rebuilds (``_TABLES``); every pass works on its own copy, and a lock
-guards the table, so threads may share it.  The formula sweeps read the
-grid in bands of rows (``bands``): first one pass over the diagonals of
-the heaps through their bound that the table lacks, the fill, adds those
-heaps to it, and then each band is read from the final masks, one AND and
-one lowest bit per cell, with no diagonal in Python.  The iso sweep
-streams every diagonal up to its bound (``diagonals``), reducing only
-those of heaps the table does not know and adding the heaps it finishes;
-a query, and each engine move in ``play``, runs one pass over its two
-option diagonals and the diagonals of the heaps no earlier call reached,
-through heap x (``option_values``).  The table
-saves work only where one interpreter asks more than one two-heap
+of ``rulesets.TWO_HEAP_MOVES``: fill, then read.  It keeps, per heap size,
+the bitmask of the values that choosing the heap does not reach.  A heap's
+mask depends on no bound, so each game has one table of them for the whole
+process, which every call extends and none rebuilds (``_TABLES``).  The
+fill (``_fill``) gives every heap through a bound its final mask: it
+reduces, on a copy of the table, the one diagonal each heap the table
+lacks reaches, and hands the table the heaps it finished; a lock guards
+the table, so threads may share it.  Then a reader reads cells from the
+final masks alone, one AND and one lowest bit per cell, which is
+``1 << value``.  The formula sweeps and the iso sweep read the grid in
+bands of rows (``bands``); a query, and each engine move
+in ``play``, reads its two option diagonals (``option_values``).  The
+table saves work only where one interpreter asks more than one two-heap
 question: each engine move of a ``play`` session after the first, a
 ``verify`` check that sweeps a game an earlier check swept, and a caller
 that keeps one interpreter for many ``option_values`` or ``cli.main``
@@ -96,7 +92,6 @@ __all__ = [
     "winning_move",
     "check_cells",
     "check_query",
-    "diagonals",
     "bands",
     "band_rows",
     "option_values",
@@ -162,7 +157,7 @@ def grundy(
         memo[key] = mex(memo[k] for k in keys)
         if budget is not None and len(memo) > budget:
             raise BudgetExceededError(
-                f"grundy computation exceeded the budget of {budget} positions"
+                f"grundy computation exceeded the budget of {echo_number(budget)} positions"
             )
     return memo[root]
 
@@ -246,13 +241,13 @@ class _Unreached:
 
     A heap's mask depends on the diagonal that heap reaches and on nothing
     else, so every caller, whatever its bound, reads and extends the same
-    table.  A kernel pass works on its own copy (``snapshot``) and, when
-    it ends, hands the table that copy if it knows more heaps
-    (``publish``).  So the pass itself takes no lock.  An array the table
-    holds is never written again, and a reader reads it only below the
-    ``known`` it saw; ``lock`` keeps each array with its own count, and
-    since ``known`` counts only finished heaps, an error or a reader that
-    stops early leaves a consistent prefix.
+    table.  The fill works on its own copy (``snapshot``) and, when it
+    ends, hands the table that copy if it knows more heaps (``publish``).
+    So the fill itself takes no lock.  An array the table holds is never
+    written again, and a reader reads it only below the ``known`` it saw;
+    ``lock`` keeps each array with its own count, and since ``known``
+    counts only finished heaps, a fill that raises leaves a consistent
+    prefix.
     """
 
     def __init__(self, lo: int, removed: int) -> None:
@@ -287,29 +282,12 @@ def _moves(rules: Ruleset) -> tuple[int, int]:
         raise ValueError(f"no dense backend for ruleset {rules.name!r}") from None
 
 
-def diagonals(rules: Ruleset, bound: int, budget: int | None = None) -> Iterator:
-    """Grundy values of every canonical two-heap position lo <= y <= x <= bound
-    (lo is 0 for Delete Nim, 1 for VDN), by mex recursion, one anti-diagonal
-    x + y == t at a time in increasing t.
-
-    Yields ``(xs, ys, values)`` per diagonal, ``ys`` ascending; ``xs`` and
-    ``ys`` are read-only views, ``values`` a fresh uint8 array.  Memory is
-    O(bound): one bitmask per heap size.  Heaps the game's shared table
-    knows are not reduced again, and the sweep adds the ones it finishes
-    to the table.  The bound and the budget are checked before anything
-    runs; the budget is charged the (bound + 1)**2 cells of the full grid.
-    """
-    table = _sweep_table(rules, bound, budget)
-    lows = _lows(table, bound, range(2 * table.lo, 2 * bound + 1))
-    return ((xs, ys, _values(low)) for xs, ys, low in lows)
-
-
 def bands(rules: Ruleset, bound: int, budget: int | None, cells: int) -> Iterator:
     """Grundy values of every two-heap position lo <= x, y <= bound, by mex
     recursion, in bands of consecutive rows y.
 
-    First the fill: one pass over the diagonals whose heaps the game's
-    shared table lacks gives every heap through ``bound`` its final mask.
+    First the fill gives every heap through ``bound`` its final mask,
+    reducing only the diagonals of heaps the game's shared table lacks.
     Then each band is read from those masks alone.  Yields
     ``(xs, ys, values)`` per band of rows y0 <= y < y1: ``xs`` is the
     read-only row ``y0 .. bound`` of shape (1, w), ``ys`` the read-only
@@ -318,8 +296,8 @@ def bands(rules: Ruleset, bound: int, budget: int | None, cells: int) -> Iterato
     about ``cells`` cells, with at least one row.  Every canonical position
     y <= x falls in exactly one band; the k(k - 1)/2 cells of a band with
     x < y repeat their mirrored positions.  Memory is O(bound + cells).  The
-    bound and the budget are checked before anything runs, as in
-    ``diagonals``.
+    bound and the budget are checked before anything runs; the budget is
+    charged the (bound + 1)**2 cells of the full grid.
     """
     return _bands(_sweep_table(rules, bound, budget), bound, cells)
 
@@ -328,16 +306,13 @@ def _sweep_table(rules: Ruleset, bound: int, budget: int | None) -> _Unreached:
     """The game's shared table, once ``bound`` and the budget are checked."""
     lo, _ = _moves(rules)
     if bound < lo:
-        raise DomainError(f"bound must be >= {lo}, got {bound}")
+        raise DomainError(f"bound must be >= {lo}, got {echo_number(bound)}")
     check_cells("dense sweep", bound, budget)
     return _TABLES[rules.name]
 
 
 def _bands(table: _Unreached, bound: int, cells: int) -> Iterator:
-    # the fill: diagonal t completes the mask of heap t + removed
-    for _ in _lows(table, bound, range(table.known - table.removed, bound + 1 - table.removed)):
-        pass
-    unreached, _ = table.snapshot(bound)
+    unreached = _fill(table, bound)
     heaps = np.arange(bound + 1)
     heaps.flags.writeable = False
     for rows, cols in band_rows(table.lo, bound, cells):
@@ -369,8 +344,9 @@ def check_query(rules: Ruleset, pos, budget: int | None = None) -> tuple:
         _moves(rules)  # a ruleset with no dense backend is refused here
         return p, check_cells("dense sweep", p[0], budget)
     if p and p[0] > NIM_HEAP_LIMIT:
+        heap = echo_number(p[0])
         raise BudgetExceededError(
-            f"a heap of {p[0]} stones exceeds the nim kernel's limit of {NIM_HEAP_LIMIT}"
+            f"a heap of {heap} stones exceeds the nim kernel's limit of {NIM_HEAP_LIMIT}"
         )
     # at least 1 + sum(p) positions: (), each single heap up to p[0], and each
     # c, ..., c of i + 1 heaps with c <= p[i]; a refusal by this skips the DP
@@ -379,7 +355,9 @@ def check_query(rules: Ruleset, pos, budget: int | None = None) -> tuple:
         units = len(p) * _down_set_size(p)
     if budget is not None and units > budget:
         shown = echo_position(format_position(NIM, p))
-        raise BudgetExceededError(f"nim values below {shown} exceed the budget of {budget} units")
+        raise BudgetExceededError(
+            f"nim values below {shown} exceed the budget of {echo_number(budget)} units"
+        )
     return p, units
 
 
@@ -389,10 +367,10 @@ def option_values(rules: Ruleset, pos, budget: int | None = None) -> dict:
     terminal position.  ``check_query`` charges the query first.
 
     The options of a two-heap position (x, y), x >= y, fill anti-diagonals
-    x - removed and y - removed.  One pass runs those two and, through
-    heap x, the diagonals no earlier call has run, whose heaps it adds to
-    the game's shared table, so a query below heaps already known does O(x)
-    work.
+    x - removed and y - removed.  The fill through heap x reduces the
+    diagonals of the heaps no earlier call reached, adding them to the
+    game's shared table; then each option diagonal is read from the final
+    masks.  So a query below heaps already known does O(x) work.
 
     The options of a Nim position are read from a Nim table that knows
     them, or from one grown to know them if earlier calls left the credit
@@ -405,12 +383,15 @@ def option_values(rules: Ruleset, pos, budget: int | None = None) -> dict:
     x, y = p
     table = _TABLES[rules.name]
     lo, removed = table.lo, table.removed
-    wanted = {t for t in (y - removed, x - removed) if t >= 2 * lo}
-    ts = sorted(wanted.union(range(table.known - removed, x - removed + 1)))
+    unreached = _fill(table, x)
     values: dict = {}
-    for (xs, ys, low), t in zip(_lows(table, x, ts), ts):
-        if t in wanted:
-            values.update(zip(zip(xs.tolist(), ys.tolist()), _values(low).tolist()))
+    for t in sorted({y - removed, x - removed}):
+        if t < 2 * lo:  # no option pair has both heaps at least lo
+            continue
+        y1 = t // 2  # the cells (t - y, y), y = lo .. y1, as in _fill
+        free = unreached[t - y1 : t - lo + 1][::-1] & unreached[lo : y1 + 1]
+        opts = zip(range(t - lo, t - y1 - 1, -1), range(lo, y1 + 1))
+        values.update(zip(opts, _values(free & -free).tolist()))
     return values
 
 
@@ -419,41 +400,30 @@ def _values(low: np.ndarray) -> np.ndarray:
     return np.bitwise_count(low - 1)
 
 
-def _lows(table: _Unreached, bound: int, ts: Iterable[int]) -> Iterator:
-    """Per anti-diagonal t of the grid up to ``bound`` in ``ts``, which
-    rise from 2 * lo on: ``(xs, ys, low)`` with
-    ``low[i] == 1 << G(xs[i], ys[i])`` as uint64.
+def _fill(table: _Unreached, bound: int) -> np.ndarray:
+    """The final masks of heaps 0 .. ``bound``, as uint64.
 
-    Every heap below t + removed must be known when diagonal t runs, to
-    the table or from a diagonal the pass ran before.  The pass works on a
-    copy of the table's masks, reduces a diagonal only if its heap is the
-    first one not known, and gives the heaps it finished to the table when
-    it ends, however it ends.
+    Works on a copy of the table's masks and reduces, for each heap s it
+    does not know, in rising order, the anti-diagonal t = s - removed that
+    choosing s reaches: every heap on it is below s, so already final.  It
+    gives the heaps it finished to the table when it ends, however it ends.
     """
     lo, removed = table.lo, table.removed
     unreached, known = table.snapshot(bound)
-    heaps = np.arange(bound + 1)
-    heaps.flags.writeable = False
-    # x = t - y falls as y rises, so the x side is read through reversed views,
-    # at index bound - x
-    heaps_down, unreached_down = heaps[::-1], unreached[::-1]
     try:
-        for t in ts:
-            y0, y1 = max(lo, t - bound), t // 2
-            y_range = slice(y0, y1 + 1)
-            x_range = slice(bound - t + y0, bound - t + y1 + 1)
-            free = unreached_down[x_range] & unreached[y_range]
-            low = free & -free
-            s = t + removed
-            if known == s <= bound:  # diagonal t is complete, and it is what a heap of s reaches
-                reached = np.bitwise_or.reduce(low)
-                if int(reached) >> _MASK_WIDTH:
-                    raise RuntimeError("grundy values exceed the dense backend's bitmask width")
-                unreached[s] = ~reached
-                known = s + 1
-            yield heaps_down[x_range], heaps[y_range], low
+        for s in range(known, bound + 1):
+            # the cells (t - y, y), y = lo .. t // 2: the x side falls as y rises
+            t = s - removed
+            y1 = t // 2
+            free = unreached[t - y1 : t - lo + 1][::-1] & unreached[lo : y1 + 1]
+            reached = np.bitwise_or.reduce(free & -free)
+            if int(reached) >> _MASK_WIDTH:
+                raise RuntimeError("grundy values exceed the dense backend's bitmask width")
+            unreached[s] = ~reached
+            known = s + 1
     finally:
         table.publish(unreached, known)
+    return unreached
 
 
 def sum_values(rules: Ruleset, bound: int) -> Iterator:
@@ -477,7 +447,7 @@ def sum_values(rules: Ruleset, bound: int) -> Iterator:
     """
     lo, removed = _moves(rules)
     if bound < 0:
-        raise DomainError(f"bound must be >= 0, got {bound}")
+        raise DomainError(f"bound must be >= 0, got {echo_number(bound)}")
     return _sum_values(lo, removed, bound)
 
 
@@ -744,7 +714,7 @@ def _scatter(rules: Ruleset, bound: int, budget: int | None) -> np.ndarray:
 
 def delete_nim_grid(bound: int, budget: int | None = None) -> np.ndarray:
     """Grundy values of every Delete Nim position with 0 <= x, y <= bound,
-    computed bottom-up by mex recursion (see ``diagonals``)."""
+    computed bottom-up by mex recursion (see ``bands``)."""
     return _scatter(DELETE_NIM, bound, budget)
 
 

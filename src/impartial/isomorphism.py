@@ -13,6 +13,7 @@ from .rulesets import (
     Pair,
     canonical_pair,
     delete_nim_options,
+    echo_number,
     validate_delete_nim,
     validate_vdn,
     vdn_options,
@@ -47,7 +48,7 @@ def check_isomorphism(bound: int) -> list[tuple[Pair, str]]:
     by construction.  Every other position is compared in full.  The map,
     one Python call per position, takes most of the check's time."""
     if bound < 1:
-        raise DomainError(f"bound must be >= 1, got {bound}")
+        raise DomainError(f"bound must be >= 1, got {echo_number(bound)}")
     vdn_heap_options = rulesets.vdn_heap_options
     delete_nim_heap_options = rulesets.delete_nim_heap_options
     matched = [False]  # matched[s]: heap s maps move for move; VDN has no heap 0

@@ -45,14 +45,16 @@ def canonical_nim(heaps: Iterable[int]) -> tuple[int, ...]:
 def validate_delete_nim(p: Pair) -> Pair:
     x, y = p
     if x < 0 or y < 0:
-        raise DomainError(f"Delete Nim heaps must be >= 0, got ({x}, {y})")
+        shown = ", ".join(map(echo_number, (x, y)))
+        raise DomainError(f"Delete Nim heaps must be >= 0, got ({shown})")
     return x, y
 
 
 def validate_vdn(p: Pair) -> Pair:
     x, y = p
     if x < 1 or y < 1:
-        raise DomainError(f"VDN heaps must be >= 1, got ({x}, {y})")
+        shown = ", ".join(map(echo_number, (x, y)))
+        raise DomainError(f"VDN heaps must be >= 1, got ({shown})")
     return x, y
 
 
@@ -66,7 +68,7 @@ def validate_nim(p: Iterable[int]) -> tuple[int, ...]:
 def _check_enumerable(s: int) -> None:
     if s > ENUMERATION_LIMIT:
         raise BudgetExceededError(
-            f"enumerating the options of a heap of {s} stones exceeds the "
+            f"enumerating the options of a heap of {echo_number(s)} stones exceeds the "
             f"limit of {ENUMERATION_LIMIT}"
         )
 
@@ -76,7 +78,7 @@ def _heap_options(game: str, label: str, s: int) -> set[Pair]:
     every canonical pair summing to s - removed with both parts >= lo."""
     lo, removed = TWO_HEAP_MOVES[game]
     if s < lo:
-        raise DomainError(f"{label} heaps must be >= {lo}, got {s}")
+        raise DomainError(f"{label} heaps must be >= {lo}, got {echo_number(s)}")
     _check_enumerable(s)
     rest = s - removed
     # (rest - a, a) for lo <= a <= rest / 2; zip stops at the shorter range

@@ -201,10 +201,12 @@ def verify_bouton(
     0 costs over max_heaps**2 units, so past that the sweep is refused
     before the heaps are built."""
     if max_heaps < 1 or max_size < 0:
-        raise DomainError(f"need max_heaps >= 1 and max_size >= 0, got ({max_heaps}, {max_size})")
+        shown = ", ".join(map(rulesets.echo_number, (max_heaps, max_size)))
+        raise DomainError(f"need max_heaps >= 1 and max_size >= 0, got ({shown})")
     if max_size and budget is not None and max_heaps * max_heaps > budget:
+        heaps, size, units = map(rulesets.echo_number, (max_heaps, max_size, budget))
         raise BudgetExceededError(
-            f"nim values below {max_heaps} heaps of {max_size} exceed the budget of {budget} units"
+            f"nim values below {heaps} heaps of {size} exceed the budget of {units} units"
         )
     top = (max_size,) * max_heaps if max_size else ()
     count = comb(max_size + max_heaps, max_heaps)
@@ -367,7 +369,7 @@ def verify_proof_steps(
     work, like the streaming sweeps, and reports the cells its bands
     tested."""
     if bound < 0:
-        raise DomainError(f"bound must be >= 0, got {bound}")
+        raise DomainError(f"bound must be >= 0, got {rulesets.echo_number(bound)}")
     engine.check_cells("proof-steps", bound, budget)
     t0 = time.perf_counter()
     grundy = closed_forms.delete_nim_grundy
@@ -400,10 +402,12 @@ def verify_sum_theorem(
     them, the T components and then the T**2 sums, and is charged before
     any work, with the generic engine's message."""
     if bound < 0:
-        raise DomainError(f"bound must be >= 0, got {bound}")
+        raise DomainError(f"bound must be >= 0, got {rulesets.echo_number(bound)}")
     t = (bound + 1) * (bound + 2) // 2
     if budget is not None and t + t * t > budget:
-        raise BudgetExceededError(f"grundy computation exceeded the budget of {budget} positions")
+        raise BudgetExceededError(
+            f"grundy computation exceeded the budget of {rulesets.echo_number(budget)} positions"
+        )
     t0 = time.perf_counter()
     comps = [(x, y) for x in range(bound + 1) for y in range(x + 1)]
     memo: engine.MemoTable = {}

@@ -659,6 +659,38 @@ def test_a_huge_bound_is_refused_in_a_bounded_message(argv, capsys):
     )
 
 
+_NEGATIVE = "-" + _HUGE
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["grundy", "--game", "delete-nim", f"--position={_NEGATIVE},1"], 2),
+        (["grundy", "--game", "vdn", f"--position=1,{_NEGATIVE}"], 2),
+        (["verify", "--check", "delete-nim", "--bound", _NEGATIVE], 2),
+        (["verify", "--check", "vdn", "--bound", _NEGATIVE], 2),
+        (["verify", "--check", "proof-steps", "--bound", _NEGATIVE], 2),
+        (["verify", "--check", "sum", "--bound-sum", _NEGATIVE], 2),
+        (["verify", "--check", "iso", "--bound", _NEGATIVE], 2),
+        (["verify", "--check", "bouton", "--heaps", _NEGATIVE], 2),
+        (["verify", "--check", "bouton", "--heaps", _HUGE], 4),
+        (["grundy", "--game", "nim", "--position", _HUGE], 4),
+        (["grundy", "--game", "nim", "--position", "3", "--budget", _NEGATIVE], 4),
+        (["verify", "--check", "sum", "--bound-sum", "3", "--budget", _NEGATIVE], 4),
+    ],
+    ids=[
+        "delete-nim-position", "vdn-position", "delete-nim", "vdn", "proof-steps", "sum", "iso",
+        "bouton-heaps", "bouton-budget", "nim-heap-limit", "nim-budget", "sum-budget",
+    ],
+)
+def test_a_huge_number_is_echoed_in_a_bounded_message(argv, code, capsys):
+    # every message that echoes a number gives at most 60 of its digits
+    assert cli.main(argv) == code
+    err = capsys.readouterr().err
+    assert len(err.encode()) < 300
+    assert f"{'9' * 60}... (4000 digits)" in err
+
+
 class TestVerifyCommand:
     def test_single_check_text(self):
         r = run_cli("verify", "--check", "iso", "--bound", "16")

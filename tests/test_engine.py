@@ -27,9 +27,9 @@ from reference import (
 
 
 def _one_go_masks(rules, heaps: int) -> np.ndarray:
-    """The masks of heaps 0 .. heaps - 1, built by one sweep on an empty table."""
+    """The masks of heaps 0 .. heaps - 1, built by one fill on an empty table."""
     with mock.patch.object(engine, "_TABLES", engine._new_tables()):
-        for _ in engine.diagonals(rules, heaps - 1):
+        for _ in engine.bands(rules, heaps - 1, None, 4096):
             pass
         table = engine._TABLES[rules.name]
         assert table.known == heaps
@@ -213,7 +213,7 @@ class TestSumCheck:
 
 
 class TestSumValues:
-    # pinned against the generic engine on the sum graph, as diagonals is
+    # pinned against the generic engine on the sum graph, as bands is
     @pytest.mark.parametrize("rules", [rs.DELETE_NIM, rs.VDN], ids=lambda r: r.name)
     def test_matches_generic_engine(self, rules):
         game = rs.make_sum(rules, rules)
@@ -460,13 +460,15 @@ class TestDenseGrids:
                 assert grid[x, y] == engine.grundy((x, y), rules, memo)
                 assert grid[y, x] == grid[x, y]
         for small in sorted({lo, 1, 2, 3, 17}):
+            # bands of one row and of several, whose cells with x < y
+            # repeat their mirrored positions
             seen = Counter()
-            diagonals = engine.diagonals(rules, small)
-            for t, (xs, ys, values) in enumerate(diagonals, start=2 * lo):
-                assert all(x + y == t for x, y in zip(xs, ys))
-                for x, y, v in zip(xs.tolist(), ys.tolist(), values.tolist()):
-                    seen[x, y] += 1
-                    assert v == engine.grundy((x, y), rules, memo)
+            for xs, ys, values in engine.bands(rules, small, None, 40):
+                for y, row in zip(ys[:, 0].tolist(), values.tolist()):
+                    for x, v in zip(xs[0].tolist(), row):
+                        if x >= y:
+                            seen[x, y] += 1
+                        assert v == engine.grundy((x, y), rules, memo)
             canonical = {(x, y) for x in range(lo, small + 1) for y in range(lo, x + 1)}
             assert set(seen) == canonical
             assert set(seen.values()) == {1}
@@ -482,17 +484,19 @@ class TestDenseGrids:
         b=st.integers(min_value=1, max_value=600),
     )
     def test_option_values_match_diagonals(self, rules, a, b):
-        # the two readers of the kernel agree, position for position, on the
-        # option diagonals x - removed and y - removed; heaps of 0 are drawn
-        # for Delete Nim only
+        # the two readers of the masks agree, position for position: the
+        # option diagonals x - removed and y - removed against the grid's
+        # canonical cells on them; heaps of 0 are drawn for Delete Nim only
         if rules is rs.DELETE_NIM:
             a, b = a - 1, b - 1
         x, y = max(a, b), min(a, b)
-        removed = 1 if rules is rs.DELETE_NIM else 0
-        expected = {}
-        for xs, ys, values in engine.diagonals(rules, x):
-            if xs[0] + ys[0] in (x - removed, y - removed):
-                expected.update(zip(zip(xs.tolist(), ys.tolist()), values.tolist()))
+        lo, removed = (0, 1) if rules is rs.DELETE_NIM else (1, 0)
+        grid = engine.grundy_grid(rules, x)
+        expected = {
+            (t - q, q): int(grid[t - q, q])
+            for t in (x - removed, y - removed)
+            for q in range(lo, t // 2 + 1)
+        }
         assert engine.option_values(rules, (a, b)) == expected
 
     def test_terminal_positions_have_no_option_values(self):
@@ -510,11 +514,11 @@ class TestDenseGrids:
         for rules, lo, first in ((rs.DELETE_NIM, 0, 4), (rs.VDN, 1, 5)):
             for b in range(lo, first + 4):
                 if b < first:
-                    list(engine.diagonals(rules, b))
+                    list(engine.bands(rules, b, None, 4096))
                     engine.option_values(rules, (b, lo))
                     continue
                 with pytest.raises(RuntimeError):
-                    list(engine.diagonals(rules, b))
+                    list(engine.bands(rules, b, None, 4096))
                 with pytest.raises(RuntimeError):
                     engine.option_values(rules, (b, lo))
             # a trip hands back only the heaps below it: smaller queries still
@@ -528,25 +532,6 @@ class TestDenseGrids:
                 engine.option_values(rules, (first + 40, lo))
             assert table.known == first
 
-    @pytest.mark.parametrize("rules", [rs.DELETE_NIM, rs.VDN], ids=lambda r: r.name)
-    def test_sweep_closed_early_leaves_a_prefix(self, monkeypatch, rules):
-        # a reader that stops halfway keeps what it finished, and later
-        # calls extend the table from there
-        monkeypatch.setattr(engine, "_TABLES", engine._new_tables())
-        table = engine._TABLES[rules.name]
-        sweep = engine.diagonals(rules, 300)
-        for _ in range(150):
-            next(sweep)
-        sweep.close()
-        known = table.known
-        assert 100 < known < 300
-        assert np.array_equal(table.masks[:known], _one_go_masks(rules, known))
-        x, y = 280, 33
-        expected = {(a, b): _ref_value(rules, a, b) for a, b in rules.options((x, y))}
-        assert engine.option_values(rules, (x, y)) == expected
-        assert table.known == x + 1
-        assert np.array_equal(table.masks[: x + 1], _one_go_masks(rules, x + 1))
-
     @pytest.mark.parametrize(
         "cells",
         [1, 16, 4096, 10_000, 0],
@@ -556,12 +541,13 @@ class TestDenseGrids:
     def test_runs_join_the_diagonals(self, rules, cells):
         # the bands, runs of whole rows of about cells cells each (one row
         # at least; 0 is below every row and every diagonal), hold each
-        # canonical cell of the diagonals exactly once, with its value
+        # canonical cell exactly once, with its value
         bound = 600
         lo = 0 if rules is rs.DELETE_NIM else 1
-        grid = np.full((bound + 1, bound + 1), -1)  # the diagonals' values at [x, y], x >= y
-        for xs, ys, values in engine.diagonals(rules, bound):
-            grid[xs, ys] = values
+        grid = np.full((bound + 1, bound + 1), -1)  # the reference values at [x, y], x >= y
+        for x in range(lo, bound + 1):
+            for y in range(lo, x + 1):
+                grid[x, y] = _ref_value(rules, x, y)
         seen = np.zeros_like(grid)
         y0 = lo
         for xs, ys, values in engine.bands(rules, bound, None, cells):
@@ -592,12 +578,12 @@ class TestDenseGrids:
 
     @pytest.mark.parametrize("cells", [16, 4096])
     def test_mask_width_guard_in_blocks(self, monkeypatch, cells):
-        # a band reader trips at the heap the diagonal sweep trips at, and
-        # its fill hands the table only the heaps below it
+        # a band reader trips at the heap a query trips at, and the fill of
+        # either hands the table only the heaps below it
         monkeypatch.setattr(engine, "_MASK_WIDTH", 2)
         for rules, lo, first in ((rs.DELETE_NIM, 0, 4), (rs.VDN, 1, 5)):
             for sweep in (
-                lambda b: engine.diagonals(rules, b),
+                lambda b: engine.option_values(rules, (b, lo)),
                 lambda b: engine.bands(rules, b, None, cells),
             ):
                 monkeypatch.setattr(engine, "_TABLES", engine._new_tables())
@@ -610,21 +596,26 @@ class TestDenseGrids:
 
     @pytest.mark.parametrize("rules", [rs.DELETE_NIM, rs.VDN], ids=lambda r: r.name)
     def test_sweep_within_known_heaps_writes_nothing(self, monkeypatch, rules):
-        # a sweep whose heaps are all known runs on a copy and hands the
-        # table nothing: its values are a cold sweep's, and the table keeps
-        # its array
-        def sweep():
-            return [(xs.tolist(), ys.tolist(), v.tolist()) for xs, ys, v in engine.diagonals(rules, 200)]
+        # a band sweep or a query whose heaps are all known runs on a copy
+        # and hands the table nothing: its values are a cold call's, and the
+        # table keeps its array
+        def band_sweep():
+            bands = engine.bands(rules, 200, None, 4096)
+            return [(xs.tolist(), ys.tolist(), v.tolist()) for xs, ys, v in bands]
 
-        with mock.patch.object(engine, "_TABLES", engine._new_tables()):
-            cold = sweep()
+        readers = (band_sweep, lambda: engine.option_values(rules, (200, 57)))
+        cold = []
+        for read in readers:
+            with mock.patch.object(engine, "_TABLES", engine._new_tables()):
+                cold.append(read())
         monkeypatch.setattr(engine, "_TABLES", engine._new_tables())
         engine.option_values(rules, (300, 1))
         table = engine._TABLES[rules.name]
         masks, known = table.masks, table.known
         before = masks.copy()
-        assert sweep() == cold
-        assert table.masks is masks and table.known == known
+        for read, values in zip(readers, cold):
+            assert read() == values
+            assert table.masks is masks and table.known == known
         assert np.array_equal(masks, before)
 
     @settings(max_examples=40, deadline=None)
@@ -676,7 +667,7 @@ class TestDenseGrids:
                 for n in range(step, 300, step):
                     for rules in (rs.DELETE_NIM, rs.VDN):
                         if n % 30 == 0:
-                            for _ in engine.diagonals(rules, n):
+                            for _ in engine.bands(rules, n, None, 4096):
                                 pass
                         got = engine.option_values(rules, (n, 1))
                         for (a, b), value in got.items():
@@ -716,7 +707,7 @@ class TestDenseGrids:
         with pytest.raises(ValueError, match=refused):
             engine.grundy_grid(rs.NIM, 4)
         with pytest.raises(ValueError, match=refused):
-            engine.diagonals(rs.NIM, 4)
+            engine.bands(rs.NIM, 4, None, 16)
         with pytest.raises(ValueError, match=refused):
             engine.sum_values(rs.NIM, 4)
         with pytest.raises(ValueError, match="no dense backend for ruleset 'delete-nim[+]vdn'"):
@@ -728,9 +719,9 @@ class TestDenseGrids:
         assert engine._TABLES["delete-nim"].known > 600
         with pytest.raises(BudgetExceededError):
             engine.grundy_grid(rs.DELETE_NIM, 1000, budget=100)
-        # charged before the first diagonal is asked for
+        # charged before the first band is asked for
         with pytest.raises(BudgetExceededError):
-            engine.diagonals(rs.VDN, 1000, budget=100)
+            engine.bands(rs.VDN, 1000, 100, 4096)
         # a query is charged the full grid up to its larger heap
         with pytest.raises(BudgetExceededError):
             engine.option_values(rs.DELETE_NIM, (3, 9), budget=99)
