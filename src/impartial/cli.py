@@ -20,13 +20,16 @@ from __future__ import annotations
 import argparse
 import functools
 import os
+import re
 import sys
 
 import numpy as np
 
 from . import closed_forms, engine, verification
 from .errors import BudgetExceededError, DomainError, ParseError
-from .rulesets import RULESETS, TWO_HEAP_MOVES, format_position, parse_position
+from .rulesets import (
+    RULESETS, TWO_HEAP_MOVES, echo_number, echo_position, format_position, parse_position,
+)
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -235,10 +238,37 @@ def cmd_play(args) -> int:
         mover = "human" if mover == "engine" else "engine"
 
 
+# an argument of more than 60 characters in a usage error, quoted or bare
+_LONG_ARGUMENT = re.compile(r"'([^'\n]{61,})'|([^\s']{61,})")
+
+
+def _echo_argument(match: re.Match) -> str:
+    """A long argument as a usage error echoes it: a number through
+    ``echo_number``, anything else through ``echo_position``."""
+    quoted, bare = match.groups()
+    if quoted is not None:
+        return echo_position(quoted, repr)
+    if re.fullmatch(r"-?[0-9]+", bare):
+        try:
+            return echo_number(int(bare))
+        except ValueError:  # more digits than int() converts
+            pass
+    return echo_position(bare)
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors echo each long argument in
+    bounded form, as the package's own messages do.  Its subparsers are of
+    this class too."""
+
+    def error(self, message: str):
+        super().error(_LONG_ARGUMENT.sub(_echo_argument, message))
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and shared by every call."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="impartial",
         description="Grundy values, optimal moves and exhaustive verification "
         "for Delete Nim, VDN and Nim.",

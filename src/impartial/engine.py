@@ -39,9 +39,10 @@ only, and no command or sweep builds one.
 ``sum_values`` is the same recursion on the sum of two boards of one
 two-heap game: a move chooses a heap of either board, and so reaches one
 whole smaller anti-diagonal of that board.  It keeps one bitmask per (heap
-size, position of the other board) and does O(1) integer work per sum.  It
-takes no XOR; the sum-theorem sweep compares its values with the XOR of the
-component values itself.
+size, position of the other board), and the sums of one wavefront, every
+block of them that depends only on earlier wavefronts, take a few numpy
+steps together.  It takes no XOR; the sum-theorem sweep compares its
+values with the XOR of the component values itself.
 
 ``nim_values`` is the recursion for Nim: every position a Nim position
 dominates, each from prefix bitmasks of what shrinking one heap reaches,
@@ -61,7 +62,7 @@ never do more work than earlier queries were charged for.  A lock is held
 across each read and growth, and a growth that does not finish (an
 interrupt during ``play``) empties its table rather than leave it half
 grown.  The generic engine stays the library's reference route, which the
-tests pin every kernel against.
+tests pin every kernel against; no command or sweep runs it.
 """
 
 from __future__ import annotations
@@ -95,6 +96,7 @@ __all__ = [
     "bands",
     "band_rows",
     "option_values",
+    "sum_positions",
     "sum_values",
     "NIM_HEAP_LIMIT",
     "nim_values",
@@ -426,23 +428,79 @@ def _fill(table: _Unreached, bound: int) -> np.ndarray:
     return unreached
 
 
+# --- sum kernel --------------------------------------------------------------
+#
+# The sum g + h of two boards of one two-heap game: a move chooses one heap
+# of g or of h, and choosing a heap of s stones reaches the whole
+# anti-diagonal s - removed of that board, so
+#
+#   S[g, h] = mex(col[g.x, h] | col[g.y, h] | row[g, h.x] | row[g, h.y])
+#
+# where col[s, h] is the bitmask of the values S[q, h] over the left
+# positions q on diagonal s - removed, and row[g, s] the same over right
+# positions.  Block (tg, th) holds the sums whose left board lies on
+# diagonal tg and whose right board on th.  It reads only col entries that
+# blocks (tg' < tg, th) write and row entries that blocks (tg, th' < th)
+# write, and it writes col[tg + removed, h] and row[g, th + removed] whole.
+# So every block of one wavefront tg + th = d depends only on earlier
+# wavefronts, and a wavefront is a few numpy steps, whatever its size.
+
+_SUM_BATCH = 1 << 15  # sums per batch of consecutive blocks (one block at least)
+
+# how each of a run's four reads moves along the run
+_RUN_STEPS = np.array([1, 1, 1, -1])[:, None]
+
+
+def _ragged(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The runs starts[i], starts[i] + 1, ... of counts[i] integers each,
+    concatenated."""
+    ends = np.cumsum(counts)
+    return np.arange(ends[-1] if len(ends) else 0) + np.repeat(starts - ends + counts, counts)
+
+
+def _sum_layout(lo: int, bound: int) -> tuple[np.ndarray, ...]:
+    """The canonical positions lo <= y <= x <= bound in ``sum_positions``
+    order, per anti-diagonal t = 0 .. 2 * bound: ``(first, size, start)``,
+    its least y, its number of positions and the index of its first one
+    (``start`` has one more entry, the total); then ``(xs, ys)``."""
+    ts = np.arange(2 * bound + 1)
+    first = np.maximum(lo, ts - bound)
+    size = np.maximum(ts // 2 - first + 1, 0)
+    start = np.zeros(2 * bound + 2, dtype=np.intp)
+    np.cumsum(size, out=start[1:])
+    ys = _ragged(first, size)
+    return first, size, start, np.repeat(ts, size) - ys, ys
+
+
+def sum_positions(rules: Ruleset, bound: int) -> tuple[np.ndarray, np.ndarray]:
+    """The canonical positions (x, y), lo <= y <= x <= bound, of the
+    two-heap game ``rules`` as ``sum_values`` indexes them: ``(xs, ys)``,
+    by anti-diagonal x + y, then by y."""
+    lo, _ = _moves(rules)
+    if bound < 0:
+        raise DomainError(f"bound must be >= 0, got {echo_number(bound)}")
+    return _sum_layout(lo, bound)[3:]
+
+
 def sum_values(rules: Ruleset, bound: int) -> Iterator:
     """Grundy value of every sum g + h of two boards of the two-heap game
     ``rules``, g and h canonical positions with lo <= y <= x <= bound, by mex
     recursion on the sum graph.
 
-    Yields ``(g, h, value)`` once per ordered pair, g by anti-diagonal and h
-    by anti-diagonal within each g.  A move chooses one heap of g or of h,
-    and choosing a heap of s stones reaches the whole anti-diagonal
-    s - removed of that board, so
+    Yields ``(g, h, values)`` per batch of sums: ``g`` and ``h`` index
+    ``sum_positions(rules, bound)``, and ``values`` (uint8) is the value of
+    each sum g + h.  Every ordered pair comes exactly once, by wavefront
+    g.x + g.y + h.x + h.y, then by g, then by h.
 
-        S[g, h] = mex(col[g.x][h] | col[g.y][h] | row[g][h.x] | row[g][h.y])
-
-    where ``col[s][h]`` is the bitmask of the values S[q, h] over the left
-    positions q that heap s reaches, and ``row[g][s]`` the same over right
-    positions.  Both are complete by the time they are read, and each new
-    value is OR-ed into one entry of each, so the work per sum is O(1)
-    integer operations and the memory is the O(bound**3) ``col`` masks.
+    The kernel keeps the bitmasks ``col`` and ``row`` (see the comment
+    above) as two uint64 arrays of (bound + 1) x T entries, T the number of
+    positions.  Per wavefront one gather reads the four masks of every sum,
+    ``low = ~m & (m + 1)`` is ``1 << mex`` per sum, and every row and column
+    entry the wavefront completes is one OR-reduce of a strided run of those
+    lows; entries past the bound, which nothing reads, are not kept.
+    Batches of about ``_SUM_BATCH`` sums, whole blocks in wavefront order,
+    keep the index arrays small: memory is O(bound**3) masks plus O(batch).
+    A value of ``_MASK_WIDTH`` or more raises RuntimeError, as in ``_fill``.
     No budget is charged here; the caller charges the sums it asks for.
     """
     lo, removed = _moves(rules)
@@ -451,30 +509,105 @@ def sum_values(rules: Ruleset, bound: int) -> Iterator:
     return _sum_values(lo, removed, bound)
 
 
+def _sum_blocks(lo: int, bound: int, size: np.ndarray) -> Iterator:
+    """``(d, tg)`` arrays of consecutive blocks (tg, d - tg), by wavefront d,
+    then tg, each batch holding at most ``_SUM_BATCH`` sums or one block."""
+    top = 2 * bound
+    ds = np.arange(4 * lo, 2 * top + 1)
+    tg0 = np.maximum(2 * lo, ds - top)
+    count = np.minimum(top, ds - 2 * lo) - tg0 + 1
+    block_d, block_tg = np.repeat(ds, count), _ragged(tg0, count)
+    ends = np.cumsum(size[block_tg] * size[block_d - block_tg])
+    b = 0
+    while b < len(ends):
+        done = ends[b - 1] if b else 0
+        e = max(b + 1, int(np.searchsorted(ends, done + _SUM_BATCH, "right")))
+        yield block_d[b:e], block_tg[b:e]
+        b = e
+
+
 def _sum_values(lo: int, removed: int, bound: int) -> Iterator:
-    comps = [
-        (t - y, y)
-        for t in range(2 * lo, 2 * bound + 1)
-        for y in range(max(lo, t - bound), t // 2 + 1)
-    ]
-    col = [[0] * len(comps) for _ in range(bound + 1)]
-    # each right position with its index, the two heaps where its row
-    # entries are read, and the heap whose choice reaches its diagonal
-    right = [(j, h, h[0], h[1], h[0] + h[1] + removed) for j, h in enumerate(comps)]
-    for g in comps:
-        gx, gy = g
-        reach_x, reach_y = col[gx], col[gy]
-        s = gx + gy + removed
-        # the heap that reaches g's diagonal; past the bound nothing reads it
-        opened = col[s] if s <= bound else [0] * len(comps)
-        row = [0] * (2 * bound + 2)
-        for j, h, hx, hy, hs in right:
-            m = reach_x[j] | reach_y[j] | row[hx] | row[hy]
-            value = (m ^ (m + 1)).bit_length() - 1  # the lowest clear bit of m
-            yield g, h, value
-            bit = 1 << value
-            row[hs] |= bit
-            opened[j] |= bit
+    first, size, start, xs, ys = _sum_layout(lo, bound)
+    t, w = len(xs), bound + 1
+    # col[s, j] at s * t + j, then row[i, s] at w * t + i * w + s, then one
+    # spare slot for the row entries past the bound, which nothing reads
+    masks = np.zeros(2 * w * t + 1, dtype=np.uint64)
+    spare = len(masks) - 1
+    row_at = w * t + w * np.arange(t)
+    # where the four reads of a run of sums g + h, h along diagonal th,
+    # start: col[g.x, h], col[g.y, h], row[g, h.y] and row[g, h.x], by g and
+    # by th; along the run the first three step up and the last steps down
+    by_g = np.stack([xs * t, ys * t, row_at, row_at])
+    by_th = np.stack([start[:-1], start[:-1], first, np.arange(len(first)) - first])
+    # no batch holds more sums than this, nor gathers more lows
+    steps = np.arange(max(min(_SUM_BATCH, t * t), int(size.max(initial=0)) ** 2))
+
+    # one batch, in a frame of its own, so that its index arrays are freed
+    # before the next batch builds its own
+    def batch(d: np.ndarray, tg: np.ndarray) -> tuple:
+        th = d - tg
+        ng, nh = size[tg], size[th]
+        # a run per left position g of each block: its sums with every h on th
+        g = _ragged(start[tg], ng)
+        run_th, n = np.repeat(th, ng), np.repeat(nh, ng)
+        run_end = np.cumsum(n)
+        run_at = run_end - n
+        sums = int(run_end[-1])
+        reads = by_g[:, g] + by_th[:, run_th]
+        reads -= _RUN_STEPS * run_at
+        reads = np.repeat(reads, n, axis=1)
+        reads[:3] += steps[:sums]
+        reads[3] -= steps[:sums]
+        # row[g, th + removed] is the OR of the run of g
+        s = run_th + removed
+        run_to = np.where(s <= bound, row_at[g] + s, spare)
+        # col[tg + removed, h] is the OR of the column of h in its block, ng
+        # lows nh apart; columns past the bound are not gathered
+        block_runs = np.cumsum(ng) - ng
+        block_at = run_at[block_runs]
+        cols = np.where(tg + removed <= bound, nh, 0)
+        block_cols = np.cumsum(cols) - cols
+        col_b = np.repeat(np.arange(len(cols)), cols)
+        c = steps[: len(col_b)] - block_cols[col_b]
+        col_to = (tg[col_b] + removed) * t + start[th[col_b]] + c
+        count, stride = ng[col_b], nh[col_b]
+        col_at = np.cumsum(count) - count
+        gather = np.repeat(stride, count)
+        gather *= steps[: len(gather)]
+        gather += np.repeat(block_at[col_b] + c - col_at * stride, count)
+        # per wavefront: where its sums, runs, columns and gathered lows start
+        wave = np.flatnonzero(np.diff(d, prepend=-1))
+        wave_sums = np.append(block_at[wave], sums)
+        wave_runs = np.append(block_runs[wave], len(g))
+        wave_cols = np.append(block_cols[wave], len(col_b))
+        wave_gather = np.append(col_at, len(gather))[wave_cols]
+        run_in_wave = run_at - np.repeat(wave_sums[:-1], np.diff(wave_runs))
+        col_at -= np.repeat(wave_gather[:-1], np.diff(wave_cols))
+        low = np.empty(sums, dtype=np.uint64)
+        edges = np.stack([wave_sums, wave_runs, wave_cols, wave_gather], axis=1).tolist()
+        for (a, r0, c0, p0), (b, r1, c1, p1) in zip(edges, edges[1:]):
+            m = masks.take(reads[:, a:b])
+            reached = m[0]
+            reached |= m[1]
+            reached |= m[2]
+            reached |= m[3]
+            lows = low[a:b]
+            np.add(reached, 1, out=lows)
+            lows &= np.invert(reached, out=reached)  # 1 << mex per sum
+            masks[run_to[r0:r1]] = np.bitwise_or.reduceat(lows, run_in_wave[r0:r1])
+            if c1 > c0:
+                masks[col_to[c0:c1]] = np.bitwise_or.reduceat(low.take(gather[p0:p1]), col_at[c0:c1])
+        del reads, gather  # the batch's largest arrays, before its output is built
+        low -= 1
+        values = np.bitwise_count(low)  # the bits below 1 << mex number the mex
+        # past the width the masks mean nothing more, so the batch that
+        # reached it is refused before any of it is handed out
+        if values.max() >= _MASK_WIDTH:
+            raise RuntimeError("grundy values exceed the dense backend's bitmask width")
+        return np.repeat(g, n), np.repeat(start[run_th] - run_at, n) + steps[:sums], values
+
+    for d, tg in _sum_blocks(lo, bound, size):
+        yield batch(d, tg)
 
 
 # --- Nim kernel --------------------------------------------------------------

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -689,6 +690,71 @@ def test_a_huge_number_is_echoed_in_a_bounded_message(argv, code, capsys):
     err = capsys.readouterr().err
     assert len(err.encode()) < 300
     assert f"{'9' * 60}... (4000 digits)" in err
+
+
+@pytest.mark.parametrize(
+    "argv, tail",
+    [
+        # table takes no --budget: argparse names the leftover arguments
+        (["table", "--game", "vdn", "--bound", "3", "--budget", _NEGATIVE],
+         f"error: unrecognized arguments: --budget -{'9' * 60}... (4000 digits)\n"),
+        (["table", "--game", "vdn", "--bound", "x" + _HUGE],
+         f"error: argument --bound: invalid int value: 'x{'9' * 59}'... (1 heaps)\n"),
+        # past the digits int() converts, a number is shortened as text
+        (["table", "--game", "vdn", "--bound", "3", "9" * 5000],
+         f"error: unrecognized arguments: {'9' * 60}... (1 heaps)\n"),
+    ],
+    ids=["unrecognized", "invalid-int", "past-int-digits"],
+)
+def test_a_long_argument_is_echoed_in_a_bounded_usage_error(argv, tail, capsys):
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert len(err.encode()) < 300
+    assert err.endswith(tail)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table", "--game", "vdn", "--bound", "3", "--budget", "-5"],
+        ["table", "--game", "vdn", "--bound", "x"],
+        ["table", "--game", "nim", "--bound", "3"],
+        ["verify", "--check", "bogus"],
+        ["grundy", "--game", "vdn"],
+        ["frobnicate", "x" * 60],
+    ],
+)
+def test_a_short_usage_error_is_argparse_own(argv, monkeypatch, capsys):
+    # arguments of at most 60 characters are echoed whole, byte for byte
+    assert cli.main(argv) == 2
+    ours = capsys.readouterr()
+    monkeypatch.setattr(cli._Parser, "error", argparse.ArgumentParser.error)
+    assert cli.main(argv) == 2
+    assert capsys.readouterr() == ours
+    assert "error: " in ours.err
+
+
+def test_commands_run_no_generic_engine(monkeypatch, capsys):
+    # every command answers from the kernels; the generic engine is the
+    # reference the tests pin them against, and no command calls it
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a command ran the generic engine")
+
+    monkeypatch.setattr(engine, "grundy", unreachable)
+    monkeypatch.setattr(engine, "_TABLES", engine._new_tables())
+    runs = [
+        ["verify", "--all", "--bound", "24", "--heaps", "3", "--size", "6", "--bound-sum", "8"],
+        ["verify", "--all", "--bound", "24", "--format", "json"],
+    ]
+    for game, position in (("delete-nim", "9,4"), ("vdn", "9,4"), ("nim", "7,5,3")):
+        runs.append(["grundy", "--game", game, "--position", position])
+        runs.append(["best-move", "--game", game, "--position", position])
+    for game in ("delete-nim", "vdn"):
+        for fmt in ("text", "csv", "json"):
+            runs.append(["table", "--game", game, "--bound", "12", "--format", fmt])
+    for argv in runs:
+        assert cli.main(argv) == 0, argv
+    assert capsys.readouterr().err == ""
 
 
 class TestVerifyCommand:

@@ -213,26 +213,63 @@ class TestSumCheck:
 
 
 class TestSumValues:
-    # pinned against the generic engine on the sum graph, as bands is
+    # pinned against the generic engine on the sum graph, as bands is; in
+    # batches of one block, of a few blocks, and of every block (bound 8
+    # has 2025 sums)
+    @pytest.mark.parametrize("batch", [1, 7, 1 << 15])
     @pytest.mark.parametrize("rules", [rs.DELETE_NIM, rs.VDN], ids=lambda r: r.name)
-    def test_matches_generic_engine(self, rules):
+    def test_matches_generic_engine(self, monkeypatch, rules, batch):
+        monkeypatch.setattr(engine, "_SUM_BATCH", batch)
         game = rs.make_sum(rules, rules)
         memo = {}
         lo = 0 if rules is rs.DELETE_NIM else 1
         for bound in range(9):
             comps = [(x, y) for x in range(lo, bound + 1) for y in range(lo, x + 1)]
+            xs, ys = engine.sum_positions(rules, bound)
+            positions = list(zip(xs.tolist(), ys.tolist()))
+            assert sorted(positions) == comps
             seen = Counter()
-            for g, h, value in engine.sum_values(rules, bound):
-                seen[g, h] += 1
-                assert value == engine.grundy((g, h), game, memo)
+            order = []
+            for g, h, values in engine.sum_values(rules, bound):
+                assert values.dtype == np.uint8
+                for i, j, value in zip(g.tolist(), h.tolist(), values.tolist()):
+                    pair = positions[i], positions[j]
+                    seen[pair] += 1
+                    order.append((sum(pair[0]) + sum(pair[1]), i, j))
+                    assert value == engine.grundy(pair, game, memo)
             assert set(seen) == {(g, h) for g in comps for h in comps}
             assert sum(seen.values()) == len(comps) ** 2
+            assert order == sorted(order)  # by wavefront, then g, then h
+
+    def test_positions_by_anti_diagonal(self):
+        xs, ys = engine.sum_positions(rs.VDN, 3)
+        assert list(zip(xs.tolist(), ys.tolist())) == [
+            (1, 1), (2, 1), (3, 1), (2, 2), (3, 2), (3, 3)
+        ]
+        xs, ys = engine.sum_positions(rs.VDN, 0)
+        assert len(xs) == len(ys) == 0
+        assert list(engine.sum_values(rs.VDN, 0)) == []
+
+    @pytest.mark.parametrize("batch", [1, 1 << 15])
+    def test_mask_width_guard(self, monkeypatch, batch):
+        # with a width of 3, sum values first reach it at 2 ^ 1: Delete Nim
+        # (2,1) + (1,0) at bound 2, VDN (3,2) + (2,1) at bound 3.  No
+        # component value reaches 3 below heap 7, so the sum kernel's own
+        # guard is what trips
+        monkeypatch.setattr(engine, "_MASK_WIDTH", 3)
+        monkeypatch.setattr(engine, "_SUM_BATCH", batch)
+        for rules, first in ((rs.DELETE_NIM, 2), (rs.VDN, 3)):
+            assert max(v.max() for _, _, v in engine.sum_values(rules, first - 1)) < 3
+            with pytest.raises(RuntimeError, match="exceed the dense backend's bitmask width"):
+                list(engine.sum_values(rules, first))
+            assert max(engine.option_values(rules, (first, first)).values()) < 3
 
     def test_refused_inputs(self):
-        with pytest.raises(ValueError):
-            engine.sum_values(rs.NIM, 4)
-        with pytest.raises(DomainError):
-            engine.sum_values(rs.DELETE_NIM, -1)
+        for fn in (engine.sum_values, engine.sum_positions):
+            with pytest.raises(ValueError):
+                fn(rs.NIM, 4)
+            with pytest.raises(DomainError):
+                fn(rs.DELETE_NIM, -1)
 
 
 def _down_set(p) -> set:

@@ -17,6 +17,19 @@ def triangle(bound):
     return (bound + 1) * (bound + 2) // 2
 
 
+def _sum_positions(rules, bound) -> list:
+    xs, ys = engine.sum_positions(rules, bound)
+    return list(zip(xs.tolist(), ys.tolist()))
+
+
+def _sum_keys(report) -> list:
+    """The (g, h) pair of each mismatch of a sum report, as tuples."""
+    return [
+        tuple(tuple(int(v) for v in c.split(",")) for c in text.split("+"))
+        for text, _, _ in report.mismatches
+    ]
+
+
 class TestSweeps:
     def test_delete_nim(self):
         rep = vf.verify_delete_nim_formula(96)
@@ -225,11 +238,12 @@ class TestFaultInjection:
             ("200,197", ref_delete_grundy(200, 197) + 3, ref_delete_grundy(200, 197))
         ]
 
-    def test_sum_dropped_option(self, monkeypatch):
+    @pytest.mark.parametrize("batch", [1, 1 << 15])
+    def test_sum_dropped_option(self, monkeypatch, batch):
         # without its value-1 option (2,0)+(1,1), the sum (3,0)+(1,1) gets
         # mex {0, 2} = 1 instead of 2 ^ 1, and every sum above it can change.
-        # The sum kernel is replaced by the generic engine on that faulty
-        # graph, in the kernel's own pair order.
+        # The sum kernel's values are replaced by the generic engine's on
+        # that faulty graph, in the kernel's own pair order and batches.
         right = engine.sum_values
 
         def wrong(rules, bound):
@@ -243,21 +257,62 @@ class TestFaultInjection:
 
             faulty = dataclasses.replace(game, options=options)
             memo = {}
+            positions = _sum_positions(rules, bound)
             for g, h, _ in right(rules, bound):
-                yield g, h, engine.grundy((g, h), faulty, memo)
+                pairs = zip(g.tolist(), h.tolist())
+                values = [engine.grundy((positions[i], positions[j]), faulty, memo) for i, j in pairs]
+                yield g, h, np.array(values, dtype=np.uint8)
 
         monkeypatch.setattr(engine, "sum_values", wrong)
+        monkeypatch.setattr(engine, "_SUM_BATCH", batch)
         rep = vf.verify_sum_theorem(6)
         assert rep.positions_checked == triangle(6) ** 2
         assert len(rep.mismatches) == 81
         assert rep.mismatches[0] == ("3,0+1,1", 1, 3)
         assert rep.mismatches[-1] == ("6,5+5,5", 4, 2)
-        # row-major in (g, h)
-        keys = [
-            tuple(tuple(int(v) for v in c.split(",")) for c in text.split("+"))
-            for text, _, _ in rep.mismatches
-        ]
-        assert keys == sorted(keys)
+        assert _sum_keys(rep) == sorted(_sum_keys(rep))  # row-major in (g, h)
+
+    @pytest.mark.parametrize("batch", [1, 1 << 15])
+    def test_wrong_sum_value_is_reported_once(self, monkeypatch, batch):
+        right = engine.sum_values
+
+        def wrong(rules, bound):
+            positions = _sum_positions(rules, bound)
+            i, j = positions.index((5, 2)), positions.index((3, 3))
+            for g, h, values in right(rules, bound):
+                values[(g == i) & (h == j)] += 4
+                yield g, h, values
+
+        monkeypatch.setattr(engine, "sum_values", wrong)
+        monkeypatch.setattr(engine, "_SUM_BATCH", batch)
+        rep = vf.verify_sum_theorem(6)
+        value = ref_delete_grundy(5, 2) ^ ref_delete_grundy(3, 3)
+        assert rep.positions_checked == triangle(6) ** 2
+        assert rep.mismatches == [("5,2+3,3", value + 4, value)]
+
+    def test_wrong_component_value_is_reported_at_every_sum_holding_it(self, monkeypatch):
+        # (3,0) is given value 3 instead of 2, mirrored cell included: every
+        # sum with it on one board differs, and (3,0)+(3,0), whose XOR is 0
+        # either way, does not
+        right = engine.bands
+
+        def wrong(rules, bound, budget, cells):
+            for xs, ys, values in right(rules, bound, budget, cells):
+                values[(xs == 3) & (ys == 0) | (xs == 0) & (ys == 3)] += 1
+                yield xs, ys, values
+
+        monkeypatch.setattr(engine, "bands", wrong)
+        rep = vf.verify_sum_theorem(6)
+        others = [(x, y) for x in range(7) for y in range(x + 1) if (x, y) != (3, 0)]
+        assert len(rep.mismatches) == 2 * len(others) == 54
+        assert sorted(_sum_keys(rep)) == sorted(
+            [((3, 0), c) for c in others] + [(c, (3, 0)) for c in others]
+        )
+        assert _sum_keys(rep) == sorted(_sum_keys(rep))
+        for text, expected, actual in rep.mismatches:
+            g, h = (tuple(int(v) for v in c.split(",")) for c in text.split("+"))
+            assert expected == ref_delete_grundy(*g) ^ ref_delete_grundy(*h)
+            assert actual == expected ^ 2 ^ 3
 
     # bouton lists mismatches in the order it enumerates positions, by heap
     # count and then as combinations_with_replacement yields the heap
