@@ -213,13 +213,21 @@ class TestSumCheck:
 
 
 class TestSumValues:
-    # pinned against the generic engine on the sum graph, as bands is; in
-    # batches of one block, of a few blocks, and of every block (bound 8
-    # has 2025 sums)
-    @pytest.mark.parametrize("batch", [1, 7, 1 << 15])
+    # pinned against the generic engine on the sum graph, as bands is; at
+    # the default batch size every block of a bound is one batch (bound 8
+    # has 2025 sums), and in small batches of one block or a few blocks
     @pytest.mark.parametrize("rules", [rs.DELETE_NIM, rs.VDN], ids=lambda r: r.name)
-    def test_matches_generic_engine(self, monkeypatch, rules, batch):
+    def test_matches_generic_engine(self, rules):
+        self._check_against_generic_engine(rules)
+
+    @pytest.mark.parametrize("batch", [1, 7])
+    @pytest.mark.parametrize("rules", [rs.DELETE_NIM, rs.VDN], ids=lambda r: r.name)
+    def test_matches_generic_engine_in_small_batches(self, monkeypatch, rules, batch):
         monkeypatch.setattr(engine, "_SUM_BATCH", batch)
+        self._check_against_generic_engine(rules)
+
+    @staticmethod
+    def _check_against_generic_engine(rules):
         game = rs.make_sum(rules, rules)
         memo = {}
         lo = 0 if rules is rs.DELETE_NIM else 1
