@@ -17,6 +17,7 @@ from typing import Iterable, Union
 import numpy as np
 
 from .errors import DomainError
+from .rulesets import echo_number
 
 __all__ = [
     "INFINITY",
@@ -57,7 +58,7 @@ def v2(n: int) -> Valuation:
     """Largest v such that 2**v divides n, i.e. the count of trailing zero
     bits; INFINITY for n == 0."""
     if n < 0:
-        raise DomainError(f"v2 is defined for non-negative integers, got {n}")
+        raise DomainError(f"v2 is defined for non-negative integers, got {echo_number(n)}")
     if n == 0:
         return INFINITY
     return (n & -n).bit_length() - 1
@@ -84,7 +85,7 @@ def delete_nim_grundy(x: int, y: int) -> int:
     The valuation argument is >= 1, so the result is always a finite integer.
     """
     if x < 0 or y < 0:
-        raise DomainError(f"Delete Nim heaps must be >= 0, got ({x}, {y})")
+        raise DomainError(f"Delete Nim heaps must be >= 0, got ({echo_number(x)}, {echo_number(y)})")
     m = (x | y) + 1
     return (m & -m).bit_length() - 1
 
@@ -92,7 +93,7 @@ def delete_nim_grundy(x: int, y: int) -> int:
 def vdn_grundy(x: int, y: int) -> int:
     """Closed-form Grundy value of VDN position (x, y): v2(((x-1) | (y-1)) + 1)."""
     if x < 1 or y < 1:
-        raise DomainError(f"VDN heaps must be >= 1, got ({x}, {y})")
+        raise DomainError(f"VDN heaps must be >= 1, got ({echo_number(x)}, {echo_number(y)})")
     m = ((x - 1) | (y - 1)) + 1
     return (m & -m).bit_length() - 1
 
@@ -118,7 +119,7 @@ def delete_nim_grundy_grid(bound: int) -> np.ndarray:
     """Closed form evaluated on the full grid: grid[x, y] == delete_nim_grundy(x, y)
     for all 0 <= x, y <= bound."""
     if bound < 0:
-        raise DomainError(f"bound must be >= 0, got {bound}")
+        raise DomainError(f"bound must be >= 0, got {echo_number(bound)}")
     xs = np.arange(bound + 1, dtype=np.int64)
     return delete_nim_grundy_array(xs[:, None], xs[None, :]).astype(np.int16)
 
@@ -127,7 +128,7 @@ def vdn_grundy_grid(bound: int) -> np.ndarray:
     """Closed form for VDN on 1 <= x, y <= bound; row and column 0 hold -1
     (a VDN heap is never empty)."""
     if bound < 1:
-        raise DomainError(f"bound must be >= 1, got {bound}")
+        raise DomainError(f"bound must be >= 1, got {echo_number(bound)}")
     xs = np.arange(1, bound + 1, dtype=np.int64)
     grid = np.full((bound + 1, bound + 1), -1, dtype=np.int16)
     grid[1:, 1:] = vdn_grundy_array(xs[:, None], xs[None, :])

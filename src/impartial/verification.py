@@ -4,32 +4,23 @@ identities on bounded position grids.
 Every check runs two independent routes against each other (bottom-up mex
 recursion versus a closed formula, or an explicit certificate versus direct
 enumeration) and emits a VerificationReport.  Sweeps are exhaustive within
-their bounds, never sampled.  The two-heap formula sweeps read the
-engine's values in bands of rows of about ``_BLOCK_CELLS`` cells
-(``engine.bands``), which it reads from masks it has finished for every
-heap through the bound, compare each band with the closed form on the
-same broadcast arrays, count the cells with x >= y that each band
-compared, and hold O(bound) memory.  The certificate sweeps (proof-steps, iso) rest on every
-two-heap option set being the union of what choosing each heap reaches
-(``rulesets.*_heap_options``): they check each heap's moves once and keep
-O(bound) per-heap results.  proof-steps then tests every position on
-those results in bands of rows laid out the same way
-(``engine.band_rows``), a fixed number of numpy steps per band; iso
-takes its Grundy commutation from ``engine.bands`` on both games and
-still applies the isomorphism map to each position.  Both count their
-checked cells from the bands.  A position that fails is checked in
-full, one option at a time, for the report.  At bound 2048 that took proof-steps from about
-1.6 s to about 0.3 s and left iso at about 1.5 s, most of it the
-isomorphism map applied to each position (2-core x86-64).  The sum sweep
-takes the sum values from the engine's sum kernel, which runs a wavefront
-of blocks of sums per numpy step, and the component values from
-``engine.bands``, and XORs them itself, one broadcast per batch of sums;
-the Bouton sweep takes its values from the engine's Nim kernel.  So no
-sweep runs the generic engine.  Every sweep charges its budget from an
-arithmetic count before it builds anything: the (bound+1)**2 grid cells
-for the two-heap and certificate sweeps, positions for sum, and a Nim
-query's units for bouton.
-Every check runs in the calling thread.
+their bounds, never sampled, and no sweep runs the generic engine.  The
+two-heap formula sweeps and iso read the engine's values in bands of rows
+of about ``_BLOCK_CELLS`` cells (``engine.bands``) and compare each band on
+broadcast arrays; proof-steps tests its certificate on bands laid out the
+same way (``engine.band_rows``).  The certificate sweeps (proof-steps, iso)
+rest on every two-heap option set being the union of what choosing each
+heap reaches (``rulesets.*_heap_options``), so they check each heap's moves
+once; iso still applies the isomorphism map to each position.  These
+sweeps count their checked cells from the bands and hold O(bound) memory
+besides a band, and a position that fails is checked in full, one option
+at a time, for the report.  The sum sweep compares the engine's sum kernel
+(``engine.sum_values``) with the XOR of the component values from
+``engine.bands``, one broadcast per batch of sums; the Bouton sweep takes
+its values from the engine's Nim kernel.  Each check's row of ``_CHECKS``
+gives its units, which ``_charge`` charges in the first line of every
+sweep, before any work; no kernel is passed the budget.  Every check runs
+in the calling thread.
 
 Mismatches are listed in row-major position order (iso lists its
 option-set ones before its Grundy ones), except bouton's, which are listed
@@ -45,6 +36,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass
+from functools import partial
 from itertools import starmap
 from math import comb
 from typing import Callable
@@ -105,16 +97,16 @@ class VerificationReport:
 
     def text_line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
-        bound = (
-            "x".join(str(b) for b in self.bound)
-            if isinstance(self.bound, tuple)
-            else self.bound
-        )
         return (
-            f"[{status}] {self.name}: bound={bound} "
+            f"[{status}] {self.name}: bound={_bound_text(self.bound)} "
             f"checked={self.positions_checked} mismatches={len(self.mismatches)} "
             f"elapsed={self.elapsed * 1000.0:.1f}ms"
         )
+
+
+def _bound_text(bound, show: Callable = str) -> str:
+    """A bound as a report prints it, bouton's (max heaps, max size) as ``3x16``."""
+    return "x".join(map(show, bound)) if isinstance(bound, tuple) else show(bound)
 
 
 def reports_to_json(reports: list[VerificationReport]) -> str:
@@ -162,10 +154,11 @@ def _verify_two_heap(
     """Compare the engine's values with the vectorized closed form evaluated
     on the same cells, a band of rows at a time, on the canonical cells
     x >= y only."""
+    _charge(name, bound, budget)
     t0 = time.perf_counter()
     found: list = []
     checked = 0
-    for xs, ys, values in engine.bands(rules, bound, budget, _BLOCK_CELLS):
+    for xs, ys, values in engine.bands(rules, bound, None, _BLOCK_CELLS):
         actual = formula(xs, ys)
         checked += _differing_cells(found, values != actual, xs, ys, values, actual)
     return VerificationReport(
@@ -173,48 +166,30 @@ def _verify_two_heap(
     )
 
 
-def verify_delete_nim_formula(
-    bound: int, budget: int | None = None
-) -> VerificationReport:
+def verify_delete_nim_formula(bound: int, budget: int | None = None) -> VerificationReport:
     """Engine Grundy values versus v2((x | y) + 1) for all 0 <= y <= x <= bound."""
     return _verify_two_heap(
         "delete-nim", rulesets.DELETE_NIM, closed_forms.delete_nim_grundy_array, bound, budget
     )
 
 
-def verify_vdn_formula(
-    bound: int, budget: int | None = None
-) -> VerificationReport:
+def verify_vdn_formula(bound: int, budget: int | None = None) -> VerificationReport:
     """Engine Grundy values on VDN rules versus v2(((x-1) | (y-1)) + 1) for
     all 1 <= y <= x <= bound."""
-    return _verify_two_heap(
-        "vdn", rulesets.VDN, closed_forms.vdn_grundy_array, bound, budget
-    )
+    return _verify_two_heap("vdn", rulesets.VDN, closed_forms.vdn_grundy_array, bound, budget)
 
 
-def verify_bouton(
-    max_heaps: int, max_size: int, budget: int | None = None
-) -> VerificationReport:
+def verify_bouton(max_heaps: int, max_size: int, budget: int | None = None) -> VerificationReport:
     """Nim kernel P/N classification (value 0 or not) versus the nim-sum
     criterion for every Nim position with at most ``max_heaps`` heaps, each
     of at most ``max_size`` stones: the positions (max_size,) * max_heaps
-    dominates, in one ``engine.nim_values`` call, which charges the budget
-    once, before any work, as a Nim query on that position.  Any size but
-    0 costs over max_heaps**2 units, so past that the sweep is refused
-    before the heaps are built."""
-    if max_heaps < 1 or max_size < 0:
-        shown = ", ".join(map(rulesets.echo_number, (max_heaps, max_size)))
-        raise DomainError(f"need max_heaps >= 1 and max_size >= 0, got ({shown})")
-    if max_size and budget is not None and max_heaps * max_heaps > budget:
-        heaps, size, units = map(rulesets.echo_number, (max_heaps, max_size, budget))
-        raise BudgetExceededError(
-            f"nim values below {heaps} heaps of {size} exceed the budget of {units} units"
-        )
+    dominates, in one ``engine.nim_values`` call.  Charged by ``_charge``."""
+    _charge("bouton", (max_heaps, max_size), budget)
     top = (max_size,) * max_heaps if max_size else ()
     count = comb(max_size + max_heaps, max_heaps)
     t0 = time.perf_counter()
     found: list = []
-    for p, value in engine.nim_values(top, budget):
+    for p, value in engine.nim_values(top):
         formula_p = closed_forms.bouton_is_p(p)
         if (value == 0) != formula_p:
             position = rulesets.format_position(rulesets.NIM, p)
@@ -337,9 +312,7 @@ def _proof_step_cells(bound: int, values: np.ndarray, bad: np.ndarray) -> tuple[
     return found, checked
 
 
-def verify_proof_steps(
-    bound: int, budget: int | None = None
-) -> VerificationReport:
+def verify_proof_steps(bound: int, budget: int | None = None) -> VerificationReport:
     """Run the per-position certificate checks for all 0 <= y <= x <= bound.
 
     A position's options are the union of what choosing each of its heaps
@@ -351,8 +324,7 @@ def verify_proof_steps(
     closed form, into two uint64 arrays; then the two tests run on bands
     of rows against the array closed form (``_proof_step_cells``), so the
     sweep holds O(bound + _BLOCK_CELLS) values and does O(bound**2) work,
-    all but the per-heap part of it in numpy.  At bound 1024 that took the
-    sweep from about 0.28 s to about 0.09 s (2-core x86-64).
+    all but the per-heap part of it in numpy.
 
     So the two closed forms carry the certificate together: each
     position's own value h is the array form's
@@ -367,12 +339,8 @@ def verify_proof_steps(
     order, by proof_step_failures, one option at a time and with the
     scalar closed form, for the report.  If that finds nothing and the
     two closed forms disagree there, the disagreement is reported.  The
-    sweep is charged (bound+1)**2 cells against ``budget`` before any
-    work, like the streaming sweeps, and reports the cells its bands
-    tested."""
-    if bound < 0:
-        raise DomainError(f"bound must be >= 0, got {rulesets.echo_number(bound)}")
-    engine.check_cells("proof-steps", bound, budget)
+    report counts the cells the bands tested.  Charged by ``_charge``."""
+    _charge("proof-steps", bound, budget)
     t0 = time.perf_counter()
     grundy = closed_forms.delete_nim_grundy
     heap_options = rulesets.delete_nim_heap_options
@@ -391,27 +359,15 @@ def verify_proof_steps(
     )
 
 
-def verify_sum_theorem(
-    bound: int, budget: int | None = None
-) -> VerificationReport:
+def verify_sum_theorem(bound: int, budget: int | None = None) -> VerificationReport:
     """Direct mex recursion on Delete Nim sum graphs versus the XOR of the
     component values, for every ordered pair of canonical positions with
     coordinates <= bound.  The component values come from the two-heap
     backend (``engine.bands``), the sum values from the engine's sum kernel
     (``engine.sum_values``); the XOR is taken here, one broadcast per batch
     of sums the kernel yields, and ``checked`` counts the sums compared.
-
-    The budget counts positions as the generic engine's memo would hold
-    them, the T components and then the T**2 sums, and is charged before
-    any work, with the generic engine's message.  That charge covers the
-    (bound+1)**2 cells of the component bands too."""
-    if bound < 0:
-        raise DomainError(f"bound must be >= 0, got {rulesets.echo_number(bound)}")
-    t = (bound + 1) * (bound + 2) // 2
-    if budget is not None and t + t * t > budget:
-        raise BudgetExceededError(
-            f"grundy computation exceeded the budget of {rulesets.echo_number(budget)} positions"
-        )
+    Charged by ``_charge``."""
+    _charge("sum", bound, budget)
     t0 = time.perf_counter()
     grid = np.empty((bound + 1, bound + 1), dtype=np.uint8)
     for xs, ys, values in engine.bands(rulesets.DELETE_NIM, bound, None, _BLOCK_CELLS):
@@ -434,17 +390,16 @@ def verify_sum_theorem(
     return VerificationReport("sum", bound, checked, mismatches, time.perf_counter() - t0)
 
 
-def verify_isomorphism(
-    bound: int, budget: int | None = None
-) -> VerificationReport:
+def verify_isomorphism(bound: int, budget: int | None = None) -> VerificationReport:
     """Option-set commutation under the VDN -> Delete Nim map for all
     1 <= y <= x <= bound (``isomorphism.check_isomorphism``), plus Grundy
     commutation on the same domain, each side computed by its own game's
     engine and compared a band of rows at a time, on the cells x >= y.
     The report counts the cells the Grundy bands compared."""
+    _charge("iso", bound, budget)
     t0 = time.perf_counter()
-    vdn_bands = engine.bands(rulesets.VDN, bound, budget, _BLOCK_CELLS)
-    dn_bands = engine.bands(rulesets.DELETE_NIM, bound - 1, budget, _BLOCK_CELLS)
+    vdn_bands = engine.bands(rulesets.VDN, bound, None, _BLOCK_CELLS)
+    dn_bands = engine.bands(rulesets.DELETE_NIM, bound - 1, None, _BLOCK_CELLS)
     mismatches: list[Mismatch] = [
         (f"{p[0]},{p[1]}", "equal option sets", reason)
         for p, reason in isomorphism.check_isomorphism(bound)
@@ -462,27 +417,69 @@ def verify_isomorphism(
     )
 
 
-# Every check, in report order, with its default bound; bouton's bound is
-# its (max heaps, max size) pair.  Each default completes in seconds on
-# commodity hardware; the delete-nim sweep is the acceptance-scale one.
-_CHECKS: dict[str, tuple[Callable, object]] = {
-    "delete-nim": (verify_delete_nim_formula, 4096),
-    "vdn": (verify_vdn_formula, 256),
-    "bouton": (lambda bound, budget: verify_bouton(*bound, budget), (3, 16)),
-    "sum": (verify_sum_theorem, 32),
-    "proof-steps": (verify_proof_steps, 1024),
-    "iso": (verify_isomorphism, 1024),
+def _cells(lo: int, bound: int, budget: int | None) -> int:
+    """The units of a sweep of the grid up to a bound of at least ``lo``:
+    its (bound + 1)**2 cells."""
+    if bound < lo:
+        raise DomainError(f"bound must be >= {lo}, got {rulesets.echo_number(bound)}")
+    return (bound + 1) ** 2
+
+
+def _sums(bound: int, budget: int | None) -> int:
+    """The units of the sum sweep: its T components, the canonical
+    positions inside the bound, and its T**2 sums."""
+    t = (_cells(0, bound, budget) + bound + 1) // 2  # (bound + 1)(bound + 2) / 2
+    return t + t * t
+
+
+def _nim_units(bound: tuple, budget: int | None) -> int:
+    """The units of the Bouton sweep, those of a Nim query
+    (``engine.check_query``) on size,...,size: heaps units for each of the
+    comb(size + heaps, heaps) positions it dominates, and 0 for size 0.
+    If heaps * (1 + heaps * size), a lower bound on them, exceeds the
+    budget, it is returned instead, before the binomial is worked out."""
+    heaps, size = bound
+    if heaps < 1 or size < 0:
+        shown = ", ".join(map(rulesets.echo_number, bound))
+        raise DomainError(f"need max_heaps >= 1 and max_size >= 0, got ({shown})")
+    units = heaps * (1 + heaps * size) if size else 0
+    if size and (budget is None or units <= budget):
+        units = heaps * comb(size + heaps, heaps)
+    return units
+
+
+# Every check, in report order: its sweep, its default bound (bouton's is its
+# (max heaps, max size) pair) and ``units(bound, budget)``, which raises the
+# check's DomainError for a bound outside its domain.  Each default completes
+# in seconds on commodity hardware; delete-nim's is the acceptance-scale one.
+_CHECKS: dict[str, tuple[Callable, object, Callable]] = {
+    "delete-nim": (verify_delete_nim_formula, 4096, partial(_cells, 0)),
+    "vdn": (verify_vdn_formula, 256, partial(_cells, 1)),
+    "bouton": (lambda bound, budget: verify_bouton(*bound, budget), (3, 16), _nim_units),
+    "sum": (verify_sum_theorem, 32, _sums),
+    "proof-steps": (verify_proof_steps, 1024, partial(_cells, 0)),
+    "iso": (verify_isomorphism, 1024, partial(_cells, 1)),
 }
 
 CHECK_NAMES = list(_CHECKS)
-DEFAULT_BOUNDS: dict = {name: bound for name, (_, bound) in _CHECKS.items()}
+DEFAULT_BOUNDS: dict = {name: bound for name, (_, bound, _) in _CHECKS.items()}
+
+
+def _charge(name: str, bound, budget: int | None) -> None:
+    """Check ``bound`` against the domain of the check ``name`` and charge
+    its units against ``budget``, before any work: the one refusal of every
+    sweep."""
+    units = _CHECKS[name][2](bound, budget)
+    if budget is not None and units > budget:
+        shown, limit = _bound_text(bound, rulesets.echo_number), rulesets.echo_number(budget)
+        raise BudgetExceededError(f"{name} to bound {shown} exceeds the budget of {limit} units")
 
 
 def run_check(name: str, bound=None, budget: int | None = None) -> VerificationReport:
     """Run one named check at ``bound`` (defaults per DEFAULT_BOUNDS)."""
     if name not in _CHECKS:
         raise ValueError(f"unknown check {name!r}; expected one of {CHECK_NAMES}")
-    check, default = _CHECKS[name]
+    check, default, _ = _CHECKS[name]
     return check(default if bound is None else bound, budget)
 
 

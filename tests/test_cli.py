@@ -637,27 +637,28 @@ def test_error_messages_echo_a_bounded_position(game, text, code, head, tail, ca
 _HUGE = "9" * 4000
 
 
+_CELLS = f" needs 1{'0' * 59}... (8001 digits) cells, budget is 67108864\n"
+_UNITS = " exceeds the budget of 67108864 units\n"
+
+
 @pytest.mark.parametrize(
-    "argv",
+    "argv, tail",
     [
-        ["verify", "--check", "proof-steps", "--bound", _HUGE],
-        ["verify", "--check", "iso", "--bound", _HUGE],
-        ["verify", "--check", "delete-nim", "--bound", _HUGE],
-        ["table", "--game", "vdn", "--bound", _HUGE],
-        ["grundy", "--game", "delete-nim", "--position", _HUGE + ",1"],
+        (["verify", "--check", "proof-steps", "--bound", _HUGE], _UNITS),
+        (["verify", "--check", "iso", "--bound", _HUGE], _UNITS),
+        (["verify", "--check", "delete-nim", "--bound", _HUGE], _UNITS),
+        (["table", "--game", "vdn", "--bound", _HUGE], _CELLS),
+        (["grundy", "--game", "delete-nim", "--position", _HUGE + ",1"], _CELLS),
     ],
     ids=["proof-steps", "iso", "delete-nim", "table", "grundy"],
 )
-def test_a_huge_bound_is_refused_in_a_bounded_message(argv, capsys):
+def test_a_huge_bound_is_refused_in_a_bounded_message(argv, tail, capsys):
     # the charge, (bound + 1)**2 cells, has 8001 digits, more than str()
     # converts: the message echoes a prefix and the digit count of each number
     assert cli.main(argv) == 4
     err = capsys.readouterr().err
     assert len(err.encode()) < 300
-    assert err.endswith(
-        f" to bound {'9' * 60}... (4000 digits) needs 1{'0' * 59}... (8001 digits) cells, "
-        "budget is 67108864\n"
-    )
+    assert err.endswith(f" to bound {'9' * 60}... (4000 digits){tail}")
 
 
 _NEGATIVE = "-" + _HUGE
@@ -828,7 +829,7 @@ class TestVerifyCommand:
         # sum exceeds the budget after three checks have passed
         argv = ["verify", "--all", "--bound", "17", "--heaps", "2", "--size", "5",
                 "--budget", "324"]
-        error = "error: grundy computation exceeded the budget of 324 positions\n"
+        error = "error: sum to bound 17 exceeds the budget of 324 units\n"
         assert cli.main(argv + ["--format", "json"]) == 4
         out = capsys.readouterr()
         records = json.loads(out.out)
@@ -871,8 +872,8 @@ class TestVerifyCommand:
         ]
 
     def test_sum_budget_threshold(self, capsys):
-        # the generic engine on the sum graph memoizes T components and then
-        # T**2 sums, so the sweep is over budget exactly below T + T**2
+        # sum is charged its T components and its T**2 sums, so the sweep is
+        # over budget exactly below T + T**2
         for bound in range(13):
             t = (bound + 1) * (bound + 2) // 2
             argv = ["verify", "--check", "sum", "--bound-sum", str(bound), "--budget"]
@@ -881,7 +882,7 @@ class TestVerifyCommand:
                 out = capsys.readouterr()
                 assert out.out == "0/0 checks passed\n"
                 assert out.err == (
-                    f"error: grundy computation exceeded the budget of {budget} positions\n"
+                    f"error: sum to bound {bound} exceeds the budget of {budget} units\n"
                 )
             assert cli.main(argv + [str(t + t * t)]) == 0
             out = capsys.readouterr()
@@ -927,13 +928,12 @@ class TestVerifyCommand:
             for size in range(13):
                 count = comb(size + heaps, heaps)
                 n = heaps * count if size else 0
-                top = ",".join([str(size)] * heaps) if size else "0"
                 argv = ["verify", "--check", "bouton", "--heaps", str(heaps),
                         "--size", str(size), "--budget"]
                 assert cli.main(argv + [str(n - 1)]) == 4
                 assert capsys.readouterr() == (
                     "0/0 checks passed\n",
-                    f"error: nim values below {top} exceed the budget of {n - 1} units\n",
+                    f"error: bouton to bound {heaps}x{size} exceeds the budget of {n - 1} units\n",
                 )
                 assert cli.main(argv + [str(n)]) == 0
                 out = re.sub(r"elapsed=[0-9]+\.[0-9]ms", "elapsed=Xms", capsys.readouterr().out)

@@ -173,3 +173,25 @@ class TestGrids:
         grid = cf.delete_nim_grundy_grid(0)
         assert grid.shape == (1, 1)
         assert grid[0, 0] == 0
+
+
+_HUGE = -(10**5000)  # past the 4300 digits str() converts
+
+
+@pytest.mark.parametrize(
+    "function, args",
+    [
+        (cf.v2, (_HUGE,)),
+        (cf.delete_nim_grundy, (_HUGE, 1)),
+        (cf.delete_nim_grundy, (1, _HUGE)),
+        (cf.vdn_grundy, (_HUGE, 1)),
+        (cf.vdn_grundy, (1, _HUGE)),
+        (cf.delete_nim_grundy_grid, (_HUGE,)),
+        (cf.vdn_grundy_grid, (_HUGE,)),
+    ],
+)
+def test_a_huge_argument_is_echoed_in_a_bounded_message(function, args):
+    with pytest.raises(DomainError) as exc:
+        function(*args)
+    assert len(str(exc.value).encode()) < 300
+    assert "(5001 digits)" in str(exc.value)

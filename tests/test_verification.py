@@ -1,6 +1,9 @@
+import ast
 import dataclasses
+import functools
 import json
 from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +31,27 @@ def _sum_keys(report) -> list:
         tuple(tuple(int(v) for v in c.split(",")) for c in text.split("+"))
         for text, _, _ in report.mismatches
     ]
+
+
+# Per check: a small bound, the units it costs, worked out here from the
+# charge each sweep documents, and a bound far past any small budget.
+_UNITS = {
+    "delete-nim": (6, 7 * 7, 10**6),  # (bound + 1)**2 cells
+    "vdn": (6, 7 * 7, 10**6),
+    "bouton": ((2, 3), 2 * 10, (3, 128)),  # 2 heaps x C(3 + 2, 2) positions
+    "sum": (3, 10 + 10 * 10, 3000),  # T = 10 components and T**2 sums
+    "proof-steps": (6, 7 * 7, 10**6),
+    "iso": (6, 7 * 7, 10**6),
+}
+
+_DIRECT = {
+    "delete-nim": vf.verify_delete_nim_formula,
+    "vdn": vf.verify_vdn_formula,
+    "bouton": lambda bound, budget: vf.verify_bouton(*bound, budget=budget),
+    "sum": vf.verify_sum_theorem,
+    "proof-steps": vf.verify_proof_steps,
+    "iso": vf.verify_isomorphism,
+}
 
 
 class TestSweeps:
@@ -84,8 +108,7 @@ class TestSweeps:
         # from 1..size; size 0 is the empty position, 0 units
         count = 1 + sum(comb(size + k - 1, k) for k in range(1, heaps + 1))
         n = heaps * count if size else 0
-        top = ",".join([str(size)] * heaps) if size else "0"
-        message = f"nim values below {top} exceed the budget of {n - 1} units"
+        message = f"bouton to bound {heaps}x{size} exceeds the budget of {n - 1} units"
         with pytest.raises(BudgetExceededError) as exc:
             vf.verify_bouton(heaps, size, budget=n - 1)
         assert str(exc.value) == message
@@ -94,33 +117,73 @@ class TestSweeps:
         assert rep.positions_checked == count
 
     def test_refusals_call_no_engine(self, monkeypatch):
-        # each refusal is decided from a count, before any position is
-        # listed or evaluated; bouton 3x128 has 366 k positions
+        # every check, by name and by its direct call, runs at exactly its
+        # units and is refused one below, from a count, before any position
+        # is listed or evaluated; bouton 3x128 has 366 k positions, and sum
+        # at 3000 4.5 M components
         def unreachable(*args, **kwargs):
             raise AssertionError("engine called by a refused sweep")
 
-        for name in ("grundy", "classify", "sum_values", "_nim_values"):
-            monkeypatch.setattr(engine, name, unreachable)
-        with pytest.raises(BudgetExceededError):
-            vf.verify_bouton(3, 128, budget=1000)
-        with pytest.raises(BudgetExceededError):
-            vf.verify_sum_theorem(3000, budget=1000)
+        for name in vf.CHECK_NAMES:
+            bound, n, huge = _UNITS[name]
+            shown = "x".join(map(str, bound)) if name == "bouton" else bound
+            for run in (functools.partial(vf.run_check, name), _DIRECT[name]):
+                assert run(bound, budget=n).passed
+                with monkeypatch.context() as patch:
+                    for kernel in ("grundy", "classify", "bands", "band_rows", "sum_values",
+                                   "_nim_values"):
+                        patch.setattr(engine, kernel, unreachable)
+                    patch.setattr(isomorphism, "check_isomorphism", unreachable)
+                    patch.setattr(rulesets, "delete_nim_heap_options", unreachable)
+                    with pytest.raises(BudgetExceededError) as exc:
+                        run(bound, budget=n - 1)
+                    assert str(exc.value) == (
+                        f"{name} to bound {shown} exceeds the budget of {n - 1} units"
+                    )
+                    with pytest.raises(BudgetExceededError):
+                        run(huge, budget=1000)
+
+    @pytest.mark.parametrize("name", vf.CHECK_NAMES)
+    def test_each_check_charges_once(self, monkeypatch, name):
+        # one charge per check, iso's included, and no engine charge
+        # function is handed the budget
+        bound, n, _ = _UNITS[name]
+        charges, budgets = [], []
+        charge = vf._charge
+        monkeypatch.setattr(vf, "_charge", lambda *args: charges.append(args) or charge(*args))
+        for what in ("check_cells", "check_query"):  # each takes the budget third
+            right = getattr(engine, what)
+
+            def seen(*args, right=right):
+                budgets.append(args[2] if len(args) > 2 else None)
+                return right(*args)
+
+            monkeypatch.setattr(engine, what, seen)
+        assert vf.run_check(name, bound, budget=n).passed
+        assert charges == [(name, bound, n)]
+        assert all(budget is None for budget in budgets)
 
     def test_bouton_refuses_a_heap_count_before_building_it(self, monkeypatch):
-        # one stone per heap already costs heaps * (heaps + 1) units, so past
-        # heaps**2 the sweep is refused from the two numbers alone
+        # heaps * (1 + heaps * size) units, a lower bound on the charge,
+        # refuse the sweep from the two numbers alone: before the heaps are
+        # built or the binomial is worked out (an exact one took 37 s at
+        # a million heaps of a million)
         def unreachable(*args, **kwargs):
             raise AssertionError("heaps built for a refused sweep")
 
         monkeypatch.setattr(engine, "check_query", unreachable)
+        monkeypatch.setattr(vf, "comb", unreachable)
+        with pytest.raises(BudgetExceededError) as exc:
+            vf.verify_bouton(10**6, 10**6, budget=1 << 26)
+        assert str(exc.value) == "bouton to bound 1000000x1000000 exceeds the budget of 67108864 units"
         with pytest.raises(BudgetExceededError) as exc:
             vf.verify_bouton(10**12, 1, budget=1 << 26)
         assert str(exc.value) == (
-            "nim values below 1000000000000 heaps of 1 exceed the budget of 67108864 units"
+            "bouton to bound 1000000000000x1 exceeds the budget of 67108864 units"
         )
         with pytest.raises(BudgetExceededError) as exc:
             vf.verify_bouton(3, 5, budget=8)
-        assert str(exc.value) == "nim values below 3 heaps of 5 exceed the budget of 8 units"
+        assert str(exc.value) == "bouton to bound 3x5 exceeds the budget of 8 units"
 
     @pytest.mark.parametrize("heaps, size", [(3, 16), (1, 0)])
     def test_bouton_charges_its_query_once(self, monkeypatch, heaps, size):
@@ -133,7 +196,8 @@ class TestSweeps:
 
         monkeypatch.setattr(engine, "check_query", counted)
         assert vf.verify_bouton(heaps, size, budget=1 << 26).passed
-        assert calls == [(rulesets.NIM, (size,) * heaps if size else (), 1 << 26)]
+        # the sweep charged itself; the kernel only checks the heap limit
+        assert calls == [(rulesets.NIM, (size,) * heaps if size else (), None)]
 
 
 class TestFaultInjection:
@@ -657,6 +721,18 @@ class TestRunners:
         reports = vf.run_all(bounds)
         assert [r.name for r in reports] == vf.CHECK_NAMES
         assert all(r.passed for r in reports)
+
+    def test_tracer_times_every_check(self):
+        # the benchmark's tracer keeps its own list of the checks it times,
+        # one span each; it is read as source, without importing the benchmark
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+        [checks] = [
+            ast.literal_eval(node.value)
+            for node in ast.parse(path.read_text()).body
+            if isinstance(node, ast.Assign)
+            and [getattr(target, "id", None) for target in node.targets] == ["CHECKS"]
+        ]
+        assert checks == vf.CHECK_NAMES
 
     def test_check_names_cover_default_bounds(self):
         assert vf.CHECK_NAMES == ["delete-nim", "vdn", "bouton", "sum", "proof-steps", "iso"]
