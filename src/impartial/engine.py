@@ -95,6 +95,7 @@ __all__ = [
     "check_query",
     "bands",
     "band_rows",
+    "band_cells",
     "option_values",
     "sum_positions",
     "sum_values",
@@ -333,6 +334,21 @@ def band_rows(lo: int, bound: int, cells: int) -> Iterator[tuple[slice, slice]]:
         y1 = min(bound + 1, y0 + max(1, cells // (bound + 1 - y0)))
         yield slice(y0, y1), slice(y0, bound + 1)
         y0 = y1
+
+
+def band_cells(found: list, differ: np.ndarray, xs, ys, *values) -> int:
+    """Append (x, y, *values) for every cell x >= y of a band of rows where
+    ``differ`` holds, and return the number of cells x >= y the band
+    compared: ``xs`` and ``ys`` are a band's (1, w) row of columns x and
+    (k, 1) column of rows y as ``band_rows`` lays them out, and every
+    array broadcasts to the shape of ``differ``, which this masks in
+    place."""
+    k = len(ys)
+    differ[:, :k] &= xs[:, :k] >= ys  # only the first k columns hold x < y
+    if differ.any():
+        cells = (np.broadcast_to(a, differ.shape)[differ].tolist() for a in (xs, ys, *values))
+        found.extend(zip(*cells))
+    return differ.size - k * (k - 1) // 2
 
 
 def check_query(rules: Ruleset, pos, budget: int | None = None) -> tuple:

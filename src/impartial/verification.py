@@ -11,10 +11,12 @@ broadcast arrays; proof-steps tests its certificate on bands laid out the
 same way (``engine.band_rows``).  The certificate sweeps (proof-steps, iso)
 rest on every two-heap option set being the union of what choosing each
 heap reaches (``rulesets.*_heap_options``), so they check each heap's moves
-once; iso still applies the isomorphism map to each position.  These
-sweeps count their checked cells from the bands and hold O(bound) memory
-besides a band, and a position that fails is checked in full, one option
-at a time, for the report.  The sum sweep compares the engine's sum kernel
+once; iso applies the isomorphism map to each heap's moves and tests each
+position on bands with the map's array twin
+(``isomorphism.check_isomorphism``).  These sweeps count their checked
+cells from the bands and hold O(bound) memory besides a band, and a
+position that fails is checked in full, one option at a time, for the
+report.  The sum sweep compares the engine's sum kernel
 (``engine.sum_values``) with the XOR of the component values from
 ``engine.bands``, one broadcast per batch of sums; the Bouton sweep takes
 its values from the engine's Nim kernel.  Each check's row of ``_CHECKS``
@@ -113,21 +115,6 @@ def reports_to_json(reports: list[VerificationReport]) -> str:
     return json.dumps([r.to_record() for r in reports], indent=2)
 
 
-def _differing_cells(found: list, differ, xs, ys, *values) -> int:
-    """Append (x, y, *values) for every cell x >= y of a band of rows where
-    ``differ`` holds, and return the number of cells x >= y the band
-    compared: ``xs`` and ``ys`` are a band's (1, w) row of columns x and
-    (k, 1) column of rows y as ``engine.band_rows`` lays them out, and
-    every array broadcasts to the shape of ``differ``, which this masks in
-    place."""
-    k = len(ys)
-    differ[:, :k] &= xs[:, :k] >= ys  # only the first k columns hold x < y
-    if differ.any():
-        cells = (np.broadcast_to(a, differ.shape)[differ].tolist() for a in (xs, ys, *values))
-        found.extend(zip(*cells))
-    return differ.size - k * (k - 1) // 2
-
-
 def _as_mismatches(found: list) -> list[Mismatch]:
     # row-major (x, y) order, whatever order the cells were streamed in
     return [(f"{x},{y}", e, a) for x, y, e, a in sorted(found)]
@@ -160,7 +147,7 @@ def _verify_two_heap(
     checked = 0
     for xs, ys, values in engine.bands(rules, bound, None, _BLOCK_CELLS):
         actual = formula(xs, ys)
-        checked += _differing_cells(found, values != actual, xs, ys, values, actual)
+        checked += engine.band_cells(found, values != actual, xs, ys, values, actual)
     return VerificationReport(
         name, bound, checked, _as_mismatches(found), time.perf_counter() - t0
     )
@@ -308,7 +295,7 @@ def _proof_step_cells(bound: int, values: np.ndarray, bad: np.ndarray) -> tuple[
         test |= x & bad[None, cols]
         test &= below
         flagged |= test != 0
-        checked += _differing_cells(found, flagged, xs, ys, h)
+        checked += engine.band_cells(found, flagged, xs, ys, h)
     return found, checked
 
 
@@ -392,17 +379,20 @@ def verify_sum_theorem(bound: int, budget: int | None = None) -> VerificationRep
 
 def verify_isomorphism(bound: int, budget: int | None = None) -> VerificationReport:
     """Option-set commutation under the VDN -> Delete Nim map for all
-    1 <= y <= x <= bound (``isomorphism.check_isomorphism``), plus Grundy
-    commutation on the same domain, each side computed by its own game's
-    engine and compared a band of rows at a time, on the cells x >= y.
-    The report counts the cells the Grundy bands compared."""
+    1 <= y <= x <= bound (``isomorphism.check_isomorphism``, on bands of
+    ``_BLOCK_CELLS`` cells), plus Grundy commutation on the same domain,
+    each side computed by its own game's engine and compared a band of
+    rows at a time, on the cells x >= y.  A position where the map and its
+    array twin give different images is reported as expecting "equal
+    images".  The report counts the cells the Grundy bands compared."""
     _charge("iso", bound, budget)
     t0 = time.perf_counter()
     vdn_bands = engine.bands(rulesets.VDN, bound, None, _BLOCK_CELLS)
     dn_bands = engine.bands(rulesets.DELETE_NIM, bound - 1, None, _BLOCK_CELLS)
     mismatches: list[Mismatch] = [
-        (f"{p[0]},{p[1]}", "equal option sets", reason)
-        for p, reason in isomorphism.check_isomorphism(bound)
+        (f"{p[0]},{p[1]}",
+         "equal option sets" if reason.startswith("extra=") else "equal images", reason)
+        for p, reason in isomorphism.check_isomorphism(bound, _BLOCK_CELLS)
     ]
     # VDN rows and columns 1 .. bound are Delete Nim's 0 .. bound - 1, so
     # the two games' bands are equally wide, and pair one to one, cell by
@@ -410,7 +400,7 @@ def verify_isomorphism(bound: int, budget: int | None = None) -> VerificationRep
     found: list = []
     checked = 0
     for (xs, ys, vdn_values), (_, _, dn_values) in zip(vdn_bands, dn_bands, strict=True):
-        checked += _differing_cells(found, dn_values != vdn_values, xs, ys, dn_values, vdn_values)
+        checked += engine.band_cells(found, dn_values != vdn_values, xs, ys, dn_values, vdn_values)
     mismatches += _as_mismatches(found)
     return VerificationReport(
         "iso", bound, checked, mismatches, time.perf_counter() - t0

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -8,6 +9,7 @@ from impartial import rulesets as rs
 from impartial.errors import DomainError
 
 vdn_heap = st.integers(min_value=1, max_value=10**6)
+wide_vdn_heap = st.integers(min_value=1, max_value=2**62)
 
 
 def test_pinned_mapping():
@@ -21,6 +23,32 @@ def test_pinned_mapping():
 def test_round_trip(x, y):
     p = rs.canonical_pair(x, y)
     assert iso.delete_to_vdn(iso.vdn_to_delete(p)) == p
+
+
+# check_isomorphism applies the scalar map only to heap options inside its
+# bound, pairs with x + y <= bound, and takes every other position's image
+# from the array twin; these tests alone hold the two maps to each other
+# elsewhere.
+
+
+def test_array_twin_matches_scalar_map():
+    heaps = np.arange(1, 65)
+    big, small = iso.vdn_to_delete_array(heaps[None, :], heaps[:, None])
+    for y in range(1, 65):
+        for x in range(1, 65):
+            image = (int(big[y - 1, x - 1]), int(small[y - 1, x - 1]))
+            assert image == iso.vdn_to_delete((x, y))
+
+
+@given(wide_vdn_heap, wide_vdn_heap)
+def test_array_twin_matches_scalar_map_on_wide_heaps(x, y):
+    big, small = iso.vdn_to_delete_array(np.array([x, y]), np.array([y, x]))
+    assert list(zip(big.tolist(), small.tolist())) == [iso.vdn_to_delete((x, y))] * 2
+
+
+def test_array_twin_domain_enforced():
+    with pytest.raises(DomainError, match=r"VDN heaps must be >= 1, got \(1, 0\)"):
+        iso.vdn_to_delete_array(np.array([[1, 2]]), np.array([[1], [0]]))
 
 
 def test_domain_enforced():

@@ -89,6 +89,18 @@ class TestSweeps:
         assert rep.passed
         assert rep.positions_checked == 48 * 49 // 2
 
+    def test_iso_maps_every_heap_option_once(self, monkeypatch):
+        # a passing sweep applies the scalar map to each VDN heap option,
+        # the floor(s / 2) splits of each heap s <= 8, and to nothing else
+        calls = []
+        right = isomorphism.vdn_to_delete
+        monkeypatch.setattr(isomorphism, "vdn_to_delete", lambda p: calls.append(p) or right(p))
+        assert vf.verify_isomorphism(8).passed
+        assert len(calls) == sum(s // 2 for s in range(1, 9)) == 16
+        assert sorted(calls) == sorted(
+            (s - b, b) for s in range(1, 9) for b in range(1, s // 2 + 1)
+        )
+
     def test_proof_step_failures_empty_everywhere(self):
         for x in range(40):
             for y in range(x + 1):
@@ -441,6 +453,21 @@ def _patched_array(right, cells):
     return wrong
 
 
+def _patched_image(right, cells):
+    """``_patched`` for the map's array twin: the image arrays of ``right``,
+    except at the cells (x, y) of the broadcast arguments ``cells`` maps
+    to an image."""
+
+    def wrong(xs, ys):
+        big, small = right(xs, ys)
+        for (x, y), (a, b) in cells.items():
+            at = (xs == x) & (ys == y)
+            big[at], small[at] = a, b
+        return big, small
+
+    return wrong
+
+
 def _dropping(right, heap, option):
     """The heap primitive ``right`` with ``option`` missing from what choosing
     a heap of ``heap`` stones reaches."""
@@ -614,11 +641,22 @@ class TestCertificateFaultInjection:
             for x, y in [(3, 0), (3, 1), (3, 2), (3, 3), (8, 3), (9, 3), (10, 3), (11, 3)]
         ]
 
-    def test_iso_wrong_map(self, monkeypatch):
+    # The option-fault tests take a band size, so that
+    # test_iso_option_faults_cross_band_edges runs them again in bands of
+    # 16 cells, one or two rows each.
+
+    def test_iso_wrong_map(self, monkeypatch, block_cells=vf._BLOCK_CELLS):
+        # iso tests each position's own image with the array twin, so the
+        # faulty images are planted in the scalar map and the twin alike
         monkeypatch.setattr(
             isomorphism, "vdn_to_delete",
             _patched(isomorphism.vdn_to_delete, {((6, 2),): (4, 2), ((5, 5),): (5, 3)}),
         )
+        monkeypatch.setattr(
+            isomorphism, "vdn_to_delete_array",
+            _patched_image(isomorphism.vdn_to_delete_array, {(6, 2): (4, 2), (5, 5): (5, 3)}),
+        )
+        monkeypatch.setattr(vf, "_BLOCK_CELLS", block_cells)
         rep = vf.verify_isomorphism(8)
         assert rep.positions_checked == 8 * 9 // 2
         assert rep.mismatches == [
@@ -630,10 +668,11 @@ class TestCertificateFaultInjection:
             (f"8,{y}", "equal option sets", "extra=[] missing=[(5, 1)]") for y in range(1, 9)
         ]
 
-    def test_iso_dropped_option(self, monkeypatch):
+    def test_iso_dropped_option(self, monkeypatch, block_cells=vf._BLOCK_CELLS):
         monkeypatch.setattr(
             rulesets, "vdn_heap_options", _dropping(rulesets.vdn_heap_options, 9, (6, 3))
         )
+        monkeypatch.setattr(vf, "_BLOCK_CELLS", block_cells)
         rep = vf.verify_isomorphism(10)
         assert rep.mismatches == [
             (f"{x},{y}", "equal option sets", "extra=[] missing=[(5, 2)]")
@@ -641,16 +680,40 @@ class TestCertificateFaultInjection:
                          (9, 9), (10, 9)]
         ]
 
-    def test_iso_illegal_extra_option(self, monkeypatch):
+    def test_iso_illegal_extra_option(self, monkeypatch, block_cells=vf._BLOCK_CELLS):
         # (9, 5) does not sum to 7, so no move from a heap of 7 reaches it
         monkeypatch.setattr(
             rulesets, "vdn_heap_options", _adding(rulesets.vdn_heap_options, 7, {(9, 5)})
         )
+        monkeypatch.setattr(vf, "_BLOCK_CELLS", block_cells)
         rep = vf.verify_isomorphism(10)
         assert rep.mismatches == [
             (f"{x},{y}", "equal option sets", "extra=[(8, 4)] missing=[]")
             for x, y in [(7, 1), (7, 2), (7, 3), (7, 4), (7, 5), (7, 6), (7, 7), (8, 7),
                          (9, 7), (10, 7)]
+        ]
+
+    @pytest.mark.parametrize(
+        "fault", ["test_iso_wrong_map", "test_iso_dropped_option", "test_iso_illegal_extra_option"]
+    )
+    def test_iso_option_faults_cross_band_edges(self, monkeypatch, fault):
+        # the same reports when the flagged cells fall in different bands
+        getattr(self, fault)(monkeypatch, block_cells=16)
+
+    @pytest.mark.parametrize("block_cells", [vf._BLOCK_CELLS, 16])
+    def test_iso_wrong_twin_image_is_reported_once(self, monkeypatch, block_cells):
+        # the scalar map is right everywhere, so the option sets commute at
+        # (150, 37), and only the twin's image there is wrong
+        monkeypatch.setattr(
+            isomorphism, "vdn_to_delete_array",
+            _patched_image(isomorphism.vdn_to_delete_array, {(150, 37): (149, 35)}),
+        )
+        monkeypatch.setattr(vf, "_BLOCK_CELLS", block_cells)
+        rep = vf.verify_isomorphism(200)
+        assert rep.positions_checked == 200 * 201 // 2
+        assert rep.mismatches == [
+            ("150,37", "equal images",
+             "vdn_to_delete gives (149, 36), vdn_to_delete_array gives (149, 35)")
         ]
 
 
