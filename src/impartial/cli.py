@@ -39,8 +39,9 @@ EXIT_BUDGET = 4
 EXIT_ABORTED = 130
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a writer killed by it
 
-# Cap on dense-grid cells, sweep positions and Nim kernel units; bounds a
-# few thousand wide stay comfortably inside.
+# Caps the units of every job, charged before any work (``engine.charge``):
+# a check's, the (bound + 1)**2 cells of a table or two-heap query (8191 is
+# the largest bound inside), a Nim query's heaps per position below it.
 DEFAULT_BUDGET = 1 << 26
 
 # The single-bound checks, in CHECK_NAMES order; each has a --bound-<name>
@@ -126,9 +127,8 @@ def _write_table(out, game: str, lo: int, bound: int, fmt: str) -> None:
 def cmd_table(args) -> int:
     game, bound = args.game, args.bound
     lo, _ = TWO_HEAP_MOVES[game]
-    if bound < lo:
-        raise ParseError(f"bound must be >= {lo} for {game}")
-    engine.check_cells("table", bound, DEFAULT_BUDGET)
+    units = engine.grid_cells(lo, bound)
+    engine.charge(lambda: f"table to bound {echo_number(bound)}", units, DEFAULT_BUDGET)
     if not args.output:
         _write_table(sys.stdout, game, lo, bound, args.format)
         return EXIT_OK

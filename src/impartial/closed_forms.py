@@ -17,7 +17,7 @@ from typing import Iterable, Union
 import numpy as np
 
 from .errors import DomainError
-from .rulesets import echo_number
+from .rulesets import check_bound, echo_number
 
 __all__ = [
     "INFINITY",
@@ -118,8 +118,7 @@ def vdn_grundy_array(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
 def delete_nim_grundy_grid(bound: int) -> np.ndarray:
     """Closed form evaluated on the full grid: grid[x, y] == delete_nim_grundy(x, y)
     for all 0 <= x, y <= bound."""
-    if bound < 0:
-        raise DomainError(f"bound must be >= 0, got {echo_number(bound)}")
+    check_bound(0, bound)
     xs = np.arange(bound + 1, dtype=np.int64)
     return delete_nim_grundy_array(xs[:, None], xs[None, :]).astype(np.int16)
 
@@ -127,8 +126,7 @@ def delete_nim_grundy_grid(bound: int) -> np.ndarray:
 def vdn_grundy_grid(bound: int) -> np.ndarray:
     """Closed form for VDN on 1 <= x, y <= bound; row and column 0 hold -1
     (a VDN heap is never empty)."""
-    if bound < 1:
-        raise DomainError(f"bound must be >= 1, got {echo_number(bound)}")
+    check_bound(1, bound)
     xs = np.arange(1, bound + 1, dtype=np.int64)
     grid = np.full((bound + 1, bound + 1), -1, dtype=np.int16)
     grid[1:, 1:] = vdn_grundy_array(xs[:, None], xs[None, :])

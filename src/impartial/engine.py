@@ -7,12 +7,13 @@ The generic path needs nothing from a ruleset beyond ``canonical`` and
 (ruleset name, canonical position); each entry is written exactly once, so
 one table may be shared by every call of a sweep.
 
-A query takes one route in every game.  ``check_query`` charges it before
-any work, whatever the tables hold, so what was asked before changes no
-answer and no refusal; ``option_values`` returns ``{option: value}``, and
-the commands, each engine turn of ``play`` too, answer from that map alone:
-its mex, its ``winning_move`` (else, in ``play``, its smallest option), or,
-if it is empty, a terminal position.  ``winning_move`` is the one statement
+Every job is charged before any work by ``charge``, the one refusal of a
+budget; the kernels take none.  A query takes one route in every game.
+``check_query`` charges it whatever the tables hold, so what was asked
+before changes no answer and no refusal; ``option_values`` returns
+``{option: value}``, and the commands, each engine turn of ``play`` too,
+answer from that map alone: its mex, its ``winning_move`` (else, in
+``play``, its smallest option), or, if it is empty, a terminal position.  ``winning_move`` is the one statement
 of the rule; ``best_move`` applies it to the generic engine's values.
 
 The two-heap backend is one anti-diagonal kernel on the ``(lo, removed)``
@@ -76,9 +77,10 @@ from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
-from .errors import BudgetExceededError, DomainError
+from .errors import BudgetExceededError
 from .rulesets import (
-    DELETE_NIM, NIM, TWO_HEAP_MOVES, VDN, Ruleset, echo_number, echo_position, format_position,
+    DELETE_NIM, NIM, TWO_HEAP_MOVES, VDN, Ruleset, check_bound, echo_number, echo_position,
+    format_position,
 )
 
 MemoTable = dict
@@ -91,7 +93,8 @@ __all__ = [
     "classify",
     "best_move",
     "winning_move",
-    "check_cells",
+    "charge",
+    "grid_cells",
     "check_query",
     "bands",
     "band_rows",
@@ -100,6 +103,7 @@ __all__ = [
     "sum_positions",
     "sum_values",
     "NIM_HEAP_LIMIT",
+    "check_nim_heap",
     "nim_values",
     "delete_nim_grid",
     "vdn_grid",
@@ -204,6 +208,14 @@ def best_move(
     return winning_move({q: value_fn(q) for q in rules.options(p)})
 
 
+def charge(job: Callable[[], str], units: int, budget: int | None) -> int:
+    """Return ``units``, or raise ``<job()> exceeds the budget of <budget>
+    units`` if they exceed ``budget``; ``job`` is called only to refuse."""
+    if budget is not None and units > budget:
+        raise BudgetExceededError(f"{job()} exceeds the budget of {echo_number(budget)} units")
+    return units
+
+
 # --- dense backend -----------------------------------------------------------
 #
 # The option set of a two-heap position is a union of whole anti-diagonals:
@@ -225,17 +237,11 @@ def best_move(
 _MASK_WIDTH = 62  # values stay below this, so every mex, at most 62, is a bit of a uint64
 
 
-def check_cells(what: str, bound: int, budget: int | None) -> int:
-    """Charge ``what`` the (bound + 1)**2 cells of the full grid up to
-    ``bound`` and return them: raise BudgetExceededError if they exceed
-    ``budget``."""
-    cells = (bound + 1) * (bound + 1)
-    if budget is not None and cells > budget:
-        raise BudgetExceededError(
-            f"{what} to bound {echo_number(bound)} needs {echo_number(cells)} cells, "
-            f"budget is {echo_number(budget)}"
-        )
-    return cells
+def grid_cells(lo: int, bound: int) -> int:
+    """The units of a two-heap job up to ``bound``, which must be at least
+    ``lo``: the (bound + 1)**2 cells of the full grid, built or not."""
+    check_bound(lo, bound)
+    return (bound + 1) ** 2
 
 
 class _Unreached:
@@ -285,7 +291,7 @@ def _moves(rules: Ruleset) -> tuple[int, int]:
         raise ValueError(f"no dense backend for ruleset {rules.name!r}") from None
 
 
-def bands(rules: Ruleset, bound: int, budget: int | None, cells: int) -> Iterator:
+def bands(rules: Ruleset, bound: int, cells: int) -> Iterator:
     """Grundy values of every two-heap position lo <= x, y <= bound, by mex
     recursion, in bands of consecutive rows y.
 
@@ -299,19 +305,11 @@ def bands(rules: Ruleset, bound: int, budget: int | None, cells: int) -> Iterato
     about ``cells`` cells, with at least one row.  Every canonical position
     y <= x falls in exactly one band; the k(k - 1)/2 cells of a band with
     x < y repeat their mirrored positions.  Memory is O(bound + cells).  The
-    bound and the budget are checked before anything runs; the budget is
-    charged the (bound + 1)**2 cells of the full grid.
+    bound is checked before anything runs; no budget is charged here.
     """
-    return _bands(_sweep_table(rules, bound, budget), bound, cells)
-
-
-def _sweep_table(rules: Ruleset, bound: int, budget: int | None) -> _Unreached:
-    """The game's shared table, once ``bound`` and the budget are checked."""
     lo, _ = _moves(rules)
-    if bound < lo:
-        raise DomainError(f"bound must be >= {lo}, got {echo_number(bound)}")
-    check_cells("dense sweep", bound, budget)
-    return _TABLES[rules.name]
+    check_bound(lo, bound)
+    return _bands(_TABLES[rules.name], bound, cells)
 
 
 def _bands(table: _Unreached, bound: int, cells: int) -> Iterator:
@@ -352,31 +350,24 @@ def band_cells(found: list, differ: np.ndarray, xs, ys, *values) -> int:
 
 
 def check_query(rules: Ruleset, pos, budget: int | None = None) -> tuple:
-    """Validate ``pos`` and charge a query on it: return the canonical
-    position and its charge, or raise BudgetExceededError if that exceeds
-    ``budget``.  A two-heap position (x, y), x >= y, is charged the (x + 1)**2
-    cells of the grid up to x; a Nim position one unit per heap for each
-    position it dominates, counted, not listed (no heap may pass NIM_HEAP_LIMIT)."""
+    """Validate ``pos`` and charge a query on it as ``<game> position
+    <pos>``: return the canonical position and its units.  A two-heap
+    position (x, y), x >= y, is charged the (x + 1)**2 cells of the grid up
+    to x; a Nim position one unit per heap for each position it dominates,
+    counted, not listed (no heap may pass NIM_HEAP_LIMIT)."""
     p = rules.canonical(rules.validate(pos))
-    if rules.name != NIM.name:
-        _moves(rules)  # a ruleset with no dense backend is refused here
-        return p, check_cells("dense sweep", p[0], budget)
-    if p and p[0] > NIM_HEAP_LIMIT:
-        heap = echo_number(p[0])
-        raise BudgetExceededError(
-            f"a heap of {heap} stones exceeds the nim kernel's limit of {NIM_HEAP_LIMIT}"
-        )
-    # at least 1 + sum(p) positions: (), each single heap up to p[0], and each
-    # c, ..., c of i + 1 heaps with c <= p[i]; a refusal by this skips the DP
-    units = len(p) * (1 + sum(p))
-    if p and (budget is None or units <= budget):
-        units = len(p) * _down_set_size(p)
-    if budget is not None and units > budget:
-        shown = echo_position(format_position(NIM, p))
-        raise BudgetExceededError(
-            f"nim values below {shown} exceed the budget of {echo_number(budget)} units"
-        )
-    return p, units
+    if rules.name == NIM.name:
+        check_nim_heap(p[0] if p else 0)
+        # at least 1 + sum(p) positions: (), each single heap up to p[0], and each
+        # c, ..., c of i + 1 heaps with c <= p[i]; a refusal by this skips the DP
+        units = len(p) * (1 + sum(p))
+        if p and (budget is None or units <= budget):
+            units = len(p) * _down_set_size(p)
+    else:  # _moves refuses a ruleset with no dense backend
+        units = grid_cells(_moves(rules)[0], p[0])
+    return p, charge(
+        lambda: f"{rules.name} position {echo_position(format_position(rules, p))}", units, budget
+    )
 
 
 def option_values(rules: Ruleset, pos, budget: int | None = None) -> dict:
@@ -493,8 +484,7 @@ def sum_positions(rules: Ruleset, bound: int) -> tuple[np.ndarray, np.ndarray]:
     two-heap game ``rules`` as ``sum_values`` indexes them: ``(xs, ys)``,
     by anti-diagonal x + y, then by y."""
     lo, _ = _moves(rules)
-    if bound < 0:
-        raise DomainError(f"bound must be >= 0, got {echo_number(bound)}")
+    check_bound(0, bound)
     return _sum_layout(lo, bound)[3:]
 
 
@@ -520,8 +510,7 @@ def sum_values(rules: Ruleset, bound: int) -> Iterator:
     No budget is charged here; the caller charges the sums it asks for.
     """
     lo, removed = _moves(rules)
-    if bound < 0:
-        raise DomainError(f"bound must be >= 0, got {echo_number(bound)}")
+    check_bound(0, bound)
     return _sum_values(lo, removed, bound)
 
 
@@ -643,6 +632,13 @@ def _sum_values(lo: int, removed: int, bound: int) -> Iterator:
 NIM_HEAP_LIMIT = 1 << 16  # the masks are as wide as the values, so heaps are capped
 
 
+def check_nim_heap(heap: int) -> None:
+    """Refuse a Nim heap past NIM_HEAP_LIMIT, whatever the budget."""
+    if heap > NIM_HEAP_LIMIT:
+        limit = f"the nim kernel's limit of {NIM_HEAP_LIMIT}"
+        raise BudgetExceededError(f"a heap of {echo_number(heap)} stones exceeds {limit}")
+
+
 def _down_set_size(a: tuple) -> int:
     """Number of zero-padded descending tuples that the nonempty descending
     tuple ``a`` dominates, by a DP over its heaps from the last."""
@@ -658,7 +654,7 @@ def _down_set_size(a: tuple) -> int:
     return len(cnt)
 
 
-def nim_values(pos, budget: int | None = None) -> Iterator:
+def nim_values(pos) -> Iterator:
     """Grundy value of every Nim position that ``pos`` dominates (every
     multiset whose sorted heaps are at most those of ``pos``, place by
     place), by mex recursion.
@@ -668,10 +664,12 @@ def nim_values(pos, budget: int | None = None) -> Iterator:
     Each position costs one mask read and one mask update per distinct heap.
     Memory is one slot per rest (a position of one heap fewer) whose last
     heap is at most the last heap of ``pos``; a slot no position reads again
-    holds 0.  The budget is charged as a query on ``pos`` (``check_query``)
-    before anything runs.
+    holds 0.  ``pos`` is validated, and its heaps checked against
+    NIM_HEAP_LIMIT, before anything runs; no budget is charged here.
     """
-    return _nim_values(check_query(NIM, pos, budget)[0])
+    p = NIM.canonical(NIM.validate(pos))
+    check_nim_heap(p[0] if p else 0)
+    return _nim_values(p)
 
 
 def _nim_values(a: tuple) -> Iterator:
@@ -851,9 +849,12 @@ _TABLES = _new_tables()  # shared by every call in the process
 
 
 def _scatter(rules: Ruleset, bound: int, budget: int | None) -> np.ndarray:
+    """The dense grid of a two-heap game, charged its cells before any work."""
+    units = grid_cells(_moves(rules)[0], bound)
+    charge(lambda: f"{rules.name} grid to bound {echo_number(bound)}", units, budget)
     grid = np.full((bound + 1, bound + 1), -1, dtype=np.int16)
     # bands of about one row's worth of cells, each written where it lies
-    for _, ys, values in bands(rules, bound, budget, bound + 1):
+    for _, ys, values in bands(rules, bound, bound + 1):
         y0 = int(ys[0, 0])
         grid[y0 : y0 + len(ys), y0:] = values
     # mirror the upper half; -1 is below every Grundy value, and stays

@@ -14,4 +14,4 @@ class DomainError(GameError, ValueError):
 
 
 class BudgetExceededError(GameError):
-    """A computation exceeded its configured position-count budget."""
+    """A job's units exceed its budget, or an input exceeds a kernel's fixed limit."""

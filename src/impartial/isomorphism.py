@@ -12,12 +12,11 @@ from __future__ import annotations
 import numpy as np
 
 from . import engine, rulesets
-from .errors import DomainError
 from .rulesets import (
     Pair,
     canonical_pair,
+    check_bound,
     delete_nim_options,
-    echo_number,
     validate_delete_nim,
     validate_vdn,
     vdn_options,
@@ -77,8 +76,7 @@ def check_isomorphism(bound: int, cells: int = 10_000) -> list[tuple[Pair, str]]
     here; the two maps are compared cell by cell only by
     ``tests/test_isomorphism.py``, through 64 and on random heaps up to
     2**62."""
-    if bound < 1:
-        raise DomainError(f"bound must be >= 1, got {echo_number(bound)}")
+    check_bound(1, bound)
     vdn_heap_options = rulesets.vdn_heap_options
     delete_nim_heap_options = rulesets.delete_nim_heap_options
     # matched[s]: heap s maps move for move; VDN has no heap 0

@@ -266,3 +266,9 @@ def echo_number(n: int) -> str:
         digits += 1
     head = size // 10 ** (digits - _ECHO)
     return f"{'-' * (n < 0)}{head}... ({digits} digits)"
+
+
+def check_bound(lo: int, bound: int) -> None:
+    """Refuse a bound below ``lo``, the least heap of the grid it bounds."""
+    if bound < lo:
+        raise DomainError(f"bound must be >= {lo}, got {echo_number(bound)}")

@@ -20,9 +20,9 @@ report.  The sum sweep compares the engine's sum kernel
 (``engine.sum_values``) with the XOR of the component values from
 ``engine.bands``, one broadcast per batch of sums; the Bouton sweep takes
 its values from the engine's Nim kernel.  Each check's row of ``_CHECKS``
-gives its units, which ``_charge`` charges in the first line of every
-sweep, before any work; no kernel is passed the budget.  Every check runs
-in the calling thread.
+gives its units, which ``_charge`` charges (``engine.charge``) in the
+first line of every sweep, before any work; no kernel takes a budget.
+Every check runs in the calling thread.
 
 Mismatches are listed in row-major position order (iso lists its
 option-set ones before its Grundy ones), except bouton's, which are listed
@@ -38,7 +38,6 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass
-from functools import partial
 from itertools import starmap
 from math import comb
 from typing import Callable
@@ -46,7 +45,7 @@ from typing import Callable
 import numpy as np
 
 from . import closed_forms, engine, isomorphism, rulesets
-from .errors import BudgetExceededError, DomainError
+from .errors import DomainError
 
 __all__ = [
     "VerificationReport",
@@ -145,7 +144,7 @@ def _verify_two_heap(
     t0 = time.perf_counter()
     found: list = []
     checked = 0
-    for xs, ys, values in engine.bands(rules, bound, None, _BLOCK_CELLS):
+    for xs, ys, values in engine.bands(rules, bound, _BLOCK_CELLS):
         actual = formula(xs, ys)
         checked += engine.band_cells(found, values != actual, xs, ys, values, actual)
     return VerificationReport(
@@ -352,12 +351,11 @@ def verify_sum_theorem(bound: int, budget: int | None = None) -> VerificationRep
     coordinates <= bound.  The component values come from the two-heap
     backend (``engine.bands``), the sum values from the engine's sum kernel
     (``engine.sum_values``); the XOR is taken here, one broadcast per batch
-    of sums the kernel yields, and ``checked`` counts the sums compared.
-    Charged by ``_charge``."""
+    of sums the kernel yields, and ``checked`` counts the sums compared."""
     _charge("sum", bound, budget)
     t0 = time.perf_counter()
     grid = np.empty((bound + 1, bound + 1), dtype=np.uint8)
-    for xs, ys, values in engine.bands(rulesets.DELETE_NIM, bound, None, _BLOCK_CELLS):
+    for xs, ys, values in engine.bands(rulesets.DELETE_NIM, bound, _BLOCK_CELLS):
         grid[ys[0, 0] : ys[-1, 0] + 1, xs[0, 0] :] = values
     xs, ys = engine.sum_positions(rulesets.DELETE_NIM, bound)
     components = grid[ys, xs]  # in the kernel's position order
@@ -387,8 +385,8 @@ def verify_isomorphism(bound: int, budget: int | None = None) -> VerificationRep
     images".  The report counts the cells the Grundy bands compared."""
     _charge("iso", bound, budget)
     t0 = time.perf_counter()
-    vdn_bands = engine.bands(rulesets.VDN, bound, None, _BLOCK_CELLS)
-    dn_bands = engine.bands(rulesets.DELETE_NIM, bound - 1, None, _BLOCK_CELLS)
+    vdn_bands = engine.bands(rulesets.VDN, bound, _BLOCK_CELLS)
+    dn_bands = engine.bands(rulesets.DELETE_NIM, bound - 1, _BLOCK_CELLS)
     mismatches: list[Mismatch] = [
         (f"{p[0]},{p[1]}",
          "equal option sets" if reason.startswith("extra=") else "equal images", reason)
@@ -407,18 +405,10 @@ def verify_isomorphism(bound: int, budget: int | None = None) -> VerificationRep
     )
 
 
-def _cells(lo: int, bound: int, budget: int | None) -> int:
-    """The units of a sweep of the grid up to a bound of at least ``lo``:
-    its (bound + 1)**2 cells."""
-    if bound < lo:
-        raise DomainError(f"bound must be >= {lo}, got {rulesets.echo_number(bound)}")
-    return (bound + 1) ** 2
-
-
 def _sums(bound: int, budget: int | None) -> int:
     """The units of the sum sweep: its T components, the canonical
     positions inside the bound, and its T**2 sums."""
-    t = (_cells(0, bound, budget) + bound + 1) // 2  # (bound + 1)(bound + 2) / 2
+    t = (engine.grid_cells(0, bound) + bound + 1) // 2  # (bound + 1)(bound + 2) / 2
     return t + t * t
 
 
@@ -426,12 +416,14 @@ def _nim_units(bound: tuple, budget: int | None) -> int:
     """The units of the Bouton sweep, those of a Nim query
     (``engine.check_query``) on size,...,size: heaps units for each of the
     comb(size + heaps, heaps) positions it dominates, and 0 for size 0.
+    A size past the Nim kernel's limit is refused first, as by the query.
     If heaps * (1 + heaps * size), a lower bound on them, exceeds the
     budget, it is returned instead, before the binomial is worked out."""
     heaps, size = bound
     if heaps < 1 or size < 0:
         shown = ", ".join(map(rulesets.echo_number, bound))
         raise DomainError(f"need max_heaps >= 1 and max_size >= 0, got ({shown})")
+    engine.check_nim_heap(size)
     units = heaps * (1 + heaps * size) if size else 0
     if size and (budget is None or units <= budget):
         units = heaps * comb(size + heaps, heaps)
@@ -440,15 +432,16 @@ def _nim_units(bound: tuple, budget: int | None) -> int:
 
 # Every check, in report order: its sweep, its default bound (bouton's is its
 # (max heaps, max size) pair) and ``units(bound, budget)``, which raises the
-# check's DomainError for a bound outside its domain.  Each default completes
+# check's DomainError for a bound outside its domain; a grid's units are its
+# cells (``engine.grid_cells``).  Each default completes
 # in seconds on commodity hardware; delete-nim's is the acceptance-scale one.
 _CHECKS: dict[str, tuple[Callable, object, Callable]] = {
-    "delete-nim": (verify_delete_nim_formula, 4096, partial(_cells, 0)),
-    "vdn": (verify_vdn_formula, 256, partial(_cells, 1)),
+    "delete-nim": (verify_delete_nim_formula, 4096, lambda b, _: engine.grid_cells(0, b)),
+    "vdn": (verify_vdn_formula, 256, lambda b, _: engine.grid_cells(1, b)),
     "bouton": (lambda bound, budget: verify_bouton(*bound, budget), (3, 16), _nim_units),
     "sum": (verify_sum_theorem, 32, _sums),
-    "proof-steps": (verify_proof_steps, 1024, partial(_cells, 0)),
-    "iso": (verify_isomorphism, 1024, partial(_cells, 1)),
+    "proof-steps": (verify_proof_steps, 1024, lambda b, _: engine.grid_cells(0, b)),
+    "iso": (verify_isomorphism, 1024, lambda b, _: engine.grid_cells(1, b)),
 }
 
 CHECK_NAMES = list(_CHECKS)
@@ -457,12 +450,12 @@ DEFAULT_BOUNDS: dict = {name: bound for name, (_, bound, _) in _CHECKS.items()}
 
 def _charge(name: str, bound, budget: int | None) -> None:
     """Check ``bound`` against the domain of the check ``name`` and charge
-    its units against ``budget``, before any work: the one refusal of every
-    sweep."""
+    its units against ``budget`` as ``<name> to bound <bound>``, before any
+    work: the one refusal of every sweep."""
     units = _CHECKS[name][2](bound, budget)
-    if budget is not None and units > budget:
-        shown, limit = _bound_text(bound, rulesets.echo_number), rulesets.echo_number(budget)
-        raise BudgetExceededError(f"{name} to bound {shown} exceeds the budget of {limit} units")
+    engine.charge(
+        lambda: f"{name} to bound {_bound_text(bound, rulesets.echo_number)}", units, budget
+    )
 
 
 def run_check(name: str, bound=None, budget: int | None = None) -> VerificationReport:

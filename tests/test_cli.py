@@ -210,13 +210,15 @@ class TestTableCommand:
         argv = ["table", "--game", "delete-nim", "--format", "csv", "--bound"]
         assert cli.main(argv + ["1"]) == 0
         assert cli.main(argv + ["2"]) == 4
-        assert capsys.readouterr().err == "error: table to bound 2 needs 9 cells, budget is 4\n"
+        assert capsys.readouterr().err == "error: table to bound 2 exceeds the budget of 4 units\n"
 
     def test_huge_bound_exits_4(self, capsys):
         start = time.perf_counter()
         assert cli.main(["table", "--game", "vdn", "--bound", "200000"]) == 4
         assert time.perf_counter() - start < 5.0  # refused before any grid is built
-        assert "needs 40000400001 cells" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: table to bound 200000 exceeds the budget of 67108864 units\n"
+        )
 
     @pytest.mark.parametrize("game", ["delete-nim", "vdn"])
     @pytest.mark.parametrize("fmt", ["csv", "json", "text"])
@@ -274,8 +276,8 @@ class TestTableCommand:
         assert cli.main(argv + ["delete-nim", "--bound", "2"]) == 4
         assert cli.main(argv + ["vdn", "--bound", "0"]) == 2
         assert capsys.readouterr().err == (
-            "error: table to bound 2 needs 9 cells, budget is 4\n"
-            "error: bound must be >= 1 for vdn\n"
+            "error: table to bound 2 exceeds the budget of 4 units\n"
+            "error: bound must be >= 1, got 0\n"
         )
         assert not path.exists()
 
@@ -571,7 +573,9 @@ def test_two_heap_query_budget_is_the_full_grid(command, game, capsys):
     # here, and (terminal + 1)**2 at the terminal position
     argv = [command, "--game", game, "--position", "50,3", "--budget"]
     assert cli.main(argv + ["2600"]) == 4
-    assert "2601 cells" in capsys.readouterr().err
+    assert capsys.readouterr() == (
+        "", f"error: {game} position 50,3 exceeds the budget of 2600 units\n"
+    )
     assert cli.main(argv + ["2601"]) == 0
     capsys.readouterr()
     terminal = 0 if game == "delete-nim" else 1
@@ -581,7 +585,7 @@ def test_two_heap_query_budget_is_the_full_grid(command, game, capsys):
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err == (
-        f"error: dense sweep to bound {terminal} needs {cells} cells, budget is {cells - 1}\n"
+        f"error: {game} position {terminal},{terminal} exceeds the budget of {cells - 1} units\n"
     )
 
 
@@ -595,7 +599,7 @@ def test_nim_query_budget_is_the_down_set(command, text, capsys):
     argv = [command, "--game", "nim", "--position", text, "--budget"]
     assert cli.main(argv + [str(n - 1)]) == 4
     assert capsys.readouterr() == (
-        "", f"error: nim values below {text} exceed the budget of {n - 1} units\n"
+        "", f"error: nim position {text} exceeds the budget of {n - 1} units\n"
     )
     assert cli.main(argv + [str(n)]) == 0
     out = capsys.readouterr()
@@ -611,13 +615,58 @@ def test_nim_query_budget_is_the_down_set(command, text, capsys):
     assert out.err == ""
 
 
+# Every job, its argv, the text its refusal names it by, its units worked
+# out here (a two-heap grid's (bound + 1)**2 cells, sum's T + T**2, a Nim
+# query's heaps per position below it) and its exit code when admitted;
+# table has no --budget and is charged against DEFAULT_BUDGET.
+_QUERIES = {
+    "delete-nim": ("7,3", 8 * 8), "vdn": ("7,3", 8 * 8), "nim": ("4,2,1", ref_nim_units((4, 2, 1))),
+}
+_JOBS = {
+    **{f"verify-{name}": (["verify", "--check", name, "--bound", "6"],
+                          f"{name} to bound 6", 7 * 7, 0)
+       for name in ("delete-nim", "vdn", "proof-steps", "iso")},
+    "verify-sum": (["verify", "--check", "sum", "--bound", "3"], "sum to bound 3", 10 + 10 * 10, 0),
+    "verify-bouton": (["verify", "--check", "bouton", "--heaps", "2", "--size", "3"],
+                      "bouton to bound 2x3", 2 * comb(3 + 2, 2), 0),
+    "table": (["table", "--game", "vdn", "--bound", "5"], "table to bound 5", 6 * 6, 0),
+    **{f"{command}-{game}": ([command, "--game", game, "--position", pos],
+                             f"{game} position {pos}", units, 0)
+       for command in ("grundy", "best-move") for game, (pos, units) in _QUERIES.items()},
+    **{f"play-{game}": (["play", "--game", game, "--position", pos, "--first", "engine"],
+                        f"{game} position {pos}", units, 130)
+       for game, (pos, units) in _QUERIES.items()},
+}
+
+
+@pytest.mark.parametrize("argv, job, n, code", _JOBS.values(), ids=_JOBS.keys())
+def test_every_job_is_refused_one_unit_below_its_charge(argv, job, n, code, monkeypatch, capsys):
+    # one template for every refusal, and every job admitted at exactly its
+    # units; play's human never gets a turn (closed stdin)
+    def closed(prompt):
+        raise EOFError
+
+    monkeypatch.setattr("builtins.input", closed)
+
+    def run(budget: int) -> int:
+        if argv[0] == "table":
+            monkeypatch.setattr(cli, "DEFAULT_BUDGET", budget)
+            return cli.main(argv)
+        return cli.main(argv + ["--budget", str(budget)])
+
+    assert run(n - 1) == 4
+    assert capsys.readouterr().err == f"error: {job} exceeds the budget of {n - 1} units\n"
+    assert run(n) == code
+    assert capsys.readouterr().err == ""
+
+
 _ONES = ",".join(["1"] * 70_000)
 
 
 @pytest.mark.parametrize(
     "game, text, code, head, tail",
     [
-        ("nim", _ONES, 4, "nim values below 1,", "... (70000 heaps, largest 1) exceed the budget"),
+        ("nim", _ONES, 4, "nim position 1,", "... (70000 heaps, largest 1) exceeds the budget"),
         ("delete-nim", _ONES, 2, "delete-nim positions are pairs x,y, got '1,", "... (70000 heaps, largest 1)"),
         ("nim", _ONES[:-1] + "x", 2, "malformed position '1,1,", "'... (70000 heaps)"),
         ("nim", _ONES[:-1] + "-1", 2, "Nim heaps must be >= 0, got (1, 1,", "... (70000 heaps)"),
@@ -637,28 +686,29 @@ def test_error_messages_echo_a_bounded_position(game, text, code, head, tail, ca
 _HUGE = "9" * 4000
 
 
-_CELLS = f" needs 1{'0' * 59}... (8001 digits) cells, budget is 67108864\n"
-_UNITS = " exceeds the budget of 67108864 units\n"
+_BOUND = f" to bound {'9' * 60}... (4000 digits)"
 
 
 @pytest.mark.parametrize(
-    "argv, tail",
+    "argv, job",
     [
-        (["verify", "--check", "proof-steps", "--bound", _HUGE], _UNITS),
-        (["verify", "--check", "iso", "--bound", _HUGE], _UNITS),
-        (["verify", "--check", "delete-nim", "--bound", _HUGE], _UNITS),
-        (["table", "--game", "vdn", "--bound", _HUGE], _CELLS),
-        (["grundy", "--game", "delete-nim", "--position", _HUGE + ",1"], _CELLS),
+        (["verify", "--check", "proof-steps", "--bound", _HUGE], "proof-steps" + _BOUND),
+        (["verify", "--check", "iso", "--bound", _HUGE], "iso" + _BOUND),
+        (["verify", "--check", "delete-nim", "--bound", _HUGE], "delete-nim" + _BOUND),
+        (["table", "--game", "vdn", "--bound", _HUGE], "table" + _BOUND),
+        (["grundy", "--game", "delete-nim", "--position", _HUGE + ",1"],
+         f"delete-nim position {'9' * 60}... (2 heaps)"),
     ],
     ids=["proof-steps", "iso", "delete-nim", "table", "grundy"],
 )
-def test_a_huge_bound_is_refused_in_a_bounded_message(argv, tail, capsys):
+def test_a_huge_bound_is_refused_in_a_bounded_message(argv, job, capsys):
     # the charge, (bound + 1)**2 cells, has 8001 digits, more than str()
-    # converts: the message echoes a prefix and the digit count of each number
+    # converts: the message echoes a prefix and the digit count of the bound,
+    # or a prefix and the heap count of the position
     assert cli.main(argv) == 4
     err = capsys.readouterr().err
     assert len(err.encode()) < 300
-    assert err.endswith(f" to bound {'9' * 60}... (4000 digits){tail}")
+    assert err == f"error: {job} exceeds the budget of 67108864 units\n"
 
 
 _NEGATIVE = "-" + _HUGE
@@ -1054,7 +1104,7 @@ class TestPlayCommand:
         assert cli.main(argv + ["2600"]) == 4
         out = capsys.readouterr()
         assert out.out == ""
-        assert out.err == "error: dense sweep to bound 50 needs 2601 cells, budget is 2600\n"
+        assert out.err == f"error: {game} position 50,3 exceeds the budget of 2600 units\n"
 
         def closed(prompt):
             raise EOFError
@@ -1070,7 +1120,7 @@ class TestPlayCommand:
         argv = ["play", "--game", "nim", "--position", "6,3,1", "--first", "engine", "--budget"]
         assert cli.main(argv + [str(n - 1)]) == 4
         assert capsys.readouterr() == (
-            "", f"error: nim values below 6,3,1 exceed the budget of {n - 1} units\n"
+            "", f"error: nim position 6,3,1 exceeds the budget of {n - 1} units\n"
         )
 
         def closed(prompt):

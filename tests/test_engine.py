@@ -29,7 +29,7 @@ from reference import (
 def _one_go_masks(rules, heaps: int) -> np.ndarray:
     """The masks of heaps 0 .. heaps - 1, built by one fill on an empty table."""
     with mock.patch.object(engine, "_TABLES", engine._new_tables()):
-        for _ in engine.bands(rules, heaps - 1, None, 4096):
+        for _ in engine.bands(rules, heaps - 1, 4096):
             pass
         table = engine._TABLES[rules.name]
         assert table.known == heaps
@@ -317,9 +317,9 @@ class TestNimValues:
             n = ref_nim_units(start)
             assert engine.check_query(rs.NIM, start, n) == (p, n)
             with pytest.raises(BudgetExceededError) as exc:
-                engine.nim_values(start, n - 1)
+                engine.check_query(rs.NIM, start, n - 1)
             text = ",".join(map(str, p)) or "0"
-            assert str(exc.value) == f"nim values below {text} exceed the budget of {n - 1} units"
+            assert str(exc.value) == f"nim position {text} exceeds the budget of {n - 1} units"
         # 26,982,005 positions below 3000,2999,5, and 20,001 below 20000
         with pytest.raises(BudgetExceededError):
             engine.check_query(rs.NIM, (3000, 2999, 5), 80_946_014)
@@ -508,7 +508,7 @@ class TestDenseGrids:
             # bands of one row and of several, whose cells with x < y
             # repeat their mirrored positions
             seen = Counter()
-            for xs, ys, values in engine.bands(rules, small, None, 40):
+            for xs, ys, values in engine.bands(rules, small, 40):
                 for y, row in zip(ys[:, 0].tolist(), values.tolist()):
                     for x, v in zip(xs[0].tolist(), row):
                         if x >= y:
@@ -559,11 +559,11 @@ class TestDenseGrids:
         for rules, lo, first in ((rs.DELETE_NIM, 0, 4), (rs.VDN, 1, 5)):
             for b in range(lo, first + 4):
                 if b < first:
-                    list(engine.bands(rules, b, None, 4096))
+                    list(engine.bands(rules, b, 4096))
                     engine.option_values(rules, (b, lo))
                     continue
                 with pytest.raises(RuntimeError):
-                    list(engine.bands(rules, b, None, 4096))
+                    list(engine.bands(rules, b, 4096))
                 with pytest.raises(RuntimeError):
                     engine.option_values(rules, (b, lo))
             # a trip hands back only the heaps below it: smaller queries still
@@ -595,7 +595,7 @@ class TestDenseGrids:
                 grid[x, y] = _ref_value(rules, x, y)
         seen = np.zeros_like(grid)
         y0 = lo
-        for xs, ys, values in engine.bands(rules, bound, None, cells):
+        for xs, ys, values in engine.bands(rules, bound, cells):
             assert not (xs.flags.writeable or ys.flags.writeable)
             width = bound + 1 - y0
             rows = min(max(1, cells // width), width)
@@ -615,7 +615,7 @@ class TestDenseGrids:
         # it leaves every heap through the bound known
         monkeypatch.setattr(engine, "_TABLES", engine._new_tables())
         table = engine._TABLES[rules.name]
-        sweep = engine.bands(rules, 300, None, 4096)
+        sweep = engine.bands(rules, 300, 4096)
         next(sweep)
         sweep.close()
         assert table.known == 301
@@ -629,7 +629,7 @@ class TestDenseGrids:
         for rules, lo, first in ((rs.DELETE_NIM, 0, 4), (rs.VDN, 1, 5)):
             for sweep in (
                 lambda b: engine.option_values(rules, (b, lo)),
-                lambda b: engine.bands(rules, b, None, cells),
+                lambda b: engine.bands(rules, b, cells),
             ):
                 monkeypatch.setattr(engine, "_TABLES", engine._new_tables())
                 table = engine._TABLES[rules.name]
@@ -645,7 +645,7 @@ class TestDenseGrids:
         # and hands the table nothing: its values are a cold call's, and the
         # table keeps its array
         def band_sweep():
-            bands = engine.bands(rules, 200, None, 4096)
+            bands = engine.bands(rules, 200, 4096)
             return [(xs.tolist(), ys.tolist(), v.tolist()) for xs, ys, v in bands]
 
         readers = (band_sweep, lambda: engine.option_values(rules, (200, 57)))
@@ -712,7 +712,7 @@ class TestDenseGrids:
                 for n in range(step, 300, step):
                     for rules in (rs.DELETE_NIM, rs.VDN):
                         if n % 30 == 0:
-                            for _ in engine.bands(rules, n, None, 4096):
+                            for _ in engine.bands(rules, n, 4096):
                                 pass
                         got = engine.option_values(rules, (n, 1))
                         for (a, b), value in got.items():
@@ -752,7 +752,7 @@ class TestDenseGrids:
         with pytest.raises(ValueError, match=refused):
             engine.grundy_grid(rs.NIM, 4)
         with pytest.raises(ValueError, match=refused):
-            engine.bands(rs.NIM, 4, None, 16)
+            engine.bands(rs.NIM, 4, 16)
         with pytest.raises(ValueError, match=refused):
             engine.sum_values(rs.NIM, 4)
         with pytest.raises(ValueError, match="no dense backend for ruleset 'delete-nim[+]vdn'"):
@@ -762,14 +762,17 @@ class TestDenseGrids:
         # what earlier calls built changes no charge
         engine.option_values(rs.DELETE_NIM, (700, 3))
         assert engine._TABLES["delete-nim"].known > 600
-        with pytest.raises(BudgetExceededError):
+        with pytest.raises(BudgetExceededError) as exc:
             engine.grundy_grid(rs.DELETE_NIM, 1000, budget=100)
-        # charged before the first band is asked for
+        assert str(exc.value) == "delete-nim grid to bound 1000 exceeds the budget of 100 units"
+        # charged its cells before any band is read; the kernel takes no budget
         with pytest.raises(BudgetExceededError):
-            engine.bands(rs.VDN, 1000, 100, 4096)
+            engine.vdn_grid(1000, budget=100)
+        assert engine.vdn_grid(9, budget=100).shape == (10, 10)
         # a query is charged the full grid up to its larger heap
-        with pytest.raises(BudgetExceededError):
+        with pytest.raises(BudgetExceededError) as exc:
             engine.option_values(rs.DELETE_NIM, (3, 9), budget=99)
+        assert str(exc.value) == "delete-nim position 9,3 exceeds the budget of 99 units"
         assert engine.option_values(rs.DELETE_NIM, (3, 9), budget=100)
         assert engine.check_query(rs.VDN, (3, 9), 100) == ((9, 3), 100)
 

@@ -1,6 +1,7 @@
 import ast
 import dataclasses
 import functools
+import inspect
 import json
 from math import comb
 from pathlib import Path
@@ -157,23 +158,25 @@ class TestSweeps:
 
     @pytest.mark.parametrize("name", vf.CHECK_NAMES)
     def test_each_check_charges_once(self, monkeypatch, name):
-        # one charge per check, iso's included, and no engine charge
-        # function is handed the budget
+        # one charge per check, iso's included, through engine.charge, the
+        # one refusal of a budget; no query is charged, and no kernel takes
+        # a budget
         bound, n, _ = _UNITS[name]
-        charges, budgets = [], []
-        charge = vf._charge
-        monkeypatch.setattr(vf, "_charge", lambda *args: charges.append(args) or charge(*args))
-        for what in ("check_cells", "check_query"):  # each takes the budget third
-            right = getattr(engine, what)
+        charges = []
+        charge = engine.charge
+        monkeypatch.setattr(engine, "charge", lambda *args: charges.append(args) or charge(*args))
 
-            def seen(*args, right=right):
-                budgets.append(args[2] if len(args) > 2 else None)
-                return right(*args)
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a sweep charged as a query")
 
-            monkeypatch.setattr(engine, what, seen)
+        monkeypatch.setattr(engine, "check_query", unreachable)
         assert vf.run_check(name, bound, budget=n).passed
-        assert charges == [(name, bound, n)]
-        assert all(budget is None for budget in budgets)
+        assert [(units, budget) for _, units, budget in charges] == [(n, n)]
+        shown = "x".join(map(str, bound)) if name == "bouton" else bound
+        assert charges[0][0]() == f"{name} to bound {shown}"
+        kernels = (engine.bands, engine.band_rows, engine.sum_values, engine.nim_values,
+                   isomorphism.check_isomorphism)
+        assert all("budget" not in inspect.signature(k).parameters for k in kernels)
 
     def test_bouton_refuses_a_heap_count_before_building_it(self, monkeypatch):
         # heaps * (1 + heaps * size) units, a lower bound on the charge,
@@ -186,8 +189,12 @@ class TestSweeps:
         monkeypatch.setattr(engine, "check_query", unreachable)
         monkeypatch.setattr(vf, "comb", unreachable)
         with pytest.raises(BudgetExceededError) as exc:
+            vf.verify_bouton(10**6, 1 << 16, budget=1 << 26)
+        assert str(exc.value) == "bouton to bound 1000000x65536 exceeds the budget of 67108864 units"
+        # a size past the Nim kernel's limit is refused first, whatever the budget
+        with pytest.raises(BudgetExceededError) as exc:
             vf.verify_bouton(10**6, 10**6, budget=1 << 26)
-        assert str(exc.value) == "bouton to bound 1000000x1000000 exceeds the budget of 67108864 units"
+        assert str(exc.value) == "a heap of 1000000 stones exceeds the nim kernel's limit of 65536"
         with pytest.raises(BudgetExceededError) as exc:
             vf.verify_bouton(10**12, 1, budget=1 << 26)
         assert str(exc.value) == (
@@ -200,16 +207,34 @@ class TestSweeps:
     @pytest.mark.parametrize("heaps, size", [(3, 16), (1, 0)])
     def test_bouton_charges_its_query_once(self, monkeypatch, heaps, size):
         calls = []
-        right = engine.check_query
+        right = engine.nim_values
 
         def counted(*args, **kwargs):
-            calls.append(args)
+            calls.append((args, kwargs))
             return right(*args, **kwargs)
 
-        monkeypatch.setattr(engine, "check_query", counted)
+        monkeypatch.setattr(engine, "nim_values", counted)
         assert vf.verify_bouton(heaps, size, budget=1 << 26).passed
-        # the sweep charged itself; the kernel only checks the heap limit
-        assert calls == [(rulesets.NIM, (size,) * heaps if size else (), None)]
+        # the sweep charged itself; the kernel is given the position alone
+        assert calls == [(((size,) * heaps if size else (),), {})]
+
+    def test_bouton_refuses_a_heap_past_the_kernel_limit_before_the_kernel(self, monkeypatch):
+        # the size is checked with the charge, in the query's own message,
+        # not by the kernel once the sweep has begun
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the Nim kernel ran for a refused sweep")
+
+        monkeypatch.setattr(engine, "nim_values", unreachable)
+        monkeypatch.setattr(engine, "_nim_values", unreachable)
+        limit = engine.NIM_HEAP_LIMIT
+        message = f"a heap of {limit + 1} stones exceeds the nim kernel's limit of {limit}"
+        for budget in (None, 1 << 26):
+            with pytest.raises(BudgetExceededError) as exc:
+                vf.verify_bouton(1, limit + 1, budget=budget)
+            assert str(exc.value) == message
+        with pytest.raises(BudgetExceededError) as exc:
+            engine.check_query(rulesets.NIM, (limit + 1,))
+        assert str(exc.value) == message
 
 
 class TestFaultInjection:
@@ -303,8 +328,8 @@ class TestFaultInjection:
         # perturbed on the engine side, which the report lists as expected
         right = engine.bands
 
-        def wrong(rules, bound, budget, cells):
-            for xs, ys, values in right(rules, bound, budget, cells):
+        def wrong(rules, bound, cells):
+            for xs, ys, values in right(rules, bound, cells):
                 values[(xs == 200) & (ys == 197)] += 3
                 yield xs, ys, values
 
@@ -378,8 +403,8 @@ class TestFaultInjection:
         # either way, does not
         right = engine.bands
 
-        def wrong(rules, bound, budget, cells):
-            for xs, ys, values in right(rules, bound, budget, cells):
+        def wrong(rules, bound, cells):
+            for xs, ys, values in right(rules, bound, cells):
                 values[(xs == 3) & (ys == 0) | (xs == 0) & (ys == 3)] += 1
                 yield xs, ys, values
 
@@ -419,7 +444,7 @@ class TestFaultInjection:
 
         faulty = dataclasses.replace(game, options=options)
 
-        def values(pos, budget=None):
+        def values(pos):
             memo: engine.MemoTable = {}
             return ((p, engine.grundy(p, faulty, memo)) for p, _ in kernel(pos))
 
@@ -588,8 +613,8 @@ class TestCertificateFaultInjection:
         # mirrored cells included: the Grundy commutation reports it once
         right = engine.bands
 
-        def wrong(rules, bound, budget, cells):
-            for xs, ys, values in right(rules, bound, budget, cells):
+        def wrong(rules, bound, cells):
+            for xs, ys, values in right(rules, bound, cells):
                 if rules is rulesets.VDN:
                     values[(xs == 200) & (ys == 197) | (xs == 197) & (ys == 200)] += 3
                 yield xs, ys, values
