@@ -2,10 +2,12 @@
 closed-form Grundy values of Delete Nim and VDN.
 
 Everything here is a pure stateless function.  The vectorized ``*_array``
-variants let the verification sweeps (one anti-diagonal at a time) and the
-``table`` command (one x-row at a time) evaluate the formulas on millions of
-positions without a Python-level loop.  The ``*_grid`` variants build the
-full (bound+1)^2 table; they are library API for the demos and tests.
+variants let the verification sweeps (on each band of rows that
+``engine.bands`` yields) and the ``table`` command (one x-row at a time)
+evaluate the formulas on millions of positions without a Python-level
+loop; they compute in the heaps' own integer type.  The ``*_grid``
+variants build the full (bound+1)^2 table; they are library API for the
+demos and tests.
 """
 
 from __future__ import annotations
@@ -105,13 +107,17 @@ def _v2_of_positive(m: np.ndarray) -> np.ndarray:
 
 def delete_nim_grundy_array(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Elementwise delete_nim_grundy over broadcastable integer arrays of heap
-    sizes, which must all be >= 0 (not checked)."""
+    sizes, which must all be >= 0 (not checked).  The arrays' integer type
+    must hold (x | y) + 1 and its negation (not checked): int16 holds them
+    for heaps through 16383."""
     return _v2_of_positive((xs | ys) + 1)
 
 
 def vdn_grundy_array(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Elementwise vdn_grundy over broadcastable integer arrays of heap sizes,
-    which must all be >= 1 (not checked)."""
+    which must all be >= 1 (not checked).  The arrays' integer type must
+    hold ((x - 1) | (y - 1)) + 1 and its negation (not checked): int16
+    holds them for heaps through 16383."""
     return _v2_of_positive(((xs - 1) | (ys - 1)) + 1)
 
 

@@ -302,10 +302,18 @@ def bands(rules: Ruleset, bound: int, cells: int) -> Iterator:
     read-only row ``y0 .. bound`` of shape (1, w), ``ys`` the read-only
     column ``y0 .. y1 - 1`` of shape (k, 1), and ``values[i, j]`` the value
     of (xs[0, j], ys[i, 0]), fresh uint8 of shape (k, w).  A band holds
-    about ``cells`` cells, with at least one row.  Every canonical position
-    y <= x falls in exactly one band; the k(k - 1)/2 cells of a band with
-    x < y repeat their mirrored positions.  Memory is O(bound + cells).  The
+    about ``cells`` cells, with at least one row, laid out by ``band_rows``
+    from ``(lo, bound, cells)`` alone.  Every canonical position y <= x
+    falls in exactly one band; the k(k - 1)/2 cells of a band with x < y
+    repeat their mirrored positions.  Memory is O(bound + cells).  The
     bound is checked before anything runs; no budget is charged here.
+
+    A band is read in the narrowest integer types.  The masks are cast to
+    the narrowest unsigned type that holds ``1 << top``, ``top`` the bit
+    length of the OR of what every heap reaches, taken from the fill's
+    masks alone: no cell's mex exceeds it.  ``xs`` and ``ys`` are of the
+    narrowest signed type that holds ``-(2 * bound + 2)``, so that
+    ``(x | y) + 1`` and its negation fit in it: int16 through bound 16383.
     """
     lo, _ = _moves(rules)
     check_bound(lo, bound)
@@ -314,7 +322,13 @@ def bands(rules: Ruleset, bound: int, cells: int) -> Iterator:
 
 def _bands(table: _Unreached, bound: int, cells: int) -> Iterator:
     unreached = _fill(table, bound)
-    heaps = np.arange(bound + 1)
+    # no cell's mex passes top, the highest value any heap reaches plus one,
+    # so the masks' low top + 1 bits hold every 1 << mex a band reads
+    top = int(np.bitwise_or.reduce(~unreached)).bit_length()
+    unreached = unreached.astype(np.min_scalar_type(1 << top))
+    # heaps in a type that holds (x | y) + 1 and its negation, so that a
+    # formula on them cannot overflow
+    heaps = np.arange(bound + 1, dtype=np.min_scalar_type(-(2 * bound + 2)))
     heaps.flags.writeable = False
     for rows, cols in band_rows(table.lo, bound, cells):
         free = unreached[rows, None] & unreached[None, cols]

@@ -6,13 +6,15 @@ recursion versus a closed formula, or an explicit certificate versus direct
 enumeration) and emits a VerificationReport.  Sweeps are exhaustive within
 their bounds, never sampled, and no sweep runs the generic engine.  The
 two-heap formula sweeps and iso read the engine's values in bands of rows
-of about ``_BLOCK_CELLS`` cells (``engine.bands``) and compare each band on
-broadcast arrays; proof-steps tests its certificate on bands laid out the
-same way (``engine.band_rows``).  The certificate sweeps (proof-steps, iso)
-rest on every two-heap option set being the union of what choosing each
-heap reaches (``rulesets.*_heap_options``), so they check each heap's moves
-once; iso applies the isomorphism map to each heap's moves and tests each
-position on bands with the map's array twin
+of about ``_BAND_CELLS`` cells (``engine.bands``), in 1- and 2-byte types,
+and compare each band on broadcast arrays; proof-steps tests its
+certificate, in 64-bit types, on bands laid out the same way
+(``engine.band_rows``) of about ``_BLOCK_CELLS`` cells, a quarter as many.
+The certificate sweeps (proof-steps, iso) rest on every two-heap option
+set being the union of what choosing each heap reaches
+(``rulesets.*_heap_options``), so they check each heap's moves once; iso
+applies the isomorphism map to each heap's moves and tests each position
+on bands of ``_BLOCK_CELLS`` cells with the map's array twin
 (``isomorphism.check_isomorphism``).  These sweeps count their checked
 cells from the bands and hold O(bound) memory besides a band, and a
 position that fails is checked in full, one option at a time, for the
@@ -119,19 +121,30 @@ def _as_mismatches(found: list) -> list[Mismatch]:
     return [(f"{x},{y}", e, a) for x, y, e, a in sorted(found)]
 
 
-# Cells per band in the two-heap and certificate sweeps.  Each band costs a
-# fixed numpy dispatch per operation, so bands are wide (proof-steps at
-# bound 160 took 3.9 ms in bands and 9.5 ms at one row per band); but each
-# band allocates several uint64 and int64 temporaries of its size at once,
-# and glibc hands memory that large back to the system when the band frees
-# it (by munmap from 128 KiB, 16,384 cells, and by trimming its heap from
-# well below that), so the next band faults every page in afresh.  In a
-# benchmark pass (delete-nim 3072, vdn 1536; Linux x86-64, Python 3.11,
-# numpy 2.4) that took 326 minor page faults at 8,000 cells, 302 at 10,000,
-# 2,049 at 11,000, 8,002 at 16,384 and 17,964 at 32,768, and the pass grew
-# slower from 16,384 on; in a bare interpreter the step came at 13,000
-# instead.
+# Cells per band in the certificate sweeps (proof-steps, iso's option
+# half).  Each band costs a fixed numpy dispatch per operation, so bands
+# are wide (proof-steps at bound 160 took 3.9 ms in bands and 9.5 ms at one
+# row per band); but each band allocates several uint64 and int64
+# temporaries of its size at once, and glibc hands memory that large back
+# to the system when the band frees it (by munmap from 128 KiB, 16,384
+# cells, and by trimming its heap from well below that), so the next band
+# faults every page in afresh.  In a benchmark pass (delete-nim 3072, vdn
+# 1536; Linux x86-64, Python 3.11, numpy 2.4) 64-bit bands took 326 minor
+# page faults at 8,000 cells, 302 at 10,000, 2,049 at 11,000, 8,002 at
+# 16,384 and 17,964 at 32,768, and the pass grew slower from 16,384 on; in
+# a bare interpreter the step came at 13,000 instead.
 _BLOCK_CELLS = 10_000
+
+# Cells per band in the sweeps that read ``engine.bands`` (delete-nim, vdn,
+# iso's Grundy half, sum's component grid).  Those bands come in 1- and
+# 2-byte types (see ``engine.bands``), so four times the cells keep their
+# temporaries near the same 80 KB.  The same pass in a bare interpreter,
+# one ``cli.main`` call, took 74 minor page faults at every cap from
+# 10,000 to 66,000 cells, 147 at 70,000 and 7,227 at 80,000 (with 64-bit
+# bands: 73 at 10,000, 15,652 at 20,000, 30,596 at 40,000); the band
+# compare of delete-nim 3072 fell from 32 ms at 10,000 cells to 19 ms at
+# 40,000, and barely moved past it.
+_BAND_CELLS = 40_000
 
 
 def _verify_two_heap(
@@ -144,7 +157,7 @@ def _verify_two_heap(
     t0 = time.perf_counter()
     found: list = []
     checked = 0
-    for xs, ys, values in engine.bands(rules, bound, _BLOCK_CELLS):
+    for xs, ys, values in engine.bands(rules, bound, _BAND_CELLS):
         actual = formula(xs, ys)
         checked += engine.band_cells(found, values != actual, xs, ys, values, actual)
     return VerificationReport(
@@ -355,7 +368,7 @@ def verify_sum_theorem(bound: int, budget: int | None = None) -> VerificationRep
     _charge("sum", bound, budget)
     t0 = time.perf_counter()
     grid = np.empty((bound + 1, bound + 1), dtype=np.uint8)
-    for xs, ys, values in engine.bands(rulesets.DELETE_NIM, bound, _BLOCK_CELLS):
+    for xs, ys, values in engine.bands(rulesets.DELETE_NIM, bound, _BAND_CELLS):
         grid[ys[0, 0] : ys[-1, 0] + 1, xs[0, 0] :] = values
     xs, ys = engine.sum_positions(rulesets.DELETE_NIM, bound)
     components = grid[ys, xs]  # in the kernel's position order
@@ -380,13 +393,14 @@ def verify_isomorphism(bound: int, budget: int | None = None) -> VerificationRep
     1 <= y <= x <= bound (``isomorphism.check_isomorphism``, on bands of
     ``_BLOCK_CELLS`` cells), plus Grundy commutation on the same domain,
     each side computed by its own game's engine and compared a band of
-    rows at a time, on the cells x >= y.  A position where the map and its
-    array twin give different images is reported as expecting "equal
-    images".  The report counts the cells the Grundy bands compared."""
+    rows of ``_BAND_CELLS`` cells at a time, on the cells x >= y.  A
+    position where the map and its array twin give different images is
+    reported as expecting "equal images".  The report counts the cells the
+    Grundy bands compared."""
     _charge("iso", bound, budget)
     t0 = time.perf_counter()
-    vdn_bands = engine.bands(rulesets.VDN, bound, _BLOCK_CELLS)
-    dn_bands = engine.bands(rulesets.DELETE_NIM, bound - 1, _BLOCK_CELLS)
+    vdn_bands = engine.bands(rulesets.VDN, bound, _BAND_CELLS)
+    dn_bands = engine.bands(rulesets.DELETE_NIM, bound - 1, _BAND_CELLS)
     mismatches: list[Mismatch] = [
         (f"{p[0]},{p[1]}",
          "equal option sets" if reason.startswith("extra=") else "equal images", reason)

@@ -175,6 +175,27 @@ class TestGrids:
         assert grid[0, 0] == 0
 
 
+@pytest.mark.parametrize("dtype, top", [(np.int16, 2**14 - 1), (np.int32, 2**30 - 1)])
+def test_array_forms_in_narrow_types(dtype, top):
+    # the largest heaps whose (x | y) + 1 and its negation the type holds:
+    # every bit boundary below them, both heaps at the top, and a seeded
+    # sample between
+    rng = np.random.default_rng(top)
+    edges = {h for k in range(top.bit_length() + 1) for h in ((1 << k) - 1, 1 << k, (1 << k) + 1)}
+    sample = set(rng.integers(1, top + 1, size=40).tolist())
+    heaps = np.array(sorted(h for h in edges | sample | {0, top} if h <= top), dtype=dtype)
+    xs, ys = heaps[:, None], heaps[None, :]
+    for form, scalar, low in (
+        (cf.delete_nim_grundy_array, cf.delete_nim_grundy, 0),
+        (cf.vdn_grundy_array, cf.vdn_grundy, 1),
+    ):
+        values = form(xs, ys)
+        for i, x in enumerate(heaps.tolist()):
+            for j, y in enumerate(heaps.tolist()):
+                if x >= low and y >= low:
+                    assert values[i, j] == scalar(x, y), (form.__name__, x, y)
+
+
 _HUGE = -(10**5000)  # past the 4300 digits str() converts
 
 

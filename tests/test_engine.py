@@ -578,6 +578,51 @@ class TestDenseGrids:
             assert table.known == first
 
     @pytest.mark.parametrize(
+        "rules, bound, mask",
+        [
+            (rs.DELETE_NIM, 127, np.uint8),
+            (rs.DELETE_NIM, 128, np.uint16),
+            (rs.VDN, 128, np.uint8),
+            (rs.VDN, 129, np.uint16),
+        ],
+        ids=["delete-nim-127", "delete-nim-128", "vdn-128", "vdn-129"],
+    )
+    def test_bands_narrow_at_the_switch_points(self, monkeypatch, rules, bound, mask):
+        # the masks are cast to the narrowest type that holds 1 << top, top
+        # the bit length of what the heaps through the bound reach: uint8
+        # while no heap reaches value 7, which heap 128 of Delete Nim and
+        # heap 129 of VDN are the first to reach.  A table that knows heaps
+        # past the bound narrows the same way, and the values on both sides
+        # of each switch are the reference recursion's
+        seen = set()
+        right = engine._values
+
+        def spy(low):
+            seen.add(low.dtype)
+            return right(low)
+
+        monkeypatch.setattr(engine, "_values", spy)
+        lo = 0 if rules is rs.DELETE_NIM else 1
+        reference = ref_delete_grundy if rules is rs.DELETE_NIM else ref_vdn_grundy
+        monkeypatch.setattr(engine, "_TABLES", engine._new_tables())
+        for known in (None, 300):
+            if known:
+                engine._fill(engine._TABLES[rules.name], known)
+            seen.clear()
+            checked = 0
+            for xs, ys, values in engine.bands(rules, bound, 4096):
+                # the heaps' type holds (x | y) + 1 and its negation
+                assert xs.dtype == ys.dtype == np.int16
+                assert np.iinfo(xs.dtype).max >= 2 * bound + 1
+                for y, row in zip(ys[:, 0].tolist(), values.tolist()):
+                    for x, v in zip(xs[0].tolist(), row):
+                        if x >= y:
+                            assert v == reference(x, y), (x, y)
+                            checked += 1
+            assert seen == {np.dtype(mask)}
+            assert checked == (bound - lo + 1) * (bound - lo + 2) // 2
+
+    @pytest.mark.parametrize(
         "cells",
         [1, 16, 4096, 10_000, 0],
         ids=["1", "16", "4096", "10000", "below-every-diagonal"],

@@ -21,6 +21,16 @@ def triangle(bound):
     return (bound + 1) * (bound + 2) // 2
 
 
+def _band_cells(monkeypatch, cells):
+    """Run every sweep in bands of ``cells`` cells, or in the default bands
+    at ``vf._BLOCK_CELLS``: the certificate sweeps' ``_BLOCK_CELLS`` and the
+    engine-band sweeps' ``_BAND_CELLS`` alike, so that at 16 cells every
+    band of a bound past 15 is one row."""
+    if cells != vf._BLOCK_CELLS:
+        monkeypatch.setattr(vf, "_BLOCK_CELLS", cells)
+        monkeypatch.setattr(vf, "_BAND_CELLS", cells)
+
+
 def _sum_positions(rules, bound) -> list:
     xs, ys = engine.sum_positions(rules, bound)
     return list(zip(xs.tolist(), ys.tolist()))
@@ -101,6 +111,23 @@ class TestSweeps:
         assert sorted(calls) == sorted(
             (s - b, b) for s in range(1, 9) for b in range(1, s // 2 + 1)
         )
+
+    def test_iso_pairs_bands_whatever_their_mask_types(self, monkeypatch):
+        # bit 40 of one Delete Nim heap's mask cleared: that heap now also
+        # reaches value 40, which no position near this bound has, so no
+        # value moves, but Delete Nim's bands widen to uint64 masks while
+        # VDN's stay uint16.  The bands still pair, by their layout alone
+        monkeypatch.setattr(engine, "_TABLES", engine._new_tables())
+        table = engine._TABLES[rulesets.DELETE_NIM.name]
+        engine._fill(table, 199)
+        table.masks[100] &= ~np.uint64(1 << 40)
+        seen = []
+        right = engine._values
+        monkeypatch.setattr(engine, "_values", lambda low: seen.append(low.dtype) or right(low))
+        rep = vf.verify_isomorphism(200)
+        assert rep.passed
+        assert rep.positions_checked == 200 * 201 // 2
+        assert set(seen) == {np.dtype(np.uint64), np.dtype(np.uint16)}
 
     def test_proof_step_failures_empty_everywhere(self):
         for x in range(40):
@@ -294,8 +321,8 @@ class TestFaultInjection:
 
         monkeypatch.setattr(cf, formula, wrong)
         # at 16 cells every band here is one row
-        for block_cells in (vf._BLOCK_CELLS, 16):
-            monkeypatch.setattr(vf, "_BLOCK_CELLS", block_cells)
+        for band_cells in (vf._BAND_CELLS, 16):
+            monkeypatch.setattr(vf, "_BAND_CELLS", band_cells)
             rep = verify(bound)
             assert rep.positions_checked == (bound - lo + 1) * (bound - lo + 2) // 2
             assert rep.mismatches == [
@@ -319,8 +346,8 @@ class TestFaultInjection:
             return right(xs, ys) + (xs < ys)
 
         monkeypatch.setattr(cf, formula, wrong)
-        for block_cells in (vf._BLOCK_CELLS, 16):
-            monkeypatch.setattr(vf, "_BLOCK_CELLS", block_cells)
+        for band_cells in (vf._BAND_CELLS, 16):
+            monkeypatch.setattr(vf, "_BAND_CELLS", band_cells)
             assert verify(150).passed
 
     def test_wrong_engine_value_is_reported(self, monkeypatch):
@@ -598,7 +625,7 @@ class TestCertificateFaultInjection:
         monkeypatch.setattr(
             cf, "delete_nim_grundy_array", _patched_array(cf.delete_nim_grundy_array, wrong)
         )
-        monkeypatch.setattr(vf, "_BLOCK_CELLS", block_cells)
+        _band_cells(monkeypatch, block_cells)
         rep = vf.verify_proof_steps(bound)
         assert rep.positions_checked == triangle(bound)
         assert rep.mismatches == [
@@ -620,7 +647,7 @@ class TestCertificateFaultInjection:
                 yield xs, ys, values
 
         monkeypatch.setattr(engine, "bands", wrong)
-        monkeypatch.setattr(vf, "_BLOCK_CELLS", block_cells)
+        _band_cells(monkeypatch, block_cells)
         rep = vf.verify_isomorphism(200)
         assert rep.positions_checked == 200 * 201 // 2
         assert rep.mismatches == [
@@ -681,7 +708,7 @@ class TestCertificateFaultInjection:
             isomorphism, "vdn_to_delete_array",
             _patched_image(isomorphism.vdn_to_delete_array, {(6, 2): (4, 2), (5, 5): (5, 3)}),
         )
-        monkeypatch.setattr(vf, "_BLOCK_CELLS", block_cells)
+        _band_cells(monkeypatch, block_cells)
         rep = vf.verify_isomorphism(8)
         assert rep.positions_checked == 8 * 9 // 2
         assert rep.mismatches == [
@@ -697,7 +724,7 @@ class TestCertificateFaultInjection:
         monkeypatch.setattr(
             rulesets, "vdn_heap_options", _dropping(rulesets.vdn_heap_options, 9, (6, 3))
         )
-        monkeypatch.setattr(vf, "_BLOCK_CELLS", block_cells)
+        _band_cells(monkeypatch, block_cells)
         rep = vf.verify_isomorphism(10)
         assert rep.mismatches == [
             (f"{x},{y}", "equal option sets", "extra=[] missing=[(5, 2)]")
@@ -710,7 +737,7 @@ class TestCertificateFaultInjection:
         monkeypatch.setattr(
             rulesets, "vdn_heap_options", _adding(rulesets.vdn_heap_options, 7, {(9, 5)})
         )
-        monkeypatch.setattr(vf, "_BLOCK_CELLS", block_cells)
+        _band_cells(monkeypatch, block_cells)
         rep = vf.verify_isomorphism(10)
         assert rep.mismatches == [
             (f"{x},{y}", "equal option sets", "extra=[(8, 4)] missing=[]")
@@ -725,6 +752,23 @@ class TestCertificateFaultInjection:
         # the same reports when the flagged cells fall in different bands
         getattr(self, fault)(monkeypatch, block_cells=16)
 
+    @pytest.mark.parametrize("name", ["delete-nim", "vdn", "sum", "proof-steps", "iso"])
+    def test_small_bands_reach_every_band_reader(self, monkeypatch, name):
+        # the band size _band_cells sets is the one every band of the sweep
+        # is laid out with, so a 16-cell run of a fault test is one in
+        # bands of one or two rows
+        sizes = []
+        bands, band_rows = engine.bands, engine.band_rows
+        monkeypatch.setattr(
+            engine, "bands", lambda rules, b, cells: sizes.append(cells) or bands(rules, b, cells)
+        )
+        monkeypatch.setattr(
+            engine, "band_rows", lambda lo, b, cells: sizes.append(cells) or band_rows(lo, b, cells)
+        )
+        _band_cells(monkeypatch, 16)
+        assert vf.run_check(name, 12).passed
+        assert sizes and set(sizes) == {16}
+
     @pytest.mark.parametrize("block_cells", [vf._BLOCK_CELLS, 16])
     def test_iso_wrong_twin_image_is_reported_once(self, monkeypatch, block_cells):
         # the scalar map is right everywhere, so the option sets commute at
@@ -733,7 +777,7 @@ class TestCertificateFaultInjection:
             isomorphism, "vdn_to_delete_array",
             _patched_image(isomorphism.vdn_to_delete_array, {(150, 37): (149, 35)}),
         )
-        monkeypatch.setattr(vf, "_BLOCK_CELLS", block_cells)
+        _band_cells(monkeypatch, block_cells)
         rep = vf.verify_isomorphism(200)
         assert rep.positions_checked == 200 * 201 // 2
         assert rep.mismatches == [
