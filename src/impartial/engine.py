@@ -291,60 +291,72 @@ def _moves(rules: Ruleset) -> tuple[int, int]:
         raise ValueError(f"no dense backend for ruleset {rules.name!r}") from None
 
 
-def bands(rules: Ruleset, bound: int, cells: int) -> Iterator:
+def bands(rules: Ruleset, bound: int) -> Iterator:
     """Grundy values of every two-heap position lo <= x, y <= bound, by mex
     recursion, in bands of consecutive rows y.
 
     First the fill gives every heap through ``bound`` its final mask,
     reducing only the diagonals of heaps the game's shared table lacks.
     Then each band is read from those masks alone.  Yields
-    ``(xs, ys, values)`` per band of rows y0 <= y < y1: ``xs`` is the
-    read-only row ``y0 .. bound`` of shape (1, w), ``ys`` the read-only
-    column ``y0 .. y1 - 1`` of shape (k, 1), and ``values[i, j]`` the value
-    of (xs[0, j], ys[i, 0]), fresh uint8 of shape (k, w).  A band holds
-    about ``cells`` cells, with at least one row, laid out by ``band_rows``
-    from ``(lo, bound, cells)`` alone.  Every canonical position y <= x
-    falls in exactly one band; the k(k - 1)/2 cells of a band with x < y
-    repeat their mirrored positions.  Memory is O(bound + cells).  The
-    bound is checked before anything runs; no budget is charged here.
+    ``(xs, ys, values)`` per band of rows y0 <= y < y1: ``xs`` and ``ys``
+    are the band's heap views from ``band_rows``, of shapes (1, w) and
+    (k, 1), and ``values[i, j]`` the value of (xs[0, j], ys[i, 0]), fresh
+    uint8 of shape (k, w).  Every canonical position y <= x falls in
+    exactly one band; the k(k - 1)/2 cells of a band with x < y repeat
+    their mirrored positions.  Memory is O(bound + _BAND_CELLS).  The bound
+    is checked before anything runs; no budget is charged here.
 
-    A band is read in the narrowest integer types.  The masks are cast to
-    the narrowest unsigned type that holds ``1 << top``, ``top`` the bit
-    length of the OR of what every heap reaches, taken from the fill's
-    masks alone: no cell's mex exceeds it.  ``xs`` and ``ys`` are of the
-    narrowest signed type that holds ``-(2 * bound + 2)``, so that
-    ``(x | y) + 1`` and its negation fit in it: int16 through bound 16383.
+    The masks are cast to the narrowest unsigned type that holds
+    ``1 << top``, ``top`` the bit length of the OR of what every heap
+    reaches, taken from the fill's masks alone: no cell's mex exceeds it.
     """
     lo, _ = _moves(rules)
     check_bound(lo, bound)
-    return _bands(_TABLES[rules.name], bound, cells)
+    return _bands(_TABLES[rules.name], bound)
 
 
-def _bands(table: _Unreached, bound: int, cells: int) -> Iterator:
+def _bands(table: _Unreached, bound: int) -> Iterator:
     unreached = _fill(table, bound)
     # no cell's mex passes top, the highest value any heap reaches plus one,
     # so the masks' low top + 1 bits hold every 1 << mex a band reads
     top = int(np.bitwise_or.reduce(~unreached)).bit_length()
     unreached = unreached.astype(np.min_scalar_type(1 << top))
-    # heaps in a type that holds (x | y) + 1 and its negation, so that a
-    # formula on them cannot overflow
+    for rows, cols, xs, ys in band_rows(table.lo, bound):
+        free = unreached[rows, None] & unreached[None, cols]
+        yield xs, ys, _values(free & -free)
+
+
+# Cells per band of every banded sweep (``band_rows``).  Each band costs a
+# fixed numpy dispatch per operation, so bands are wide; but glibc hands
+# memory of 128 KiB and more back to the system when a band frees it, and
+# the next band faults every page in afresh, so the sweeps' narrow types
+# keep a band's temporaries near 80 KB.  One ``cli.main`` call of
+# delete-nim 3072 and vdn 1536 (Linux x86-64, Python 3.11, numpy 2.4) took
+# 74 minor page faults at every cap from 10,000 to 66,000 cells, 147 at
+# 70,000 and 7,227 at 80,000 (64-bit bands: 30,596 at 40,000); its band
+# compare fell from 32 ms at 10,000 cells to 19 ms at 40,000.
+_BAND_CELLS = 40_000
+
+
+def band_rows(lo: int, bound: int) -> Iterator[tuple]:
+    """The layout of every banded sweep: ``(rows, cols, xs, ys)`` per band,
+    the slices y0 .. y1 - 1 and y0 .. bound of the heaps lo .. bound,
+    holding about ``_BAND_CELLS`` cells (rows times columns, read when the
+    layout starts) and at least one row, and the read-only views of those
+    heaps as a (1, w) row ``xs`` and a (k, 1) column ``ys``.  Every pair
+    lo <= y <= x <= bound falls in exactly one band; the cells with x < y
+    are the k(k - 1)/2 of a band's first k columns, k its number of rows.
+
+    The heaps are of the narrowest signed type that holds
+    ``-(2 * bound + 2)``, so that ``(x | y) + 1`` and its negation fit in
+    it and a formula on them cannot overflow: int16 through bound 16383."""
+    cells = _BAND_CELLS
     heaps = np.arange(bound + 1, dtype=np.min_scalar_type(-(2 * bound + 2)))
     heaps.flags.writeable = False
-    for rows, cols in band_rows(table.lo, bound, cells):
-        free = unreached[rows, None] & unreached[None, cols]
-        yield heaps[None, cols], heaps[rows, None], _values(free & -free)
-
-
-def band_rows(lo: int, bound: int, cells: int) -> Iterator[tuple[slice, slice]]:
-    """The layout of ``bands``: ``(rows, cols)`` per band, the slices
-    y0 .. y1 - 1 and y0 .. bound of the heaps lo .. bound, holding about
-    ``cells`` cells (rows times columns) and at least one row.  Every pair
-    lo <= y <= x <= bound falls in exactly one band; the cells with x < y
-    are the k(k - 1)/2 of a band's first k columns, k its number of rows."""
     y0 = lo
     while y0 <= bound:
         y1 = min(bound + 1, y0 + max(1, cells // (bound + 1 - y0)))
-        yield slice(y0, y1), slice(y0, bound + 1)
+        yield slice(y0, y1), slice(y0, bound + 1), heaps[None, y0:], heaps[y0:y1, None]
         y0 = y1
 
 
@@ -867,8 +879,8 @@ def _scatter(rules: Ruleset, bound: int, budget: int | None) -> np.ndarray:
     units = grid_cells(_moves(rules)[0], bound)
     charge(lambda: f"{rules.name} grid to bound {echo_number(bound)}", units, budget)
     grid = np.full((bound + 1, bound + 1), -1, dtype=np.int16)
-    # bands of about one row's worth of cells, each written where it lies
-    for _, ys, values in bands(rules, bound, bound + 1):
+    # the sweeps' bands, each written where it lies
+    for _, ys, values in bands(rules, bound):
         y0 = int(ys[0, 0])
         grid[y0 : y0 + len(ys), y0:] = values
     # mirror the upper half; -1 is below every Grundy value, and stays

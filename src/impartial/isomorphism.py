@@ -48,7 +48,7 @@ def delete_to_vdn(p: Pair) -> Pair:
     return canonical_pair(x + 1, y + 1)
 
 
-def check_isomorphism(bound: int, cells: int = 10_000) -> list[tuple[Pair, str]]:
+def check_isomorphism(bound: int) -> list[tuple[Pair, str]]:
     """For every VDN position with 1 <= y <= x <= bound, check that mapping
     each VDN option componentwise gives exactly the Delete Nim options of the
     mapped position.  Returns the counterexamples, in (x, y) order, as
@@ -61,12 +61,12 @@ def check_isomorphism(bound: int, cells: int = 10_000) -> list[tuple[Pair, str]]
     of heap s exactly onto the Delete Nim moves of heap s - 1.  A position
     whose two heaps both pass, and which itself maps to (x - 1, y - 1),
     then commutes by construction.  The positions are tested on the bands
-    of rows of about ``cells`` cells that ``engine.band_rows`` lays out,
-    each band's images taken from the array twin, vdn_to_delete_array;
-    verification passes its own band size.  Only flagged positions reach
-    Python: each is compared in full, one option at a time, with the
-    scalar map.  If that finds nothing and the two maps give different
-    images there, the position is reported with the reason
+    that ``engine.band_rows`` lays out, in its narrow heap types, each
+    band's images taken from the array twin, vdn_to_delete_array.  Only
+    flagged positions reach Python: each is compared in full, one option
+    at a time, with the scalar map.  If that finds nothing and the two
+    maps give different images there, the position is reported with the
+    reason
     "vdn_to_delete gives (a, b), vdn_to_delete_array gives (c, d)".
 
     So the scalar map is applied to every heap option, the VDN pairs
@@ -84,10 +84,8 @@ def check_isomorphism(bound: int, cells: int = 10_000) -> list[tuple[Pair, str]]
         set(map(vdn_to_delete, vdn_heap_options(s))) == delete_nim_heap_options(s - 1)
         for s in range(1, bound + 1)
     ])
-    heaps = np.arange(bound + 1)
     flagged_cells: list = []
-    for rows, cols in engine.band_rows(1, bound, cells):
-        xs, ys = heaps[None, cols], heaps[rows, None]
+    for rows, cols, xs, ys in engine.band_rows(1, bound):
         big, small = vdn_to_delete_array(xs, ys)
         flagged = ~(matched[None, cols] & matched[rows, None])
         flagged |= big != xs - 1

@@ -4,20 +4,19 @@ identities on bounded position grids.
 Every check runs two independent routes against each other (bottom-up mex
 recursion versus a closed formula, or an explicit certificate versus direct
 enumeration) and emits a VerificationReport.  Sweeps are exhaustive within
-their bounds, never sampled, and no sweep runs the generic engine.  The
-two-heap formula sweeps and iso read the engine's values in bands of rows
-of about ``_BAND_CELLS`` cells (``engine.bands``), in 1- and 2-byte types,
-and compare each band on broadcast arrays; proof-steps tests its
-certificate, in 64-bit types, on bands laid out the same way
-(``engine.band_rows``) of about ``_BLOCK_CELLS`` cells, a quarter as many.
-The certificate sweeps (proof-steps, iso) rest on every two-heap option
-set being the union of what choosing each heap reaches
-(``rulesets.*_heap_options``), so they check each heap's moves once; iso
-applies the isomorphism map to each heap's moves and tests each position
-on bands of ``_BLOCK_CELLS`` cells with the map's array twin
-(``isomorphism.check_isomorphism``).  These sweeps count their checked
-cells from the bands and hold O(bound) memory besides a band, and a
-position that fails is checked in full, one option at a time, for the
+their bounds, never sampled, and no sweep runs the generic engine.  Every
+banded sweep takes the one layout of ``engine.band_rows``: bands of rows
+of about ``engine._BAND_CELLS`` cells, on heaps in a narrow integer type.
+The two-heap formula sweeps and iso read the engine's values in those
+bands (``engine.bands``) and compare each band on broadcast arrays.  The
+certificate sweeps (proof-steps, iso) rest on every two-heap option set
+being the union of what choosing each heap reaches
+(``rulesets.*_heap_options``), so they check each heap's moves once;
+proof-steps tests each position on the heaps' masks in the narrowest
+unsigned type its bound allows, and iso tests each position with the map's
+array twin (``isomorphism.check_isomorphism``).  These sweeps count their
+checked cells from the bands and hold O(bound) memory besides a band, and
+a position that fails is checked in full, one option at a time, for the
 report.  The sum sweep compares the engine's sum kernel
 (``engine.sum_values``) with the XOR of the component values from
 ``engine.bands``, one broadcast per batch of sums; the Bouton sweep takes
@@ -121,32 +120,6 @@ def _as_mismatches(found: list) -> list[Mismatch]:
     return [(f"{x},{y}", e, a) for x, y, e, a in sorted(found)]
 
 
-# Cells per band in the certificate sweeps (proof-steps, iso's option
-# half).  Each band costs a fixed numpy dispatch per operation, so bands
-# are wide (proof-steps at bound 160 took 3.9 ms in bands and 9.5 ms at one
-# row per band); but each band allocates several uint64 and int64
-# temporaries of its size at once, and glibc hands memory that large back
-# to the system when the band frees it (by munmap from 128 KiB, 16,384
-# cells, and by trimming its heap from well below that), so the next band
-# faults every page in afresh.  In a benchmark pass (delete-nim 3072, vdn
-# 1536; Linux x86-64, Python 3.11, numpy 2.4) 64-bit bands took 326 minor
-# page faults at 8,000 cells, 302 at 10,000, 2,049 at 11,000, 8,002 at
-# 16,384 and 17,964 at 32,768, and the pass grew slower from 16,384 on; in
-# a bare interpreter the step came at 13,000 instead.
-_BLOCK_CELLS = 10_000
-
-# Cells per band in the sweeps that read ``engine.bands`` (delete-nim, vdn,
-# iso's Grundy half, sum's component grid).  Those bands come in 1- and
-# 2-byte types (see ``engine.bands``), so four times the cells keep their
-# temporaries near the same 80 KB.  The same pass in a bare interpreter,
-# one ``cli.main`` call, took 74 minor page faults at every cap from
-# 10,000 to 66,000 cells, 147 at 70,000 and 7,227 at 80,000 (with 64-bit
-# bands: 73 at 10,000, 15,652 at 20,000, 30,596 at 40,000); the band
-# compare of delete-nim 3072 fell from 32 ms at 10,000 cells to 19 ms at
-# 40,000, and barely moved past it.
-_BAND_CELLS = 40_000
-
-
 def _verify_two_heap(
     name: str, rules: rulesets.Ruleset, formula: Callable, bound: int, budget: int | None
 ) -> VerificationReport:
@@ -157,7 +130,7 @@ def _verify_two_heap(
     t0 = time.perf_counter()
     found: list = []
     checked = 0
-    for xs, ys, values in engine.bands(rules, bound, _BAND_CELLS):
+    for xs, ys, values in engine.bands(rules, bound):
         actual = formula(xs, ys)
         checked += engine.band_cells(found, values != actual, xs, ys, values, actual)
     return VerificationReport(
@@ -251,20 +224,20 @@ def proof_step_failures(x: int, y: int) -> list[Mismatch]:
     return found
 
 
-_ALL_BITS = (1 << 64) - 1
-
-
-def _heap_certificate(s: int, grundy: Callable, heap_options: Callable) -> tuple[int, int]:
+def _heap_certificate(
+    s: int, grundy: Callable, heap_options: Callable, width: int
+) -> tuple[int, int]:
     """What choosing a Delete Nim heap of s stones contributes to the proof
-    steps of every position holding it: ``(values, bad)``.  Bit g of
-    ``values`` is set when some position the choice reaches has closed-form
-    value g (all 64 bits if one has a negative value).  Bit v of ``bad``
-    is set when bit v of s is set and the option constructed from it,
-    (s - 2**v, 2**v - 1), is not among those positions or lacks value v."""
+    steps of every position holding it: ``(values, bad)``, masks of
+    ``width`` bits.  Bit g of ``values`` is set when some position the
+    choice reaches has closed-form value g; all ``width`` bits are set if
+    one has a value outside [0, width).  Bit v of ``bad`` is set when bit
+    v of s is set and the option constructed from it, (s - 2**v, 2**v - 1),
+    is not among those positions or lacks value v."""
     reached = heap_options(s)
     values = 0
     for g in set(starmap(grundy, reached)):
-        values |= 1 << g if g >= 0 else _ALL_BITS
+        values |= 1 << g if 0 <= g < width else (1 << width) - 1
     bad = 0
     for v in range(s.bit_length()):
         bit = 1 << v
@@ -277,25 +250,27 @@ def _heap_certificate(s: int, grundy: Callable, heap_options: Callable) -> tuple
 
 def _proof_step_cells(bound: int, values: np.ndarray, bad: np.ndarray) -> tuple[list, int]:
     """``(x, y, h)`` for every cell 0 <= y <= x <= bound where a proof step
-    fails on the heaps' uint64 ``values`` and ``bad`` masks (see
+    fails on the heaps' ``values`` and ``bad`` masks (see
     _heap_certificate), h being the array closed form's value there, and
     the number of cells x >= y the bands tested.
 
-    The tests run on the bands of rows of about ``_BLOCK_CELLS`` cells that
-    ``engine.band_rows`` lays out: each band evaluates the closed form once
-    and tests every cell on the same broadcast arrays, so the sweep costs a
-    fixed number of numpy steps per band, not Python work per position."""
-    heaps = np.arange(bound + 1)
+    The tests run on the bands that ``engine.band_rows`` lays out, in the
+    masks' unsigned type: each band evaluates the closed form once on the
+    narrow heaps and tests every cell on the same broadcast arrays, so the
+    sweep costs a fixed number of numpy steps per band, not Python work
+    per position."""
+    mask = values.dtype
+    width = 8 * mask.itemsize
     found: list = []
     checked = 0
-    for rows, cols in engine.band_rows(0, bound, _BLOCK_CELLS):
-        xs, ys = heaps[None, cols], heaps[rows, None]
+    for rows, cols, xs, ys in engine.band_rows(0, bound):
         h = closed_forms.delete_nim_grundy_array(xs, ys)
-        x, y = xs.view(np.uint64), ys.view(np.uint64)
-        # 1 << h; 0 where h is negative (or past 63), so that below is all
-        # ones there and (b) fails at bit 63, which no heap holds
-        below = h.astype(np.uint64)
-        np.left_shift(np.uint64(1), below, out=below)
+        x, y = xs.astype(mask), ys.astype(mask)
+        # 1 << h; 0 where h is outside [0, width), so that below is all
+        # ones there and (b) fails at the type's top bit, which no heap holds
+        below = np.empty(h.shape, mask)
+        np.clip(h, -1, width, out=below, casting="unsafe")
+        np.left_shift(mask.type(1), below, out=below)
         # (a) fails where bit h is set in what either heap reaches
         test = np.bitwise_or(values[None, cols], values[rows, None])
         test &= below
@@ -320,10 +295,18 @@ def verify_proof_steps(bound: int, budget: int | None = None) -> VerificationRep
     of the two heaps' value bitmasks, and (b) when each bit v < h is set in
     x or y and the option constructed from that heap is good (see
     _heap_certificate).  Each heap is enumerated once, with the scalar
-    closed form, into two uint64 arrays; then the two tests run on bands
-    of rows against the array closed form (``_proof_step_cells``), so the
-    sweep holds O(bound + _BLOCK_CELLS) values and does O(bound**2) work,
-    all but the per-heap part of it in numpy.
+    closed form, into two mask arrays; then the two tests run on bands of
+    rows against the array closed form (``_proof_step_cells``), so the
+    sweep holds O(bound + engine._BAND_CELLS) values and does O(bound**2)
+    work, all but the per-heap part of it in numpy.
+
+    The masks' type, of ``width`` bits, is the narrowest unsigned one that
+    holds ``1 << bound.bit_length()``: it comes from the bound, since the
+    sweep reads no engine value.  It holds every heap bit and every
+    correct value bit, and its top bit is one that no heap holds, so where
+    the array form's value is outside [0, width) step (b) fails there.  A
+    value outside [0, width) at an option sets every bit of its heap's
+    mask, so each position holding the heap is checked in full.
 
     So the two closed forms carry the certificate together: each
     position's own value h is the array form's
@@ -343,8 +326,11 @@ def verify_proof_steps(bound: int, budget: int | None = None) -> VerificationRep
     t0 = time.perf_counter()
     grundy = closed_forms.delete_nim_grundy
     heap_options = rulesets.delete_nim_heap_options
-    certificates = [_heap_certificate(s, grundy, heap_options) for s in range(bound + 1)]
-    values, bad = (np.array(masks, dtype=np.uint64) for masks in zip(*certificates))
+    mask = np.min_scalar_type(1 << bound.bit_length())
+    width = 8 * mask.itemsize
+    # a generator, so that the per-heap pairs are freed before the bands run
+    certificates = (_heap_certificate(s, grundy, heap_options, width) for s in range(bound + 1))
+    values, bad = (np.array(masks, dtype=mask) for masks in zip(*certificates))
     mismatches: list[Mismatch] = []
     flagged, checked = _proof_step_cells(bound, values, bad)
     for x, y, h in sorted(flagged):
@@ -368,7 +354,7 @@ def verify_sum_theorem(bound: int, budget: int | None = None) -> VerificationRep
     _charge("sum", bound, budget)
     t0 = time.perf_counter()
     grid = np.empty((bound + 1, bound + 1), dtype=np.uint8)
-    for xs, ys, values in engine.bands(rulesets.DELETE_NIM, bound, _BAND_CELLS):
+    for xs, ys, values in engine.bands(rulesets.DELETE_NIM, bound):
         grid[ys[0, 0] : ys[-1, 0] + 1, xs[0, 0] :] = values
     xs, ys = engine.sum_positions(rulesets.DELETE_NIM, bound)
     components = grid[ys, xs]  # in the kernel's position order
@@ -390,21 +376,21 @@ def verify_sum_theorem(bound: int, budget: int | None = None) -> VerificationRep
 
 def verify_isomorphism(bound: int, budget: int | None = None) -> VerificationReport:
     """Option-set commutation under the VDN -> Delete Nim map for all
-    1 <= y <= x <= bound (``isomorphism.check_isomorphism``, on bands of
-    ``_BLOCK_CELLS`` cells), plus Grundy commutation on the same domain,
-    each side computed by its own game's engine and compared a band of
-    rows of ``_BAND_CELLS`` cells at a time, on the cells x >= y.  A
+    1 <= y <= x <= bound (``isomorphism.check_isomorphism``), plus Grundy
+    commutation on the same domain, each side computed by its own game's
+    engine and compared a band of rows at a time (``engine.bands``), on
+    the cells x >= y; both halves take the one band layout.  A
     position where the map and its array twin give different images is
     reported as expecting "equal images".  The report counts the cells the
     Grundy bands compared."""
     _charge("iso", bound, budget)
     t0 = time.perf_counter()
-    vdn_bands = engine.bands(rulesets.VDN, bound, _BAND_CELLS)
-    dn_bands = engine.bands(rulesets.DELETE_NIM, bound - 1, _BAND_CELLS)
+    vdn_bands = engine.bands(rulesets.VDN, bound)
+    dn_bands = engine.bands(rulesets.DELETE_NIM, bound - 1)
     mismatches: list[Mismatch] = [
         (f"{p[0]},{p[1]}",
          "equal option sets" if reason.startswith("extra=") else "equal images", reason)
-        for p, reason in isomorphism.check_isomorphism(bound, _BLOCK_CELLS)
+        for p, reason in isomorphism.check_isomorphism(bound)
     ]
     # VDN rows and columns 1 .. bound are Delete Nim's 0 .. bound - 1, so
     # the two games' bands are equally wide, and pair one to one, cell by

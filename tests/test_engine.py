@@ -29,7 +29,7 @@ from reference import (
 def _one_go_masks(rules, heaps: int) -> np.ndarray:
     """The masks of heaps 0 .. heaps - 1, built by one fill on an empty table."""
     with mock.patch.object(engine, "_TABLES", engine._new_tables()):
-        for _ in engine.bands(rules, heaps - 1, 4096):
+        for _ in engine.bands(rules, heaps - 1):
             pass
         table = engine._TABLES[rules.name]
         assert table.known == heaps
@@ -495,7 +495,7 @@ class TestNimTables:
 
 class TestDenseGrids:
     @pytest.mark.parametrize("rules", [rs.DELETE_NIM, rs.VDN], ids=lambda r: r.name)
-    def test_grid_matches_generic_engine(self, rules):
+    def test_grid_matches_generic_engine(self, monkeypatch, rules):
         bound = 48
         grid = engine.grundy_grid(rules, bound)
         memo = {}
@@ -504,11 +504,12 @@ class TestDenseGrids:
             for y in range(lo, x + 1):
                 assert grid[x, y] == engine.grundy((x, y), rules, memo)
                 assert grid[y, x] == grid[x, y]
+        monkeypatch.setattr(engine, "_BAND_CELLS", 40)
         for small in sorted({lo, 1, 2, 3, 17}):
             # bands of one row and of several, whose cells with x < y
             # repeat their mirrored positions
             seen = Counter()
-            for xs, ys, values in engine.bands(rules, small, 40):
+            for xs, ys, values in engine.bands(rules, small):
                 for y, row in zip(ys[:, 0].tolist(), values.tolist()):
                     for x, v in zip(xs[0].tolist(), row):
                         if x >= y:
@@ -559,11 +560,11 @@ class TestDenseGrids:
         for rules, lo, first in ((rs.DELETE_NIM, 0, 4), (rs.VDN, 1, 5)):
             for b in range(lo, first + 4):
                 if b < first:
-                    list(engine.bands(rules, b, 4096))
+                    list(engine.bands(rules, b))
                     engine.option_values(rules, (b, lo))
                     continue
                 with pytest.raises(RuntimeError):
-                    list(engine.bands(rules, b, 4096))
+                    list(engine.bands(rules, b))
                 with pytest.raises(RuntimeError):
                     engine.option_values(rules, (b, lo))
             # a trip hands back only the heaps below it: smaller queries still
@@ -610,7 +611,7 @@ class TestDenseGrids:
                 engine._fill(engine._TABLES[rules.name], known)
             seen.clear()
             checked = 0
-            for xs, ys, values in engine.bands(rules, bound, 4096):
+            for xs, ys, values in engine.bands(rules, bound):
                 # the heaps' type holds (x | y) + 1 and its negation
                 assert xs.dtype == ys.dtype == np.int16
                 assert np.iinfo(xs.dtype).max >= 2 * bound + 1
@@ -628,7 +629,7 @@ class TestDenseGrids:
         ids=["1", "16", "4096", "10000", "below-every-diagonal"],
     )
     @pytest.mark.parametrize("rules", [rs.DELETE_NIM, rs.VDN], ids=lambda r: r.name)
-    def test_runs_join_the_diagonals(self, rules, cells):
+    def test_runs_join_the_diagonals(self, monkeypatch, rules, cells):
         # the bands, runs of whole rows of about cells cells each (one row
         # at least; 0 is below every row and every diagonal), hold each
         # canonical cell exactly once, with its value
@@ -640,7 +641,8 @@ class TestDenseGrids:
                 grid[x, y] = _ref_value(rules, x, y)
         seen = np.zeros_like(grid)
         y0 = lo
-        for xs, ys, values in engine.bands(rules, bound, cells):
+        monkeypatch.setattr(engine, "_BAND_CELLS", cells)
+        for xs, ys, values in engine.bands(rules, bound):
             assert not (xs.flags.writeable or ys.flags.writeable)
             width = bound + 1 - y0
             rows = min(max(1, cells // width), width)
@@ -654,13 +656,22 @@ class TestDenseGrids:
         assert np.array_equal(seen, grid >= 0)
         assert seen.sum() == (bound - lo + 1) * (bound - lo + 2) // 2
 
+    @pytest.mark.parametrize("bound, heap", [(16383, np.int16), (16384, np.int32)])
+    def test_band_heaps_narrow_at_the_switch_point(self, bound, heap):
+        # the heaps' type holds -(2 * bound + 2): int16 through 16383
+        rows, cols, xs, ys = next(engine.band_rows(0, bound))
+        assert xs.dtype == ys.dtype == heap
+        assert xs.tolist() == [list(range(bound + 1))]
+        assert ys.tolist() == [[y] for y in range(rows.stop)]
+        assert cols == slice(0, bound + 1)
+
     @pytest.mark.parametrize("rules", [rs.DELETE_NIM, rs.VDN], ids=lambda r: r.name)
     def test_block_sweep_closed_early_leaves_a_prefix(self, monkeypatch, rules):
         # the fill runs before the first band, so a band reader closed after
         # it leaves every heap through the bound known
         monkeypatch.setattr(engine, "_TABLES", engine._new_tables())
         table = engine._TABLES[rules.name]
-        sweep = engine.bands(rules, 300, 4096)
+        sweep = engine.bands(rules, 300)
         next(sweep)
         sweep.close()
         assert table.known == 301
@@ -671,10 +682,11 @@ class TestDenseGrids:
         # a band reader trips at the heap a query trips at, and the fill of
         # either hands the table only the heaps below it
         monkeypatch.setattr(engine, "_MASK_WIDTH", 2)
+        monkeypatch.setattr(engine, "_BAND_CELLS", cells)
         for rules, lo, first in ((rs.DELETE_NIM, 0, 4), (rs.VDN, 1, 5)):
             for sweep in (
                 lambda b: engine.option_values(rules, (b, lo)),
-                lambda b: engine.bands(rules, b, cells),
+                lambda b: engine.bands(rules, b),
             ):
                 monkeypatch.setattr(engine, "_TABLES", engine._new_tables())
                 table = engine._TABLES[rules.name]
@@ -690,7 +702,7 @@ class TestDenseGrids:
         # and hands the table nothing: its values are a cold call's, and the
         # table keeps its array
         def band_sweep():
-            bands = engine.bands(rules, 200, 4096)
+            bands = engine.bands(rules, 200)
             return [(xs.tolist(), ys.tolist(), v.tolist()) for xs, ys, v in bands]
 
         readers = (band_sweep, lambda: engine.option_values(rules, (200, 57)))
@@ -757,7 +769,7 @@ class TestDenseGrids:
                 for n in range(step, 300, step):
                     for rules in (rs.DELETE_NIM, rs.VDN):
                         if n % 30 == 0:
-                            for _ in engine.bands(rules, n, 4096):
+                            for _ in engine.bands(rules, n):
                                 pass
                         got = engine.option_values(rules, (n, 1))
                         for (a, b), value in got.items():
@@ -797,7 +809,7 @@ class TestDenseGrids:
         with pytest.raises(ValueError, match=refused):
             engine.grundy_grid(rs.NIM, 4)
         with pytest.raises(ValueError, match=refused):
-            engine.bands(rs.NIM, 4, 16)
+            engine.bands(rs.NIM, 4)
         with pytest.raises(ValueError, match=refused):
             engine.sum_values(rs.NIM, 4)
         with pytest.raises(ValueError, match="no dense backend for ruleset 'delete-nim[+]vdn'"):

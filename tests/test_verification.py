@@ -22,13 +22,10 @@ def triangle(bound):
 
 
 def _band_cells(monkeypatch, cells):
-    """Run every sweep in bands of ``cells`` cells, or in the default bands
-    at ``vf._BLOCK_CELLS``: the certificate sweeps' ``_BLOCK_CELLS`` and the
-    engine-band sweeps' ``_BAND_CELLS`` alike, so that at 16 cells every
-    band of a bound past 15 is one row."""
-    if cells != vf._BLOCK_CELLS:
-        monkeypatch.setattr(vf, "_BLOCK_CELLS", cells)
-        monkeypatch.setattr(vf, "_BAND_CELLS", cells)
+    """Run every banded sweep in bands of ``cells`` cells: ``engine._BAND_CELLS``,
+    the one band size, so that at 16 cells every band of a bound past 15 is
+    one row."""
+    monkeypatch.setattr(engine, "_BAND_CELLS", cells)
 
 
 def _sum_positions(rules, bound) -> list:
@@ -99,6 +96,13 @@ class TestSweeps:
         rep = vf.verify_isomorphism(48)
         assert rep.passed
         assert rep.positions_checked == 48 * 49 // 2
+
+    @pytest.mark.parametrize("bound", [127, 128])
+    def test_iso_on_both_sides_of_a_mask_type_switch(self, bound):
+        # Delete Nim's bands widen to uint16 masks past heap 127
+        rep = vf.verify_isomorphism(bound)
+        assert rep.passed
+        assert rep.positions_checked == {127: 8128, 128: 8256}[bound]
 
     def test_iso_maps_every_heap_option_once(self, monkeypatch):
         # a passing sweep applies the scalar map to each VDN heap option,
@@ -321,8 +325,8 @@ class TestFaultInjection:
 
         monkeypatch.setattr(cf, formula, wrong)
         # at 16 cells every band here is one row
-        for band_cells in (vf._BAND_CELLS, 16):
-            monkeypatch.setattr(vf, "_BAND_CELLS", band_cells)
+        for size in (engine._BAND_CELLS, 16):
+            _band_cells(monkeypatch, size)
             rep = verify(bound)
             assert rep.positions_checked == (bound - lo + 1) * (bound - lo + 2) // 2
             assert rep.mismatches == [
@@ -346,8 +350,8 @@ class TestFaultInjection:
             return right(xs, ys) + (xs < ys)
 
         monkeypatch.setattr(cf, formula, wrong)
-        for band_cells in (vf._BAND_CELLS, 16):
-            monkeypatch.setattr(vf, "_BAND_CELLS", band_cells)
+        for size in (engine._BAND_CELLS, 16):
+            _band_cells(monkeypatch, size)
             assert verify(150).passed
 
     def test_wrong_engine_value_is_reported(self, monkeypatch):
@@ -355,8 +359,8 @@ class TestFaultInjection:
         # perturbed on the engine side, which the report lists as expected
         right = engine.bands
 
-        def wrong(rules, bound, cells):
-            for xs, ys, values in right(rules, bound, cells):
+        def wrong(rules, bound):
+            for xs, ys, values in right(rules, bound):
                 values[(xs == 200) & (ys == 197)] += 3
                 yield xs, ys, values
 
@@ -430,8 +434,8 @@ class TestFaultInjection:
         # either way, does not
         right = engine.bands
 
-        def wrong(rules, bound, cells):
-            for xs, ys, values in right(rules, bound, cells):
+        def wrong(rules, bound):
+            for xs, ys, values in right(rules, bound):
                 values[(xs == 3) & (ys == 0) | (xs == 0) & (ys == 3)] += 1
                 yield xs, ys, values
 
@@ -609,8 +613,51 @@ class TestCertificateFaultInjection:
                 ("12,4", "a value >= 0", "12,4 has value -1")
             ]
 
-    @pytest.mark.parametrize("block_cells", [vf._BLOCK_CELLS, 16])
-    def test_proof_steps_array_form_disagrees(self, monkeypatch, block_cells):
+    def test_proof_steps_wide_scalar(self, monkeypatch):
+        # value 64 at the option (5, 3) is past every mask bit, so each
+        # position holding heap 9, which reaches it, is checked in full;
+        # only (5, 3) itself fails, at every bit from 3 up
+        cells = {(5, 3): 64}  # right: 3
+        monkeypatch.setattr(cf, "delete_nim_grundy", _patched(cf.delete_nim_grundy, cells))
+        monkeypatch.setattr(
+            cf, "delete_nim_grundy_array", _patched_array(cf.delete_nim_grundy_array, cells)
+        )
+        rep = vf.verify_proof_steps(20)
+        assert rep.positions_checked == triangle(20)
+        assert rep.mismatches == [
+            ("5,3", f"a heap with bit {v} set", "neither heap has it") for v in range(3, 64)
+        ]
+
+    def test_proof_steps_masks_narrow_at_the_switch_point(self, monkeypatch):
+        # the masks' type comes from the bound: uint8 through 127 and
+        # uint16 from 128.  Value 8, planted at (127, 127) and at the option
+        # (5, 3), lies past uint8 and inside uint16, and is reported alike;
+        # 256 at (100, 20), no constructed option, whose heaps reach no
+        # value 0, lies past both
+        cells = {(127, 127): 8, (5, 3): 8, (100, 20): 256}  # right: 7, 3 and 0
+        monkeypatch.setattr(cf, "delete_nim_grundy", _patched(cf.delete_nim_grundy, cells))
+        monkeypatch.setattr(
+            cf, "delete_nim_grundy_array", _patched_array(cf.delete_nim_grundy_array, cells)
+        )
+        types = []
+        right = vf._proof_step_cells
+        monkeypatch.setattr(
+            vf, "_proof_step_cells",
+            lambda bound, values, bad: types.append((values.dtype, bad.dtype))
+            or right(bound, values, bad),
+        )
+        reports = [vf.verify_proof_steps(bound).mismatches for bound in (127, 128)]
+        assert types == [(np.dtype(np.uint8),) * 2, (np.dtype(np.uint16),) * 2]
+        expected = [
+            ("5,3", f"a heap with bit {v} set", "neither heap has it") for v in range(3, 8)
+        ] + [
+            ("100,20", f"a heap with bit {v} set", "neither heap has it")
+            for v in [0, 1, 3, *range(7, 256)]
+        ] + [("127,127", "a heap with bit 7 set", "neither heap has it")]
+        assert reports == [expected, expected]
+
+    @pytest.mark.parametrize("band_size", [engine._BAND_CELLS, 16])
+    def test_proof_steps_array_form_disagrees(self, monkeypatch, band_size):
         # values planted in the array form alone, which the bands test: the
         # scalar checks of proof_step_failures find nothing there, so each
         # cell is reported as the two forms' disagreement, once, and not
@@ -625,7 +672,7 @@ class TestCertificateFaultInjection:
         monkeypatch.setattr(
             cf, "delete_nim_grundy_array", _patched_array(cf.delete_nim_grundy_array, wrong)
         )
-        _band_cells(monkeypatch, block_cells)
+        _band_cells(monkeypatch, band_size)
         rep = vf.verify_proof_steps(bound)
         assert rep.positions_checked == triangle(bound)
         assert rep.mismatches == [
@@ -634,20 +681,20 @@ class TestCertificateFaultInjection:
             for (x, y), g in sorted(wrong.items())
         ]
 
-    @pytest.mark.parametrize("block_cells", [vf._BLOCK_CELLS, 16])
-    def test_iso_wrong_engine_value_is_reported_once(self, monkeypatch, block_cells):
+    @pytest.mark.parametrize("band_size", [engine._BAND_CELLS, 16])
+    def test_iso_wrong_engine_value_is_reported_once(self, monkeypatch, band_size):
         # the VDN value of (200, 197) perturbed wherever a band holds it,
         # mirrored cells included: the Grundy commutation reports it once
         right = engine.bands
 
-        def wrong(rules, bound, cells):
-            for xs, ys, values in right(rules, bound, cells):
+        def wrong(rules, bound):
+            for xs, ys, values in right(rules, bound):
                 if rules is rulesets.VDN:
                     values[(xs == 200) & (ys == 197) | (xs == 197) & (ys == 200)] += 3
                 yield xs, ys, values
 
         monkeypatch.setattr(engine, "bands", wrong)
-        _band_cells(monkeypatch, block_cells)
+        _band_cells(monkeypatch, band_size)
         rep = vf.verify_isomorphism(200)
         assert rep.positions_checked == 200 * 201 // 2
         assert rep.mismatches == [
@@ -697,7 +744,7 @@ class TestCertificateFaultInjection:
     # test_iso_option_faults_cross_band_edges runs them again in bands of
     # 16 cells, one or two rows each.
 
-    def test_iso_wrong_map(self, monkeypatch, block_cells=vf._BLOCK_CELLS):
+    def test_iso_wrong_map(self, monkeypatch, band_size=engine._BAND_CELLS):
         # iso tests each position's own image with the array twin, so the
         # faulty images are planted in the scalar map and the twin alike
         monkeypatch.setattr(
@@ -708,7 +755,7 @@ class TestCertificateFaultInjection:
             isomorphism, "vdn_to_delete_array",
             _patched_image(isomorphism.vdn_to_delete_array, {(6, 2): (4, 2), (5, 5): (5, 3)}),
         )
-        _band_cells(monkeypatch, block_cells)
+        _band_cells(monkeypatch, band_size)
         rep = vf.verify_isomorphism(8)
         assert rep.positions_checked == 8 * 9 // 2
         assert rep.mismatches == [
@@ -720,11 +767,11 @@ class TestCertificateFaultInjection:
             (f"8,{y}", "equal option sets", "extra=[] missing=[(5, 1)]") for y in range(1, 9)
         ]
 
-    def test_iso_dropped_option(self, monkeypatch, block_cells=vf._BLOCK_CELLS):
+    def test_iso_dropped_option(self, monkeypatch, band_size=engine._BAND_CELLS):
         monkeypatch.setattr(
             rulesets, "vdn_heap_options", _dropping(rulesets.vdn_heap_options, 9, (6, 3))
         )
-        _band_cells(monkeypatch, block_cells)
+        _band_cells(monkeypatch, band_size)
         rep = vf.verify_isomorphism(10)
         assert rep.mismatches == [
             (f"{x},{y}", "equal option sets", "extra=[] missing=[(5, 2)]")
@@ -732,12 +779,12 @@ class TestCertificateFaultInjection:
                          (9, 9), (10, 9)]
         ]
 
-    def test_iso_illegal_extra_option(self, monkeypatch, block_cells=vf._BLOCK_CELLS):
+    def test_iso_illegal_extra_option(self, monkeypatch, band_size=engine._BAND_CELLS):
         # (9, 5) does not sum to 7, so no move from a heap of 7 reaches it
         monkeypatch.setattr(
             rulesets, "vdn_heap_options", _adding(rulesets.vdn_heap_options, 7, {(9, 5)})
         )
-        _band_cells(monkeypatch, block_cells)
+        _band_cells(monkeypatch, band_size)
         rep = vf.verify_isomorphism(10)
         assert rep.mismatches == [
             (f"{x},{y}", "equal option sets", "extra=[(8, 4)] missing=[]")
@@ -750,34 +797,45 @@ class TestCertificateFaultInjection:
     )
     def test_iso_option_faults_cross_band_edges(self, monkeypatch, fault):
         # the same reports when the flagged cells fall in different bands
-        getattr(self, fault)(monkeypatch, block_cells=16)
+        getattr(self, fault)(monkeypatch, band_size=16)
 
     @pytest.mark.parametrize("name", ["delete-nim", "vdn", "sum", "proof-steps", "iso"])
     def test_small_bands_reach_every_band_reader(self, monkeypatch, name):
-        # the band size _band_cells sets is the one every band of the sweep
-        # is laid out with, so a 16-cell run of a fault test is one in
-        # bands of one or two rows
-        sizes = []
-        bands, band_rows = engine.bands, engine.band_rows
-        monkeypatch.setattr(
-            engine, "bands", lambda rules, b, cells: sizes.append(cells) or bands(rules, b, cells)
-        )
-        monkeypatch.setattr(
-            engine, "band_rows", lambda lo, b, cells: sizes.append(cells) or band_rows(lo, b, cells)
-        )
-        _band_cells(monkeypatch, 16)
-        assert vf.run_check(name, 12).passed
-        assert sizes and set(sizes) == {16}
+        # every band of the sweep is laid out by band_rows from the one
+        # constant _band_cells sets (iso lays out three grids, the others
+        # one), so a 16-cell run of a fault test is one in bands of one or
+        # two rows, and at the default bound 12 is one band
+        layouts = []
+        band_rows = engine.band_rows
 
-    @pytest.mark.parametrize("block_cells", [vf._BLOCK_CELLS, 16])
-    def test_iso_wrong_twin_image_is_reported_once(self, monkeypatch, block_cells):
+        def spy(lo, bound):
+            layout: list = []
+            layouts.append(layout)
+            for rows, cols, xs, ys in band_rows(lo, bound):
+                layout.append((len(ys), xs.shape[1]))
+                yield rows, cols, xs, ys
+
+        monkeypatch.setattr(engine, "band_rows", spy)
+        for size in (engine._BAND_CELLS, 16):
+            _band_cells(monkeypatch, size)
+            layouts.clear()
+            assert vf.run_check(name, 12).passed
+            assert len(layouts) == (3 if name == "iso" else 1)
+            if size == 16:
+                assert all(len(layout) > 1 for layout in layouts)
+                assert all(k == 1 or k * w <= 16 for layout in layouts for k, w in layout)
+            else:
+                assert all(len(layout) == 1 for layout in layouts)
+
+    @pytest.mark.parametrize("band_size", [engine._BAND_CELLS, 16])
+    def test_iso_wrong_twin_image_is_reported_once(self, monkeypatch, band_size):
         # the scalar map is right everywhere, so the option sets commute at
         # (150, 37), and only the twin's image there is wrong
         monkeypatch.setattr(
             isomorphism, "vdn_to_delete_array",
             _patched_image(isomorphism.vdn_to_delete_array, {(150, 37): (149, 35)}),
         )
-        _band_cells(monkeypatch, block_cells)
+        _band_cells(monkeypatch, band_size)
         rep = vf.verify_isomorphism(200)
         assert rep.positions_checked == 200 * 201 // 2
         assert rep.mismatches == [
