@@ -35,7 +35,10 @@ question: each engine move of a ``play`` session after the first, a
 that keeps one interpreter for many ``option_values`` or ``cli.main``
 calls; a lone command starts from an empty table.
 ``grundy_grid`` writes the bands into a dense table; it is library API
-only, and no command or sweep builds one.
+only, and no command or sweep builds one.  ``heap_options``, the array
+twin of ``rulesets.*_heap_options``, lays out the options each heap
+reaches, and ``heap_bands`` gives the certificate sweeps that layout in
+bands of heaps of about as many cells as a band of rows.
 
 ``sum_values`` is the same recursion on the sum of two boards of one
 two-heap game: a move chooses a heap of either board, and so reaches one
@@ -99,6 +102,8 @@ __all__ = [
     "bands",
     "band_rows",
     "band_cells",
+    "heap_options",
+    "heap_bands",
     "option_values",
     "sum_positions",
     "sum_values",
@@ -347,17 +352,74 @@ def band_rows(lo: int, bound: int) -> Iterator[tuple]:
     lo <= y <= x <= bound falls in exactly one band; the cells with x < y
     are the k(k - 1)/2 of a band's first k columns, k its number of rows.
 
-    The heaps are of the narrowest signed type that holds
-    ``-(2 * bound + 2)``, so that ``(x | y) + 1`` and its negation fit in
-    it and a formula on them cannot overflow: int16 through bound 16383."""
+    The heaps are of ``_heap_type(bound)``."""
     cells = _BAND_CELLS
-    heaps = np.arange(bound + 1, dtype=np.min_scalar_type(-(2 * bound + 2)))
+    heaps = np.arange(bound + 1, dtype=_heap_type(bound))
     heaps.flags.writeable = False
     y0 = lo
     while y0 <= bound:
         y1 = min(bound + 1, y0 + max(1, cells // (bound + 1 - y0)))
         yield slice(y0, y1), slice(y0, bound + 1), heaps[None, y0:], heaps[y0:y1, None]
         y0 = y1
+
+
+def _heap_type(bound: int) -> np.dtype:
+    """The narrowest signed type that holds ``-(2 * bound + 2)``, so that
+    ``(x | y) + 1`` and its negation fit in it for heaps through ``bound``
+    and a formula on them cannot overflow: int16 through bound 16383."""
+    return np.min_scalar_type(-(2 * bound + 2))
+
+
+def _option_counts(rules: Ruleset, heaps: np.ndarray) -> np.ndarray:
+    """How many positions choosing each heap of ``heaps`` reaches."""
+    lo, removed = _moves(rules)
+    return np.maximum((heaps - removed) // 2 - lo + 1, 0)
+
+
+def heap_options(rules: Ruleset, first: int, last: int) -> tuple[np.ndarray, ...]:
+    """The array twin of ``rulesets.*_heap_options`` for the heaps s,
+    first <= s < last, of the two-heap game ``rules``: every canonical
+    option (rest - a, a), lo <= a <= rest // 2 and rest = s - removed, as
+    ``(heaps, xs, ys)``, one cell per option, by heap, then by a, where
+    ``heaps[i]`` is the heap whose choice reaches (xs[i], ys[i]).  A heap
+    below ``2 * lo + removed`` reaches nothing.  All three are of
+    ``_heap_type(last)``."""
+    lo, removed = _moves(rules)
+    heaps = np.arange(first, last, dtype=_heap_type(last))
+    counts = _option_counts(rules, heaps)
+    heaps, counts = heaps[counts > 0], counts[counts > 0]
+    # a running sum of ones that drops back to lo at each heap's first
+    # cell, so that no temporary is wider than the heaps' type
+    steps = np.ones(int(counts.sum()), heaps.dtype)
+    steps[np.cumsum(counts[:-1])] = 1 - counts[:-1]
+    steps[:1] = lo
+    ys = np.cumsum(steps, dtype=heaps.dtype)
+    del steps
+    heaps = np.repeat(heaps, counts)
+    xs = heaps - ys
+    xs -= removed
+    return heaps, xs, ys
+
+
+def heap_bands(rules: Ruleset, bound: int) -> Iterator[tuple]:
+    """``heap_options`` of every heap lo .. bound of the two-heap game
+    ``rules``, in bands of consecutive heaps, each holding about
+    ``_BAND_CELLS`` option cells (read when the layout starts) and at
+    least one heap, so that a sweep over them holds O(bound +
+    _BAND_CELLS) values.  Yields ``(heaps, xs, ys)`` per band, of
+    ``_heap_type(bound)``.  The bands depend only on each heap's number of
+    options, so VDN's through ``bound`` and Delete Nim's through
+    ``bound - 1``, where heap s reaches as many positions as s + 1 in VDN,
+    pair one to one."""
+    lo, _ = _moves(rules)
+    check_bound(lo, bound)
+    cells, kind = _BAND_CELLS, _heap_type(bound)
+    ends = np.cumsum(_option_counts(rules, np.arange(lo, bound + 1)))
+    s0, done = lo, 0
+    while s0 <= bound:
+        s1 = lo + max(s0 + 1 - lo, int(np.searchsorted(ends, done + cells, "right")))
+        yield tuple(a.astype(kind, copy=False) for a in heap_options(rules, s0, s1))
+        s0, done = s1, int(ends[s1 - lo - 1])
 
 
 def band_cells(found: list, differ: np.ndarray, xs, ys, *values) -> int:

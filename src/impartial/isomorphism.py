@@ -3,9 +3,10 @@ positions, its array twin, and an exhaustive check that the map commutes
 with option enumeration (i.e. that it is a game isomorphism).  The check
 returns its counterexamples as a list of (position, reason) pairs, empty
 when the map commutes everywhere inside the bound.  It maps each heap's
-moves once with the scalar map and tests every position on bands of
-broadcast arrays with the twin, so its Python work grows as the bound**2/4
-heap options, not with the bound**3/4 option edges of the positions."""
+moves once and tests every position, both on bands of arrays with the
+twin, so its Python work is a fixed number of numpy steps per band and
+the flagged positions, not the bound**3/4 option edges of the
+positions."""
 
 from __future__ import annotations
 
@@ -48,42 +49,106 @@ def delete_to_vdn(p: Pair) -> Pair:
     return canonical_pair(x + 1, y + 1)
 
 
+def _matched(bound: int) -> np.ndarray:
+    """``matched[s]`` for every VDN heap s <= bound: the twin,
+    vdn_to_delete_array, sends the options of VDN heap s onto those of
+    Delete Nim heap s - 1, as sets, both from the option layout
+    (``engine.heap_options``), a band of heaps at a time
+    (``engine.heap_bands``).  The layouts of the two heaps list their
+    options in the same order, so a band whose images equal the Delete
+    Nim cells one for one matches whole; a heap where they do not, or
+    every heap of a band whose two layouts do not pair cell for cell, is
+    compared as sets.  A heap that reaches nothing in both games
+    matches."""
+    matched = np.ones(bound + 1, dtype=bool)
+    matched[0] = False  # VDN has no heap 0
+    # VDN heap s reaches as many positions as Delete Nim heap s - 1, so
+    # the two games' bands hold the same heaps less one and pair one to one
+    for (heaps, xs, ys), (dn_heaps, *dn_cells) in zip(
+        engine.heap_bands(rulesets.VDN, bound),
+        engine.heap_bands(rulesets.DELETE_NIM, bound - 1),
+        strict=True,
+    ):
+        images = vdn_to_delete_array(xs, ys)
+        if len(heaps) == len(dn_heaps) and (heaps - 1 == dn_heaps).all():
+            differ = (images[0] != dn_cells[0]) | (images[1] != dn_cells[1])
+            suspects = set(heaps[differ].tolist())
+        else:
+            suspects = set(heaps.tolist()) | set((dn_heaps + 1).tolist())
+        for s in suspects:
+            matched[s] = _cells(heaps == s, *images) == _cells(dn_heaps == s - 1, *dn_cells)
+    return matched
+
+
+def _cells(where, xs: np.ndarray, ys: np.ndarray) -> set[Pair]:
+    """The cells (xs[where], ys[where]) as a set of pairs."""
+    return set(zip(xs[where].tolist(), ys[where].tolist()))
+
+
+def _heap_faults(s: int, at: Pair, imaged: set) -> list[tuple[Pair, str]]:
+    """``(cell, reason)`` for what fails VDN heap s where the scalar
+    routes find that the options commute, ``at`` being the first flagged
+    position holding s: the option layout of VDN heap s or of Delete Nim
+    heap s - 1, as a set, differs from ``rulesets.*_heap_options``, or the
+    map and its twin give different images of one of heap s's options, a
+    cell not yet in ``imaged``."""
+    _, xs, ys = engine.heap_options(rulesets.VDN, s, s + 1)
+    _, dn_xs, dn_ys = engine.heap_options(rulesets.DELETE_NIM, s - 1, s)
+    faults: list[tuple[Pair, str]] = [
+        (at, f"{name}({heap}) gives {sorted(right)}, the option layout gives {sorted(layout)}")
+        for name, heap, right, layout in (
+            ("vdn_heap_options", s, rulesets.vdn_heap_options(s), _cells(..., xs, ys)),
+            ("delete_nim_heap_options", s - 1, rulesets.delete_nim_heap_options(s - 1),
+             _cells(..., dn_xs, dn_ys)),
+        )
+        if layout != right
+    ]
+    images = zip(*(a.tolist() for a in vdn_to_delete_array(xs, ys)))
+    for q, twin in zip(zip(xs.tolist(), ys.tolist()), images):
+        if q not in imaged and (image := vdn_to_delete(q)) != twin:
+            imaged.add(q)
+            faults.append((q, _images(image, twin)))
+    return faults
+
+
+def _images(image: Pair, twin: tuple) -> str:
+    return f"vdn_to_delete gives {image}, vdn_to_delete_array gives {twin}"
+
+
 def check_isomorphism(bound: int) -> list[tuple[Pair, str]]:
     """For every VDN position with 1 <= y <= x <= bound, check that mapping
     each VDN option componentwise gives exactly the Delete Nim options of the
     mapped position.  Returns the counterexamples, in (x, y) order, as
-    (position, "extra=[...] missing=[...]") pairs, or with the reason
-    below where the map and its twin disagree; none are raised.
+    (position, "extra=[...] missing=[...]") pairs, or with one of the
+    reasons below; none are raised.
 
     Both games' option sets are the union of what choosing each heap
     reaches (``rulesets.vdn_heap_options``/``delete_nim_heap_options``), so
-    the check runs once per heap s: the scalar map must send the VDN moves
-    of heap s exactly onto the Delete Nim moves of heap s - 1.  A position
-    whose two heaps both pass, and which itself maps to (x - 1, y - 1),
-    then commutes by construction.  The positions are tested on the bands
-    that ``engine.band_rows`` lays out, in its narrow heap types, each
-    band's images taken from the array twin, vdn_to_delete_array.  Only
-    flagged positions reach Python: each is compared in full, one option
-    at a time, with the scalar map.  If that finds nothing and the two
-    maps give different images there, the position is reported with the
-    reason
+    the check runs once per heap s: the map must send the VDN moves of
+    heap s exactly onto the Delete Nim moves of heap s - 1 (``_matched``,
+    on the option layout and the twin).  A position whose two heaps both
+    pass, and which itself maps to (x - 1, y - 1), then commutes by
+    construction.  The positions are tested on the bands that
+    ``engine.band_rows`` lays out, in its narrow heap types, each band's
+    images taken from the array twin, vdn_to_delete_array.  Only flagged
+    positions reach Python: each is compared in full, one option at a
+    time, with the scalar map and ``rulesets``' option sets.  If that
+    finds nothing and the two maps give different images there, the
+    position is reported with the reason
     "vdn_to_delete gives (a, b), vdn_to_delete_array gives (c, d)".
+    Failing that, what fails one of its heaps (``_heap_faults``) is
+    reported, once per heap and once per cell: a heap's option layout
+    that differs from its option set, with the reason
+    "vdn_heap_options(s) gives [...], the option layout gives [...]" (or
+    delete_nim_heap_options), or an option the two maps send to
+    different images, as above at that option's place in (x, y) order.
 
-    So the scalar map is applied to every heap option, the VDN pairs
-    summing to at most ``bound``, and to flagged positions; every other
-    position's image is the twin's.  A fault in the scalar map alone, at a
-    position with x + y > bound whose twin image passes, is not seen
-    here; the two maps are compared cell by cell only by
-    ``tests/test_isomorphism.py``, through 64 and on random heaps up to
-    2**62."""
+    So the check runs the array routes, the twin and the option layout;
+    the scalar map and the option sets run only at flagged positions.
+    The tier-1 tests hold each scalar route to its array twin on every
+    canonical cell and heap through bound 1024."""
     check_bound(1, bound)
-    vdn_heap_options = rulesets.vdn_heap_options
-    delete_nim_heap_options = rulesets.delete_nim_heap_options
-    # matched[s]: heap s maps move for move; VDN has no heap 0
-    matched = np.array([False] + [
-        set(map(vdn_to_delete, vdn_heap_options(s))) == delete_nim_heap_options(s - 1)
-        for s in range(1, bound + 1)
-    ])
+    matched = _matched(bound)
     flagged_cells: list = []
     for rows, cols, xs, ys in engine.band_rows(1, bound):
         big, small = vdn_to_delete_array(xs, ys)
@@ -92,6 +157,8 @@ def check_isomorphism(bound: int) -> list[tuple[Pair, str]]:
         flagged |= small != ys - 1
         engine.band_cells(flagged_cells, flagged, xs, ys, big, small)
     failures: list[tuple[Pair, str]] = []
+    imaged: set = set()  # the cells whose two images are reported
+    heaps: set = set()  # the heaps _heap_faults looked at
     for x, y, *twin in sorted(flagged_cells):
         p, twin = (x, y), tuple(twin)
         image = vdn_to_delete(p)
@@ -102,5 +169,11 @@ def check_isomorphism(bound: int) -> list[tuple[Pair, str]]:
             missing = sorted(direct - mapped)
             failures.append((p, f"extra={extra} missing={missing}"))
         elif image != twin:
-            failures.append((p, f"vdn_to_delete gives {image}, vdn_to_delete_array gives {twin}"))
-    return failures
+            imaged.add(p)
+            failures.append((p, _images(image, twin)))
+        else:
+            for s in sorted({x, y} - heaps, reverse=True):
+                heaps.add(s)
+                failures += _heap_faults(s, p, imaged)
+    # stable, so each position's reasons keep the order they were found in
+    return sorted(failures, key=lambda f: f[0])

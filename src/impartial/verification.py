@@ -11,14 +11,16 @@ The two-heap formula sweeps and iso read the engine's values in those
 bands (``engine.bands``) and compare each band on broadcast arrays.  The
 certificate sweeps (proof-steps, iso) rest on every two-heap option set
 being the union of what choosing each heap reaches
-(``rulesets.*_heap_options``), so they check each heap's moves once;
-proof-steps tests each position on the heaps' masks in the narrowest
-unsigned type its bound allows, and iso tests each position with the map's
-array twin (``isomorphism.check_isomorphism``).  These sweeps count their
-checked cells from the bands and hold O(bound) memory besides a band, and
-a position that fails is checked in full, one option at a time, for the
-report.  The sum sweep compares the engine's sum kernel
-(``engine.sum_values``) with the XOR of the component values from
+(``rulesets.*_heap_options``), so they check each heap's moves once, on
+the array twin of those sets, ``engine.heap_options``, in bands of heaps
+of the same size (``engine.heap_bands``); proof-steps tests each position
+on the heaps' masks in the narrowest unsigned type its bound allows, and
+iso tests each position with the map's array twin
+(``isomorphism.check_isomorphism``).  These sweeps count their checked
+cells from the bands and hold O(bound) memory besides a band, and a
+position that fails is checked in full, one option at a time, with the
+scalar routes, for the report.  The sum sweep compares the engine's sum
+kernel (``engine.sum_values``) with the XOR of the component values from
 ``engine.bands``, one broadcast per batch of sums; the Bouton sweep takes
 its values from the engine's Nim kernel.  Each check's row of ``_CHECKS``
 gives its units, which ``_charge`` charges (``engine.charge``) in the
@@ -39,7 +41,6 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass
-from itertools import starmap
 from math import comb
 from typing import Callable
 
@@ -224,35 +225,53 @@ def proof_step_failures(x: int, y: int) -> list[Mismatch]:
     return found
 
 
-def _heap_certificate(
-    s: int, grundy: Callable, heap_options: Callable, width: int
-) -> tuple[int, int]:
-    """What choosing a Delete Nim heap of s stones contributes to the proof
-    steps of every position holding it: ``(values, bad)``, masks of
-    ``width`` bits.  Bit g of ``values`` is set when some position the
-    choice reaches has closed-form value g; all ``width`` bits are set if
-    one has a value outside [0, width).  Bit v of ``bad`` is set when bit
-    v of s is set and the option constructed from it, (s - 2**v, 2**v - 1),
-    is not among those positions or lacks value v."""
-    reached = heap_options(s)
-    values = 0
-    for g in set(starmap(grundy, reached)):
-        values |= 1 << g if 0 <= g < width else (1 << width) - 1
-    bad = 0
-    for v in range(s.bit_length()):
-        bit = 1 << v
-        if s & bit:
-            q = rulesets.canonical_pair(s - bit, bit - 1)
-            if q not in reached or grundy(*q) != v:
-                bad |= bit
-    return values, bad
+def _value_bits(h: np.ndarray, mask: np.dtype) -> np.ndarray:
+    """``1 << h`` per cell in the unsigned type ``mask``; 0 where h is
+    outside [0, width), ``width`` the type's bits."""
+    bits = np.empty(h.shape, mask)
+    np.clip(h, -1, 8 * mask.itemsize, out=bits, casting="unsafe")
+    return np.left_shift(mask.type(1), bits, out=bits)
+
+
+def _heap_masks(bound: int, mask: np.dtype) -> tuple[np.ndarray, np.ndarray]:
+    """What choosing each Delete Nim heap s <= bound contributes to the
+    proof steps of every position holding it: ``(values, bad)``, masks of
+    the unsigned type ``mask``, ``width`` bits.  Bit g of values[s] is set
+    when some option that choosing s reaches has closed-form value g; all
+    ``width`` bits are set if one has a value outside [0, width).  Bit v of
+    bad[s] is set when bit v of s is set and no option of s is the one
+    constructed from it, (s - 2**v, 2**v - 1), with value v.
+
+    The options are the heaps' option layout (``engine.heap_options``),
+    a band of heaps at a time (``engine.heap_bands``), and each band's
+    values are one ``delete_nim_grundy_array`` call, OR-reduced by heap.
+    The constructed options are found by membership, as the layout cells
+    that equal one, so a layout that lacks one, or holds a cell no move
+    reaches, fails here as the option set would."""
+    values = np.zeros(bound + 1, mask)
+    good = np.zeros(bound + 1, mask)
+    for heaps, xs, ys in engine.heap_bands(rulesets.DELETE_NIM, bound):
+        if not len(heaps):
+            continue
+        bits = _value_bits(closed_forms.delete_nim_grundy_array(xs, ys), mask)
+        # the option constructed from bit v of s sums to s - 1 and one of
+        # its heaps is 2**v - 1; it is good where its value is v
+        hit = (bits == xs + 1) | (bits == ys + 1)
+        hit &= xs + ys + 1 == heaps
+        constructed = np.where(hit, bits & heaps.astype(mask), 0)
+        np.copyto(bits, ~mask.type(0), where=bits == 0)
+        # one run per heap; ``at`` ORs the runs of a heap that recurs
+        runs = np.flatnonzero(np.diff(heaps, prepend=heaps[:1] - 1))
+        np.bitwise_or.at(values, heaps[runs], np.bitwise_or.reduceat(bits, runs))
+        np.bitwise_or.at(good, heaps[runs], np.bitwise_or.reduceat(constructed, runs))
+    return values, np.arange(bound + 1, dtype=mask) & ~good
 
 
 def _proof_step_cells(bound: int, values: np.ndarray, bad: np.ndarray) -> tuple[list, int]:
     """``(x, y, h)`` for every cell 0 <= y <= x <= bound where a proof step
-    fails on the heaps' ``values`` and ``bad`` masks (see
-    _heap_certificate), h being the array closed form's value there, and
-    the number of cells x >= y the bands tested.
+    fails on the heaps' ``values`` and ``bad`` masks (see _heap_masks), h
+    being the array closed form's value there, and the number of cells
+    x >= y the bands tested.
 
     The tests run on the bands that ``engine.band_rows`` lays out, in the
     masks' unsigned type: each band evaluates the closed form once on the
@@ -260,17 +279,14 @@ def _proof_step_cells(bound: int, values: np.ndarray, bad: np.ndarray) -> tuple[
     sweep costs a fixed number of numpy steps per band, not Python work
     per position."""
     mask = values.dtype
-    width = 8 * mask.itemsize
     found: list = []
     checked = 0
     for rows, cols, xs, ys in engine.band_rows(0, bound):
         h = closed_forms.delete_nim_grundy_array(xs, ys)
         x, y = xs.astype(mask), ys.astype(mask)
-        # 1 << h; 0 where h is outside [0, width), so that below is all
-        # ones there and (b) fails at the type's top bit, which no heap holds
-        below = np.empty(h.shape, mask)
-        np.clip(h, -1, width, out=below, casting="unsafe")
-        np.left_shift(mask.type(1), below, out=below)
+        # below is all ones where h is outside [0, width), so that (b)
+        # fails there at the type's top bit, which no heap holds
+        below = _value_bits(h, mask)
         # (a) fails where bit h is set in what either heap reaches
         test = np.bitwise_or(values[None, cols], values[rows, None])
         test &= below
@@ -286,6 +302,30 @@ def _proof_step_cells(bound: int, values: np.ndarray, bad: np.ndarray) -> tuple[
     return found, checked
 
 
+def _disagreement(q: rulesets.Pair, g: int, h: int) -> tuple:
+    return q, f"value {g}, as delete_nim_grundy gives", f"delete_nim_grundy_array gives {h}"
+
+
+def _heap_faults(s: int, at: rulesets.Pair, reported: set) -> list[tuple]:
+    """``(cell, expected, actual)`` for what makes heap s's masks differ
+    from the ones the scalar routes give, ``at`` being the first flagged
+    position holding s: its option layout, as a set, differs from
+    ``rulesets.delete_nim_heap_options(s)``, or the two closed forms
+    disagree at one of its options, a cell not yet in ``reported``."""
+    _, xs, ys = engine.heap_options(rulesets.DELETE_NIM, s, s + 1)
+    layout = list(zip(xs.tolist(), ys.tolist()))
+    faults: list[tuple] = []
+    if set(layout) != (options := rulesets.delete_nim_heap_options(s)):
+        faults.append((at, "equal heap options",
+                       f"delete_nim_heap_options({s}) gives {sorted(options)}, "
+                       f"the option layout gives {sorted(set(layout))}"))
+    for q, h in zip(layout, closed_forms.delete_nim_grundy_array(xs, ys).tolist()):
+        if q not in reported and (g := closed_forms.delete_nim_grundy(*q)) != h:
+            reported.add(q)
+            faults.append(_disagreement(q, g, h))
+    return faults
+
+
 def verify_proof_steps(bound: int, budget: int | None = None) -> VerificationReport:
     """Run the per-position certificate checks for all 0 <= y <= x <= bound.
 
@@ -294,11 +334,12 @@ def verify_proof_steps(bound: int, budget: int | None = None) -> VerificationRep
     decided per heap: (a) holds at (x, y) when bit h is clear in the union
     of the two heaps' value bitmasks, and (b) when each bit v < h is set in
     x or y and the option constructed from that heap is good (see
-    _heap_certificate).  Each heap is enumerated once, with the scalar
-    closed form, into two mask arrays; then the two tests run on bands of
-    rows against the array closed form (``_proof_step_cells``), so the
-    sweep holds O(bound + engine._BAND_CELLS) values and does O(bound**2)
-    work, all but the per-heap part of it in numpy.
+    _heap_masks).  The masks come from the array closed form on the
+    heaps' option layout, a band of heaps at a time; then the two tests
+    run on bands of rows against the array closed form
+    (``_proof_step_cells``).  So the sweep holds O(bound +
+    engine._BAND_CELLS) values and does O(bound**2) work, all of it in
+    numpy but at flagged positions.
 
     The masks' type, of ``width`` bits, is the narrowest unsigned one that
     holds ``1 << bound.bit_length()``: it comes from the bound, since the
@@ -308,37 +349,42 @@ def verify_proof_steps(bound: int, budget: int | None = None) -> VerificationRep
     value outside [0, width) at an option sets every bit of its heap's
     mask, so each position holding the heap is checked in full.
 
-    So the two closed forms carry the certificate together: each
-    position's own value h is the array form's
-    (``closed_forms.delete_nim_grundy_array``), and the scalar form
-    (``closed_forms.delete_nim_grundy``) is evaluated only at the options
-    the heaps reach and at flagged positions.  A fault in the scalar form
-    alone, at a position that is no option inside the bound and whose
-    array value passes, is not seen here; the two forms are compared
-    cell by cell only by ``tests/test_closed_forms.py``, through bound 64.
+    So the sweep checks the array routes, the array closed form
+    (``closed_forms.delete_nim_grundy_array``) and the option layout
+    (``engine.heap_options``); the scalar routes, the scalar closed form
+    and ``rulesets.delete_nim_heap_options``, run only at flagged
+    positions.  The tier-1 tests hold each scalar route to its array twin
+    on every canonical cell and heap through bound 1024.
 
     A position where either test fails is checked again, in row-major
-    order, by proof_step_failures, one option at a time and with the
-    scalar closed form, for the report.  If that finds nothing and the
-    two closed forms disagree there, the disagreement is reported.  The
-    report counts the cells the bands tested.  Charged by ``_charge``."""
+    order, by proof_step_failures, one option at a time with the scalar
+    routes, for the report.  If that finds nothing, a disagreement of the
+    two closed forms there is reported; failing that, what makes one of
+    its heaps' masks differ from the scalar routes' (see _heap_faults),
+    once per heap and once per cell, each line at its cell's place in
+    row-major order.  The report counts the cells the bands tested.
+    Charged by ``_charge``."""
     _charge("proof-steps", bound, budget)
     t0 = time.perf_counter()
-    grundy = closed_forms.delete_nim_grundy
-    heap_options = rulesets.delete_nim_heap_options
     mask = np.min_scalar_type(1 << bound.bit_length())
-    width = 8 * mask.itemsize
-    # a generator, so that the per-heap pairs are freed before the bands run
-    certificates = (_heap_certificate(s, grundy, heap_options, width) for s in range(bound + 1))
-    values, bad = (np.array(masks, dtype=mask) for masks in zip(*certificates))
-    mismatches: list[Mismatch] = []
-    flagged, checked = _proof_step_cells(bound, values, bad)
+    flagged, checked = _proof_step_cells(bound, *_heap_masks(bound, mask))
+    found: list[tuple] = []
+    reported: set = set()  # the cells whose disagreement is reported
+    heaps: set = set()  # the heaps _heap_faults looked at
     for x, y, h in sorted(flagged):
-        failures = proof_step_failures(x, y)
-        if not failures and (g := grundy(x, y)) != h:
-            failures = [(f"{x},{y}", f"value {g}, as delete_nim_grundy gives",
-                         f"delete_nim_grundy_array gives {h}")]
-        mismatches += failures
+        failures = [((x, y), e, a) for _, e, a in proof_step_failures(x, y)]
+        if not failures and (g := closed_forms.delete_nim_grundy(x, y)) != h:
+            reported.add((x, y))
+            failures = [_disagreement((x, y), g, h)]
+        if not failures:
+            for s in sorted({x, y} - heaps, reverse=True):
+                heaps.add(s)
+                failures += _heap_faults(s, (x, y), reported)
+        found += failures
+    # stable, so each position's lines keep the order they were found in
+    mismatches: list[Mismatch] = [
+        (f"{x},{y}", e, a) for (x, y), e, a in sorted(found, key=lambda f: f[0])
+    ]
     return VerificationReport(
         "proof-steps", bound, checked, mismatches, time.perf_counter() - t0
     )
@@ -374,6 +420,13 @@ def verify_sum_theorem(bound: int, budget: int | None = None) -> VerificationRep
     return VerificationReport("sum", bound, checked, mismatches, time.perf_counter() - t0)
 
 
+def _iso_expected(reason: str) -> str:
+    """What an iso mismatch expects, from check_isomorphism's reason."""
+    if reason.startswith("extra="):
+        return "equal option sets"
+    return "equal images" if reason.startswith("vdn_to_delete ") else "equal heap options"
+
+
 def verify_isomorphism(bound: int, budget: int | None = None) -> VerificationReport:
     """Option-set commutation under the VDN -> Delete Nim map for all
     1 <= y <= x <= bound (``isomorphism.check_isomorphism``), plus Grundy
@@ -381,15 +434,15 @@ def verify_isomorphism(bound: int, budget: int | None = None) -> VerificationRep
     engine and compared a band of rows at a time (``engine.bands``), on
     the cells x >= y; both halves take the one band layout.  A
     position where the map and its array twin give different images is
-    reported as expecting "equal images".  The report counts the cells the
-    Grundy bands compared."""
+    reported as expecting "equal images", and one where a heap's option
+    layout differs from its option set as expecting "equal heap options".
+    The report counts the cells the Grundy bands compared."""
     _charge("iso", bound, budget)
     t0 = time.perf_counter()
     vdn_bands = engine.bands(rulesets.VDN, bound)
     dn_bands = engine.bands(rulesets.DELETE_NIM, bound - 1)
     mismatches: list[Mismatch] = [
-        (f"{p[0]},{p[1]}",
-         "equal option sets" if reason.startswith("extra=") else "equal images", reason)
+        (f"{p[0]},{p[1]}", _iso_expected(reason), reason)
         for p, reason in isomorphism.check_isomorphism(bound)
     ]
     # VDN rows and columns 1 .. bound are Delete Nim's 0 .. bound - 1, so

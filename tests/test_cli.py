@@ -921,6 +921,26 @@ class TestVerifyCommand:
             ("iso", 2048 * 2049 // 2, True),
         ]
 
+    @pytest.mark.parametrize("check", ["proof-steps", "iso"])
+    def test_certificate_sweeps_at_the_largest_default_bound(self, check):
+        # 8191, the largest bound the default budget admits: 33.6 million
+        # positions and 16.8 million heap options, whose layouts come in
+        # bands of heaps, so that doubling the bound from 4096 adds less
+        # than 2 MB of peak RSS; iso's layouts and images of every heap
+        # option at once peaked at 350 MB here
+        peaks = []
+        for bound in (4096, 8191):
+            code, rss_kib, report = run_cli_peak_rss(
+                "verify", "--check", check, "--bound", str(bound), "--format", "json", timeout=60
+            )
+            assert code == 0
+            [record] = json.loads(report)
+            side = bound + (check == "proof-steps")
+            assert (record["checked"], record["passed"]) == (side * (side + 1) // 2, True)
+            peaks.append(rss_kib)
+        assert peaks[1] - peaks[0] < 2 * 1024
+        assert peaks[1] < 60 * 1024
+
     def test_sum_budget_threshold(self, capsys):
         # sum is charged its T components and its T**2 sums, so the sweep is
         # over budget exactly below T + T**2

@@ -196,6 +196,19 @@ def test_array_forms_in_narrow_types(dtype, top):
                     assert values[i, j] == scalar(x, y), (form.__name__, x, y)
 
 
+def test_scalar_forms_match_the_array_forms_through_1024():
+    # the sweeps check the array forms against the engine and run the
+    # scalar forms only at flagged positions, so this holds the two to each
+    # other on every canonical cell through verify --all's default bound
+    xs, ys = np.tril_indices(1025)
+    for form, scalar, low in (
+        (cf.delete_nim_grundy_array, cf.delete_nim_grundy, 0),
+        (cf.vdn_grundy_array, cf.vdn_grundy, 1),
+    ):
+        x, y = xs[ys >= low], ys[ys >= low]
+        assert form(x, y).tolist() == list(map(scalar, x.tolist(), y.tolist())), form.__name__
+
+
 _HUGE = -(10**5000)  # past the 4300 digits str() converts
 
 

@@ -666,6 +666,42 @@ class TestDenseGrids:
         assert cols == slice(0, bound + 1)
 
     @pytest.mark.parametrize("rules", [rs.DELETE_NIM, rs.VDN], ids=lambda r: r.name)
+    def test_heap_layout_matches_the_option_sets(self, rules):
+        # the certificate sweeps read each heap's options from the layout
+        # and call rulesets' sets only at flagged positions, so this holds
+        # the two to each other on every heap through verify --all's
+        # default bound, 1024: each option once, listed by heap
+        lo = rs.TWO_HEAP_MOVES[rules.name][0]
+        options = {"delete-nim": rs.delete_nim_heap_options, "vdn": rs.vdn_heap_options}
+        heaps, xs, ys = engine.heap_options(rules, lo, 1025)
+        cells = list(zip(heaps.tolist(), xs.tolist(), ys.tolist()))
+        assert heaps.tolist() == sorted(heaps.tolist())
+        assert len(set(cells)) == len(cells)
+        assert sorted(cells) == sorted(
+            (s, a, b) for s in range(lo, 1025) for a, b in options[rules.name](s)
+        )
+
+    @pytest.mark.parametrize("cells", [16, engine._BAND_CELLS])
+    @pytest.mark.parametrize("rules", [rs.DELETE_NIM, rs.VDN], ids=lambda r: r.name)
+    def test_heap_bands_join_the_layout(self, monkeypatch, rules, cells):
+        # the bands, taken together, are the layout of every heap lo ..
+        # bound, in the heaps' type of the bound
+        monkeypatch.setattr(engine, "_BAND_CELLS", cells)
+        lo = rs.TWO_HEAP_MOVES[rules.name][0]
+        bands = list(engine.heap_bands(rules, 300))
+        assert len(bands) > 1 if cells == 16 else len(bands) == 1
+        assert {a.dtype for band in bands for a in band} == {np.dtype(np.int16)}
+        for joined, whole in zip(zip(*bands), engine.heap_options(rules, lo, 301)):
+            assert np.concatenate(joined).tolist() == whole.tolist()
+
+    @pytest.mark.parametrize("bound, heap", [(16383, np.int16), (16384, np.int32)])
+    def test_heap_bands_narrow_at_the_switch_point(self, bound, heap):
+        # the layout's heaps take band_rows' type of the bound: int16
+        # through 16383
+        heaps, xs, ys = next(engine.heap_bands(rs.VDN, bound))
+        assert heaps.dtype == xs.dtype == ys.dtype == heap
+
+    @pytest.mark.parametrize("rules", [rs.DELETE_NIM, rs.VDN], ids=lambda r: r.name)
     def test_block_sweep_closed_early_leaves_a_prefix(self, monkeypatch, rules):
         # the fill runs before the first band, so a band reader closed after
         # it leaves every heap through the bound known

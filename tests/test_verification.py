@@ -105,16 +105,27 @@ class TestSweeps:
         assert rep.positions_checked == {127: 8128, 128: 8256}[bound]
 
     def test_iso_maps_every_heap_option_once(self, monkeypatch):
-        # a passing sweep applies the scalar map to each VDN heap option,
-        # the floor(s / 2) splits of each heap s <= 8, and to nothing else
-        calls = []
+        # a passing sweep applies the scalar map to no cell, and its option
+        # layout holds each VDN heap option, the floor(s / 2) splits of
+        # each heap s <= 8, exactly once
+        calls, layout = [], []
         right = isomorphism.vdn_to_delete
         monkeypatch.setattr(isomorphism, "vdn_to_delete", lambda p: calls.append(p) or right(p))
+        heap_options = engine.heap_options
+
+        def spy(rules, first, last):
+            heaps, xs, ys = heap_options(rules, first, last)
+            if rules is rulesets.VDN:
+                layout.extend(zip(heaps.tolist(), xs.tolist(), ys.tolist()))
+            return heaps, xs, ys
+
+        monkeypatch.setattr(engine, "heap_options", spy)
         assert vf.verify_isomorphism(8).passed
-        assert len(calls) == sum(s // 2 for s in range(1, 9)) == 16
-        assert sorted(calls) == sorted(
-            (s - b, b) for s in range(1, 9) for b in range(1, s // 2 + 1)
-        )
+        assert calls == []
+        assert sorted(layout) == [
+            (s, s - b, b) for s in range(1, 9) for b in range(s // 2, 0, -1)
+        ]
+        assert len(layout) == sum(s // 2 for s in range(1, 9)) == 16
 
     def test_iso_pairs_bands_whatever_their_mask_types(self, monkeypatch):
         # bit 40 of one Delete Nim heap's mask cleared: that heap now also
@@ -174,8 +185,8 @@ class TestSweeps:
             for run in (functools.partial(vf.run_check, name), _DIRECT[name]):
                 assert run(bound, budget=n).passed
                 with monkeypatch.context() as patch:
-                    for kernel in ("grundy", "classify", "bands", "band_rows", "sum_values",
-                                   "_nim_values"):
+                    for kernel in ("grundy", "classify", "bands", "band_rows", "heap_bands",
+                                   "heap_options", "sum_values", "_nim_values"):
                         patch.setattr(engine, kernel, unreachable)
                     patch.setattr(isomorphism, "check_isomorphism", unreachable)
                     patch.setattr(rulesets, "delete_nim_heap_options", unreachable)
@@ -510,16 +521,54 @@ def _patched_array(right, cells):
 
 
 def _patched_image(right, cells):
-    """``_patched`` for the map's array twin: the image arrays of ``right``,
-    except at the cells (x, y) of the broadcast arguments ``cells`` maps
-    to an image."""
+    """``_patched`` for the map's array twin: the image arrays of ``right``
+    as int64, so that any image fits, except at the cells (x, y) of the
+    broadcast arguments ``cells`` maps to an image."""
 
     def wrong(xs, ys):
-        big, small = right(xs, ys)
+        big, small = (a.astype(np.int64) for a in right(xs, ys))
         for (x, y), (a, b) in cells.items():
             at = (xs == x) & (ys == y)
             big[at], small[at] = a, b
         return big, small
+
+    return wrong
+
+
+def _on_options(right, wrong):
+    """An array form that is ``wrong`` where the option layout evaluates
+    it, on one-dimensional cells, and ``right`` on the two-dimensional
+    bands of rows."""
+
+    def form(xs, ys):
+        return (wrong if np.ndim(xs) == 1 else right)(xs, ys)
+
+    return form
+
+
+def _dropping_cell(right, rules, heap, option):
+    """The option layout ``right`` (``engine.heap_options``) with
+    ``option`` missing from what choosing a heap of ``heap`` stones reaches
+    in the game ``rules``."""
+
+    def wrong(game, first, last):
+        heaps, xs, ys = right(game, first, last)
+        keep = (heaps != heap) | (xs != option[0]) | (ys != option[1]) | (game is not rules)
+        return heaps[keep], xs[keep], ys[keep]
+
+    return wrong
+
+
+def _adding_cell(right, rules, heap, extra):
+    """The option layout ``right`` with the cell ``extra`` added, last, to
+    what choosing a heap of ``heap`` stones reaches in the game ``rules``."""
+
+    def wrong(game, first, last):
+        cells = right(game, first, last)
+        if game is rules and first <= heap < last:
+            at = int(np.searchsorted(cells[0], heap, "right"))
+            cells = (np.insert(a, at, v) for a, v in zip(cells, (heap, *extra)))
+        return tuple(cells)
 
     return wrong
 
@@ -702,13 +751,18 @@ class TestCertificateFaultInjection:
         ]
 
     # Option faults are planted in the per-heap primitive on ``rulesets``,
-    # which both the option sets and the sweeps read, so each one reaches
-    # every position that holds the faulty heap.
+    # which the option sets read, and alike in its array twin, the option
+    # layout the sweeps read, so each one reaches every position that
+    # holds the faulty heap.
 
     def test_proof_steps_dropped_option(self, monkeypatch):
         monkeypatch.setattr(
             rulesets, "delete_nim_heap_options",
             _dropping(rulesets.delete_nim_heap_options, 8, (7, 0)),
+        )
+        monkeypatch.setattr(
+            engine, "heap_options",
+            _dropping_cell(engine.heap_options, rulesets.DELETE_NIM, 8, (7, 0)),
         )
         rep = vf.verify_proof_steps(20)
         assert rep.mismatches == [
@@ -720,6 +774,10 @@ class TestCertificateFaultInjection:
         monkeypatch.setattr(
             rulesets, "delete_nim_heap_options",
             _dropping(rulesets.delete_nim_heap_options, 7, (6, 0)),
+        )
+        monkeypatch.setattr(
+            engine, "heap_options",
+            _dropping_cell(engine.heap_options, rulesets.DELETE_NIM, 7, (6, 0)),
         )
         rep = vf.verify_proof_steps(10)
         assert rep.mismatches == [
@@ -733,6 +791,10 @@ class TestCertificateFaultInjection:
         monkeypatch.setattr(
             rulesets, "delete_nim_heap_options",
             _adding(rulesets.delete_nim_heap_options, 3, {(10, 3)}),
+        )
+        monkeypatch.setattr(
+            engine, "heap_options",
+            _adding_cell(engine.heap_options, rulesets.DELETE_NIM, 3, (10, 3)),
         )
         rep = vf.verify_proof_steps(12)
         assert rep.mismatches == [
@@ -771,6 +833,9 @@ class TestCertificateFaultInjection:
         monkeypatch.setattr(
             rulesets, "vdn_heap_options", _dropping(rulesets.vdn_heap_options, 9, (6, 3))
         )
+        monkeypatch.setattr(
+            engine, "heap_options", _dropping_cell(engine.heap_options, rulesets.VDN, 9, (6, 3))
+        )
         _band_cells(monkeypatch, band_size)
         rep = vf.verify_isomorphism(10)
         assert rep.mismatches == [
@@ -783,6 +848,9 @@ class TestCertificateFaultInjection:
         # (9, 5) does not sum to 7, so no move from a heap of 7 reaches it
         monkeypatch.setattr(
             rulesets, "vdn_heap_options", _adding(rulesets.vdn_heap_options, 7, {(9, 5)})
+        )
+        monkeypatch.setattr(
+            engine, "heap_options", _adding_cell(engine.heap_options, rulesets.VDN, 7, (9, 5))
         )
         _band_cells(monkeypatch, band_size)
         rep = vf.verify_isomorphism(10)
@@ -826,6 +894,141 @@ class TestCertificateFaultInjection:
                 assert all(k == 1 or k * w <= 16 for layout in layouts for k, w in layout)
             else:
                 assert all(len(layout) == 1 for layout in layouts)
+
+    # Faults planted in an array route alone, the option layout or an array
+    # form where the layout evaluates it: the scalar routes find nothing at
+    # the positions a faulty heap flags, so the heap's fault is reported,
+    # once, at the first of them or at the faulty cell.
+
+    @pytest.mark.parametrize("band_size", [engine._BAND_CELLS, 16])
+    def test_proof_steps_cell_dropped_from_the_layout_alone(self, monkeypatch, band_size):
+        # (7, 0), the option constructed from bit 3 of heap 8, which (8, 7)
+        # alone needs, is missing from heap 8's layout
+        monkeypatch.setattr(
+            engine, "heap_options",
+            _dropping_cell(engine.heap_options, rulesets.DELETE_NIM, 8, (7, 0)),
+        )
+        _band_cells(monkeypatch, band_size)
+        rep = vf.verify_proof_steps(20)
+        assert rep.positions_checked == triangle(20)
+        assert rep.mismatches == [
+            ("8,7", "equal heap options",
+             "delete_nim_heap_options(8) gives [(4, 3), (5, 2), (6, 1), (7, 0)], "
+             "the option layout gives [(4, 3), (5, 2), (6, 1)]")
+        ]
+
+    @pytest.mark.parametrize("band_size", [engine._BAND_CELLS, 16])
+    @pytest.mark.parametrize("cell, value", [((7, 0), 4), ((5, 2), 64), ((5, 2), -1)])
+    def test_proof_steps_wrong_array_value_at_a_heap_option_alone(
+        self, monkeypatch, band_size, cell, value
+    ):
+        # a wrong value where the layout evaluates the array form, at an
+        # option of heap 8 (right 3): at (7, 0), the option constructed from
+        # its bit 3, or outside the masks' bits at (5, 2), which sets all
+        # of heap 8's value bits.  The bands' own value there stays right,
+        # and the disagreement is reported at the option's place, before
+        # the one planted at (7, 5) in the array form alike (right 3)
+        right = _patched_array(cf.delete_nim_grundy_array, {(7, 5): 2})
+        monkeypatch.setattr(
+            cf, "delete_nim_grundy_array", _on_options(right, _patched_array(right, {cell: value}))
+        )
+        _band_cells(monkeypatch, band_size)
+        rep = vf.verify_proof_steps(20)
+        assert rep.positions_checked == triangle(20)
+        assert rep.mismatches == [
+            (f"{cell[0]},{cell[1]}", "value 3, as delete_nim_grundy gives",
+             f"delete_nim_grundy_array gives {value}"),
+            ("7,5", "value 3, as delete_nim_grundy gives", "delete_nim_grundy_array gives 2"),
+        ]
+
+    def test_proof_steps_foreign_cell_in_place_of_a_constructed_option(self, monkeypatch):
+        # heap 8 reaches (7, 7) in place of (7, 0), its option constructed
+        # from bit 3: (7, 7) holds 2**3 - 1 and has value 3, but does not
+        # sum to 7, so it is no constructed option and (8, 7) fails
+        monkeypatch.setattr(
+            rulesets, "delete_nim_heap_options",
+            _adding(_dropping(rulesets.delete_nim_heap_options, 8, (7, 0)), 8, {(7, 7)}),
+        )
+        monkeypatch.setattr(
+            engine, "heap_options",
+            _adding_cell(
+                _dropping_cell(engine.heap_options, rulesets.DELETE_NIM, 8, (7, 0)),
+                rulesets.DELETE_NIM, 8, (7, 7),
+            ),
+        )
+        assert vf.verify_proof_steps(20).mismatches == [
+            ("8,7", "constructed option 7,0 to be legal", "not an option")
+        ]
+
+    @pytest.mark.parametrize("band_size", [engine._BAND_CELLS, 16])
+    def test_iso_cell_dropped_from_the_layout_alone(self, monkeypatch, band_size):
+        # (6, 3) is missing from VDN heap 9's layout, so heap 9 fails; the
+        # option sets commute at every position holding it
+        monkeypatch.setattr(
+            engine, "heap_options", _dropping_cell(engine.heap_options, rulesets.VDN, 9, (6, 3))
+        )
+        _band_cells(monkeypatch, band_size)
+        rep = vf.verify_isomorphism(10)
+        assert rep.positions_checked == 10 * 11 // 2
+        assert rep.mismatches == [
+            ("9,1", "equal heap options",
+             "vdn_heap_options(9) gives [(5, 4), (6, 3), (7, 2), (8, 1)], "
+             "the option layout gives [(5, 4), (7, 2), (8, 1)]")
+        ]
+
+    @pytest.mark.parametrize("band_size", [engine._BAND_CELLS, 16])
+    @pytest.mark.parametrize("image", [(4, 3), (5, 1)])
+    def test_iso_wrong_twin_image_at_a_heap_option_alone(self, monkeypatch, band_size, image):
+        # the twin sends VDN heap 9's option (6, 3), right (5, 2), to a
+        # wrong image where the layout evaluates it; the bands' own image
+        # there stays right, and the two images are reported at (6, 3)'s
+        # place, before (6, 5), planted alike in both (right (5, 4))
+        right = _patched_image(isomorphism.vdn_to_delete_array, {(6, 5): (5, 3)})
+        monkeypatch.setattr(
+            isomorphism, "vdn_to_delete_array",
+            _on_options(right, _patched_image(right, {(6, 3): image})),
+        )
+        _band_cells(monkeypatch, band_size)
+        rep = vf.verify_isomorphism(10)
+        assert rep.positions_checked == 10 * 11 // 2
+        assert rep.mismatches == [
+            ("6,3", "equal images",
+             f"vdn_to_delete gives (5, 2), vdn_to_delete_array gives {image}"),
+            ("6,5", "equal images", "vdn_to_delete gives (5, 4), vdn_to_delete_array gives (5, 3)"),
+        ]
+
+    @pytest.mark.parametrize("name", ["proof-steps", "iso"])
+    def test_small_bands_reach_every_heap_layout(self, monkeypatch, name):
+        # the per-heap layouts come in bands of consecutive heaps from the
+        # one constant: one band per game at the default for bound 40, and
+        # at 16 cells several, each of at most 16 option cells or one heap
+        # (heap 40 reaches 20); every heap of each game comes once
+        calls = []
+        heap_options = engine.heap_options
+
+        def spy(rules, first, last):
+            cells = heap_options(rules, first, last)
+            calls.append((rules.name, first, last, len(cells[0])))
+            return cells
+
+        monkeypatch.setattr(engine, "heap_options", spy)
+        games = {"proof-steps": [("delete-nim", 0, 41)],
+                 "iso": [("vdn", 1, 41), ("delete-nim", 0, 40)]}[name]
+        for size in (engine._BAND_CELLS, 16):
+            _band_cells(monkeypatch, size)
+            calls.clear()
+            assert vf.run_check(name, 40).passed
+            assert sorted({game for game, *_ in calls}) == sorted(game for game, _, _ in games)
+            for game, first, last in games:
+                bands = [(f, t, n) for g, f, t, n in calls if g == game]
+                assert [f for f, _, _ in bands] == [first] + [t for _, t, _ in bands[:-1]]
+                assert bands[-1][1] == last
+                if size == 16:
+                    assert len(bands) > 1
+                    assert all(n <= 16 or t - f == 1 for f, t, n in bands)
+                    assert any(n > 16 for _, _, n in bands)
+                else:
+                    assert len(bands) == 1
 
     @pytest.mark.parametrize("band_size", [engine._BAND_CELLS, 16])
     def test_iso_wrong_twin_image_is_reported_once(self, monkeypatch, band_size):
