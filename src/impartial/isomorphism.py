@@ -6,13 +6,14 @@ when the map commutes everywhere inside the bound.  It maps each heap's
 moves once and tests every position, both on bands of arrays with the
 twin, so its Python work is a fixed number of numpy steps per band and
 the flagged positions, not the bound**3/4 option edges of the
-positions."""
+positions; it explains the flagged ones by the rule proof-steps shares
+(``_flagged.explain``)."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import engine, rulesets
+from . import _flagged, engine, rulesets
 from .rulesets import (
     Pair,
     canonical_pair,
@@ -85,34 +86,14 @@ def _cells(where, xs: np.ndarray, ys: np.ndarray) -> set[Pair]:
     return set(zip(xs[where].tolist(), ys[where].tolist()))
 
 
-def _heap_faults(s: int, at: Pair, imaged: set) -> list[tuple[Pair, str]]:
-    """``(cell, reason)`` for what fails VDN heap s where the scalar
-    routes find that the options commute, ``at`` being the first flagged
-    position holding s: the option layout of VDN heap s or of Delete Nim
-    heap s - 1, as a set, differs from ``rulesets.*_heap_options``, or the
-    map and its twin give different images of one of heap s's options, a
-    cell not yet in ``imaged``."""
-    _, xs, ys = engine.heap_options(rulesets.VDN, s, s + 1)
-    _, dn_xs, dn_ys = engine.heap_options(rulesets.DELETE_NIM, s - 1, s)
-    faults: list[tuple[Pair, str]] = [
-        (at, f"{name}({heap}) gives {sorted(right)}, the option layout gives {sorted(layout)}")
-        for name, heap, right, layout in (
-            ("vdn_heap_options", s, rulesets.vdn_heap_options(s), _cells(..., xs, ys)),
-            ("delete_nim_heap_options", s - 1, rulesets.delete_nim_heap_options(s - 1),
-             _cells(..., dn_xs, dn_ys)),
-        )
-        if layout != right
-    ]
-    images = zip(*(a.tolist() for a in vdn_to_delete_array(xs, ys)))
-    for q, twin in zip(zip(xs.tolist(), ys.tolist()), images):
-        if q not in imaged and (image := vdn_to_delete(q)) != twin:
-            imaged.add(q)
-            faults.append((q, _images(image, twin)))
-    return faults
-
-
-def _images(image: Pair, twin: tuple) -> str:
-    return f"vdn_to_delete gives {image}, vdn_to_delete_array gives {twin}"
+def _recheck(p: Pair) -> list[tuple]:
+    """Position p's line if its options, mapped, differ from its image's."""
+    mapped = set(map(vdn_to_delete, vdn_options(p)))
+    direct = delete_nim_options(vdn_to_delete(p))
+    if mapped == direct:
+        return []
+    extra, missing = sorted(mapped - direct), sorted(direct - mapped)
+    return [(p, "equal option sets", f"extra={extra} missing={missing}")]
 
 
 def check_isomorphism(bound: int) -> list[tuple[Pair, str]]:
@@ -131,17 +112,16 @@ def check_isomorphism(bound: int) -> list[tuple[Pair, str]]:
     construction.  The positions are tested on the bands that
     ``engine.band_rows`` lays out, in its narrow heap types, each band's
     images taken from the array twin, vdn_to_delete_array.  Only flagged
-    positions reach Python: each is compared in full, one option at a
-    time, with the scalar map and ``rulesets``' option sets.  If that
-    finds nothing and the two maps give different images there, the
-    position is reported with the reason
-    "vdn_to_delete gives (a, b), vdn_to_delete_array gives (c, d)".
-    Failing that, what fails one of its heaps (``_heap_faults``) is
-    reported, once per heap and once per cell: a heap's option layout
-    that differs from its option set, with the reason
+    positions reach Python, where the rule both certificate sweeps share
+    (``_flagged.explain``) explains each: its recheck compares the
+    position's options in full, one at a time, with the scalar map and
+    ``rulesets``' option sets; its twin is the two maps, whose
+    disagreement has the reason
+    "vdn_to_delete gives (a, b), vdn_to_delete_array gives (c, d)"; and
+    heap s feeds the layouts of VDN heap s and Delete Nim heap s - 1, a
+    layout that differs from its option set having the reason
     "vdn_heap_options(s) gives [...], the option layout gives [...]" (or
-    delete_nim_heap_options), or an option the two maps send to
-    different images, as above at that option's place in (x, y) order.
+    delete_nim_heap_options).
 
     So the check runs the array routes, the twin and the option layout;
     the scalar map and the option sets run only at flagged positions.
@@ -156,24 +136,11 @@ def check_isomorphism(bound: int) -> list[tuple[Pair, str]]:
         flagged |= big != xs - 1
         flagged |= small != ys - 1
         engine.band_cells(flagged_cells, flagged, xs, ys, big, small)
-    failures: list[tuple[Pair, str]] = []
-    imaged: set = set()  # the cells whose two images are reported
-    heaps: set = set()  # the heaps _heap_faults looked at
-    for x, y, *twin in sorted(flagged_cells):
-        p, twin = (x, y), tuple(twin)
-        image = vdn_to_delete(p)
-        mapped = set(map(vdn_to_delete, vdn_options(p)))
-        direct = delete_nim_options(image)
-        if mapped != direct:
-            extra = sorted(mapped - direct)
-            missing = sorted(direct - mapped)
-            failures.append((p, f"extra={extra} missing={missing}"))
-        elif image != twin:
-            imaged.add(p)
-            failures.append((p, _images(image, twin)))
-        else:
-            for s in sorted({x, y} - heaps, reverse=True):
-                heaps.add(s)
-                failures += _heap_faults(s, p, imaged)
-    # stable, so each position's reasons keep the order they were found in
-    return sorted(failures, key=lambda f: f[0])
+    lines = _flagged.explain(
+        flagged_cells,
+        _recheck,
+        (vdn_to_delete, vdn_to_delete_array, lambda image, twin: (
+            "equal images", f"vdn_to_delete gives {image}, vdn_to_delete_array gives {twin}")),
+        lambda s: [(rulesets.VDN, s), (rulesets.DELETE_NIM, s - 1)],
+    )
+    return [(p, reason) for p, _, reason in lines]

@@ -238,17 +238,22 @@ _ECHO = 60  # characters an error message echoes of a position or a number
 
 def echo_position(text: str, show: Callable = str) -> str:
     """``show(text)``, a position's text as an error message echoes it, if
-    ``text`` is at most 60 characters.  Past that, ``show`` of its first 60,
-    then ``...`` and its number of comma-separated heaps, with the largest
-    if each is a heap of at most 60 digits, so that no message grows with
-    its input."""
-    if len(text) <= _ECHO:
+    ``text`` is at most 60 characters and that is at most 180 bytes.  Past
+    that, ``show`` of its longest prefix within both, then ``...`` and its
+    number of comma-separated heaps, with the largest if each is a heap of
+    at most 60 digits, so that no message grows with its input, nor with
+    the escapes (up to 10 characters each under ``repr``) and multibyte
+    characters of its text."""
+    head = text[:_ECHO]
+    while len(show(head).encode()) > 3 * _ECHO:
+        head = head[:-1]
+    if head == text:
         return show(text)
     parts = [s.strip() for s in text.split(",")]
     largest = ""
     if all(len(s) <= _ECHO and _HEAP_TEXT.fullmatch(s) for s in parts):
         largest = f", largest {max(map(int, parts))}"
-    return f"{show(text[:_ECHO])}... ({len(parts)} heaps{largest})"
+    return f"{show(head)}... ({len(parts)} heaps{largest})"
 
 
 def echo_number(n: int) -> str:

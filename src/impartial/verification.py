@@ -17,9 +17,9 @@ of the same size (``engine.heap_bands``); proof-steps tests each position
 on the heaps' masks in the narrowest unsigned type its bound allows, and
 iso tests each position with the map's array twin
 (``isomorphism.check_isomorphism``).  These sweeps count their checked
-cells from the bands and hold O(bound) memory besides a band, and a
-position that fails is checked in full, one option at a time, with the
-scalar routes, for the report.  The sum sweep compares the engine's sum
+cells from the bands and hold O(bound) memory besides a band, and each
+position they flag is explained with the scalar routes by one rule,
+``_flagged.explain``.  The sum sweep compares the engine's sum
 kernel (``engine.sum_values``) with the XOR of the component values from
 ``engine.bands``, one broadcast per batch of sums; the Bouton sweep takes
 its values from the engine's Nim kernel.  Each check's row of ``_CHECKS``
@@ -46,7 +46,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import closed_forms, engine, isomorphism, rulesets
+from . import _flagged, closed_forms, engine, isomorphism, rulesets
 from .errors import DomainError
 
 __all__ = [
@@ -302,30 +302,6 @@ def _proof_step_cells(bound: int, values: np.ndarray, bad: np.ndarray) -> tuple[
     return found, checked
 
 
-def _disagreement(q: rulesets.Pair, g: int, h: int) -> tuple:
-    return q, f"value {g}, as delete_nim_grundy gives", f"delete_nim_grundy_array gives {h}"
-
-
-def _heap_faults(s: int, at: rulesets.Pair, reported: set) -> list[tuple]:
-    """``(cell, expected, actual)`` for what makes heap s's masks differ
-    from the ones the scalar routes give, ``at`` being the first flagged
-    position holding s: its option layout, as a set, differs from
-    ``rulesets.delete_nim_heap_options(s)``, or the two closed forms
-    disagree at one of its options, a cell not yet in ``reported``."""
-    _, xs, ys = engine.heap_options(rulesets.DELETE_NIM, s, s + 1)
-    layout = list(zip(xs.tolist(), ys.tolist()))
-    faults: list[tuple] = []
-    if set(layout) != (options := rulesets.delete_nim_heap_options(s)):
-        faults.append((at, "equal heap options",
-                       f"delete_nim_heap_options({s}) gives {sorted(options)}, "
-                       f"the option layout gives {sorted(set(layout))}"))
-    for q, h in zip(layout, closed_forms.delete_nim_grundy_array(xs, ys).tolist()):
-        if q not in reported and (g := closed_forms.delete_nim_grundy(*q)) != h:
-            reported.add(q)
-            faults.append(_disagreement(q, g, h))
-    return faults
-
-
 def verify_proof_steps(bound: int, budget: int | None = None) -> VerificationReport:
     """Run the per-position certificate checks for all 0 <= y <= x <= bound.
 
@@ -356,35 +332,26 @@ def verify_proof_steps(bound: int, budget: int | None = None) -> VerificationRep
     positions.  The tier-1 tests hold each scalar route to its array twin
     on every canonical cell and heap through bound 1024.
 
-    A position where either test fails is checked again, in row-major
-    order, by proof_step_failures, one option at a time with the scalar
-    routes, for the report.  If that finds nothing, a disagreement of the
-    two closed forms there is reported; failing that, what makes one of
-    its heaps' masks differ from the scalar routes' (see _heap_faults),
-    once per heap and once per cell, each line at its cell's place in
-    row-major order.  The report counts the cells the bands tested.
+    Each position where either test fails is explained by the rule
+    both certificate sweeps share (``_flagged.explain``): its recheck is
+    proof_step_failures, one option at a time with the scalar routes, its
+    twin the two closed forms, and heap s feeds Delete Nim heap s's
+    layout.  The report counts the cells the bands tested.
     Charged by ``_charge``."""
     _charge("proof-steps", bound, budget)
     t0 = time.perf_counter()
     mask = np.min_scalar_type(1 << bound.bit_length())
     flagged, checked = _proof_step_cells(bound, *_heap_masks(bound, mask))
-    found: list[tuple] = []
-    reported: set = set()  # the cells whose disagreement is reported
-    heaps: set = set()  # the heaps _heap_faults looked at
-    for x, y, h in sorted(flagged):
-        failures = [((x, y), e, a) for _, e, a in proof_step_failures(x, y)]
-        if not failures and (g := closed_forms.delete_nim_grundy(x, y)) != h:
-            reported.add((x, y))
-            failures = [_disagreement((x, y), g, h)]
-        if not failures:
-            for s in sorted({x, y} - heaps, reverse=True):
-                heaps.add(s)
-                failures += _heap_faults(s, (x, y), reported)
-        found += failures
-    # stable, so each position's lines keep the order they were found in
-    mismatches: list[Mismatch] = [
-        (f"{x},{y}", e, a) for (x, y), e, a in sorted(found, key=lambda f: f[0])
-    ]
+    lines = _flagged.explain(
+        flagged,
+        lambda p: [(p, e, a) for _, e, a in proof_step_failures(*p)],
+        (lambda q: (closed_forms.delete_nim_grundy(*q),),
+         lambda xs, ys: (closed_forms.delete_nim_grundy_array(xs, ys),),
+         lambda g, h: (f"value {g[0]}, as delete_nim_grundy gives",
+                       f"delete_nim_grundy_array gives {h[0]}")),
+        lambda s: [(rulesets.DELETE_NIM, s)],
+    )
+    mismatches: list[Mismatch] = [(f"{x},{y}", e, a) for (x, y), e, a in lines]
     return VerificationReport(
         "proof-steps", bound, checked, mismatches, time.perf_counter() - t0
     )

@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -11,6 +12,8 @@ from itertools import combinations_with_replacement
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from impartial import cli, engine, verification
 from impartial.closed_forms import delete_nim_grundy
@@ -1246,3 +1249,61 @@ class TestUsage:
         monkeypatch.setattr(cli, "cmd_table", closed)
         assert cli.main(["table", "--game", "vdn", "--bound", "3"]) == 141
         assert capsys.readouterr().err == ""
+
+
+# The command contract under drawn argv: every input answers or fails fast
+# with a documented code.  play is left out, as it reads stdin, and so is
+# table's --output, as it writes a file.  Budgets and bounds stay small, so
+# each example takes milliseconds.
+_PARTS = st.one_of(
+    st.sampled_from(["0", "1", "3", "12", "40", "-3", "+2", " 7 ", "", "1_0", "\uff13",
+                     "\u0663", "9" * 70, str(1 << 64)]),
+    st.text(max_size=4),
+)
+_POSITIONS = st.one_of(
+    st.tuples(st.integers(0, 40), st.integers(0, 40)).map(lambda p: f"{p[0]},{p[1]}"),
+    st.lists(st.integers(0, 40).map(str), min_size=1, max_size=3).map(",".join),
+    st.lists(_PARTS, max_size=5).map(",".join),
+    st.lists(st.sampled_from(["1", "2", "60000"]), min_size=6, max_size=40).map(",".join),
+    st.text(min_size=61, max_size=90),
+)
+# an unknown game or format is drawn about once in ten
+_GAMES = st.sampled_from(["delete-nim", "vdn", "nim"] * 3 + ["chess"])
+_FORMATS = st.sampled_from(["text", "csv", "json"] * 3 + ["xml"])
+_NUMBERS = st.integers(-3, 40).map(str)
+_BUDGETS = st.integers(-3, 1000).map(str)
+
+
+@st.composite
+def _argv(draw) -> list:
+    command = draw(st.sampled_from(["grundy", "best-move", "table", "verify"]))
+    if command in ("grundy", "best-move"):
+        argv = [command, "--game", draw(_GAMES), "--position", draw(_POSITIONS)]
+    elif command == "table":
+        argv = [command, "--game", draw(_GAMES), "--bound", draw(_NUMBERS)]
+        argv += ["--format", draw(_FORMATS)]
+    else:
+        checks = draw(st.lists(st.sampled_from([*verification.CHECK_NAMES, "all"]), max_size=3))
+        argv = [command, *(f"--{c}" if c == "all" else f"--check={c}" for c in checks)]
+        for flag in draw(st.lists(st.sampled_from(
+            ["--bound", "--bound-sum", "--bound-proof-steps", "--heaps", "--size"]
+        ), max_size=3, unique=True)):
+            argv += [flag, draw(_NUMBERS)]
+        argv += ["--format", draw(_FORMATS)]
+    if command != "table" or draw(st.integers(0, 9)) == 0:
+        argv += ["--budget", draw(_BUDGETS)]  # table takes none: a usage error
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(_argv())
+def test_drawn_argv_keeps_the_command_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in {0, 1, 2, 3, 4}
+    assert "Traceback" not in err.getvalue()
+    # argparse's usage banner is long, so only the error line is bounded
+    for line in err.getvalue().splitlines():
+        if "error:" in line:
+            assert len(line.encode()) < 300

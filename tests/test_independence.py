@@ -31,7 +31,7 @@ def test_reference_imports_nothing_from_the_package():
     assert not {name for name in imported if name.split(".")[0] == "impartial"}
 
 
-@pytest.mark.parametrize("module", ["engine", "rulesets", "isomorphism"])
+@pytest.mark.parametrize("module", ["engine", "rulesets", "isomorphism", "_flagged"])
 def test_recursion_imports_no_closed_form(module):
     imported = _imported(PACKAGE / f"{module}.py")
     for banned in ("closed_forms", "verification"):

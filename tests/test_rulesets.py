@@ -225,6 +225,16 @@ class TestParse:
         assert rs.echo_position("x," + whole, repr) == repr("x," + whole[:58]) + "... (31 heaps)"
         assert rs.echo_position("1" * 61 + ",2") == "1" * 60 + "... (2 heaps)"
 
+    def test_echo_cuts_escapes_and_wide_characters(self):
+        # at most 180 bytes of a shown text: repr writes a control character
+        # as 4 characters and an unassigned one as 10, and str a 4-byte
+        # character as is, so a text of 60 such characters is cut too
+        assert rs.echo_position("\x1f" * 60, repr) == repr("\x1f" * 44) + "... (1 heaps)"
+        assert rs.echo_position("\U000e7d12" * 3, repr) == repr("\U000e7d12" * 3)
+        assert rs.echo_position("\U000e7d12" * 18, repr) == repr("\U000e7d12" * 17) + "... (1 heaps)"
+        assert rs.echo_position("\U0001f600" * 60) == "\U0001f600" * 45 + "... (1 heaps)"
+        assert rs.echo_position("\U0001f600" * 45) == "\U0001f600" * 45
+
     def test_echo_number_cuts_past_sixty_digits(self):
         # a number of up to 60 digits is echoed whole; past that, its first
         # 60 digits and its digit count, even past the 4300 digits str() takes

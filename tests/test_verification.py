@@ -127,6 +127,25 @@ class TestSweeps:
         ]
         assert len(layout) == sum(s // 2 for s in range(1, 9)) == 16
 
+    @pytest.mark.parametrize("name", ["proof-steps", "iso"])
+    def test_a_passing_certificate_sweep_calls_no_scalar_route(self, monkeypatch, name):
+        # the scalar routes explain flagged positions only, and a passing
+        # sweep flags none
+        calls = []
+
+        def spy(module, attr):
+            right = getattr(module, attr)
+            monkeypatch.setattr(
+                module, attr, lambda *args: calls.append((attr, args)) or right(*args)
+            )
+
+        for module, attr in [(cf, "delete_nim_grundy"), (vf, "proof_step_failures"),
+                             (rulesets, "delete_nim_heap_options"),
+                             (rulesets, "vdn_heap_options"), (isomorphism, "vdn_to_delete")]:
+            spy(module, attr)
+        assert vf.run_check(name, 40).passed
+        assert calls == []
+
     def test_iso_pairs_bands_whatever_their_mask_types(self, monkeypatch):
         # bit 40 of one Delete Nim heap's mask cleared: that heap now also
         # reaches value 40, which no position near this bound has, so no
@@ -1044,6 +1063,133 @@ class TestCertificateFaultInjection:
         assert rep.mismatches == [
             ("150,37", "equal images",
              "vdn_to_delete gives (149, 36), vdn_to_delete_array gives (149, 35)")
+        ]
+
+    # Two faults in one heap: both sweeps explain a flagged position by
+    # one rule, which audits the position's heaps even when the position
+    # itself already has a line, so the second fault is named too.
+
+    @pytest.mark.parametrize("band_size", [engine._BAND_CELLS, 16])
+    def test_proof_steps_dropped_layout_cell_and_wide_layout_value(self, monkeypatch, band_size):
+        # heap 8's layout lacks (7, 0) and gives its option (5, 2) value 64,
+        # which flags every position holding heap 8, the first at (8, 0)
+        monkeypatch.setattr(
+            engine, "heap_options",
+            _dropping_cell(engine.heap_options, rulesets.DELETE_NIM, 8, (7, 0)),
+        )
+        right = cf.delete_nim_grundy_array
+        monkeypatch.setattr(
+            cf, "delete_nim_grundy_array", _on_options(right, _patched_array(right, {(5, 2): 64}))
+        )
+        _band_cells(monkeypatch, band_size)
+        assert vf.verify_proof_steps(20).mismatches == [
+            ("5,2", "value 3, as delete_nim_grundy gives", "delete_nim_grundy_array gives 64"),
+            ("8,0", "equal heap options",
+             "delete_nim_heap_options(8) gives [(4, 3), (5, 2), (6, 1), (7, 0)], "
+             "the option layout gives [(4, 3), (5, 2), (6, 1)]"),
+        ]
+
+    @pytest.mark.parametrize("band_size", [engine._BAND_CELLS, 16])
+    def test_iso_dropped_layout_cell_and_wrong_layout_image(self, monkeypatch, band_size):
+        # VDN heap 9's layout lacks (6, 3), and the twin sends its option
+        # (7, 2) to a wrong image where the layout evaluates it
+        monkeypatch.setattr(
+            engine, "heap_options", _dropping_cell(engine.heap_options, rulesets.VDN, 9, (6, 3))
+        )
+        right = isomorphism.vdn_to_delete_array
+        monkeypatch.setattr(
+            isomorphism, "vdn_to_delete_array",
+            _on_options(right, _patched_image(right, {(7, 2): (6, 0)})),
+        )
+        _band_cells(monkeypatch, band_size)
+        assert vf.verify_isomorphism(10).mismatches == [
+            ("7,2", "equal images", "vdn_to_delete gives (6, 1), vdn_to_delete_array gives (6, 0)"),
+            ("9,1", "equal heap options",
+             "vdn_heap_options(9) gives [(5, 4), (6, 3), (7, 2), (8, 1)], "
+             "the option layout gives [(5, 4), (7, 2), (8, 1)]"),
+        ]
+
+    @pytest.mark.parametrize("band_size", [engine._BAND_CELLS, 16])
+    def test_proof_steps_layout_fault_at_a_position_whose_twin_disagrees(
+        self, monkeypatch, band_size
+    ):
+        # heap 8's layout lacks (7, 0), which (8, 7) alone needs, and the
+        # array form is wrong at (8, 7) and (12, 3), in the bands and the
+        # layouts alike (right 4 at both).  (8, 7) is the one flagged
+        # position holding heap 8, so its heap is audited although its own
+        # values disagree
+        monkeypatch.setattr(
+            engine, "heap_options",
+            _dropping_cell(engine.heap_options, rulesets.DELETE_NIM, 8, (7, 0)),
+        )
+        monkeypatch.setattr(
+            cf, "delete_nim_grundy_array",
+            _patched_array(cf.delete_nim_grundy_array, {(8, 7): 5, (12, 3): 1}),
+        )
+        _band_cells(monkeypatch, band_size)
+        assert vf.verify_proof_steps(20).mismatches == [
+            ("8,7", "value 4, as delete_nim_grundy gives", "delete_nim_grundy_array gives 5"),
+            ("8,7", "equal heap options",
+             "delete_nim_heap_options(8) gives [(4, 3), (5, 2), (6, 1), (7, 0)], "
+             "the option layout gives [(4, 3), (5, 2), (6, 1)]"),
+            ("12,3", "value 4, as delete_nim_grundy gives", "delete_nim_grundy_array gives 1"),
+        ]
+
+    @pytest.mark.parametrize("band_size", [engine._BAND_CELLS, 16])
+    def test_iso_cell_dropped_from_the_delete_nim_layout_alone(self, monkeypatch, band_size):
+        # Delete Nim heap 8's layout lacks (7, 0): VDN heap 9 fails, and is
+        # reported at (9, 1), the first position holding it
+        monkeypatch.setattr(
+            engine, "heap_options",
+            _dropping_cell(engine.heap_options, rulesets.DELETE_NIM, 8, (7, 0)),
+        )
+        _band_cells(monkeypatch, band_size)
+        assert vf.verify_isomorphism(12).mismatches == [
+            ("9,1", "equal heap options",
+             "delete_nim_heap_options(8) gives [(4, 3), (5, 2), (6, 1), (7, 0)], "
+             "the option layout gives [(4, 3), (5, 2), (6, 1)]")
+        ]
+
+    @pytest.mark.parametrize("band_size", [engine._BAND_CELLS, 16])
+    def test_proof_steps_heap_audited_where_the_recheck_finds_lines(self, monkeypatch, band_size):
+        # (7, 0) is dropped from heap 8's option set and layout alike, so
+        # the recheck of (8, 7), the one position that needs it, fails;
+        # the layout alone also lacks (6, 1), and heap 8 is still audited
+        monkeypatch.setattr(
+            rulesets, "delete_nim_heap_options",
+            _dropping(rulesets.delete_nim_heap_options, 8, (7, 0)),
+        )
+        monkeypatch.setattr(
+            engine, "heap_options",
+            _dropping_cell(_dropping_cell(engine.heap_options, rulesets.DELETE_NIM, 8, (7, 0)),
+                           rulesets.DELETE_NIM, 8, (6, 1)),
+        )
+        _band_cells(monkeypatch, band_size)
+        assert vf.verify_proof_steps(20).mismatches == [
+            ("8,7", "constructed option 7,0 to be legal", "not an option"),
+            ("8,7", "equal heap options",
+             "delete_nim_heap_options(8) gives [(4, 3), (5, 2), (6, 1)], "
+             "the option layout gives [(4, 3), (5, 2)]"),
+        ]
+
+    @pytest.mark.parametrize("band_size", [engine._BAND_CELLS, 16])
+    def test_proof_steps_larger_heap_audited_first(self, monkeypatch, band_size):
+        # heap 8's layout lacks (7, 0) and heap 7's holds (15, 0), of value
+        # 4; (8, 7) is the first position either flags, and the two lines
+        # there come the larger heap first
+        monkeypatch.setattr(
+            engine, "heap_options",
+            _adding_cell(_dropping_cell(engine.heap_options, rulesets.DELETE_NIM, 8, (7, 0)),
+                         rulesets.DELETE_NIM, 7, (15, 0)),
+        )
+        _band_cells(monkeypatch, band_size)
+        assert vf.verify_proof_steps(20).mismatches == [
+            ("8,7", "equal heap options",
+             "delete_nim_heap_options(8) gives [(4, 3), (5, 2), (6, 1), (7, 0)], "
+             "the option layout gives [(4, 3), (5, 2), (6, 1)]"),
+            ("8,7", "equal heap options",
+             "delete_nim_heap_options(7) gives [(3, 3), (4, 2), (5, 1), (6, 0)], "
+             "the option layout gives [(3, 3), (4, 2), (5, 1), (6, 0), (15, 0)]"),
         ]
 
 
