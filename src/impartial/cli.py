@@ -28,7 +28,8 @@ import numpy as np
 from . import closed_forms, engine, verification
 from .errors import BudgetExceededError, DomainError, ParseError
 from .rulesets import (
-    RULESETS, TWO_HEAP_MOVES, echo_number, echo_position, format_position, parse_position,
+    RULESETS, TWO_HEAP_MOVES, echo_head, echo_number, echo_position, format_position,
+    parse_position,
 )
 
 EXIT_OK = 0
@@ -258,11 +259,14 @@ def _echo_argument(match: re.Match) -> str:
 
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose usage errors echo each long argument in
-    bounded form, as the package's own messages do.  Its subparsers are of
-    this class too."""
+    bounded form, as the package's own messages do, and are cut past 240
+    bytes, then ``...``, however many arguments they echo.  Its subparsers
+    are of this class too."""
 
     def error(self, message: str):
-        super().error(_LONG_ARGUMENT.sub(_echo_argument, message))
+        message = _LONG_ARGUMENT.sub(_echo_argument, message)
+        head = echo_head(message, 240, 240)
+        super().error(message if head == message else head + "...")
 
 
 @functools.cache

@@ -112,21 +112,21 @@ def check_isomorphism(bound: int) -> list[tuple[Pair, str]]:
     construction.  The positions are tested on the bands that
     ``engine.band_rows`` lays out, in its narrow heap types, each band's
     images taken from the array twin, vdn_to_delete_array.  Only flagged
-    positions reach Python, where the rule both certificate sweeps share
-    (``_flagged.explain``) explains each: its recheck compares the
-    position's options in full, one at a time, with the scalar map and
-    ``rulesets``' option sets; its twin is the two maps, whose
-    disagreement has the reason
+    positions reach the scalar map and the option sets, through the rule
+    both certificate sweeps share (``_flagged.explain``): its recheck
+    compares the position's options in full; its twin is the two maps,
+    whose disagreement has the reason
     "vdn_to_delete gives (a, b), vdn_to_delete_array gives (c, d)"; and
     heap s feeds the layouts of VDN heap s and Delete Nim heap s - 1, a
     layout that differs from its option set having the reason
     "vdn_heap_options(s) gives [...], the option layout gives [...]" (or
-    delete_nim_heap_options).
+    delete_nim_heap_options).  The tier-1 tests hold each scalar route to
+    its array twin on every canonical cell and heap through bound 1024."""
+    return [(p, reason) for p, _, reason in _lines(bound)]
 
-    So the check runs the array routes, the twin and the option layout;
-    the scalar map and the option sets run only at flagged positions.
-    The tier-1 tests hold each scalar route to its array twin on every
-    canonical cell and heap through bound 1024."""
+
+def _lines(bound: int) -> list[tuple]:
+    """check_isomorphism's counterexamples as ``_flagged.explain``'s lines."""
     check_bound(1, bound)
     matched = _matched(bound)
     flagged_cells: list = []
@@ -136,11 +136,10 @@ def check_isomorphism(bound: int) -> list[tuple[Pair, str]]:
         flagged |= big != xs - 1
         flagged |= small != ys - 1
         engine.band_cells(flagged_cells, flagged, xs, ys, big, small)
-    lines = _flagged.explain(
+    return _flagged.explain(
         flagged_cells,
         _recheck,
         (vdn_to_delete, vdn_to_delete_array, lambda image, twin: (
             "equal images", f"vdn_to_delete gives {image}, vdn_to_delete_array gives {twin}")),
         lambda s: [(rulesets.VDN, s), (rulesets.DELETE_NIM, s - 1)],
     )
-    return [(p, reason) for p, _, reason in lines]

@@ -236,6 +236,16 @@ def format_position(rules: Ruleset, pos) -> str:
 _ECHO = 60  # characters an error message echoes of a position or a number
 
 
+def echo_head(text: str, chars: int, size: int, show: Callable = str) -> str:
+    """The longest prefix of ``text`` of at most ``chars`` characters whose
+    ``show`` is at most ``size`` bytes as stderr writes them (a lone
+    surrogate, from argv bytes that are not UTF-8, as its escape)."""
+    head = text[:chars]
+    while len(show(head).encode("utf-8", "backslashreplace")) > size:
+        head = head[:-1]
+    return head
+
+
 def echo_position(text: str, show: Callable = str) -> str:
     """``show(text)``, a position's text as an error message echoes it, if
     ``text`` is at most 60 characters and that is at most 180 bytes.  Past
@@ -244,9 +254,7 @@ def echo_position(text: str, show: Callable = str) -> str:
     at most 60 digits, so that no message grows with its input, nor with
     the escapes (up to 10 characters each under ``repr``) and multibyte
     characters of its text."""
-    head = text[:_ECHO]
-    while len(show(head).encode()) > 3 * _ECHO:
-        head = head[:-1]
+    head = echo_head(text, _ECHO, 3 * _ECHO, show)
     if head == text:
         return show(text)
     parts = [s.strip() for s in text.split(",")]

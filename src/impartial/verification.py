@@ -387,13 +387,6 @@ def verify_sum_theorem(bound: int, budget: int | None = None) -> VerificationRep
     return VerificationReport("sum", bound, checked, mismatches, time.perf_counter() - t0)
 
 
-def _iso_expected(reason: str) -> str:
-    """What an iso mismatch expects, from check_isomorphism's reason."""
-    if reason.startswith("extra="):
-        return "equal option sets"
-    return "equal images" if reason.startswith("vdn_to_delete ") else "equal heap options"
-
-
 def verify_isomorphism(bound: int, budget: int | None = None) -> VerificationReport:
     """Option-set commutation under the VDN -> Delete Nim map for all
     1 <= y <= x <= bound (``isomorphism.check_isomorphism``), plus Grundy
@@ -409,8 +402,8 @@ def verify_isomorphism(bound: int, budget: int | None = None) -> VerificationRep
     vdn_bands = engine.bands(rulesets.VDN, bound)
     dn_bands = engine.bands(rulesets.DELETE_NIM, bound - 1)
     mismatches: list[Mismatch] = [
-        (f"{p[0]},{p[1]}", _iso_expected(reason), reason)
-        for p, reason in isomorphism.check_isomorphism(bound)
+        (f"{p[0]},{p[1]}", expected, reason)
+        for p, expected, reason in isomorphism._lines(bound)
     ]
     # VDN rows and columns 1 .. bound are Delete Nim's 0 .. bound - 1, so
     # the two games' bands are equally wide, and pair one to one, cell by

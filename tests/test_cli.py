@@ -1255,17 +1255,19 @@ class TestUsage:
 # with a documented code.  play is left out, as it reads stdin, and so is
 # table's --output, as it writes a file.  Budgets and bounds stay small, so
 # each example takes milliseconds.
+# lone surrogates too: Python decodes argv bytes that are not UTF-8 to them
+_CHARS = st.characters() | st.sampled_from("\udc80\udcff")
 _PARTS = st.one_of(
     st.sampled_from(["0", "1", "3", "12", "40", "-3", "+2", " 7 ", "", "1_0", "\uff13",
-                     "\u0663", "9" * 70, str(1 << 64)]),
-    st.text(max_size=4),
+                     "\u0663", "\udcff", "9" * 70, str(1 << 64)]),
+    st.text(_CHARS, max_size=4),
 )
 _POSITIONS = st.one_of(
     st.tuples(st.integers(0, 40), st.integers(0, 40)).map(lambda p: f"{p[0]},{p[1]}"),
     st.lists(st.integers(0, 40).map(str), min_size=1, max_size=3).map(",".join),
     st.lists(_PARTS, max_size=5).map(",".join),
     st.lists(st.sampled_from(["1", "2", "60000"]), min_size=6, max_size=40).map(",".join),
-    st.text(min_size=61, max_size=90),
+    st.text(_CHARS, min_size=61, max_size=90),
 )
 # an unknown game or format is drawn about once in ten
 _GAMES = st.sampled_from(["delete-nim", "vdn", "nim"] * 3 + ["chess"])
@@ -1292,6 +1294,8 @@ def _argv(draw) -> list:
         argv += ["--format", draw(_FORMATS)]
     if command != "table" or draw(st.integers(0, 9)) == 0:
         argv += ["--budget", draw(_BUDGETS)]  # table takes none: a usage error
+    if draw(st.integers(0, 4)) == 0:
+        argv.append(draw(st.text(_CHARS, min_size=61, max_size=90)))  # a stray argument
     return argv
 
 
@@ -1306,4 +1310,31 @@ def test_drawn_argv_keeps_the_command_contract(argv):
     # argparse's usage banner is long, so only the error line is bounded
     for line in err.getvalue().splitlines():
         if "error:" in line:
-            assert len(line.encode()) < 300
+            assert len(line.encode("utf-8", "backslashreplace")) < 300
+
+
+def test_a_stray_argument_with_a_lone_surrogate_is_echoed():
+    # a byte that is not UTF-8 reaches argv as a lone surrogate; stderr
+    # writes it as its 6-byte escape, which the echo counts
+    for stray, shown in [("\udcff" + "a" * 60, "\udcff" + "a" * 59),
+                         ("\udcff" * 61, "\udcff" * 30)]:
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert cli.main(["grundy", "--game", "nim", "--position", "1", stray]) == 2
+        assert err.getvalue().endswith(f"error: unrecognized arguments: {shown}... (1 heaps)\n")
+        assert len(err.getvalue().splitlines()[-1].encode("utf-8", "backslashreplace")) < 300
+
+
+@pytest.mark.parametrize("extra, tail", [
+    (["x" * 70] * 6, "x" * 60 + "... (1 h..."),
+    (["\udcff" * 60] * 3, "\udcff" * 36 + "..."),
+], ids=["six-long", "short-surrogates"])
+def test_a_usage_error_is_cut_past_240_bytes(extra, tail):
+    # however many arguments argparse names, and however short each is,
+    # the error line stays under 300 bytes as stderr writes it
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert cli.main(["grundy", "--game", "nim", "--position", "1", *extra]) == 2
+    line = err.getvalue().splitlines()[-1]
+    assert line.startswith("impartial: error: unrecognized arguments: ") and line.endswith(tail)
+    assert len(line.encode("utf-8", "backslashreplace")) == 261

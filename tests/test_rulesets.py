@@ -234,6 +234,11 @@ class TestParse:
         assert rs.echo_position("\U000e7d12" * 18, repr) == repr("\U000e7d12" * 17) + "... (1 heaps)"
         assert rs.echo_position("\U0001f600" * 60) == "\U0001f600" * 45 + "... (1 heaps)"
         assert rs.echo_position("\U0001f600" * 45) == "\U0001f600" * 45
+        # a lone surrogate, as argv holds a byte that is not UTF-8, counts
+        # as the 6 bytes of the escape stderr writes for it
+        assert rs.echo_position("\udcff" + "a" * 60) == "\udcff" + "a" * 59 + "... (1 heaps)"
+        assert rs.echo_position("\udcff" * 60) == "\udcff" * 30 + "... (1 heaps)"
+        assert rs.echo_position("\udcff" * 60, repr) == repr("\udcff" * 29) + "... (1 heaps)"
 
     def test_echo_number_cuts_past_sixty_digits(self):
         # a number of up to 60 digits is echoed whole; past that, its first
