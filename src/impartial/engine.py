@@ -43,7 +43,8 @@ bands of heaps of about as many cells as a band of rows.
 ``sum_values`` is the same recursion on the sum of two boards of one
 two-heap game: a move chooses a heap of either board, and so reaches one
 whole smaller anti-diagonal of that board.  It keeps one bitmask per (heap
-size, position of the other board), and the sums of one wavefront, every
+size, position of the other board), one table for both boards, as swapping
+them maps the sum onto itself; and the sums of one wavefront, every
 block of them that depends only on earlier wavefronts, take a few numpy
 steps together.  It takes no XOR; the sum-theorem sweep compares its
 values with the XOR of the component values itself.
@@ -529,21 +530,19 @@ def _fill(table: _Unreached, bound: int) -> np.ndarray:
 # of g or of h, and choosing a heap of s stones reaches the whole
 # anti-diagonal s - removed of that board, so
 #
-#   S[g, h] = mex(col[g.x, h] | col[g.y, h] | row[g, h.x] | row[g, h.y])
+#   S[g, h] = mex(row[h, g.x] | row[h, g.y] | row[g, h.x] | row[g, h.y])
 #
-# where col[s, h] is the bitmask of the values S[q, h] over the left
-# positions q on diagonal s - removed, and row[g, s] the same over right
-# positions.  Block (tg, th) holds the sums whose left board lies on
-# diagonal tg and whose right board on th.  It reads only col entries that
-# blocks (tg' < tg, th) write and row entries that blocks (tg, th' < th)
-# write, and it writes col[tg + removed, h] and row[g, th + removed] whole.
-# So every block of one wavefront tg + th = d depends only on earlier
+# where row[g, s] is the bitmask of the values S[g, q] over the positions q
+# on diagonal s - removed.  Swapping the boards maps the sum graph onto
+# itself, q + h onto h + q, so the mask of S[q, h] over the left positions q
+# of that diagonal is row[h, s], and one table serves both boards.  Block
+# (tg, th) holds the sums whose left board lies on diagonal tg and whose
+# right board on th.  It reads only row entries that blocks (th, tg' < tg)
+# and (tg, th' < th) write, and it writes row[g, th + removed] whole.  So
+# every block of one wavefront tg + th = d depends only on earlier
 # wavefronts, and a wavefront is a few numpy steps, whatever its size.
 
 _SUM_BATCH = 1 << 15  # sums per batch of consecutive blocks (one block at least)
-
-# how each of a run's four reads moves along the run
-_RUN_STEPS = np.array([1, 1, 1, -1])[:, None]
 
 
 def _ragged(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -586,12 +585,13 @@ def sum_values(rules: Ruleset, bound: int) -> Iterator:
     each sum g + h.  Every ordered pair comes exactly once, by wavefront
     g.x + g.y + h.x + h.y, then by g, then by h.
 
-    The kernel keeps the bitmasks ``col`` and ``row`` (see the comment
-    above) as two uint64 arrays of (bound + 1) x T entries, T the number of
-    positions.  Per wavefront one gather reads the four masks of every sum,
-    ``low = ~m & (m + 1)`` is ``1 << mex`` per sum, and every row and column
-    entry the wavefront completes is one OR-reduce of a strided run of those
-    lows; entries past the bound, which nothing reads, are not kept.
+    The kernel keeps the bitmasks ``row`` (see the comment above) as one
+    uint64 array of (bound + 1) x T entries, T the number of positions; the
+    boards hold one game, so a left board's masks are rows too.  Per
+    wavefront one gather reads the four masks of every sum, ``low = ~m &
+    (m + 1)`` is ``1 << mex`` per sum, and every row entry the wavefront
+    completes is one OR-reduce of a run of those lows; entries past the
+    bound, which nothing reads, are not kept.
     Batches of about ``_SUM_BATCH`` sums, whole blocks in wavefront order,
     keep the index arrays small: memory is O(bound**3) masks plus O(batch).
     A value of ``_MASK_WIDTH`` or more raises RuntimeError, as in ``_fill``.
@@ -622,18 +622,21 @@ def _sum_blocks(lo: int, bound: int, size: np.ndarray) -> Iterator:
 def _sum_values(lo: int, removed: int, bound: int) -> Iterator:
     first, size, start, xs, ys = _sum_layout(lo, bound)
     t, w = len(xs), bound + 1
-    # col[s, j] at s * t + j, then row[i, s] at w * t + i * w + s, then one
-    # spare slot for the row entries past the bound, which nothing reads
-    masks = np.zeros(2 * w * t + 1, dtype=np.uint64)
+    # row[i, s] at i * w + s, then one spare slot for the entries past the
+    # bound, which nothing reads
+    masks = np.zeros(w * t + 1, dtype=np.uint64)
     spare = len(masks) - 1
-    row_at = w * t + w * np.arange(t)
+    row_at = w * np.arange(t)
     # where the four reads of a run of sums g + h, h along diagonal th,
-    # start: col[g.x, h], col[g.y, h], row[g, h.y] and row[g, h.x], by g and
-    # by th; along the run the first three step up and the last steps down
-    by_g = np.stack([xs * t, ys * t, row_at, row_at])
-    by_th = np.stack([start[:-1], start[:-1], first, np.arange(len(first)) - first])
-    # no batch holds more sums than this, nor gathers more lows
+    # start: row[h, g.x], row[h, g.y], row[g, h.y] and row[g, h.x], by g and
+    # by th, and how far each moves from one h of the run to the next
+    by_g = np.stack([xs, ys, row_at, row_at])
+    by_th = np.stack([start[:-1] * w, start[:-1] * w, first, np.arange(len(first)) - first])
+    run_steps = np.array([w, w, 1, -1])[:, None]
+    # no batch holds more sums than this; with w_steps a batch steps its
+    # first two reads in place, with no (4, sums) temporary
     steps = np.arange(max(min(_SUM_BATCH, t * t), int(size.max(initial=0)) ** 2))
+    w_steps = w * steps
 
     # one batch, in a frame of its own, so that its index arrays are freed
     # before the next batch builds its own
@@ -647,38 +650,22 @@ def _sum_values(lo: int, removed: int, bound: int) -> Iterator:
         run_at = run_end - n
         sums = int(run_end[-1])
         reads = by_g[:, g] + by_th[:, run_th]
-        reads -= _RUN_STEPS * run_at
+        reads -= run_steps * run_at
         reads = np.repeat(reads, n, axis=1)
-        reads[:3] += steps[:sums]
+        reads[:2] += w_steps[:sums]
+        reads[2] += steps[:sums]
         reads[3] -= steps[:sums]
         # row[g, th + removed] is the OR of the run of g
         s = run_th + removed
         run_to = np.where(s <= bound, row_at[g] + s, spare)
-        # col[tg + removed, h] is the OR of the column of h in its block, ng
-        # lows nh apart; columns past the bound are not gathered
-        block_runs = np.cumsum(ng) - ng
-        block_at = run_at[block_runs]
-        cols = np.where(tg + removed <= bound, nh, 0)
-        block_cols = np.cumsum(cols) - cols
-        col_b = np.repeat(np.arange(len(cols)), cols)
-        c = steps[: len(col_b)] - block_cols[col_b]
-        col_to = (tg[col_b] + removed) * t + start[th[col_b]] + c
-        count, stride = ng[col_b], nh[col_b]
-        col_at = np.cumsum(count) - count
-        gather = np.repeat(stride, count)
-        gather *= steps[: len(gather)]
-        gather += np.repeat(block_at[col_b] + c - col_at * stride, count)
-        # per wavefront: where its sums, runs, columns and gathered lows start
+        # per wavefront: where its runs and its sums start
         wave = np.flatnonzero(np.diff(d, prepend=-1))
-        wave_sums = np.append(block_at[wave], sums)
-        wave_runs = np.append(block_runs[wave], len(g))
-        wave_cols = np.append(block_cols[wave], len(col_b))
-        wave_gather = np.append(col_at, len(gather))[wave_cols]
+        wave_runs = np.append((np.cumsum(ng) - ng)[wave], len(g))
+        wave_sums = np.append(run_at, sums)[wave_runs]
         run_in_wave = run_at - np.repeat(wave_sums[:-1], np.diff(wave_runs))
-        col_at -= np.repeat(wave_gather[:-1], np.diff(wave_cols))
         low = np.empty(sums, dtype=np.uint64)
-        edges = np.stack([wave_sums, wave_runs, wave_cols, wave_gather], axis=1).tolist()
-        for (a, r0, c0, p0), (b, r1, c1, p1) in zip(edges, edges[1:]):
+        edges = np.stack([wave_sums, wave_runs], axis=1).tolist()
+        for (a, r0), (b, r1) in zip(edges, edges[1:]):
             m = masks.take(reads[:, a:b])
             reached = m[0]
             reached |= m[1]
@@ -688,9 +675,7 @@ def _sum_values(lo: int, removed: int, bound: int) -> Iterator:
             np.add(reached, 1, out=lows)
             lows &= np.invert(reached, out=reached)  # 1 << mex per sum
             masks[run_to[r0:r1]] = np.bitwise_or.reduceat(lows, run_in_wave[r0:r1])
-            if c1 > c0:
-                masks[col_to[c0:c1]] = np.bitwise_or.reduceat(low.take(gather[p0:p1]), col_at[c0:c1])
-        del reads, gather  # the batch's largest arrays, before its output is built
+        del reads  # the batch's largest array, before its output is built
         low -= 1
         values = np.bitwise_count(low)  # the bits below 1 << mex number the mex
         # past the width the masks mean nothing more, so the batch that

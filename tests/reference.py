@@ -79,6 +79,17 @@ def ref_nim_grundy(heaps: tuple) -> int:
     return ref_mex(ref_nim_grundy(opt) for opt in ref_nim_options(heaps))
 
 
+@lru_cache(maxsize=None)
+def ref_sum_grundy(options, g: tuple, h: tuple) -> int:
+    """Grundy value of the disjoint sum g + h of two boards of one two-heap
+    game whose options are ``options`` (``ref_delete_options`` or
+    ``ref_vdn_options``): a move is a move on either board.  Top-down mex
+    over the sum itself; no XOR is taken."""
+    g, h = _pair(*g), _pair(*h)
+    moves = [(a, h) for a in options(*g)] + [(g, b) for b in options(*h)]
+    return ref_mex(ref_sum_grundy(options, a, b) for a, b in moves)
+
+
 def ref_nim_units(heaps: tuple) -> int:
     """The charge of a Nim query: one unit per nonempty heap for each Nim
     position the heaps dominate, listed one by one."""

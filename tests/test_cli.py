@@ -967,7 +967,8 @@ class TestVerifyCommand:
     def test_sum_sweep_memory(self):
         # 741 k sums.  The generic engine memoizes every one: at bound 32
         # (315 k sums) it took 18 s and peaked at 116 MB.  The sum kernel
-        # keeps O(bound**3) masks.
+        # keeps one table of (bound + 1) * T masks, T the 861 positions:
+        # 0.28 MB here.
         code, rss_kib, report = run_cli_peak_rss(
             "verify", "--check", "sum", "--bound-sum", "40", "--format", "json", timeout=60
         )
@@ -975,6 +976,24 @@ class TestVerifyCommand:
         assert rss_kib < 60 * 1024
         [record] = json.loads(report)
         assert (record["checked"], record["passed"]) == ((41 * 42 // 2) ** 2, True)
+
+    def test_sum_sweep_memory_at_the_stretch_bound(self):
+        # 66 M sums over T = 8128 positions: one table of 127 * T masks is
+        # 8.3 MB, and the peak sat 15.6 MB above bound 1's here; a second
+        # table, one mask per (heap size, position) of the left board, put
+        # it 23.6 MB above
+        peaks = []
+        for bound in (1, 126):
+            code, rss_kib, report = run_cli_peak_rss(
+                "verify", "--check", "sum", "--bound-sum", str(bound), "--format", "json",
+                timeout=120,
+            )
+            assert code == 0
+            [record] = json.loads(report)
+            t = (bound + 1) * (bound + 2) // 2
+            assert (record["checked"], record["passed"]) == (t * t, True)
+            peaks.append(rss_kib)
+        assert peaks[1] - peaks[0] < 20 * 1024
 
     @pytest.mark.parametrize(
         "args",
@@ -1238,6 +1257,7 @@ class TestUsage:
         finally:
             proc.kill()
             proc.wait()
+            proc.stderr.close()
         assert code == cli.EXIT_BROKEN_PIPE == 141
         assert err == ""
 

@@ -18,11 +18,14 @@ from impartial import rulesets as rs
 from impartial.errors import BudgetExceededError, DomainError
 from reference import (
     ref_delete_grundy,
+    ref_delete_options,
     ref_nim_grundy,
     ref_nim_options,
     ref_nim_units,
+    ref_sum_grundy,
     ref_v2,
     ref_vdn_grundy,
+    ref_vdn_options,
 )
 
 
@@ -248,6 +251,26 @@ class TestSumValues:
             assert set(seen) == {(g, h) for g in comps for h in comps}
             assert sum(seen.values()) == len(comps) ** 2
             assert order == sorted(order)  # by wavefront, then g, then h
+
+    # and against the reference's top-down mex over the sum, which shares
+    # no code with the engine or the rulesets
+    @pytest.mark.parametrize("batch", [1, 1 << 15])
+    @pytest.mark.parametrize(
+        "rules,options", [(rs.DELETE_NIM, ref_delete_options), (rs.VDN, ref_vdn_options)],
+        ids=["delete-nim", "vdn"],
+    )
+    def test_matches_reference(self, monkeypatch, rules, options, batch):
+        monkeypatch.setattr(engine, "_SUM_BATCH", batch)
+        for bound in range(7):
+            xs, ys = engine.sum_positions(rules, bound)
+            positions = list(zip(xs.tolist(), ys.tolist()))
+            values = {}
+            for g, h, batch_values in engine.sum_values(rules, bound):
+                for i, j, value in zip(g.tolist(), h.tolist(), batch_values.tolist()):
+                    values[positions[i], positions[j]] = value
+            assert len(values) == len(positions) ** 2
+            for (g, h), value in values.items():
+                assert value == ref_sum_grundy(options, g, h), (bound, g, h)
 
     def test_positions_by_anti_diagonal(self):
         xs, ys = engine.sum_positions(rs.VDN, 3)
