@@ -2,9 +2,9 @@
 verification sweeps, and a line-oriented interactive play mode.
 
 Exit codes: 0 ok, 1 verification mismatch, 2 usage/parse error, 3 closed
-form and engine disagree, 4 resource budget exceeded, 130 interactive
-session aborted, 141 (128 + SIGPIPE) stdout closed by its reader before the
-output was written.  Output is deterministic: identical invocations produce
+form and engine disagree, 4 resource budget exceeded or out of memory, 130
+interactive session aborted, 141 (128 + SIGPIPE) stdout closed by its reader
+before the output was written.  Output is deterministic: identical invocations produce
 byte-identical output, except for the elapsed times in verify's reports.
 
 ``table`` streams: it evaluates the closed-form ``*_array`` functions once
@@ -44,6 +44,11 @@ EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a writer kille
 # a check's, the (bound + 1)**2 cells of a table or two-heap query (8191 is
 # the largest bound inside), a Nim query's heaps per position below it.
 DEFAULT_BUDGET = 1 << 26
+
+# The largest --budget: within it every job's arrays can be indexed (a
+# two-heap bound stays below 2**31, the sum's masks below 2**50 bytes), so
+# an admitted job can fail for want of memory alone.
+MAX_BUDGET = 1 << 62
 
 # The single-bound checks, in CHECK_NAMES order; each has a --bound-<name>
 # flag.  bouton takes --heaps/--size instead.
@@ -181,7 +186,7 @@ def cmd_verify(args) -> int:
     for name in names:
         try:
             report = verification.run_check(name, bounds[name], budget=args.budget)
-        except (DomainError, BudgetExceededError) as exc:
+        except (DomainError, BudgetExceededError, MemoryError) as exc:
             error = exc  # report the checks that finished, then fail with it
             break
         reports.append(report)
@@ -269,6 +274,17 @@ class _Parser(argparse.ArgumentParser):
         super().error(message if head == message else head + "...")
 
 
+def _budget(text: str) -> int:
+    """A ``--budget``: an int of at most ``MAX_BUDGET`` units."""
+    try:
+        budget = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if budget > MAX_BUDGET:
+        raise argparse.ArgumentTypeError(f"{budget} exceeds the largest budget, {MAX_BUDGET}")
+    return budget
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and shared by every call."""
@@ -282,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p, games):
         p.add_argument("--game", required=True, choices=games)
         p.add_argument("--position", required=True, help="position text, e.g. 3,2")
-        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+        p.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET)
 
     p = sub.add_parser("grundy", help="closed-form and engine Grundy value of a position")
     add_common(p, sorted(RULESETS))
@@ -304,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(f"--bound-{name}", type=int)
     p.add_argument("--heaps", type=int, help="max heap count for the bouton check")
     p.add_argument("--size", type=int, help="max heap size for the bouton check")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET)
     p.add_argument("--format", choices=["text", "json"], default="text")
 
     p = sub.add_parser("play", help="interactive game against the engine")
@@ -328,6 +344,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
+    except MemoryError:  # an admitted job whose arrays do not fit
+        print("error: out of memory", file=sys.stderr)
         return EXIT_BUDGET
     except KeyboardInterrupt:
         return EXIT_ABORTED

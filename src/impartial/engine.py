@@ -21,10 +21,11 @@ of ``rulesets.TWO_HEAP_MOVES``: fill, then read.  It keeps, per heap size,
 the bitmask of the values that choosing the heap does not reach.  A heap's
 mask depends on no bound, so each game has one table of them for the whole
 process, which every call extends and none rebuilds (``_TABLES``).  The
-fill (``_fill``) gives every heap through a bound its final mask: it
-reduces, on a copy of the table, the one diagonal each heap the table
-lacks reaches, and hands the table the heaps it finished; a lock guards
-the table, so threads may share it.  Then a reader reads cells from the
+fill (``_fill``) gives every heap through a bound its final mask: a table
+that knows them all hands back a view of its masks; else, under the
+table's lock, the fill reduces the one diagonal each heap the table lacks
+reaches, and the table adopts the heaps it finished.  Both kinds of table
+keep the one rule of ``_new_tables``.  Then a reader reads cells from the
 final masks alone, one AND and one lowest bit per cell, which is
 ``1 << value``.  The formula sweeps and the iso sweep read the grid in
 bands of rows (``bands``); a query, and each engine move
@@ -256,13 +257,8 @@ class _Unreached:
 
     A heap's mask depends on the diagonal that heap reaches and on nothing
     else, so every caller, whatever its bound, reads and extends the same
-    table.  The fill works on its own copy (``snapshot``) and, when it
-    ends, hands the table that copy if it knows more heaps (``publish``).
-    So the fill itself takes no lock.  An array the table holds is never
-    written again, and a reader reads it only below the ``known`` it saw;
-    ``lock`` keeps each array with its own count, and since ``known``
-    counts only finished heaps, a fill that raises leaves a consistent
-    prefix.
+    table, under the rule of ``_new_tables``: ``_fill`` grows ``masks``
+    and ``known`` only while it holds ``lock``.
     """
 
     def __init__(self, lo: int, removed: int) -> None:
@@ -271,22 +267,6 @@ class _Unreached:
         # below 2 * lo + removed a heap reaches no diagonal, so nothing
         self.known = 2 * lo + removed
         self.masks = np.full(self.known, ~np.uint64(0))
-
-    def snapshot(self, bound: int) -> tuple[np.ndarray, int]:
-        """A copy of the masks of heaps 0 .. bound, all ones past the known
-        ones, and the number of known heaps it holds."""
-        with self.lock:
-            masks, known = self.masks, min(self.known, bound + 1)
-        copy = np.full(bound + 1, ~np.uint64(0))
-        copy[:known] = masks[:known]
-        return copy, known
-
-    def publish(self, masks: np.ndarray, known: int) -> None:
-        """Adopt ``masks``, final below ``known`` and never written again,
-        if it knows more heaps than the table."""
-        with self.lock:
-            if known > self.known:
-                self.masks, self.known = masks, known
 
 
 def _moves(rules: Ruleset) -> tuple[int, int]:
@@ -501,26 +481,34 @@ def _values(low: np.ndarray) -> np.ndarray:
 def _fill(table: _Unreached, bound: int) -> np.ndarray:
     """The final masks of heaps 0 .. ``bound``, as uint64.
 
-    Works on a copy of the table's masks and reduces, for each heap s it
-    does not know, in rising order, the anti-diagonal t = s - removed that
-    choosing s reaches: every heap on it is below s, so already final.  It
-    gives the heaps it finished to the table when it ends, however it ends.
+    If the table knows every heap through ``bound``, a view of its masks.
+    Otherwise, with the table's lock held, it pads a copy of the known
+    masks and reduces, for each heap s it does not know, in rising order,
+    the anti-diagonal t = s - removed that choosing s reaches: every heap
+    on it is below s, so already final.  However it ends, the table adopts
+    the copy if it finished any heap.
     """
     lo, removed = table.lo, table.removed
-    unreached, known = table.snapshot(bound)
-    try:
-        for s in range(known, bound + 1):
-            # the cells (t - y, y), y = lo .. t // 2: the x side falls as y rises
-            t = s - removed
-            y1 = t // 2
-            free = unreached[t - y1 : t - lo + 1][::-1] & unreached[lo : y1 + 1]
-            reached = np.bitwise_or.reduce(free & -free)
-            if int(reached) >> _MASK_WIDTH:
-                raise RuntimeError("grundy values exceed the dense backend's bitmask width")
-            unreached[s] = ~reached
-            known = s + 1
-    finally:
-        table.publish(unreached, known)
+    with table.lock:
+        known = table.known
+        if bound < known:
+            return table.masks[: bound + 1]
+        unreached = np.full(bound + 1, ~np.uint64(0))
+        unreached[:known] = table.masks[:known]
+        try:
+            for s in range(known, bound + 1):
+                # the cells (t - y, y), y = lo .. t // 2: the x side falls as y rises
+                t = s - removed
+                y1 = t // 2
+                free = unreached[t - y1 : t - lo + 1][::-1] & unreached[lo : y1 + 1]
+                reached = np.bitwise_or.reduce(free & -free)
+                if int(reached) >> _MASK_WIDTH:
+                    raise RuntimeError("grundy values exceed the dense backend's bitmask width")
+                unreached[s] = ~reached
+                known = s + 1
+        finally:
+            if known > table.known:
+                table.masks, table.known = unreached, known
     return unreached
 
 
@@ -912,7 +900,11 @@ def _nim_option_values(a: tuple, units: int) -> dict:
 
 def _new_tables() -> dict:
     """An empty table per two-heap game, and the empty Nim tables, by
-    ruleset name."""
+    ruleset name.
+
+    Every table keeps one rule, so threads may share them: a table grows
+    only while its ``lock`` is held, a reader reads only below the
+    ``known`` it saw, and a known entry is never written again."""
     tables: dict = {name: _Unreached(*moves) for name, moves in TWO_HEAP_MOVES.items()}
     tables[NIM.name] = _NimTables()
     return tables

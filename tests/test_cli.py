@@ -767,6 +767,64 @@ def test_a_long_argument_is_echoed_in_a_bounded_usage_error(argv, tail, capsys):
     assert err.endswith(tail)
 
 
+# Budgets above cli.MAX_BUDGET = 2**62, each with a job whose arrays numpy
+# could not allocate, or could not even index, were it admitted.
+_OVER_MAX = {
+    "grundy-delete-nim": (["grundy", "--game", "delete-nim", "--position", "1000000000000000,1"],
+                          10**40),
+    "verify-delete-nim": (["verify", "--check", "delete-nim", "--bound", str(10**11)], 10**30),
+    "verify-sum": (["verify", "--check", "sum", "--bound-sum", "100000"], 10**30),
+    **{f"verify-{name}-1e20": (["verify", "--check", name, "--bound", str(10**20)], 10**23)
+       for name in ("proof-steps", "iso", "delete-nim")},
+    **{f"{command}-vdn": ([command, "--game", "vdn", "--position", f"{10**20},3"], 10**23)
+       for command in ("best-move", "play")},
+    "one-past": (["grundy", "--game", "nim", "--position", "3,2"], 2**62 + 1),
+}
+
+
+@pytest.mark.parametrize("argv, budget", _OVER_MAX.values(), ids=_OVER_MAX.keys())
+def test_a_budget_over_the_max_is_a_usage_error(argv, budget, capsys):
+    start = time.perf_counter()
+    assert cli.main(argv + ["--budget", str(budget)]) == 2
+    assert time.perf_counter() - start < 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    lines = [line for line in out.err.splitlines() if "error:" in line]
+    assert len(lines) == 1 and len(lines[0].encode()) < 300
+    assert lines[0].endswith(f": error: argument --budget: {budget} exceeds the largest budget, "
+                             f"{cli.MAX_BUDGET}")
+
+
+def test_the_max_budget_is_admitted(capsys):
+    assert cli.MAX_BUDGET == 2**62
+    budget = ["--budget", str(cli.MAX_BUDGET)]
+    assert cli.main(["grundy", "--game", "nim", "--position", "3,2", *budget]) == 0
+    assert capsys.readouterr().out == "closed-form: 1\nengine: 1\noutcome: N\n"
+    # (10**15 + 1)**2 cells are over it: refused from the count, before any work
+    assert cli.main(["grundy", "--game", "delete-nim", "--position", "1000000000000000,1",
+                     *budget]) == 4
+    assert capsys.readouterr().err == (
+        f"error: delete-nim position 1000000000000000,1 exceeds the budget of {2**62} units\n"
+    )
+
+
+def test_out_of_memory_exits_4(monkeypatch, capsys):
+    # a job the budget admits can still want more memory than there is:
+    # one line, exit 4, and verify reports the checks that finished first
+    def out_of_memory(*args):
+        raise MemoryError("Unable to allocate 7.11 PiB for an array with shape (10,)")
+
+    monkeypatch.setattr(engine, "_fill", out_of_memory)
+    assert cli.main(["grundy", "--game", "delete-nim", "--position", "3,2"]) == 4
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", "error: out of memory\n")
+    argv = ["verify", "--check", "bouton", "--check", "delete-nim", "--bound", "3"]
+    assert cli.main(argv) == 4
+    out = capsys.readouterr()
+    assert out.out.startswith("[PASS] bouton: ") and out.out.endswith("\n1/1 checks passed\n")
+    assert out.err == "error: out of memory\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -1293,7 +1351,12 @@ _POSITIONS = st.one_of(
 _GAMES = st.sampled_from(["delete-nim", "vdn", "nim"] * 3 + ["chess"])
 _FORMATS = st.sampled_from(["text", "csv", "json"] * 3 + ["xml"])
 _NUMBERS = st.integers(-3, 40).map(str)
-_BUDGETS = st.integers(-3, 1000).map(str)
+# two budgets over cli.MAX_BUDGET, about one drawn budget in eight (draws
+# lean to 0): 2**62 + 1 and 40 digits (2**62 itself admits slow jobs)
+_OVER_MAX_BUDGETS = [str(2**62 + 1), str(10**39)]
+_BUDGETS = st.tuples(st.integers(-3, 1000), st.integers(0, 49)).map(
+    lambda d: _OVER_MAX_BUDGETS[d[1]] if d[1] < 2 else str(d[0])
+)
 
 
 @st.composite
@@ -1326,6 +1389,8 @@ def test_drawn_argv_keeps_the_command_contract(argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
     assert code in {0, 1, 2, 3, 4}
+    if "--budget" in argv and argv[argv.index("--budget") + 1] in _OVER_MAX_BUDGETS:
+        assert code == 2
     assert "Traceback" not in err.getvalue()
     # argparse's usage banner is long, so only the error line is bounded
     for line in err.getvalue().splitlines():

@@ -757,9 +757,9 @@ class TestDenseGrids:
 
     @pytest.mark.parametrize("rules", [rs.DELETE_NIM, rs.VDN], ids=lambda r: r.name)
     def test_sweep_within_known_heaps_writes_nothing(self, monkeypatch, rules):
-        # a band sweep or a query whose heaps are all known runs on a copy
-        # and hands the table nothing: its values are a cold call's, and the
-        # table keeps its array
+        # a band sweep or a query whose heaps are all known reads a view of
+        # the table's masks and writes nothing: its values are a cold call's,
+        # and the table keeps its array
         def band_sweep():
             bands = engine.bands(rules, 200)
             return [(xs.tolist(), ys.tolist(), v.tolist()) for xs, ys, v in bands]
@@ -778,6 +778,10 @@ class TestDenseGrids:
             assert read() == values
             assert table.masks is masks and table.known == known
         assert np.array_equal(masks, before)
+        # the fill of known heaps allocates and copies nothing
+        for b in (0, 57, known - 1):
+            view = engine._fill(table, b)
+            assert len(view) == b + 1 and np.shares_memory(view, table.masks)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -808,12 +812,12 @@ class TestDenseGrids:
 
     def test_concurrent_extension(self):
         # threads extend both tables at once, a few heaps per call, and give
-        # way at every line of the table's methods; without the lock a reader
-        # can pair one array with the count of a longer one, or a publish
-        # can leave a count ahead of its array, and read all ones: a wrong
-        # value
+        # way at every line of the fill; without the lock a fill can hand
+        # the table a shorter array than another fill just did, so a table
+        # shrinks, and a reader can pair one array with the count of a
+        # longer one: a wrong value, or slices that fail to broadcast
         failures = []
-        table_code = {engine._Unreached.snapshot.__code__, engine._Unreached.publish.__code__}
+        table_code = {engine._fill.__code__}
 
         def give_way(frame, event, arg):
             if event == "line":
@@ -824,6 +828,7 @@ class TestDenseGrids:
             return give_way if frame.f_code in table_code else None
 
         def work(step):
+            known = {}
             try:
                 for n in range(step, 300, step):
                     for rules in (rs.DELETE_NIM, rs.VDN):
@@ -834,6 +839,10 @@ class TestDenseGrids:
                         for (a, b), value in got.items():
                             if value != _ref_value(rules, a, b):
                                 failures.append((rules.name, n, (a, b), value))
+                        now = engine._TABLES[rules.name].known
+                        if now < known.get(rules.name, 0):
+                            failures.append((rules.name, n, "shrank to", now))
+                        known[rules.name] = now
             except Exception as exc:  # a torn table can also fail to broadcast
                 failures.append(repr(exc))
 
