@@ -9,15 +9,16 @@ byte-identical output, except for the elapsed times in verify's reports.
 
 ``table`` streams: it evaluates the closed-form ``*_array`` functions once
 on each x-row and writes each row as it goes, and builds no grid.  Rows are
-gathered from a table of finished cell texts, one per value and column
-seen, so it holds O(bound log bound) memory: a value is at most
-``bound.bit_length()``, which has no more digits than ``bound``, so the
-text columns are as wide as ``bound``.
+gathered from a table of finished cell texts, built once, one per column
+and per value up to ``bound.bit_length()``, which no value exceeds; so it
+holds O(bound log bound) memory.  That largest value has no more digits
+than ``bound``, so the text columns are as wide as ``bound``.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import os
 import re
@@ -79,29 +80,21 @@ def cmd_grundy(args) -> int:
     return EXIT_OK
 
 
-def _grundy_rows(game: str, lo: int, bound: int):
-    """Yield ``(x, values)`` for each x-row of the table: the closed form on
-    ``(x, y)`` for every ``y`` in ``lo..bound``, as one array per row."""
-    if game == "delete-nim":
-        grundy_array = closed_forms.delete_nim_grundy_array
-    else:
-        grundy_array = closed_forms.vdn_grundy_array
-    ys = np.arange(lo, bound + 1, dtype=np.int64)
-    for x in range(lo, bound + 1):
-        yield x, grundy_array(x, ys)
-
-
 def _write_table(out, game: str, lo: int, bound: int, fmt: str) -> None:
     """Render the table one x-row, and one ``write``, at a time.  The csv and
     json bytes are those of ``csv.writer`` and of ``json.dumps`` on the list
     of ``{"x", "y", "grundy"}`` records.  A row is its lead, its cells joined
     by its joiner, and its end; ``cells[g, i]`` holds the finished text of a
     value-``g`` cell in column ``i``, so a row is one gather and one join.
-    The cell table grows to the largest value seen, so it holds at most (max
-    value + 1) x (bound + 1 - lo) strings: O(bound log bound) memory.  A text
-    cell is its value padded to the width of ``bound``, which no value
-    exceeds; it does not depend on its column, so text keeps one column of
-    cells."""
+    No value of either game exceeds ``bound.bit_length()``, so the cell
+    table is built once, with that many rows plus one: O(bound log bound)
+    memory.  A text cell is its value padded
+    to the width of ``bound``, which no value exceeds; it does not depend
+    on its column, so text keeps one column of cells."""
+    if game == "delete-nim":
+        grundy_array = closed_forms.delete_nim_grundy_array
+    else:
+        grundy_array = closed_forms.vdn_grundy_array
     ys = range(lo, bound + 1)
     if fmt == "text":
         width = len(str(bound))
@@ -117,14 +110,12 @@ def _write_table(out, game: str, lo: int, bound: int, fmt: str) -> None:
         head, lead, joiner, cell = "[", '{{"x": {x}', '}}, {{"x": {x}', ', "y": {y}, "grundy": {g}'
         end, between, foot = "}", ", ", "]\n"
     cols = np.arange(len(ys))
-    cells = np.empty((0, len(ys)), dtype=object)
+    top = bound.bit_length()
+    cells = np.array([[cell.format(y=y, g=g) for y in ys] for g in range(top + 1)], dtype=object)
+    heaps = np.arange(lo, bound + 1, dtype=np.int64)
     sep = head  # bound >= lo, so there is a first row to carry the header
-    for x, values in _grundy_rows(game, lo, bound):
-        top = int(values.max())
-        if top >= len(cells):
-            more = [[cell.format(y=y, g=g) for y in ys] for g in range(len(cells), top + 1)]
-            cells = np.concatenate([cells, np.array(more, dtype=object)])
-        row = joiner.format(x=x).join(cells[values, cols].tolist())
+    for x in range(lo, bound + 1):
+        row = joiner.format(x=x).join(cells[grundy_array(x, heaps), cols].tolist())
         out.write(sep + lead.format(x=x) + row + end)
         sep = between
     out.write(foot)
@@ -135,14 +126,11 @@ def cmd_table(args) -> int:
     lo, _ = TWO_HEAP_MOVES[game]
     units = engine.grid_cells(lo, bound)
     engine.charge(lambda: f"table to bound {echo_number(bound)}", units, DEFAULT_BUDGET)
-    if not args.output:
-        _write_table(sys.stdout, game, lo, bound, args.format)
-        return EXIT_OK
     try:
-        fh = open(args.output, "w")
+        out = open(args.output, "w") if args.output else contextlib.nullcontext(sys.stdout)
     except OSError as exc:
         raise ParseError(f"cannot write {args.output}: {exc.strerror}") from exc
-    with fh:
+    with out as fh:
         _write_table(fh, game, lo, bound, args.format)
     return EXIT_OK
 
