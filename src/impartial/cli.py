@@ -128,10 +128,12 @@ def cmd_table(args) -> int:
     engine.charge(lambda: f"table to bound {echo_number(bound)}", units, DEFAULT_BUDGET)
     try:
         out = open(args.output, "w") if args.output else contextlib.nullcontext(sys.stdout)
+        with out as fh:
+            _write_table(fh, game, lo, bound, args.format)
     except OSError as exc:
+        if not args.output:
+            raise  # stdout's, which main reports
         raise ParseError(f"cannot write {args.output}: {exc.strerror}") from exc
-    with out as fh:
-        _write_table(fh, game, lo, bound, args.format)
     return EXIT_OK
 
 
@@ -320,6 +322,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     try:
+        code = _run(argv)
+        if sys.stdout is not None:  # None when started with its descriptor closed
+            sys.stdout.flush()  # so that a failed write to stdout fails here, not at exit
+        return code
+    except BrokenPipeError:
+        _silence_stdout()
+        return EXIT_BROKEN_PIPE
+    except OSError as exc:  # every other OSError a command lets out is stdout's
+        _silence_stdout()
+        print(f"error: cannot write stdout: {exc.strerror}", file=sys.stderr)
+        return EXIT_USAGE
+
+
+def _run(argv: list[str] | None) -> int:
+    """Parse ``argv`` and run its command: its exit code, with each error
+    the command contract names reported on stderr."""
+    try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits on --help (0) and usage errors (2)
         return 0 if exc.code in (0, None) else EXIT_USAGE
@@ -338,9 +357,6 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_BUDGET
     except KeyboardInterrupt:
         return EXIT_ABORTED
-    except BrokenPipeError:
-        _silence_stdout()
-        return EXIT_BROKEN_PIPE
 
 
 def _silence_stdout() -> None:

@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import csv
+import errno
 import io
 import json
 import os
@@ -1327,6 +1328,58 @@ class TestUsage:
         monkeypatch.setattr(cli, "cmd_table", closed)
         assert cli.main(["table", "--game", "vdn", "--bound", "3"]) == 141
         assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["grundy", "--game", "nim", "--position", "3,2"],
+        ["best-move", "--game", "delete-nim", "--position", "3,2"],
+        ["verify", "--check", "vdn", "--bound", "10"],
+        ["verify", "--check", "vdn", "--bound", "10", "--format", "json"],
+        ["table", "--game", "delete-nim", "--bound", "3"],
+    ], ids=["grundy", "best-move", "verify-text", "verify-json", "table"])
+    def test_a_failed_write_to_stdout_exits_2(self, argv, monkeypatch):
+        # a full disk, in memory: every write raises, and no descriptor is left to silence
+        class Full(io.StringIO):
+            def write(self, text):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(sys, "stdout", Full())
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert cli.main(argv) == 2
+        assert err.getvalue() == "error: cannot write stdout: No space left on device\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("bound", ["3", "300"], ids=["on-close", "on-write"])
+    def test_a_failed_write_to_output_exits_2(self, bound, capsys):
+        # 3 fails as the file is closed, 300 while rows are written; either
+        # way the file is closed and the message is that of an unopenable path
+        argv = ["table", "--game", "delete-nim", "--bound", bound, "--output", "/dev/full"]
+        assert cli.main(argv) == 2
+        out = capsys.readouterr()
+        assert (out.out, out.err) == ("", "error: cannot write /dev/full: No space left on device\n")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("argv, line", [
+        (["grundy", "--game", "nim", "--position", "3,2"],
+         "error: cannot write stdout: No space left on device\n"),
+        (["table", "--game", "delete-nim", "--bound", "300", "--output", "/dev/full"],
+         "error: cannot write /dev/full: No space left on device\n"),
+    ], ids=["stdout", "output"])
+    def test_a_full_device_exits_2_in_one_line(self, argv, line):
+        # stdout is silenced, so the exit flush adds no "Exception ignored" line
+        with open("/dev/full", "w") as full:
+            r = subprocess.run([sys.executable, "-m", "impartial", *argv], stdout=full,
+                               stderr=subprocess.PIPE, text=True, timeout=60)
+        assert (r.returncode, r.stderr) == (2, line)
+
+    def test_a_closed_stdout_is_not_a_failed_write(self):
+        # started with descriptor 1 closed, Python has no sys.stdout and
+        # print writes nothing: the command still answers 0
+        r = subprocess.run([sys.executable, "-m", "impartial", "grundy", "--game", "nim",
+                            "--position", "3,2"], stdout=subprocess.DEVNULL,
+                           stderr=subprocess.PIPE, text=True, timeout=60,
+                           preexec_fn=lambda: os.close(1))
+        assert (r.returncode, r.stderr) == (0, "")
 
 
 # The command contract under drawn argv: every input answers or fails fast
