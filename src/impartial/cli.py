@@ -329,7 +329,7 @@ def main(argv: list[str] | None = None) -> int:
     except BrokenPipeError:
         _silence_stdout()
         return EXIT_BROKEN_PIPE
-    except OSError as exc:  # every other OSError a command lets out is stdout's
+    except OSError as exc:  # a command's own file reports its errors: this is stdout's
         _silence_stdout()
         print(f"error: cannot write stdout: {exc.strerror}", file=sys.stderr)
         return EXIT_USAGE
@@ -361,8 +361,9 @@ def _run(argv: list[str] | None) -> int:
 
 def _silence_stdout() -> None:
     """Point the stdout file descriptor at os.devnull, so that flushing what
-    is still buffered for a reader that is gone, at exit, cannot raise again.
-    An in-memory stdout has no descriptor and is left as it is."""
+    is still buffered, at exit, for a reader that is gone or a write that
+    failed, cannot raise again.  An in-memory stdout has no descriptor and
+    is left as it is."""
     try:
         fd = sys.stdout.fileno()
     except (AttributeError, OSError, ValueError):

@@ -88,16 +88,14 @@ def delete_nim_grundy(x: int, y: int) -> int:
     """
     if x < 0 or y < 0:
         raise DomainError(f"Delete Nim heaps must be >= 0, got ({echo_number(x)}, {echo_number(y)})")
-    m = (x | y) + 1
-    return (m & -m).bit_length() - 1
+    return v2((x | y) + 1)
 
 
 def vdn_grundy(x: int, y: int) -> int:
     """Closed-form Grundy value of VDN position (x, y): v2(((x-1) | (y-1)) + 1)."""
     if x < 1 or y < 1:
         raise DomainError(f"VDN heaps must be >= 1, got ({echo_number(x)}, {echo_number(y)})")
-    m = ((x - 1) | (y - 1)) + 1
-    return (m & -m).bit_length() - 1
+    return v2(((x - 1) | (y - 1)) + 1)
 
 
 def _v2_of_positive(m: np.ndarray) -> np.ndarray:

@@ -97,3 +97,30 @@ def ref_nim_units(heaps: tuple) -> int:
     below = {tuple(sorted((v for v in q if v > 0), reverse=True))
              for q in product(*(range(h + 1) for h in heaps))}
     return len(heaps) * len(below)
+
+
+@lru_cache(maxsize=None)
+def ref_two_heap_options(lo: int, removed: int):
+    """The options function ``(x, y) -> set`` of the two-heap game in which a
+    move chooses one heap, deletes the other, removes ``removed`` stones
+    from the chosen heap and splits what is left into two heaps of at least
+    ``lo`` stones each.  Delete Nim is (0, 1) and VDN (1, 0).  One function
+    per pair, so that ``ref_sum_grundy``'s cache keys stay stable."""
+
+    def options(x: int, y: int) -> set:
+        out = set()
+        for keep in (x, y):
+            rest = keep - removed
+            for a in range(lo, rest - lo + 1):
+                out.add(_pair(a, rest - a))
+        return out
+
+    return options
+
+
+@lru_cache(maxsize=None)
+def ref_two_heap_grundy(options, x: int, y: int) -> int:
+    """Grundy value of (x, y) in the two-heap game whose options are
+    ``options``, by top-down mex."""
+    x, y = _pair(x, y)
+    return ref_mex(ref_two_heap_grundy(options, a, b) for a, b in options(x, y))

@@ -23,6 +23,8 @@ from reference import (
     ref_nim_options,
     ref_nim_units,
     ref_sum_grundy,
+    ref_two_heap_grundy,
+    ref_two_heap_options,
     ref_v2,
     ref_vdn_grundy,
     ref_vdn_options,
@@ -906,3 +908,57 @@ class TestDenseGrids:
             engine.grundy_grid(rs.DELETE_NIM, 200), cf.delete_nim_grundy_grid(200)
         )
         assert np.array_equal(engine.grundy_grid(rs.VDN, 200), cf.vdn_grundy_grid(200))
+
+
+# Every kernel is written for any (lo, removed) of rulesets.TWO_HEAP_MOVES,
+# though only Delete Nim's (0, 1) and VDN's (1, 0) are games: index
+# arithmetic that holds for those two pairs alone would pass every test
+# above.  (0, 0) is left out, as a heap can then reach itself.
+_RULE_PAIRS = st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(lambda p: sum(p) >= 1)
+
+
+class TestRuleFamily:
+    @settings(max_examples=30, deadline=None)
+    @given(_RULE_PAIRS)
+    def test_kernels_match_the_reference(self, pair):
+        # the pair is played under Delete Nim's name, with a fresh table;
+        # hypothesis takes no function-scoped fixture, so mock patches it
+        lo, removed = pair
+        options = ref_two_heap_options(lo, removed)
+        rules, bound = rs.DELETE_NIM, 12
+        with mock.patch.dict(rs.TWO_HEAP_MOVES, {rules.name: pair}), \
+                mock.patch.object(engine, "_TABLES", engine._new_tables()):
+            for xs, ys, values in engine.bands(rules, bound):
+                for (i, j), value in np.ndenumerate(values):
+                    x, y = int(xs[0, j]), int(ys[i, 0])
+                    assert value == ref_two_heap_grundy(options, x, y), (pair, x, y)
+            for x, y in itertools.combinations_with_replacement(range(lo, bound + 1), 2):
+                want = {q: ref_two_heap_grundy(options, *q) for q in options(x, y)}
+                assert engine.option_values(rules, (y, x)) == want, (pair, x, y)
+            # choosing either heap of (s, s) reaches what choosing a heap of s does
+            heaps, xs, ys = engine.heap_options(rules, lo, bound + 1)
+            assert len(heaps) == len(set(zip(heaps.tolist(), xs.tolist(), ys.tolist())))
+            for s in range(lo, bound + 1):
+                assert set(zip(xs[heaps == s].tolist(), ys[heaps == s].tolist())) == options(s, s)
+                assert rs.delete_nim_heap_options(s) == options(s, s), (pair, s)
+            sum_bound = 5
+            xs, ys = engine.sum_positions(rules, sum_bound)
+            positions = list(zip(xs.tolist(), ys.tolist()))
+            sums = {}
+            for g, h, values in engine.sum_values(rules, sum_bound):
+                for i, j, value in zip(g.tolist(), h.tolist(), values.tolist()):
+                    sums[positions[i], positions[j]] = value
+            assert len(sums) == len(positions) ** 2
+            for (g, h), value in sums.items():
+                assert value == ref_sum_grundy(options, g, h), (pair, g, h)
+
+    @settings(max_examples=30, deadline=None)
+    @given(_RULE_PAIRS)
+    def test_masks_obey_the_shift_theorem(self, pair):
+        # x -> x - lo maps the (lo, removed) game onto (0, lo + removed):
+        # from heap lo on, a heap's mask is that of the heap lo fewer
+        lo, removed = pair
+        n = 200
+        masks = engine._fill(engine._Unreached(lo, removed), n)
+        shifted = engine._fill(engine._Unreached(0, lo + removed), n - lo)
+        assert np.array_equal(masks[lo:], shifted)
