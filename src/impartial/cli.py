@@ -126,6 +126,8 @@ def cmd_table(args) -> int:
     lo, _ = TWO_HEAP_MOVES[game]
     units = engine.grid_cells(lo, bound)
     engine.charge(lambda: f"table to bound {echo_number(bound)}", units, DEFAULT_BUDGET)
+    if not args.output and sys.stdout is None:  # started with stdout closed: nothing to write
+        return EXIT_OK
     try:
         out = open(args.output, "w") if args.output else contextlib.nullcontext(sys.stdout)
         with out as fh:
@@ -263,6 +265,14 @@ class _Parser(argparse.ArgumentParser):
         head = echo_head(message, 240, 240)
         super().error(message if head == message else head + "...")
 
+    def _print_message(self, message: str, file=None) -> None:
+        # argparse drops a failed write; one to stdout (--help) propagates,
+        # for ``main`` to report as every command's is
+        if message and file is not None and file is sys.stdout:
+            file.write(message)
+        else:
+            super()._print_message(message, file)
+
 
 def _budget(text: str) -> int:
     """A ``--budget``: an int of at most ``MAX_BUDGET`` units."""
@@ -288,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p, games):
         p.add_argument("--game", required=True, choices=games)
         p.add_argument("--position", required=True, help="position text, e.g. 3,2")
-        p.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET)
+        p.add_argument("--budget", type=_budget)
 
     p = sub.add_parser("grundy", help="closed-form and engine Grundy value of a position")
     add_common(p, sorted(RULESETS))
@@ -310,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(f"--bound-{name}", type=int)
     p.add_argument("--heaps", type=int, help="max heap count for the bouton check")
     p.add_argument("--size", type=int, help="max heap size for the bouton check")
-    p.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET)
+    p.add_argument("--budget", type=_budget)
     p.add_argument("--format", choices=["text", "json"], default="text")
 
     p = sub.add_parser("play", help="interactive game against the engine")
@@ -342,6 +352,8 @@ def _run(argv: list[str] | None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits on --help (0) and usage errors (2)
         return 0 if exc.code in (0, None) else EXIT_USAGE
+    if getattr(args, "budget", 0) is None:  # no --budget: the default as it is now
+        args.budget = DEFAULT_BUDGET
     # looked up per call, so a cmd_* replaced on the module takes effect
     command = globals()["cmd_" + args.command.replace("-", "_")]
     try:

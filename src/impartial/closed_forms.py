@@ -1,13 +1,16 @@
 """O(1) bitwise formulas: nim-sum, binary OR, 2-adic valuation, and the
 closed-form Grundy values of Delete Nim and VDN.
 
-Everything here is a pure stateless function.  The vectorized ``*_array``
-variants let the verification sweeps (on each band of rows that
-``engine.bands`` yields) and the ``table`` command (one x-row at a time)
-evaluate the formulas on millions of positions without a Python-level
-loop; they compute in the heaps' own integer type.  The ``*_grid``
-variants build the full (bound+1)^2 table; they are library API for the
-demos and tests.
+Everything here is a pure stateless function.  Each array closed form is
+stated once, in bit form: ``*_grundy_bits`` gives ``1 << value`` per cell,
+the lowest set bit of the valuation's argument, in the heaps' own integer
+type, with no Python-level loop.  The two-heap sweeps compare those words
+with the engine's (``engine.band_bits``), a band of rows at a time, and
+read values only at the cells they flag.  The ``*_array`` variants read
+the value out of the bit form, the bits below the set bit counted, for
+the ``table`` command (one x-row at a time) and the proof-steps sweep.
+The ``*_grid`` variants build the full (bound+1)^2 table; they are
+library API for the demos and tests.
 """
 
 from __future__ import annotations
@@ -30,6 +33,8 @@ __all__ = [
     "bit_or",
     "delete_nim_grundy",
     "vdn_grundy",
+    "delete_nim_grundy_bits",
+    "vdn_grundy_bits",
     "delete_nim_grundy_array",
     "vdn_grundy_array",
     "delete_nim_grundy_grid",
@@ -98,25 +103,39 @@ def vdn_grundy(x: int, y: int) -> int:
     return v2(((x - 1) | (y - 1)) + 1)
 
 
-def _v2_of_positive(m: np.ndarray) -> np.ndarray:
-    # m & -m isolates the lowest set bit; the bits below it number exactly v2(m).
-    return np.bitwise_count((m & -m) - 1)
+def delete_nim_grundy_bits(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """``1 << delete_nim_grundy`` elementwise over broadcastable integer
+    arrays of heap sizes, which must all be >= 0 (not checked): m & -m, the
+    lowest set bit of m = (x | y) + 1, in the arrays' integer type, which
+    must hold m and its negation (not checked): int16 holds them for heaps
+    through 16383."""
+    m = (xs | ys) + 1
+    return m & -m
+
+
+def vdn_grundy_bits(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """``1 << vdn_grundy`` elementwise over broadcastable integer arrays of
+    heap sizes, which must all be >= 1 (not checked): m & -m with m =
+    ((x - 1) | (y - 1)) + 1, in the arrays' integer type, which must hold m
+    and its negation (not checked): int16 holds them for heaps through
+    16383."""
+    m = ((xs - 1) | (ys - 1)) + 1
+    return m & -m
+
+
+# Each value form reads its bit form's 1 << v: the bits below it number v.
 
 
 def delete_nim_grundy_array(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Elementwise delete_nim_grundy over broadcastable integer arrays of heap
-    sizes, which must all be >= 0 (not checked).  The arrays' integer type
-    must hold (x | y) + 1 and its negation (not checked): int16 holds them
-    for heaps through 16383."""
-    return _v2_of_positive((xs | ys) + 1)
+    """Elementwise delete_nim_grundy: the value that
+    ``delete_nim_grundy_bits`` gives as a bit, under the same conditions."""
+    return np.bitwise_count(delete_nim_grundy_bits(xs, ys) - 1)
 
 
 def vdn_grundy_array(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Elementwise vdn_grundy over broadcastable integer arrays of heap sizes,
-    which must all be >= 1 (not checked).  The arrays' integer type must
-    hold ((x - 1) | (y - 1)) + 1 and its negation (not checked): int16
-    holds them for heaps through 16383."""
-    return _v2_of_positive(((xs - 1) | (ys - 1)) + 1)
+    """Elementwise vdn_grundy: the value that ``vdn_grundy_bits`` gives as
+    a bit, under the same conditions."""
+    return np.bitwise_count(vdn_grundy_bits(xs, ys) - 1)
 
 
 def delete_nim_grundy_grid(bound: int) -> np.ndarray:

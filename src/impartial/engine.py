@@ -27,8 +27,10 @@ table's lock, the fill reduces the one diagonal each heap the table lacks
 reaches, and the table adopts the heaps it finished.  Both kinds of table
 keep the one rule of ``_new_tables``.  Then a reader reads cells from the
 final masks alone, one AND and one lowest bit per cell, which is
-``1 << value``.  The formula sweeps and the iso sweep read the grid in
-bands of rows (``bands``); a query, and each engine move
+``1 << value``.  The formula sweeps and the iso sweep read those words in
+bands of rows (``band_bits``) and compare them as they are; ``bands``
+reads the same bands as values, the bits below each word's bit counted,
+for the sum sweep and the dense grids.  A query, and each engine move
 in ``play``, reads its two option diagonals (``option_values``).  The
 table saves work only where one interpreter asks more than one two-heap
 question: each engine move of a ``play`` session after the first, a
@@ -101,6 +103,7 @@ __all__ = [
     "charge",
     "grid_cells",
     "check_query",
+    "band_bits",
     "bands",
     "band_rows",
     "band_cells",
@@ -277,31 +280,33 @@ def _moves(rules: Ruleset) -> tuple[int, int]:
         raise ValueError(f"no dense backend for ruleset {rules.name!r}") from None
 
 
-def bands(rules: Ruleset, bound: int) -> Iterator:
-    """Grundy values of every two-heap position lo <= x, y <= bound, by mex
+def band_bits(rules: Ruleset, bound: int) -> Iterator:
+    """``1 << value`` of every two-heap position lo <= x, y <= bound, by mex
     recursion, in bands of consecutive rows y.
 
     First the fill gives every heap through ``bound`` its final mask,
     reducing only the diagonals of heaps the game's shared table lacks.
     Then each band is read from those masks alone.  Yields
-    ``(xs, ys, values)`` per band of rows y0 <= y < y1: ``xs`` and ``ys``
+    ``(xs, ys, bits)`` per band of rows y0 <= y < y1: ``xs`` and ``ys``
     are the band's heap views from ``band_rows``, of shapes (1, w) and
-    (k, 1), and ``values[i, j]`` the value of (xs[0, j], ys[i, 0]), fresh
-    uint8 of shape (k, w).  Every canonical position y <= x falls in
-    exactly one band; the k(k - 1)/2 cells of a band with x < y repeat
-    their mirrored positions.  Memory is O(bound + _BAND_CELLS).  The bound
-    is checked before anything runs; no budget is charged here.
+    (k, 1), and ``bits[i, j]`` the lowest set bit of the free mask of
+    (xs[0, j], ys[i, 0]), which is ``1 << value``, fresh, of shape (k, w).
+    Every canonical position y <= x falls in exactly one band; the
+    k(k - 1)/2 cells of a band with x < y repeat their mirrored positions.
+    Memory is O(bound + _BAND_CELLS).  The bound is checked before
+    anything runs; no budget is charged here.
 
-    The masks are cast to the narrowest unsigned type that holds
-    ``1 << top``, ``top`` the bit length of the OR of what every heap
-    reaches, taken from the fill's masks alone: no cell's mex exceeds it.
+    The masks, and so ``bits``, are cast to the narrowest unsigned type
+    that holds ``1 << top``, ``top`` the bit length of the OR of what every
+    heap reaches, taken from the fill's masks alone: no cell's mex exceeds
+    it.
     """
     lo, _ = _moves(rules)
     check_bound(lo, bound)
-    return _bands(_TABLES[rules.name], bound)
+    return _band_bits(_TABLES[rules.name], bound)
 
 
-def _bands(table: _Unreached, bound: int) -> Iterator:
+def _band_bits(table: _Unreached, bound: int) -> Iterator:
     unreached = _fill(table, bound)
     # no cell's mex passes top, the highest value any heap reaches plus one,
     # so the masks' low top + 1 bits hold every 1 << mex a band reads
@@ -309,7 +314,13 @@ def _bands(table: _Unreached, bound: int) -> Iterator:
     unreached = unreached.astype(np.min_scalar_type(1 << top))
     for rows, cols, xs, ys in band_rows(table.lo, bound):
         free = unreached[rows, None] & unreached[None, cols]
-        yield xs, ys, _values(free & -free)
+        yield xs, ys, free & -free
+
+
+def bands(rules: Ruleset, bound: int) -> Iterator:
+    """``band_bits`` read as Grundy values: ``(xs, ys, values)`` per band,
+    ``values`` fresh uint8, each cell's count of the bits below its bit."""
+    return ((xs, ys, _values(bits)) for xs, ys, bits in band_bits(rules, bound))
 
 
 # Cells per band of every banded sweep (``band_rows``).  Each band costs a

@@ -7,10 +7,14 @@ enumeration) and emits a VerificationReport.  Sweeps are exhaustive within
 their bounds, never sampled, and no sweep runs the generic engine.  Every
 banded sweep takes the one layout of ``engine.band_rows``: bands of rows
 of about ``engine._BAND_CELLS`` cells, on heaps in a narrow integer type.
-The two-heap formula sweeps and iso read the engine's values in those
-bands (``engine.bands``) and compare each band on broadcast arrays.  The
-certificate sweeps (proof-steps, iso) rest on every two-heap option set
-being the union of what choosing each heap reaches
+The two-heap formula sweeps and iso read the engine's ``1 << value``
+words in those bands (``engine.band_bits``) and compare each band's
+words as they are, on broadcast arrays, with the closed form's bit form
+(``closed_forms.*_grundy_bits``) or with the other game's words
+(``_compare_bits``); equal words are equal values, so they read values
+only at the cells they flag, for the report.  The certificate sweeps
+(proof-steps, iso) rest on every two-heap option set being the union of
+what choosing each heap reaches
 (``rulesets.*_heap_options``), so they check each heap's moves once, on
 the array twin of those sets, ``engine.heap_options``, in bands of heaps
 of the same size (``engine.heap_bands``); proof-steps tests each position
@@ -121,19 +125,42 @@ def _as_mismatches(found: list) -> list[Mismatch]:
     return [(f"{x},{y}", e, a) for x, y, e, a in sorted(found)]
 
 
+def _compare_bits(found: list, xs, ys, bits: np.ndarray, other: np.ndarray) -> int:
+    """Compare two arrays of ``1 << value`` words on a band of rows, as
+    ``engine.band_cells`` counts and masks it, and append ``(x, y, value,
+    other value)`` at each cell x >= y where they differ; return the
+    number of cells x >= y compared.  The words are compared in one type,
+    ``other`` viewed as ``bits``' where the item sizes agree and promoted
+    by numpy otherwise, so equal words are equal values.  Values are read
+    only at the flagged cells, on the compared words themselves, by the
+    engine's rule (``engine._values``): the bits below the set bit,
+    counted."""
+    if other.dtype.itemsize == bits.dtype.itemsize:
+        other = other.view(bits.dtype)
+    differ = bits != other
+    cells: list = []
+    checked = engine.band_cells(cells, differ, xs, ys)
+    if cells:
+        values, others = (
+            engine._values(np.broadcast_to(w, differ.shape)[differ]).tolist() for w in (bits, other)
+        )
+        found.extend((x, y, g, h) for (x, y), g, h in zip(cells, values, others))
+    return checked
+
+
 def _verify_two_heap(
-    name: str, rules: rulesets.Ruleset, formula: Callable, bound: int, budget: int | None
+    name: str, rules: rulesets.Ruleset, formula: str, bound: int, budget: int | None
 ) -> VerificationReport:
-    """Compare the engine's values with the vectorized closed form evaluated
-    on the same cells, a band of rows at a time, on the canonical cells
-    x >= y only."""
+    """Compare the engine's ``1 << value`` words with the closed form's,
+    ``closed_forms.<formula>``, on the same cells, a band of rows at a
+    time, on the canonical cells x >= y only."""
     _charge(name, bound, budget)
     t0 = time.perf_counter()
     found: list = []
     checked = 0
-    for xs, ys, values in engine.bands(rules, bound):
-        actual = formula(xs, ys)
-        checked += engine.band_cells(found, values != actual, xs, ys, values, actual)
+    closed_form = getattr(closed_forms, formula)
+    for xs, ys, bits in engine.band_bits(rules, bound):
+        checked += _compare_bits(found, xs, ys, bits, closed_form(xs, ys))
     return VerificationReport(
         name, bound, checked, _as_mismatches(found), time.perf_counter() - t0
     )
@@ -142,14 +169,14 @@ def _verify_two_heap(
 def verify_delete_nim_formula(bound: int, budget: int | None = None) -> VerificationReport:
     """Engine Grundy values versus v2((x | y) + 1) for all 0 <= y <= x <= bound."""
     return _verify_two_heap(
-        "delete-nim", rulesets.DELETE_NIM, closed_forms.delete_nim_grundy_array, bound, budget
+        "delete-nim", rulesets.DELETE_NIM, "delete_nim_grundy_bits", bound, budget
     )
 
 
 def verify_vdn_formula(bound: int, budget: int | None = None) -> VerificationReport:
     """Engine Grundy values on VDN rules versus v2(((x-1) | (y-1)) + 1) for
     all 1 <= y <= x <= bound."""
-    return _verify_two_heap("vdn", rulesets.VDN, closed_forms.vdn_grundy_array, bound, budget)
+    return _verify_two_heap("vdn", rulesets.VDN, "vdn_grundy_bits", bound, budget)
 
 
 def verify_bouton(max_heaps: int, max_size: int, budget: int | None = None) -> VerificationReport:
@@ -391,16 +418,17 @@ def verify_isomorphism(bound: int, budget: int | None = None) -> VerificationRep
     """Option-set commutation under the VDN -> Delete Nim map for all
     1 <= y <= x <= bound (``isomorphism.check_isomorphism``), plus Grundy
     commutation on the same domain, each side computed by its own game's
-    engine and compared a band of rows at a time (``engine.bands``), on
-    the cells x >= y; both halves take the one band layout.  A
+    engine, as ``1 << value`` words, and compared a band of rows at a time
+    (``engine.band_bits``, ``_compare_bits``), on the cells x >= y; both
+    halves take the one band layout.  A
     position where the map and its array twin give different images is
     reported as expecting "equal images", and one where a heap's option
     layout differs from its option set as expecting "equal heap options".
     The report counts the cells the Grundy bands compared."""
     _charge("iso", bound, budget)
     t0 = time.perf_counter()
-    vdn_bands = engine.bands(rulesets.VDN, bound)
-    dn_bands = engine.bands(rulesets.DELETE_NIM, bound - 1)
+    vdn_bands = engine.band_bits(rulesets.VDN, bound)
+    dn_bands = engine.band_bits(rulesets.DELETE_NIM, bound - 1)
     mismatches: list[Mismatch] = [
         (f"{p[0]},{p[1]}", expected, reason)
         for p, expected, reason in isomorphism._lines(bound)
@@ -410,8 +438,8 @@ def verify_isomorphism(bound: int, budget: int | None = None) -> VerificationRep
     # cell, (x, y) with (x - 1, y - 1)
     found: list = []
     checked = 0
-    for (xs, ys, vdn_values), (_, _, dn_values) in zip(vdn_bands, dn_bands, strict=True):
-        checked += engine.band_cells(found, dn_values != vdn_values, xs, ys, dn_values, vdn_values)
+    for (xs, ys, vdn_bits), (_, _, dn_bits) in zip(vdn_bands, dn_bands, strict=True):
+        checked += _compare_bits(found, xs, ys, dn_bits, vdn_bits)
     mismatches += _as_mismatches(found)
     return VerificationReport(
         "iso", bound, checked, mismatches, time.perf_counter() - t0

@@ -1329,13 +1329,24 @@ class TestUsage:
         assert cli.main(["table", "--game", "vdn", "--bound", "3"]) == 141
         assert capsys.readouterr().err == ""
 
+        # the help's own write too, which argparse would drop
+        class Closed(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError
+
+        monkeypatch.setattr(sys, "stdout", Closed())
+        assert cli.main(["--help"]) == 141
+        assert capsys.readouterr().err == ""
+
     @pytest.mark.parametrize("argv", [
         ["grundy", "--game", "nim", "--position", "3,2"],
         ["best-move", "--game", "delete-nim", "--position", "3,2"],
         ["verify", "--check", "vdn", "--bound", "10"],
         ["verify", "--check", "vdn", "--bound", "10", "--format", "json"],
         ["table", "--game", "delete-nim", "--bound", "3"],
-    ], ids=["grundy", "best-move", "verify-text", "verify-json", "table"])
+        ["--help"],
+        ["verify", "--help"],
+    ], ids=["grundy", "best-move", "verify-text", "verify-json", "table", "help", "verify-help"])
     def test_a_failed_write_to_stdout_exits_2(self, argv, monkeypatch):
         # a full disk, in memory: every write raises, and no descriptor is left to silence
         class Full(io.StringIO):
@@ -1364,7 +1375,8 @@ class TestUsage:
          "error: cannot write stdout: No space left on device\n"),
         (["table", "--game", "delete-nim", "--bound", "300", "--output", "/dev/full"],
          "error: cannot write /dev/full: No space left on device\n"),
-    ], ids=["stdout", "output"])
+        (["--help"], "error: cannot write stdout: No space left on device\n"),
+    ], ids=["stdout", "output", "help"])
     def test_a_full_device_exits_2_in_one_line(self, argv, line):
         # stdout is silenced, so the exit flush adds no "Exception ignored" line
         with open("/dev/full", "w") as full:
@@ -1372,14 +1384,32 @@ class TestUsage:
                                stderr=subprocess.PIPE, text=True, timeout=60)
         assert (r.returncode, r.stderr) == (2, line)
 
-    def test_a_closed_stdout_is_not_a_failed_write(self):
+    @pytest.mark.parametrize("argv", [
+        ["grundy", "--game", "nim", "--position", "3,2"],
+        ["table", "--game", "vdn", "--bound", "3"],
+    ], ids=["grundy", "table"])
+    def test_a_closed_stdout_is_not_a_failed_write(self, argv):
         # started with descriptor 1 closed, Python has no sys.stdout and
-        # print writes nothing: the command still answers 0
-        r = subprocess.run([sys.executable, "-m", "impartial", "grundy", "--game", "nim",
-                            "--position", "3,2"], stdout=subprocess.DEVNULL,
+        # the command writes nothing: it still answers 0
+        r = subprocess.run([sys.executable, "-m", "impartial", *argv], stdout=subprocess.DEVNULL,
                            stderr=subprocess.PIPE, text=True, timeout=60,
                            preexec_fn=lambda: os.close(1))
         assert (r.returncode, r.stderr) == (0, "")
+
+    def test_the_budget_default_is_read_when_a_command_runs(self, monkeypatch, capsys):
+        # the parser is built once, but a command without --budget is
+        # charged against DEFAULT_BUDGET as it is when the command runs
+        argv = ["best-move", "--game", "delete-nim", "--position", "3,2"]
+        assert cli.main(argv) == 0
+        monkeypatch.setattr(cli, "DEFAULT_BUDGET", 15)
+        assert cli.main(argv) == 4
+        assert capsys.readouterr().err == (
+            "error: delete-nim position 3,2 exceeds the budget of 15 units\n"
+        )
+        assert cli.main(argv + ["--budget", "16"]) == 0
+        monkeypatch.setattr(cli, "DEFAULT_BUDGET", 16)
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == "2,0\n2,0\n"
 
 
 # The command contract under drawn argv: every input answers or fails fast

@@ -185,28 +185,33 @@ def test_array_forms_in_narrow_types(dtype, top):
     sample = set(rng.integers(1, top + 1, size=40).tolist())
     heaps = np.array(sorted(h for h in edges | sample | {0, top} if h <= top), dtype=dtype)
     xs, ys = heaps[:, None], heaps[None, :]
-    for form, scalar, low in (
-        (cf.delete_nim_grundy_array, cf.delete_nim_grundy, 0),
-        (cf.vdn_grundy_array, cf.vdn_grundy, 1),
+    for form, bit_form, scalar, low in (
+        (cf.delete_nim_grundy_array, cf.delete_nim_grundy_bits, cf.delete_nim_grundy, 0),
+        (cf.vdn_grundy_array, cf.vdn_grundy_bits, cf.vdn_grundy, 1),
     ):
-        values = form(xs, ys)
+        values, bits = form(xs, ys), bit_form(xs, ys)
+        assert bits.dtype == dtype  # the bit form stays in the heaps' type
         for i, x in enumerate(heaps.tolist()):
             for j, y in enumerate(heaps.tolist()):
                 if x >= low and y >= low:
                     assert values[i, j] == scalar(x, y), (form.__name__, x, y)
+                    assert bits[i, j] == 1 << scalar(x, y), (bit_form.__name__, x, y)
 
 
 def test_scalar_forms_match_the_array_forms_through_1024():
-    # the sweeps check the array forms against the engine and run the
-    # scalar forms only at flagged positions, so this holds the two to each
-    # other on every canonical cell through verify --all's default bound
+    # the sweeps check the array forms against the engine (the bit forms,
+    # as 1 << value) and run the scalar forms only at flagged positions, so
+    # this holds them to each other on every canonical cell through verify
+    # --all's default bound
     xs, ys = np.tril_indices(1025)
-    for form, scalar, low in (
-        (cf.delete_nim_grundy_array, cf.delete_nim_grundy, 0),
-        (cf.vdn_grundy_array, cf.vdn_grundy, 1),
+    for form, bit_form, scalar, low in (
+        (cf.delete_nim_grundy_array, cf.delete_nim_grundy_bits, cf.delete_nim_grundy, 0),
+        (cf.vdn_grundy_array, cf.vdn_grundy_bits, cf.vdn_grundy, 1),
     ):
         x, y = xs[ys >= low], ys[ys >= low]
-        assert form(x, y).tolist() == list(map(scalar, x.tolist(), y.tolist())), form.__name__
+        expected = list(map(scalar, x.tolist(), y.tolist()))
+        assert form(x, y).tolist() == expected, form.__name__
+        assert bit_form(x, y).tolist() == [1 << v for v in expected], bit_form.__name__
 
 
 _HUGE = -(10**5000)  # past the 4300 digits str() converts

@@ -619,7 +619,8 @@ class TestDenseGrids:
         # while no heap reaches value 7, which heap 128 of Delete Nim and
         # heap 129 of VDN are the first to reach.  A table that knows heaps
         # past the bound narrows the same way, and the values on both sides
-        # of each switch are the reference recursion's
+        # of each switch are the reference recursion's.  band_bits, which
+        # the formula and iso sweeps compare, gives 1 << value in that type
         seen = set()
         right = engine._values
 
@@ -636,7 +637,10 @@ class TestDenseGrids:
                 engine._fill(engine._TABLES[rules.name], known)
             seen.clear()
             checked = 0
-            for xs, ys, values in engine.bands(rules, bound):
+            bits = engine.band_bits(rules, bound)
+            for (xs, ys, values), (_, _, low) in zip(engine.bands(rules, bound), bits, strict=True):
+                assert low.dtype == mask
+                assert np.array_equal(low, np.left_shift(1, values.astype(np.int64)))
                 # the heaps' type holds (x | y) + 1 and its negation
                 assert xs.dtype == ys.dtype == np.int16
                 assert np.iinfo(xs.dtype).max >= 2 * bound + 1

@@ -146,6 +146,21 @@ class TestSweeps:
         assert vf.run_check(name, 40).passed
         assert calls == []
 
+    @pytest.mark.parametrize("name", ["delete-nim", "vdn", "iso"])
+    @pytest.mark.parametrize("bound", [127, 200])
+    def test_a_passing_word_sweep_reads_no_value(self, monkeypatch, name, bound):
+        # these sweeps compare 1 << value words and read values only at the
+        # cells they flag, and a passing sweep flags none
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a value read by a passing sweep")
+
+        for module, attr in [(engine, "bands"), (engine, "_values"),
+                             (cf, "delete_nim_grundy_array"), (cf, "vdn_grundy_array")]:
+            monkeypatch.setattr(module, attr, unreachable)
+        rep = vf.run_check(name, bound)
+        assert rep.passed
+        assert rep.positions_checked == triangle(bound) - (0 if name == "delete-nim" else bound + 1)
+
     def test_iso_pairs_bands_whatever_their_mask_types(self, monkeypatch):
         # bit 40 of one Delete Nim heap's mask cleared: that heap now also
         # reaches value 40, which no position near this bound has, so no
@@ -155,13 +170,19 @@ class TestSweeps:
         table = engine._TABLES[rulesets.DELETE_NIM.name]
         engine._fill(table, 199)
         table.masks[100] &= ~np.uint64(1 << 40)
-        seen = []
-        right = engine._values
-        monkeypatch.setattr(engine, "_values", lambda low: seen.append(low.dtype) or right(low))
+        seen = set()
+        right = engine.band_bits
+
+        def spy(rules, bound):
+            for xs, ys, bits in right(rules, bound):
+                seen.add((rules.name, bits.dtype))
+                yield xs, ys, bits
+
+        monkeypatch.setattr(engine, "band_bits", spy)
         rep = vf.verify_isomorphism(200)
         assert rep.passed
         assert rep.positions_checked == 200 * 201 // 2
-        assert set(seen) == {np.dtype(np.uint64), np.dtype(np.uint16)}
+        assert seen == {("delete-nim", np.dtype(np.uint64)), ("vdn", np.dtype(np.uint16))}
 
     def test_proof_step_failures_empty_everywhere(self):
         for x in range(40):
@@ -204,8 +225,8 @@ class TestSweeps:
             for run in (functools.partial(vf.run_check, name), _DIRECT[name]):
                 assert run(bound, budget=n).passed
                 with monkeypatch.context() as patch:
-                    for kernel in ("grundy", "classify", "bands", "band_rows", "heap_bands",
-                                   "heap_options", "sum_values", "_nim_values"):
+                    for kernel in ("grundy", "classify", "band_bits", "bands", "band_rows",
+                                   "heap_bands", "heap_options", "sum_values", "_nim_values"):
                         patch.setattr(engine, kernel, unreachable)
                     patch.setattr(isomorphism, "check_isomorphism", unreachable)
                     patch.setattr(rulesets, "delete_nim_heap_options", unreachable)
@@ -235,8 +256,8 @@ class TestSweeps:
         assert [(units, budget) for _, units, budget in charges] == [(n, n)]
         shown = "x".join(map(str, bound)) if name == "bouton" else bound
         assert charges[0][0]() == f"{name} to bound {shown}"
-        kernels = (engine.bands, engine.band_rows, engine.sum_values, engine.nim_values,
-                   isomorphism.check_isomorphism)
+        kernels = (engine.band_bits, engine.bands, engine.band_rows, engine.sum_values,
+                   engine.nim_values, isomorphism.check_isomorphism)
         assert all("budget" not in inspect.signature(k).parameters for k in kernels)
 
     def test_bouton_refuses_a_heap_count_before_building_it(self, monkeypatch):
@@ -305,20 +326,23 @@ class TestFaultInjection:
     @pytest.mark.parametrize(
         "verify, formula, reference, cells",
         [
-            (vf.verify_delete_nim_formula, "delete_nim_grundy_array", ref_delete_grundy,
+            (vf.verify_delete_nim_formula, "delete_nim_grundy_bits", ref_delete_grundy,
              [(40, 7), (30, 29)]),
-            (vf.verify_vdn_formula, "vdn_grundy_array", ref_vdn_grundy,
+            (vf.verify_vdn_formula, "vdn_grundy_bits", ref_vdn_grundy,
              [(45, 3), (33, 30)]),
         ],
+        ids=["delete-nim", "vdn"],
     )
     def test_wrong_formula_is_reported(self, monkeypatch, verify, formula, reference, cells):
+        # the sweeps compare 1 << value words, so a value 5 too high is a
+        # word shifted 5 further
         right = getattr(cf, formula)
 
         def wrong(xs, ys):
-            values = right(xs, ys).astype(np.int64)
+            bits = right(xs, ys).astype(np.int64)
             for x, y in cells:
-                values[(xs == x) & (ys == y)] += 5
-            return values
+                bits[(xs == x) & (ys == y)] <<= 5
+            return bits
 
         monkeypatch.setattr(cf, formula, wrong)
         rep = verify(48)
@@ -334,8 +358,8 @@ class TestFaultInjection:
     @pytest.mark.parametrize(
         "verify, formula, reference, lo, bound",
         [
-            (vf.verify_delete_nim_formula, "delete_nim_grundy_array", ref_delete_grundy, 0, 200),
-            (vf.verify_vdn_formula, "vdn_grundy_array", ref_vdn_grundy, 1, 150),
+            (vf.verify_delete_nim_formula, "delete_nim_grundy_bits", ref_delete_grundy, 0, 200),
+            (vf.verify_vdn_formula, "vdn_grundy_bits", ref_vdn_grundy, 1, 150),
         ],
         ids=["delete-nim", "vdn"],
     )
@@ -347,11 +371,11 @@ class TestFaultInjection:
         right = getattr(cf, formula)
 
         def wrong(xs, ys):
-            values = right(xs, ys).astype(np.int64)
+            bits = right(xs, ys).astype(np.int64)
             xs, ys = np.broadcast_arrays(xs, ys)
             planted = [(x, y) in cells for x, y in zip(xs.flat, ys.flat)]
-            values[np.array(planted, dtype=bool).reshape(values.shape)] += 5
-            return values
+            bits[np.array(planted, dtype=bool).reshape(bits.shape)] <<= 5
+            return bits
 
         monkeypatch.setattr(cf, formula, wrong)
         # at 16 cells every band here is one row
@@ -366,35 +390,42 @@ class TestFaultInjection:
     @pytest.mark.parametrize(
         "verify, formula",
         [
-            (vf.verify_delete_nim_formula, "delete_nim_grundy_array"),
-            (vf.verify_vdn_formula, "vdn_grundy_array"),
+            (vf.verify_delete_nim_formula, "delete_nim_grundy_bits"),
+            (vf.verify_vdn_formula, "vdn_grundy_bits"),
         ],
         ids=["delete-nim", "vdn"],
     )
     def test_mirrored_cells_are_not_compared(self, monkeypatch, verify, formula):
         # a band also holds cells with x < y, which repeat canonical ones; a
-        # formula wrong on those alone is right on every position
+        # formula wrong on those alone is right on every position.  The
+        # formula reaches the sweep: the same fault on every cell fails it
         right = getattr(cf, formula)
+        mirrored = []
 
         def wrong(xs, ys):
-            return right(xs, ys) + (xs < ys)
+            mirrored.append(bool((xs < ys).any()))
+            return right(xs, ys) << (xs < ys)
 
         monkeypatch.setattr(cf, formula, wrong)
         for size in (engine._BAND_CELLS, 16):
             _band_cells(monkeypatch, size)
             assert verify(150).passed
+        assert any(mirrored)
+        monkeypatch.setattr(cf, formula, lambda xs, ys: right(xs, ys) << (xs <= ys))
+        assert not verify(150).passed
 
     def test_wrong_engine_value_is_reported(self, monkeypatch):
         # one cell of a late diagonal, (200, 197) on diagonal 397 of 401, is
-        # perturbed on the engine side, which the report lists as expected
-        right = engine.bands
+        # perturbed on the engine side, which the report lists as expected:
+        # its word shifted 3 further is a value 3 higher
+        right = engine.band_bits
 
         def wrong(rules, bound):
-            for xs, ys, values in right(rules, bound):
-                values[(xs == 200) & (ys == 197)] += 3
-                yield xs, ys, values
+            for xs, ys, bits in right(rules, bound):
+                bits[(xs == 200) & (ys == 197)] <<= 3
+                yield xs, ys, bits
 
-        monkeypatch.setattr(engine, "bands", wrong)
+        monkeypatch.setattr(engine, "band_bits", wrong)
         rep = vf.verify_delete_nim_formula(200)
         assert rep.mismatches == [
             ("200,197", ref_delete_grundy(200, 197) + 3, ref_delete_grundy(200, 197))
@@ -753,15 +784,15 @@ class TestCertificateFaultInjection:
     def test_iso_wrong_engine_value_is_reported_once(self, monkeypatch, band_size):
         # the VDN value of (200, 197) perturbed wherever a band holds it,
         # mirrored cells included: the Grundy commutation reports it once
-        right = engine.bands
+        right = engine.band_bits
 
         def wrong(rules, bound):
-            for xs, ys, values in right(rules, bound):
+            for xs, ys, bits in right(rules, bound):
                 if rules is rulesets.VDN:
-                    values[(xs == 200) & (ys == 197) | (xs == 197) & (ys == 200)] += 3
-                yield xs, ys, values
+                    bits[(xs == 200) & (ys == 197) | (xs == 197) & (ys == 200)] <<= 3
+                yield xs, ys, bits
 
-        monkeypatch.setattr(engine, "bands", wrong)
+        monkeypatch.setattr(engine, "band_bits", wrong)
         _band_cells(monkeypatch, band_size)
         rep = vf.verify_isomorphism(200)
         assert rep.positions_checked == 200 * 201 // 2
