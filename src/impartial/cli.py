@@ -267,11 +267,13 @@ class _Parser(argparse.ArgumentParser):
 
     def _print_message(self, message: str, file=None) -> None:
         # argparse drops a failed write; one to stdout (--help) propagates,
-        # for ``main`` to report as every command's is
-        if message and file is not None and file is sys.stdout:
-            file.write(message)
-        else:
+        # for ``main`` to report as every command's is.  With descriptor 1
+        # closed at start-up stdout is None, and the message is dropped, as
+        # a command's output is, rather than sent to stderr
+        if file is not sys.stdout:
             super()._print_message(message, file)
+        elif message and file is not None:
+            file.write(message)
 
 
 def _budget(text: str) -> int:

@@ -23,11 +23,12 @@ mask depends on no bound, so each game has one table of them for the whole
 process, which every call extends and none rebuilds (``_TABLES``).  The
 fill (``_fill``) gives every heap through a bound its final mask: a table
 that knows them all hands back a view of its masks; else, under the
-table's lock, the fill reduces the one diagonal each heap the table lacks
-reaches, and the table adopts the heaps it finished.  Both kinds of table
-keep the one rule of ``_new_tables``.  Then a reader reads cells from the
-final masks alone, one AND and one lowest bit per cell, which is
-``1 << value``.  The formula sweeps and the iso sweep read those words in
+table's lock, the fill reduces the diagonals of the heaps the table lacks,
+a block of consecutive heaps at a time, in the narrowest unsigned type the
+masks it has found allow, and the table adopts the heaps it finished.
+Both kinds of table keep the one rule of ``_new_tables``.  Then a reader
+reads cells from the final masks alone, one AND and one lowest bit per
+cell, which is ``1 << value``.  The formula sweeps and the iso sweep read those words in
 bands of rows (``band_bits``) and compare them as they are; ``bands``
 reads the same bands as values, the bits below each word's bit counted,
 for the sum sweep and the dense grids.  A query, and each engine move
@@ -83,6 +84,7 @@ from math import comb
 from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import BudgetExceededError
 from .rulesets import (
@@ -308,10 +310,8 @@ def band_bits(rules: Ruleset, bound: int) -> Iterator:
 
 def _band_bits(table: _Unreached, bound: int) -> Iterator:
     unreached = _fill(table, bound)
-    # no cell's mex passes top, the highest value any heap reaches plus one,
-    # so the masks' low top + 1 bits hold every 1 << mex a band reads
-    top = int(np.bitwise_or.reduce(~unreached)).bit_length()
-    unreached = unreached.astype(np.min_scalar_type(1 << top))
+    # no cell's mex passes the highest value any heap reaches plus one
+    unreached = unreached.astype(_mask_type(int(np.bitwise_or.reduce(~unreached))))
     for rows, cols, xs, ys in band_rows(table.lo, bound):
         free = unreached[rows, None] & unreached[None, cols]
         yield xs, ys, free & -free
@@ -477,7 +477,7 @@ def option_values(rules: Ruleset, pos, budget: int | None = None) -> dict:
     for t in sorted({y - removed, x - removed}):
         if t < 2 * lo:  # no option pair has both heaps at least lo
             continue
-        y1 = t // 2  # the cells (t - y, y), y = lo .. y1, as in _fill
+        y1 = t // 2  # the cells (t - y, y), y = lo .. y1
         free = unreached[t - y1 : t - lo + 1][::-1] & unreached[lo : y1 + 1]
         opts = zip(range(t - lo, t - y1 - 1, -1), range(lo, y1 + 1))
         values.update(zip(opts, _values(free & -free).tolist()))
@@ -489,38 +489,116 @@ def _values(low: np.ndarray) -> np.ndarray:
     return np.bitwise_count(low - 1)
 
 
+def _mask_type(reached: int) -> np.dtype:
+    """The narrowest unsigned type that holds ``1 << top``, ``top`` the bit
+    length of ``reached``: masks of heaps that reach only the values of
+    ``reached`` keep the bit of every mex in it."""
+    return np.min_scalar_type(1 << reached.bit_length())
+
+
+# Heaps per block of the fill, at most, and its cap on a block's cells:
+# the block step's two temporaries, of rows times columns, stay near 32 KB
+# in uint16, well below the 128 KiB at which glibc hands freed memory back
+# to the system (see ``_BAND_CELLS``).  A block has one row at least.
+_FILL_ROWS = 16
+_FILL_CELLS = 1 << 14
+
+
 def _fill(table: _Unreached, bound: int) -> np.ndarray:
     """The final masks of heaps 0 .. ``bound``, as uint64.
 
     If the table knows every heap through ``bound``, a view of its masks.
-    Otherwise, with the table's lock held, it pads a copy of the known
-    masks and reduces, for each heap s it does not know, in rising order,
-    the anti-diagonal t = s - removed that choosing s reaches: every heap
-    on it is below s, so already final.  However it ends, the table adopts
-    the copy if it finished any heap.
+    Otherwise, with the table's lock held, it reduces each heap s it does
+    not know, in rising order, over the anti-diagonal t = s - removed that
+    choosing s reaches, in blocks of consecutive heaps s0 .. s0 + b - 1.
+
+    It works on a copy of the masks in which a heap not yet known, and a
+    heap below lo, which lies in no cell, holds 0, so a cell that touches
+    one adds nothing to any OR.  So the rows of a block, read from the
+    masks as the block starts, are one (b, w) view of their diagonals,
+    ``diagonals``, and one AND, one lowest bit and one OR along each row
+    reduce every cell whose heaps were known before the block.  The cells
+    whose larger heap x lies in the block, at most b - 1 per heap and each
+    with its y below b, are then reduced heap by heap in Python ints, in
+    which a mask has all its bits above the type's set.
+
+    The copy is of the narrowest unsigned type ``_mask_type`` gives for
+    what the known heaps reach, and moves up as soon as a heap reaches its
+    top bit.  While no known heap reaches the top bit, every cell of two
+    known heaps has it free, so its mex is at or below it and its lowest
+    bit is in the type; a heap that reaches it is in Python ints until its
+    block ends, and the type widens before the next block reads it.  So
+    the type comes from the fill's own masks, not from any formula.
+
+    However it ends, the table adopts the heaps it finished, widened to
+    uint64 with every bit above the type set.
     """
     lo, removed = table.lo, table.removed
     with table.lock:
-        known = table.known
+        start = known = table.known
         if bound < known:
             return table.masks[: bound + 1]
-        unreached = np.full(bound + 1, ~np.uint64(0))
-        unreached[:known] = table.masks[:known]
+        seen = int(np.bitwise_or.reduce(~table.masks[:known]))  # every value reached
+        # heap h at pad + h, so the rows of the first blocks start in the pad
+        pad = _FILL_ROWS
+        work = np.zeros(pad + bound + 1, _mask_type(seen))
+        full = int(np.iinfo(work.dtype).max)
+        work[pad + lo : pad + known] = table.masks[lo:known]
+        # row r holds the heaps r - pad onwards, as many as the last block's
+        # diagonals need
+        width = (bound - removed) // 2 - lo + 1
+        diagonals = sliding_window_view(work, width)
+        # the masks of heaps 0 .. pad - 1 as negative ints, every bit above
+        # the type set; near[i] holds those of heaps i - removed down to lo,
+        # the y of the cells (s0 + j, i - removed - j) that heap s0 + i of a
+        # block reduces with the block's heap s0 + j
+        heaps = [m - (1 << 64) for m in table.masks[: min(known, pad)].tolist()]
+        near: list = []
         try:
-            for s in range(known, bound + 1):
-                # the cells (t - y, y), y = lo .. t // 2: the x side falls as y rises
-                t = s - removed
-                y1 = t // 2
-                free = unreached[t - y1 : t - lo + 1][::-1] & unreached[lo : y1 + 1]
-                reached = np.bitwise_or.reduce(free & -free)
-                if int(reached) >> _MASK_WIDTH:
+            while known <= bound:
+                if len(near) < len(heaps) + removed:
+                    near = [[heaps[y] for y in range(i - removed, lo - 1, -1)]
+                            for i in range(len(heaps) + removed)]
+                s0, t0 = known, known - removed
+                cols = (t0 + pad - 1) // 2 - lo + 1
+                # a block's y are known as it starts: below s0, and below pad
+                b = min(_FILL_ROWS, len(near), max(1, _FILL_CELLS // cols), bound + 1 - s0)
+                # row t of the block: the cells (t - y, y), y = y1 down to lo;
+                # past t // 2 a cell repeats a cell of its row or has x below lo
+                y1 = (t0 + b - 1) // 2
+                r0 = pad + t0 - y1
+                free = diagonals[r0 : r0 + b, : y1 - lo + 1] & work[pad + lo : pad + y1 + 1][::-1]
+                low = np.negative(free)
+                low &= free
+                done = []
+                for ys, reached in zip(near, np.bitwise_or.reduce(low, axis=1).tolist()):
+                    for a, c in zip(done, ys):
+                        f = a & c
+                        reached |= f & -f
+                    if reached >> _MASK_WIDTH:
+                        break
+                    seen |= reached
+                    done.append(~reached)
+                if seen > full >> 1:
+                    # a heap reaches the top bit; every known heap leaves the
+                    # bits above the old type free
+                    work = work.astype(_mask_type(seen))
+                    work[pad + lo : pad + s0] |= int(np.iinfo(work.dtype).max) ^ full
+                    full = int(np.iinfo(work.dtype).max)
+                    diagonals = sliding_window_view(work, width)
+                work[pad + s0 : pad + s0 + len(done)] = [m & full for m in done]
+                known = s0 + len(done)
+                heaps += done[: pad - len(heaps)]
+                if known < s0 + b:
                     raise RuntimeError("grundy values exceed the dense backend's bitmask width")
-                unreached[s] = ~reached
-                known = s + 1
         finally:
             if known > table.known:
-                table.masks, table.known = unreached, known
-    return unreached
+                masks = np.empty(known, np.uint64)
+                masks[:start] = table.masks[:start]
+                masks[start:] = work[pad + start : pad + known]
+                masks[start:] |= ~np.uint64(full)
+                table.masks, table.known = masks, known
+        return table.masks
 
 
 # --- sum kernel --------------------------------------------------------------

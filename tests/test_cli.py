@@ -1387,10 +1387,12 @@ class TestUsage:
     @pytest.mark.parametrize("argv", [
         ["grundy", "--game", "nim", "--position", "3,2"],
         ["table", "--game", "vdn", "--bound", "3"],
-    ], ids=["grundy", "table"])
+        ["--help"],
+    ], ids=["grundy", "table", "help"])
     def test_a_closed_stdout_is_not_a_failed_write(self, argv):
         # started with descriptor 1 closed, Python has no sys.stdout and
-        # the command writes nothing: it still answers 0
+        # the command writes nothing, the help no more on stderr than a
+        # command's output: it still answers 0
         r = subprocess.run([sys.executable, "-m", "impartial", *argv], stdout=subprocess.DEVNULL,
                            stderr=subprocess.PIPE, text=True, timeout=60,
                            preexec_fn=lambda: os.close(1))

@@ -761,6 +761,40 @@ class TestDenseGrids:
                 assert table.known == first
                 assert np.array_equal(table.masks, _one_go_masks(rules, first))
 
+    @pytest.mark.parametrize("rules, first", [(rs.DELETE_NIM, 512), (rs.VDN, 513)],
+                             ids=["delete-nim", "vdn"])
+    def test_mask_width_guard_inside_a_block(self, monkeypatch, rules, first):
+        # with room for the values 0 .. 8 the first heap to reach 9 is
+        # Delete Nim's 512 and VDN's 513, each the second heap of a block of
+        # the fill to 600; the table keeps the heaps below it, the block's
+        # first one too, with the masks a fill without the guard gives them
+        unguarded = _one_go_masks(rules, first)
+        monkeypatch.setattr(engine, "_TABLES", engine._new_tables())
+        monkeypatch.setattr(engine, "_MASK_WIDTH", 9)
+        table = engine._TABLES[rules.name]
+        for _ in range(2):
+            with pytest.raises(RuntimeError, match="bitmask width"):
+                engine._fill(table, 600)
+            assert table.known == first
+            assert np.array_equal(table.masks[:first], unguarded)
+
+    @pytest.mark.parametrize("rules", [rs.DELETE_NIM, rs.VDN], ids=lambda r: r.name)
+    def test_growth_from_any_split_matches_one_fill(self, rules):
+        # a table grown first to heap p, at the first heaps, on either side
+        # of the uint8 -> uint16 step (Delete Nim's heap 128 reaches value 7,
+        # VDN's 129) or inside a block of 16 heaps, then to 300, holds what
+        # one fill from an empty table does; so does one grown through them all
+        whole = _one_go_masks(rules, 301)
+        splits = (0, 1, 127, 128, 129, 130, 135)
+        for p in splits:
+            table = engine._Unreached(*rs.TWO_HEAP_MOVES[rules.name])
+            engine._fill(table, p)
+            assert np.array_equal(engine._fill(table, 300), whole), p
+        table = engine._Unreached(*rs.TWO_HEAP_MOVES[rules.name])
+        for p in splits + (300,):
+            engine._fill(table, p)
+        assert table.known == 301 and np.array_equal(table.masks, whole)
+
     @pytest.mark.parametrize("rules", [rs.DELETE_NIM, rs.VDN], ids=lambda r: r.name)
     def test_sweep_within_known_heaps_writes_nothing(self, monkeypatch, rules):
         # a band sweep or a query whose heaps are all known reads a view of
@@ -966,3 +1000,20 @@ class TestRuleFamily:
         masks = engine._fill(engine._Unreached(lo, removed), n)
         shifted = engine._fill(engine._Unreached(0, lo + removed), n - lo)
         assert np.array_equal(masks[lo:], shifted)
+
+    @pytest.mark.parametrize(
+        "pair", [(lo, removed) for lo in range(4) for removed in range(4) if lo + removed],
+        ids=lambda p: f"{p[0]}-{p[1]}",
+    )
+    def test_masks_are_the_reach_sets(self, pair):
+        # each heap's mask through 150, a fill of many blocks and, in Delete
+        # Nim's (0, 1), of the uint8 -> uint16 step at heap 128, is the
+        # complement of the values of the positions choosing the heap
+        # reaches, by the reference recursion
+        lo, removed = pair
+        options = ref_two_heap_options(lo, removed)
+        masks = engine._fill(engine._Unreached(lo, removed), 150)
+        assert masks.dtype == np.uint64
+        for s, mask in enumerate(masks.tolist()):
+            reached = sum({1 << ref_two_heap_grundy(options, *q) for q in options(s, s)})
+            assert mask == ~reached & (1 << 64) - 1, (pair, s)
